@@ -31,14 +31,7 @@ from .strategies import (
 )
 from .textio import GameFormatError, ParsedGame, format_game, parse_game
 from .transforms import rvi
-from .values import (
-    ValueVector,
-    value_buchi,
-    value_cobuchi,
-    value_reach,
-    value_reach_within,
-    value_safety,
-)
+from .values import SOLVERS, ValueVector, value_reach_within
 from .winning import WinningPartition, almost_sure_buchi, almost_sure_reach, almost_sure_safety
 
 
@@ -67,6 +60,12 @@ def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str, out) -> None:
 def _load(path: str) -> ParsedGame:
     with open(path, encoding="utf-8") as handle:
         return parse_game(handle.read())
+
+
+def _state(game: Game, name: str) -> str:
+    if name not in game.owner:
+        raise ValueError(f"unknown state {name!r}")
+    return name
 
 
 def _objective(args, parsed: ParsedGame) -> Objective:
@@ -101,14 +100,8 @@ def _cmd_solve(args) -> int:
             raise ValueError("reachplus values are exact only")
         vec = ValueVector(reach_plus_values(game, obj.target))
     else:
-        solver = {
-            ObjectiveKind.REACH: value_reach,
-            ObjectiveKind.SAFETY: value_safety,
-            ObjectiveKind.BUCHI: value_buchi,
-            ObjectiveKind.COBUCHI: value_cobuchi,
-        }[kind]
         tol = Fraction(args.tol) if args.tol else None
-        vec = solver(game, obj.target, mode=args.mode, tol=tol)
+        vec = SOLVERS[kind](game, obj.target, mode=args.mode, tol=tol)
     rows = [(s, vec.values[s]) for s in game.states]
     _emit(rows, ("state", "value"), args.format, sys.stdout)
     if vec.error_bound is not None:
@@ -201,7 +194,7 @@ def _cmd_simulate(args) -> int:
     if args.pi:
         with open(args.pi, encoding="utf-8") as handle:
             pi = parse_strategy(handle.read())
-    start = args.from_state or parsed.game.states[0]
+    start = _state(parsed.game, args.from_state) if args.from_state else parsed.game.states[0]
     est = sample_plays(parsed.game, start, obj, cfg, sigma=sigma, pi=pi)
     rows = [
         ("mean", est.mean),
@@ -238,7 +231,8 @@ def _cmd_decide(args) -> int:
     if obj.kind is not ObjectiveKind.REACH:
         raise ValueError("the threshold decision handles reachability objectives")
     verdict = threshold_decide(
-        parsed.game, obj.target, Fraction(args.threshold), args.strict, args.from_state
+        parsed.game, obj.target, Fraction(args.threshold), args.strict,
+        _state(parsed.game, args.from_state),
     )
     print(f"winner {verdict.winner}")
     print(f"reason {verdict.reason}")
@@ -276,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("winning-set", help="almost-sure winning partition")
     add_common(p)
-    p.add_argument("--almost-sure", action="store_true", default=True,
-                   help="compute the almost-sure partition (default)")
     p.set_defaults(run=_cmd_winning_set)
 
     p = sub.add_parser("strategy", help="synthesize and export an MD strategy")

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graphs import attractor
 from .model import Game, Owner
 
 ZERO = Fraction(0)
@@ -62,22 +63,7 @@ def _choice_successors(game: Game, choice: dict[str, str], s: str) -> tuple[tupl
 def can_reach(game: Game, targets: set[str], choice: dict[str, str] | None = None) -> set[str]:
     """States with some path to ``targets`` (restricted to ``choice`` edges
     at owned states when a choice map is given)."""
-    preds: dict[str, list[str]] = {s: [] for s in game.states}
-    for s in game.states:
-        if choice is not None and game.owner[s] is not Owner.RANDOM:
-            preds[choice[s]].append(s)
-        else:
-            for t in game.succ[s]:
-                preds[t].append(s)
-    seen = set(t for t in targets if t in game.owner)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for p in preds[s]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+    return attractor(game, targets, tuple(Owner), choice=choice)
 
 
 def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str]) -> dict[str, Fraction]:
@@ -129,32 +115,7 @@ def positive_attractor(game: Game, targets: set[str],
                        sigma: dict[str, str] | None = None) -> set[str]:
     """States from which the target is reached with positive probability
     against the minimizer (maximizer restricted to ``sigma`` if given)."""
-    preds: dict[str, list[str]] = {s: [] for s in game.states}
-    for s in game.states:
-        if sigma is not None and game.owner[s] is Owner.MAX:
-            preds[sigma[s]].append(s)
-        else:
-            for t in game.succ[s]:
-                preds[t].append(s)
-    inside = set(targets)
-    missing = {
-        s: len(game.succ[s])
-        for s in game.states
-        if game.owner[s] is Owner.MIN and s not in inside
-    }
-    stack = sorted(inside)
-    while stack:
-        s = stack.pop()
-        for p in preds[s]:
-            if p in inside:
-                continue
-            if game.owner[p] is Owner.MIN:
-                missing[p] -= 1
-                if missing[p] > 0:
-                    continue
-            inside.add(p)
-            stack.append(p)
-    return inside
+    return attractor(game, targets, (Owner.MAX, Owner.RANDOM), choice=sigma)
 
 
 def min_best_response(game: Game, targets: set[str],

@@ -177,10 +177,3 @@ def gamblers_ruin_lazy(p) -> LazyGame:
 
     return LazyGame("w1", expand, branching_bound=2)
 
-
-BUILDERS = {
-    "fig2": build_fig2,
-    "fig2u": build_fig2_with_u,
-    "ladder": build_ladder,
-    "ruin": build_gamblers_ruin,
-}

@@ -1,4 +1,9 @@
-"""Strongly connected components and end components.
+"""Backward closures, strongly connected components and end components.
+
+:func:`attractor` is the one backward-closure kernel of the package: graph
+reachability, positive attractors and the peeling closures of the winning
+module are all instances of it, run over the predecessor index each game
+builds once.
 
 End components are computed for an "MDP view" of a game: owned states may
 use any allowed edge, random states must keep their whole support inside the
@@ -9,9 +14,58 @@ tail-objective solvers.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container, Iterable
 
 from .model import Game, Owner
+
+
+def attractor(
+    game: Game,
+    base: Iterable[str],
+    exists: tuple[Owner, ...],
+    alive: Container[str] | None = None,
+    choice: dict[str, str] | None = None,
+    layer: dict[str, int] | None = None,
+) -> set[str]:
+    """Least set containing ``base`` and closed backward inside ``alive``.
+
+    A state whose owner is in ``exists`` enters once one successor is in the
+    set, any other state once all its successors are.  A state with an entry
+    in ``choice`` has that one successor only.  ``alive`` (default: every
+    state) bounds the set; base states outside it are dropped.  When
+    ``layer`` is given it records, per state, the closure stage at which it
+    entered (base states get 0).
+    """
+    if alive is None:
+        alive = game.owner
+    preds = game.predecessors
+    inside = {s for s in base if s in alive}
+    missing: dict[str, int] = {}
+    frontier = list(inside)
+    stage = 0
+    if layer is not None:
+        layer.update(dict.fromkeys(inside, 0))
+    while frontier:
+        stage += 1
+        new: list[str] = []
+        for s in frontier:
+            for p in preds[s]:
+                if p in inside or p not in alive:
+                    continue
+                if choice is not None and p in choice:
+                    if choice[p] != s:
+                        continue
+                elif game.owner[p] not in exists:
+                    left = missing.get(p, len(game.succ[p])) - 1
+                    missing[p] = left
+                    if left:
+                        continue
+                inside.add(p)
+                new.append(p)
+        if layer is not None:
+            layer.update(dict.fromkeys(new, stage))
+        frontier = new
+    return inside
 
 
 def strongly_connected_components(nodes: list[str], succ: Callable[[str], Iterable[str]]) -> list[list[str]]:

@@ -67,6 +67,24 @@ class Game:
     def is_absorbing(self, s: str) -> bool:
         return self.succ[s] == (s,)
 
+    @property
+    def predecessors(self) -> dict[str, list[str]]:
+        """Predecessor lists of every state, built on first use and kept.
+
+        Not a ``functools.cached_property``: that writes through the
+        instance ``__dict__``, which on CPython 3.11 takes the game off the
+        fast attribute path and slows every later ``succ`` and ``owner``
+        lookup in the solvers' inner loops.
+        """
+        preds = getattr(self, "_predecessors", None)
+        if preds is None:
+            preds = {s: [] for s in self.owner}
+            for s in self.owner:
+                for t in self.succ[s]:
+                    preds[t].append(s)
+            object.__setattr__(self, "_predecessors", preds)
+        return preds
+
     @classmethod
     def of(cls, rows: Iterable[Sequence]) -> "Game":
         """Build a game from rows ``(id, owner, successors[, weights])``.

@@ -10,11 +10,11 @@ horizon estimate is the simulator's job.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .model import Game, SinkMode
+from .graphs import attractor
+from .model import Game, Owner, SinkMode
 
 
 class ObjectiveKind(Enum):
@@ -135,13 +135,13 @@ def decided(obj: Objective, prefix: PlayPrefix) -> Verdict:
     if kind is ObjectiveKind.REACH:
         if hit:
             return Verdict.SATISFIED_FOREVER
-        if last not in _reach_closure(game, obj.target):
+        if last not in attractor(game, obj.target, tuple(Owner)):
             return Verdict.VIOLATED_FOREVER
         return Verdict.UNDECIDED
     if kind is ObjectiveKind.SAFETY:
         if hit:
             return Verdict.VIOLATED_FOREVER
-        if last not in _reach_closure(game, obj.target):
+        if last not in attractor(game, obj.target, tuple(Owner)):
             return Verdict.SATISFIED_FOREVER
         return Verdict.UNDECIDED
     if kind is ObjectiveKind.REACH_WITHIN:
@@ -157,7 +157,7 @@ def decided(obj: Objective, prefix: PlayPrefix) -> Verdict:
             return Verdict.SATISFIED_FOREVER
         # A prefix ending anywhere can still take >= 1 step, so only graph
         # unreachability rules the objective out.
-        reachable = _reach_closure(game, obj.target)
+        reachable = attractor(game, obj.target, tuple(Owner))
         if not any(t in reachable for t in game.succ[last]):
             return Verdict.VIOLATED_FOREVER
         return Verdict.UNDECIDED
@@ -168,22 +168,6 @@ def decided(obj: Objective, prefix: PlayPrefix) -> Verdict:
             return Verdict.SATISFIED_FOREVER if member else Verdict.VIOLATED_FOREVER
         return Verdict.VIOLATED_FOREVER if member else Verdict.SATISFIED_FOREVER
     return Verdict.UNDECIDED
-
-
-def _reach_closure(game: Game, target: frozenset[str]) -> set[str]:
-    preds: dict[str, list[str]] = {s: [] for s in game.states}
-    for s in game.states:
-        for t in game.succ[s]:
-            preds[t].append(s)
-    seen = set(t for t in target if t in game.owner)
-    queue = deque(seen)
-    while queue:
-        s = queue.popleft()
-        for p in preds[s]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
 
 
 def bounding_sinks(kind: ObjectiveKind) -> tuple[SinkMode, SinkMode]:

@@ -281,14 +281,27 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
     The maximizer side is the revisit-optimal construction on the final
     surviving subgame, extended first-in-list off it; it never leaves the
     winning region.  The minimizer side replays the choices recorded during
-    peeling: the optimal minimizing escape at removal seeds and a step into
-    the previous closure level elsewhere.
+    peeling: a step into the previous closure level at closure states, and
+    at removal seeds the first successor minimizing the exact reach value of
+    the live Buchi set in that round's patched subgame (removed states count
+    as zero).  A seed's revisit value is below one, so that successor is
+    never a live Buchi state, which on Buchi states is the required
+    off-target escape.  One exact solve per round with a minimizer seed.
     """
-    peel = winning.buchi_peel(game, set(buchi_set))
-    alive = set(peel.final_alive)
+    buchi_set = set(buchi_set)
+    peel = winning.buchi_peel(game, buchi_set)
+    index = peel.partition.index
+    alive = peel.partition.max_wins
 
     sigma_choice: dict[str, str] = {}
-    pi_choice: dict[str, str] = dict(peel.min_pick)
+    pi_choice = dict(peel.min_pick)
+    seeds = [s for s, t in pi_choice.items() if t is None]
+    for k in sorted({index[s] for s in seeds}):
+        live = {s for s in game.states if index[s] is None or index[s] >= k}
+        vals = solve_reach_exact(winning._patched_subgame(game, live), live & buchi_set).values
+        for s in seeds:
+            if index[s] == k:
+                pi_choice[s] = min(game.succ[s], key=lambda t: vals[t] if t in live else ZERO)
     for s in game.states:
         if game.owner[s] is Owner.MAX and s not in alive:
             sigma_choice[s] = game.succ[s][0]
@@ -309,7 +322,7 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
                 succ[s] = game.succ[s]
         prob = {s: game.prob[s] for s in owner if game.owner[s] is Owner.RANDOM}
         subgame = Game(owner, succ, prob)
-        inner = reachplus_max_md(subgame, {s for s in alive if s in set(buchi_set)})
+        inner = reachplus_max_md(subgame, alive & buchi_set)
         sigma_choice.update(inner.choice)
 
     return MDStrategy(Owner.MAX, sigma_choice), MDStrategy(Owner.MIN, pi_choice)

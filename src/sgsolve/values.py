@@ -157,7 +157,7 @@ def value_cobuchi(game: Game, target, mode: str = "exact", tol=None) -> ValueVec
     )
 
 
-_SOLVERS = {
+SOLVERS = {
     ObjectiveKind.REACH: value_reach,
     ObjectiveKind.SAFETY: value_safety,
     ObjectiveKind.BUCHI: value_buchi,
@@ -179,10 +179,10 @@ def interval_values(
     generator.  Soundness: the true value at the initial state lies between
     the two bounds by sink monotonicity.
     """
-    if kind not in _SOLVERS:
-        raise ValueError(f"interval bounds are defined for {sorted(k.value for k in _SOLVERS)}")
+    if kind not in SOLVERS:
+        raise ValueError(f"interval bounds are defined for {sorted(k.value for k in SOLVERS)}")
     lower_mode, upper_mode = bounding_sinks(kind)
-    solver = _SOLVERS[kind]
+    solver = SOLVERS[kind]
 
     def solve(sink_mode: SinkMode) -> ValueVector:
         trunc = truncate(base, depth, sink_mode)

@@ -14,12 +14,18 @@ cooperation are discarded up front with index 0.  Removal cascades one
 dependency layer per round, which is what the escalation gallery family
 exercises.
 
-Almost-sure Buchi peels with exact revisit values: each round removes the
-states whose current-subgame value of "visit the Buchi set again after at
-least one step" is below one, closes the removal backward under minimizer
-and random transitions, and patches maximizer dead ends as losing.  Value
-comparisons are exact rational comparisons against 1; floating-point
-peeling would be unsound there.
+Almost-sure Buchi peels on the game graph alone.  A state's value of
+"visit the live Buchi set again after at least one step" is one exactly when
+one step surely lands in the almost-sure reach region of the live Buchi
+states: some successor in it for the maximizer, all successors for the
+minimizer and random states.  That region is the reach peel above run inside
+the surviving states.  The states failing the test seed each round's
+removal, which is closed backward under minimizer and random transitions;
+maximizer states stranded by it are losing too.  This is the attractor
+characterisation of almost-sure Buchi (de Alfaro, Henzinger and Kupferman,
+FOCS 1998; Chatterjee, Jurdzinski and Henzinger, CSL 2003).  No rational
+arithmetic is involved: exact values are needed only for the minimizer's
+escape choice at seed states, which ``strategies.buchi_md_pair`` computes.
 """
 
 from __future__ import annotations
@@ -27,11 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import bellman_combine, solve_reach_exact
+from .graphs import attractor as _attractor
 from .model import Game, Owner
 from .transforms import rvi
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,64 +60,12 @@ def _check_targets(game: Game, targets) -> set[str]:
     return targets
 
 
-def _predecessors(game: Game) -> dict[str, list[str]]:
-    preds: dict[str, list[str]] = {s: [] for s in game.states}
-    for s in game.states:
-        for t in game.succ[s]:
-            preds[t].append(s)
-    return preds
-
-
 def positive_reach_set(game: Game, targets) -> frozenset[str]:
     """States from which the maximizer forces the target with positive
     probability: the classic attractor (maximizer and random states need one
     successor inside, minimizer states need all)."""
     targets = _check_targets(game, targets)
-    return frozenset(_attractor(game, targets, set(game.states), exists=(Owner.MAX, Owner.RANDOM)))
-
-
-def _attractor(game: Game, base: set[str], alive: set[str], exists: tuple[Owner, ...],
-               layer: dict[str, int] | None = None) -> set[str]:
-    """Least fixpoint of backward closure inside ``alive``.
-
-    Owners in ``exists`` need one successor in the set, the others need all
-    their successors in it.  When ``layer`` is given it records, per added
-    state, the closure stage at which it entered (base states get 0).
-    """
-    preds = _predecessors(game)
-    inside = {s for s in base if s in alive}
-    if layer is not None:
-        for s in inside:
-            layer[s] = 0
-    # Every inside state is processed exactly once, so counters start at the
-    # full successor count.
-    missing = {
-        s: len(game.succ[s])
-        for s in alive
-        if game.owner[s] not in exists
-    }
-    frontier = sorted(inside)
-    stage = 0
-    while frontier:
-        stage += 1
-        new: list[str] = []
-        for s in frontier:
-            for p in preds[s]:
-                if p not in alive or p in inside:
-                    continue
-                if game.owner[p] in exists:
-                    inside.add(p)
-                    new.append(p)
-                else:
-                    missing[p] -= 1
-                    if missing[p] == 0:
-                        inside.add(p)
-                        new.append(p)
-        if layer is not None:
-            for s in new:
-                layer[s] = stage
-        frontier = new
-    return inside
+    return frozenset(_attractor(game, targets, (Owner.MAX, Owner.RANDOM)))
 
 
 def _confined_attractor(game: Game, targets: set[str], alive: set[str]) -> set[str]:
@@ -124,36 +76,36 @@ def _confined_attractor(game: Game, targets: set[str], alive: set[str]) -> set[s
     successors inside, and random states have all successors in ``alive``
     plus one inside.
     """
-    preds = _predecessors(game)
-    inside = {s for s in targets if s in alive}
-    confined = {
+    live = {s for s in targets if s in alive}
+    confined = live | {
         s
         for s in alive
         if game.owner[s] is not Owner.RANDOM or all(t in alive for t in game.succ[s])
     }
-    missing = {
-        s: len(game.succ[s])
-        for s in alive
-        if game.owner[s] is Owner.MIN
-    }
-    frontier = sorted(inside)
-    while frontier:
-        new: list[str] = []
-        for s in frontier:
-            for p in preds[s]:
-                if p not in alive or p in inside or p not in confined:
-                    continue
-                o = game.owner[p]
-                if o is Owner.MIN:
-                    missing[p] -= 1
-                    if missing[p] == 0:
-                        inside.add(p)
-                        new.append(p)
-                else:
-                    inside.add(p)
-                    new.append(p)
-        frontier = new
-    return inside
+    return _attractor(game, live, (Owner.MAX, Owner.RANDOM), alive=confined)
+
+
+def _reach_peel(game: Game, targets: set[str], alive: set[str],
+                index: dict[str, int | None]) -> tuple[set[str], int]:
+    """The almost-sure reach region of ``targets`` in the subgame on ``alive``
+    (edges leaving ``alive`` count as losing), and the number of peeling
+    rounds that removed a state.
+
+    Starts from the states of ``alive`` that can reach the target at all and
+    shrinks to the confined attractor until stable.  ``index`` receives 0
+    for the states that cannot reach the target and ``k`` for the states
+    dropped in round ``k``.
+    """
+    region = _attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=alive)
+    index.update((s, 0) for s in alive if s not in region)
+    rounds = 0
+    while True:
+        kept = _confined_attractor(game, targets, region)
+        if len(kept) == len(region):
+            return region, rounds
+        rounds += 1
+        index.update((s, rounds) for s in region if s not in kept)
+        region = kept
 
 
 def almost_sure_reach(game: Game, targets) -> WinningPartition:
@@ -168,26 +120,13 @@ def almost_sure_reach(game: Game, targets) -> WinningPartition:
     """
     targets = _check_targets(game, targets)
     g = rvi(game, targets) if any(o is Owner.MIN for o in game.owner.values()) else game
-    index: dict[str, int | None] = {s: None for s in game.states}
-    alive = set(_attractor(g, targets, set(g.states), exists=(Owner.MAX, Owner.RANDOM)))
-    for s in g.states:
-        if s not in alive:
-            index[s] = 0
-    rounds_with_removal = 0
-    while True:
-        kept = _confined_attractor(g, targets, alive)
-        removed = alive - kept
-        if not removed:
-            break
-        rounds_with_removal += 1
-        for s in removed:
-            index[s] = rounds_with_removal
-        alive = kept
-    max_wins = frozenset(alive)
+    index: dict[str, int | None] = dict.fromkeys(game.states)
+    region, rounds = _reach_peel(g, targets, set(g.states), index)
+    max_wins = frozenset(region)
     return WinningPartition(
         max_wins=max_wins,
         min_wins=frozenset(s for s in game.states if s not in max_wins),
-        rounds=max(rounds_with_removal, 1),
+        rounds=max(rounds, 1),
         index=index,
     )
 
@@ -202,7 +141,7 @@ def almost_sure_safety(game: Game, targets) -> WinningPartition:
     """
     targets = _check_targets(game, targets)
     layer: dict[str, int] = {}
-    attr = _attractor(game, targets, set(game.states), exists=(Owner.MIN, Owner.RANDOM), layer=layer)
+    attr = _attractor(game, targets, (Owner.MIN, Owner.RANDOM), layer=layer)
     index: dict[str, int | None] = {
         s: (layer[s] if s in attr else None) for s in game.states
     }
@@ -216,16 +155,25 @@ def almost_sure_safety(game: Game, targets) -> WinningPartition:
 
 @dataclass(frozen=True)
 class BuchiPeel:
-    """Internals of the Buchi peeling, consumed by strategy synthesis."""
+    """Internals of the Buchi peeling, consumed by strategy synthesis.
+
+    ``min_pick`` holds, in removal order, the choice recorded at each removed
+    minimizer state: a step into the previous closure level, or ``None`` at a
+    seed.  A seed's escape needs exact values of the round's patched
+    subgame, whose surviving states are those with partition index ``None``
+    or at least the seed's own index; ``strategies.buchi_md_pair`` solves it.
+    """
 
     partition: WinningPartition
-    min_pick: dict[str, str]  # minimizer choices recorded during removal
-    final_alive: tuple[str, ...]
+    min_pick: dict[str, str | None]
 
 
-def _patched_subgame(game: Game, alive: set[str], sink: str) -> Game:
+def _patched_subgame(game: Game, alive: set[str]) -> Game:
     """Subgame on ``alive`` where every edge into a removed state is
     redirected to one absorbing losing sink (merged, weights summed)."""
+    sink = "lost"
+    while sink in game.owner:
+        sink += "_"
     owner: dict[str, Owner] = {}
     succ: dict[str, tuple[str, ...]] = {}
     prob: dict[str, tuple[Fraction, ...]] = {}
@@ -261,99 +209,62 @@ def _patched_subgame(game: Game, alive: set[str], sink: str) -> Game:
 def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
     """Iterated removal of states that cannot force revisits forever.
 
-    Round by round: compute exact values of "reach the live Buchi set after
-    at least one step" on the patched subgame; the states below one seed the
-    removal, which is closed backward under minimizer and random transitions
-    level by level; maximizer states stranded without successors by the
-    removal are losing too and removed with the same round index.  Minimizer
-    choices witnessing each removal are recorded: optimal minimizing (with an
-    off-target escape on target states) for the seed level, a step into the
-    previous level for closure states.
+    Round by round: compute the almost-sure reach region of the live Buchi
+    states inside the surviving states; the states from which one step does
+    not surely land in it (no successor inside for the maximizer, some
+    successor outside for the minimizer and random states) are exactly those
+    whose revisit value is below one, and they seed the removal.  The
+    removal is closed backward under minimizer and random transitions level
+    by level; maximizer states stranded without successors by the removal
+    are losing too and removed with the same round index.  At closure states
+    the minimizer's step into the previous level is recorded; its escape at
+    seeds is left to ``strategies.buchi_md_pair``.
     """
     buchi_set = _check_targets(game, buchi_set)
-    sink = "lost"
-    while sink in game.owner:
-        sink += "_"
-    alive: list[str] = list(game.states)
-    index: dict[str, int | None] = {s: None for s in game.states}
-    min_pick: dict[str, str] = {}
-    rounds_with_removal = 0
-    round_no = 0
+    alive = set(game.states)
+    index: dict[str, int | None] = dict.fromkeys(game.states)
+    min_pick: dict[str, str | None] = {}
+    rounds = 0
     while alive:
-        round_no += 1
-        alive_set = set(alive)
-        sub = _patched_subgame(game, alive_set, sink)
-        live_targets = {s for s in alive if s in buchi_set}
-        vals = solve_reach_exact(sub, live_targets).values
-        revisit = {s: bellman_combine(sub, vals, s) for s in alive}
-        seed = [s for s in alive if revisit[s] < ONE]
+        region, _ = _reach_peel(game, buchi_set, alive, {})
+        # One step surely lands in the region: some successor for the
+        # maximizer, every successor for the minimizer and random states.
+        seed = [
+            s
+            for s in game.states
+            if s in alive
+            and not (any if game.owner[s] is Owner.MAX else all)(t in region for t in game.succ[s])
+        ]
         if not seed:
             break
-        rounds_with_removal += 1
-        for s in seed:
-            index[s] = round_no
+        rounds += 1
+        layer: dict[str, int] = {}
+        closure = set(seed).union(s for s in alive if game.owner[s] is not Owner.MAX)
+        removed = _attractor(game, seed, (Owner.MIN, Owner.RANDOM), alive=closure, layer=layer)
+        # Level by level, each level in state order.
+        for s in sorted((s for s in game.states if s in removed), key=layer.__getitem__):
+            index[s] = rounds
             if game.owner[s] is Owner.MIN:
-                min_pick[s] = _min_escape(game, vals, revisit, s, alive_set)
-        removed = set(seed)
-        level = list(seed)
-        while True:
-            level_set = set(level)
-            nxt = [
-                s
-                for s in alive
-                if s not in removed
-                and game.owner[s] in (Owner.MIN, Owner.RANDOM)
-                and any(t in level_set for t in game.succ[s])
-            ]
-            if not nxt:
-                break
-            for s in nxt:
-                index[s] = round_no
-                if game.owner[s] is Owner.MIN:
-                    min_pick[s] = next(t for t in game.succ[s] if t in level_set)
-            removed.update(nxt)
-            level = nxt
-        alive = [s for s in alive if s not in removed]
+                stage = layer[s]
+                min_pick[s] = (None if stage == 0 else
+                               next(t for t in game.succ[s] if layer.get(t) == stage - 1))
+        alive -= removed
         # Maximizer states stranded by the removal lose with this round's index.
-        while True:
-            alive_set = set(alive)
-            dead = [
-                s
-                for s in alive
-                if game.owner[s] is Owner.MAX
-                and not any(t in alive_set for t in game.succ[s])
-            ]
-            if not dead:
-                break
-            for s in dead:
-                index[s] = round_no
-            alive = [s for s in alive if s not in set(dead)]
+        lost = set(game.states) - alive
+        stranded = _attractor(
+            game, lost, (), alive=lost.union(s for s in alive if game.owner[s] is Owner.MAX)
+        ) - lost
+        index.update(dict.fromkeys(stranded, rounds))
+        alive -= stranded
 
     max_wins = frozenset(alive)
     partition = WinningPartition(
         max_wins=max_wins,
         min_wins=frozenset(s for s in game.states if s not in max_wins),
-        rounds=max(rounds_with_removal, 1),
+        rounds=max(rounds, 1),
         index=index,
     )
-    return BuchiPeel(partition, min_pick, tuple(alive))
-
-
-def _min_escape(game: Game, vals, revisit, s: str, alive: set[str]) -> str:
-    """The recorded minimizer choice at a seed-level state.
-
-    A successor whose patched plain value equals the revisit value; since the
-    revisit value is below one, such a successor is never a live Buchi state,
-    which on Buchi states gives exactly the required off-target escape.
-    Successors already removed from the subgame count as losing (value zero)
-    and are legal picks in the original game.
-    """
-    want = revisit[s]
-    for t in game.succ[s]:
-        value = vals[t] if t in alive else Fraction(0)
-        if value == want:
-            return t
-    raise AssertionError(f"no minimizing escape at {s}")
+    return BuchiPeel(partition, min_pick)
 
 
 def almost_sure_buchi(game: Game, buchi_set) -> WinningPartition:

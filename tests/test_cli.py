@@ -171,3 +171,28 @@ def test_missing_target_is_an_input_error(tmp_path, capsys):
     path.write_text("state a max\nedge a a\n")
     assert main(["solve", str(path)]) == 1
     assert "target" in capsys.readouterr().err
+
+
+def test_simulate_unknown_start_state_is_an_input_error(fig2_file, capsys):
+    code = main([
+        "simulate", fig2_file, "--target", "t", "--from", "nosuch",
+        "--samples", "10", "--horizon", "5",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown state 'nosuch'\n"
+    assert captured.out == ""
+
+
+def test_decide_unknown_start_state_is_an_input_error(ladder_file, capsys):
+    code = main([
+        "decide", ladder_file, "--target", "goal", "--threshold", "1/2", "--from", "nosuch",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown state 'nosuch'\n"
+    assert captured.out == ""
+
+
+def test_winning_set_has_no_almost_sure_flag(ladder_file, capsys):
+    assert main(["winning-set", ladder_file, "--almost-sure"]) == 1

@@ -1,0 +1,46 @@
+"""Layer order of the package: graph kernel, then qualitative partitions,
+then exact values and strategies.  No module imports from a layer above it."""
+
+import ast
+from pathlib import Path
+
+import sgsolve
+
+PACKAGE = Path(sgsolve.__file__).parent
+
+
+def _package_imports(module: str) -> set[str]:
+    """Names of the sgsolve modules that ``module`` imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("sgsolve"):
+                continue
+            path = (node.module or "").removeprefix("sgsolve").lstrip(".")
+            if path:
+                found.add(path.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("sgsolve."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+def test_graph_kernel_imports_only_the_model():
+    assert _package_imports("graphs") <= {"model"}
+
+
+def test_objectives_import_only_model_and_graphs():
+    assert _package_imports("objectives") <= {"model", "graphs"}
+
+
+def test_qualitative_layer_does_not_import_exact_values_or_strategies():
+    assert not _package_imports("winning") & {"exact", "values", "strategies"}
+
+
+def test_import_reader_sees_every_form():
+    assert "winning" in _package_imports("strategies")  # from . import winning
+    assert "exact" in _package_imports("oracle")  # from .exact import ...

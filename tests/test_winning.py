@@ -20,6 +20,8 @@ from sgsolve import (
     value_safety,
 )
 from sgsolve import gallery
+from sgsolve.exact import bellman_combine, solve_reach_exact
+from sgsolve.winning import _patched_subgame, buchi_peel
 
 HALF = Fraction(1, 2)
 
@@ -192,3 +194,82 @@ def test_target_subset_is_checked():
         almost_sure_reach(g, {"nope"})
     with pytest.raises(ValueError):
         positive_reach_set(g, {"nope"})
+
+
+def test_almost_sure_reach_indices_pinned_on_a_game_where_rvi_matters():
+    # Without the minimizer's value-increasing edges removed first, the peel
+    # on this game ends after two rounds and s1 leaves in round 2.  The
+    # transformation is part of what the indices mean, so it stays.
+    g, _ = random_game(157, n=22, max_branch=3, owned_branch=3, max_targets=3)
+    part = almost_sure_reach(g, {"s10"})
+    assert part.rounds == 3
+    assert part.index["s1"] == 3
+    assert [part.index[s] for s in g.states] == [
+        1, 3, 0, 2, 2, 0, 0, 3, 3, 1, None, 2, 2, 0, 1, 0, 1, 2, 1, 1, 0, 2,
+    ]
+
+
+def _removal_closure(game, alive, seeds):
+    """Seeds closed backward under minimizer and random steps, then the
+    maximizer states left without a surviving successor."""
+    removed = set(seeds)
+    level = set(seeds)
+    while level:
+        level = {
+            s for s in alive - removed
+            if game.owner[s] is not Owner.MAX and any(t in level for t in game.succ[s])
+        }
+        removed |= level
+    while True:
+        left = alive - removed
+        stranded = {
+            s for s in left
+            if game.owner[s] is Owner.MAX and not any(t in left for t in game.succ[s])
+        }
+        if not stranded:
+            return removed
+        removed |= stranded
+
+
+def _buchi_cases():
+    for seed in range(320):
+        yield random_game(seed, n=5 + seed % 20, max_branch=3,
+                          owned_branch=2 + seed % 2, max_targets=3)
+    for b in (gallery.build_fig2(7), gallery.build_fig2_with_u(7), gallery.build_ladder(4)):
+        yield b.game, b.buchi or b.targets
+        yield b.game, b.targets
+
+
+def test_buchi_peel_seeds_are_the_states_with_exact_revisit_value_below_one():
+    for game, buchi_set in _buchi_cases():
+        peel = buchi_peel(game, buchi_set)
+        index = peel.partition.index
+        for k in range(1, peel.partition.rounds + 2):
+            alive = {s for s in game.states if index[s] is None or index[s] >= k}
+            if not alive:
+                break
+            sub = _patched_subgame(game, alive)
+            vals = solve_reach_exact(sub, alive & buchi_set).values
+            seeds = {s for s in alive if bellman_combine(sub, vals, s) < 1}
+            removed = {s for s in alive if index[s] == k}
+            assert removed == _removal_closure(game, alive, seeds), (buchi_set, k)
+            min_seeds = {s for s, t in peel.min_pick.items() if t is None and index[s] == k}
+            assert min_seeds == {s for s in seeds if game.owner[s] is Owner.MIN}
+
+
+def test_buchi_partition_needs_no_exact_solve(monkeypatch):
+    import sgsolve.exact
+    from sgsolve import ObjectiveKind, interval_values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact solve called")
+
+    # Every exact solve evaluates minimizer best responses.
+    monkeypatch.setattr(sgsolve.exact, "min_best_response", refuse)
+    fig2 = gallery.build_fig2(6)
+    assert "i" in almost_sure_buchi(fig2.game, fig2.buchi).min_wins
+    g, t = random_game(3, n=12)
+    almost_sure_buchi(g, t)
+    value_buchi(g, t, mode="iterate", tol=Fraction(1, 10**6))
+    interval_values(gallery.fig2_lazy(), ObjectiveKind.BUCHI, 6, label="buchi",
+                    mode="iterate", tol=Fraction(1, 10**6))
