@@ -19,6 +19,8 @@ from .objectives import Objective, ObjectiveKind, parse_objective
 from .exact import reach_plus_values
 from .simulate import SimConfig, sample_plays
 from .strategies import (
+    MDStrategy,
+    TransducerStrategy,
     ValueDecreaseError,
     buchi_md_pair,
     format_strategy,
@@ -57,9 +59,46 @@ def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str, out) -> None:
             out.write(" ".join(map(_fmt, row)) + "\n")
 
 
-def _load(path: str) -> ParsedGame:
+def _trailer(key: str, value, fmt: str, lead: str = "") -> None:
+    """The summary line after the rows; a JSON object in json-lines format."""
+    if fmt == "json-lines":
+        print(json.dumps({key: _fmt(value)}))
+    else:
+        print(f"{lead}{key} {_fmt(value)}")
+
+
+def _parse(path: str) -> ParsedGame:
     with open(path, encoding="utf-8") as handle:
         return parse_game(handle.read())
+
+
+def _violations(parsed: ParsedGame) -> list[str]:
+    """The game's violations, each led by the line that declares its state."""
+    out = []
+    for v in validate(parsed.game):
+        line = parsed.state_lines.get(v.state)
+        out.append(f"line {line}: {v}" if line is not None else str(v))
+    return out
+
+
+def _load(path: str) -> ParsedGame:
+    """Parse a game file and reject a game that breaks the invariants."""
+    parsed = _parse(path)
+    violations = _violations(parsed)
+    if violations:
+        raise ValueError("\n".join(violations))
+    return parsed
+
+
+def _strategy(path: str, game: Game) -> MDStrategy | TransducerStrategy:
+    """Parse a strategy file and check it against the game."""
+    with open(path, encoding="utf-8") as handle:
+        strategy = parse_strategy(handle.read())
+    if isinstance(strategy, MDStrategy):
+        strategy.check_total(game)
+    else:
+        strategy.check(game)
+    return strategy
 
 
 def _state(game: Game, name: str) -> str:
@@ -76,19 +115,18 @@ def _objective(args, parsed: ParsedGame) -> Objective:
 
 
 def _cmd_validate(args) -> int:
-    parsed = _load(args.file)
-    violations = validate(parsed.game)
+    violations = _violations(_parse(args.file))
     if not violations:
         print("ok")
         return 0
     for v in violations:
-        line = parsed.state_lines.get(v.state)
-        where = f"line {line}: " if line is not None else ""
-        print(f"{where}{v}", file=sys.stderr)
+        print(v, file=sys.stderr)
     return 1
 
 
 def _cmd_solve(args) -> int:
+    if args.tol and args.mode != "iterate":
+        raise ValueError("--tol applies to --mode iterate only")
     parsed = _load(args.file)
     obj = _objective(args, parsed)
     game = parsed.game
@@ -105,7 +143,7 @@ def _cmd_solve(args) -> int:
     rows = [(s, vec.values[s]) for s in game.states]
     _emit(rows, ("state", "value"), args.format, sys.stdout)
     if vec.error_bound is not None:
-        print(f"# error-bound {_fmt(float(vec.error_bound))}")
+        _trailer("error-bound", float(vec.error_bound), args.format, "# ")
     return 0
 
 
@@ -129,7 +167,7 @@ def _cmd_winning_set(args) -> int:
         idx = part.index.get(s)
         rows.append(("state", s, side, "index", "bot" if idx is None else idx))
     _emit(rows, ("kw", "state", "side", "kw2", "index"), args.format, sys.stdout)
-    print(f"rounds {part.rounds}")
+    _trailer("rounds", part.rounds, args.format)
     return 0
 
 
@@ -187,13 +225,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         buchi_window=args.buchi_window,
     )
-    sigma = pi = None
-    if args.sigma:
-        with open(args.sigma, encoding="utf-8") as handle:
-            sigma = parse_strategy(handle.read())
-    if args.pi:
-        with open(args.pi, encoding="utf-8") as handle:
-            pi = parse_strategy(handle.read())
+    sigma = _strategy(args.sigma, parsed.game) if args.sigma else None
+    pi = _strategy(args.pi, parsed.game) if args.pi else None
     start = _state(parsed.game, args.from_state) if args.from_state else parsed.game.states[0]
     est = sample_plays(parsed.game, start, obj, cfg, sigma=sigma, pi=pi)
     rows = [
@@ -327,7 +360,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (GameFormatError, ValueDecreaseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).split("\n"):
+            print(f"error: {line}", file=sys.stderr)
         return 1
 
 

@@ -146,7 +146,7 @@ def min_best_response(game: Game, targets: set[str],
         for s in game.states:
             if game.owner[s] is not Owner.MIN or s in frozen or s in targets:
                 continue
-            best = min(game.succ[s], key=lambda t: (values[t], game.succ[s].index(t)))
+            best = min(game.succ[s], key=values.__getitem__)
             if values[best] < values[s]:
                 pi[s] = best
                 improved = True
@@ -179,7 +179,7 @@ def solve_reach_exact(game: Game, targets) -> ExactSolution:
         for s in game.states:
             if game.owner[s] is not Owner.MAX or s in targets:
                 continue
-            best = max(game.succ[s], key=lambda t: (values[t], -game.succ[s].index(t)))
+            best = max(game.succ[s], key=values.__getitem__)
             if values[best] > values[s]:
                 sigma[s] = best
                 improved = True

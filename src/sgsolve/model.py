@@ -15,7 +15,7 @@ callback must be pure and reentrant.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -121,6 +121,37 @@ def swap_roles(game: Game) -> Game:
     return Game(flipped, dict(game.succ), dict(game.prob))
 
 
+def sink_subgame(game: Game, kept: Container[str], sink: str = "lost") -> Game:
+    """The subgame on ``kept`` with every edge leaving it sent to one
+    absorbing maximizer sink, added last.
+
+    ``sink`` gets underscores appended until it names no state of ``game``.
+    Parallel redirected edges are merged (weights summed for random states),
+    so successor lists stay duplicate-free.  Successors outside ``game`` are
+    allowed: they are redirected like any other state outside ``kept``.
+    """
+    while sink in game.owner:
+        sink += "_"
+    owner: dict[str, Owner] = {}
+    succ: dict[str, tuple[str, ...]] = {}
+    prob: dict[str, tuple[Fraction, ...]] = {}
+    for s, who in game.owner.items():
+        if s not in kept:
+            continue
+        owner[s] = who
+        out = game.succ[s]
+        stay = [i for i, t in enumerate(out) if t in kept]
+        leaves = len(stay) < len(out)
+        succ[s] = tuple(out[i] for i in stay) + (sink,) * leaves
+        if who is Owner.RANDOM:
+            w = game.prob[s]
+            lost = sum((w[i] for i, t in enumerate(out) if t not in kept), Fraction(0))
+            prob[s] = tuple(w[i] for i in stay) + (lost,) * leaves
+    owner[sink] = Owner.MAX
+    succ[sink] = (sink,)
+    return Game(owner, succ, prob)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural defect found by :func:`validate`."""
@@ -167,7 +198,9 @@ def validate(game: Game) -> list[Violation]:
             for w in weights:
                 if w <= 0:
                     out.append(Violation("nonpositive-weight", s, f"weight {w} is not positive"))
-            total = sum(weights, Fraction(0))
+            # Starting from the first weight saves one rational addition per
+            # state: every command validates its game at load.
+            total = sum(weights[1:], weights[0]) if weights else 0
             if succs and total != 1:
                 out.append(Violation("weight-sum", s, f"weights sum to {total}, expected 1"))
     return out
@@ -273,49 +306,25 @@ def truncate(base: LazyGame, depth: int, mode: SinkMode) -> Truncation:
                 dist[t] = dist[s] + 1
                 queue.append(t)
 
-    sink = "sink"
-    while sink in info:
-        sink += "_"
-
-    owner: dict[str, Owner] = {}
-    succ: dict[str, tuple[str, ...]] = {}
-    prob: dict[str, tuple[Fraction, ...]] = {}
-    frontier: set[str] = set()
+    game = sink_subgame(
+        Game(
+            {s: st.owner for s, st in info.items()},
+            {s: st.successors for s, st in info.items()},
+            {s: st.weights for s, st in info.items() if st.owner is Owner.RANDOM},
+        ),
+        info,
+        "sink",
+    )
     labels: dict[str, set[str]] = {}
     for s, st in info.items():
-        owner[s] = st.owner
         for lab in st.labels:
             labels.setdefault(lab, set()).add(s)
-        kept: list[str] = []
-        weights: list[Fraction] = []
-        sink_mass = Fraction(0)
-        sink_edge = False
-        for i, t in enumerate(st.successors):
-            if t in info:
-                kept.append(t)
-                if st.owner is Owner.RANDOM:
-                    weights.append(st.weights[i])
-            else:
-                frontier.add(t)
-                sink_edge = True
-                if st.owner is Owner.RANDOM:
-                    sink_mass += st.weights[i]
-        if sink_edge:
-            kept.append(sink)
-            if st.owner is Owner.RANDOM:
-                weights.append(sink_mass)
-        succ[s] = tuple(kept)
-        if st.owner is Owner.RANDOM:
-            prob[s] = tuple(weights)
-    owner[sink] = Owner.MAX
-    succ[sink] = (sink,)
-
     return Truncation(
         base=base,
         depth=depth,
         mode=mode,
-        game=Game(owner, succ, prob),
-        sink=sink,
-        frontier=frozenset(frontier),
+        game=game,
+        sink=next(reversed(game.owner)),
+        frontier=frozenset(t for st in info.values() for t in st.successors if t not in info),
         labels={lab: frozenset(members) for lab, members in labels.items()},
     )

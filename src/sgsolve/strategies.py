@@ -12,12 +12,14 @@ fixing the strategy and re-solving the residual one-player game exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import winning
 from .exact import reach_plus_values, solve_reach_exact
-from .model import Game, Owner
+from .graphs import attractor
+from .model import Game, Owner, sink_subgame
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -55,17 +57,26 @@ class TransducerStrategy:
     choose: dict[tuple[str, str], dict[str, Fraction]] = field(default_factory=dict)
 
     def check(self, game: Game) -> None:
-        if self.initial not in self.modes:
+        """Raise ``ValueError`` unless every row is a distribution (positive
+        weights summing to one) over modes or over the state's successors,
+        and every mode has a successor row at every owned state."""
+        modes = set(self.modes)
+        if self.initial not in modes:
             raise ValueError("initial mode is not a mode")
-        for (mode, _), dist in self.update.items():
-            if mode not in self.modes or sum(dist.values()) != 1:
-                raise ValueError("bad update row")
+        for (mode, s), dist in self.update.items():
+            if mode not in modes or not _is_distribution(dist, modes):
+                raise ValueError(f"bad update row for mode {mode} at {s}")
         for (mode, s), dist in self.choose.items():
-            if mode not in self.modes or sum(dist.values()) != 1:
-                raise ValueError("bad successor row")
-            for t in dist:
-                if t not in game.succ[s]:
-                    raise ValueError(f"successor row {s} -> {t} is not an edge")
+            if mode not in modes or not _is_distribution(dist, game.succ.get(s, ())):
+                raise ValueError(f"bad successor row for mode {mode} at {s}")
+        for mode in self.modes:
+            for s in game.states:
+                if game.owner[s] is self.owner and (mode, s) not in self.choose:
+                    raise ValueError(f"no successor row for mode {mode} at {s}")
+
+
+def _is_distribution(dist: dict[str, Fraction], support) -> bool:
+    return all(w > 0 and x in support for x, w in dist.items()) and sum(dist.values()) == 1
 
 
 def md_to_transducer(strategy: MDStrategy) -> TransducerStrategy:
@@ -111,6 +122,20 @@ class ValueDecreaseError(ValueError):
         self.offenders = offenders
 
 
+def _min_choice(game: Game, values) -> dict[str, str]:
+    """The first value-attaining successor at every minimizer state."""
+    return {s: min(game.succ[s], key=values.__getitem__)
+            for s in game.states if game.owner[s] is Owner.MIN}
+
+
+def _wasteful_moves(game: Game, values, targets: set[str], who: Owner) -> list[tuple[str, str]]:
+    """The transitions at ``who``'s non-target states that give value away:
+    decreasing ones for the maximizer, increasing ones for the minimizer."""
+    worse = operator.lt if who is Owner.MAX else operator.gt
+    return [(s, t) for s in game.states if game.owner[s] is who and s not in targets
+            for t in game.succ[s] if worse(values[t], values[s])]
+
+
 def optimal_min_md(game: Game, targets) -> MDStrategy:
     """An MD strategy optimal minimizing in every minimizer state.
 
@@ -118,72 +143,59 @@ def optimal_min_md(game: Game, targets) -> MDStrategy:
     supermartingale under every opposing strategy, so the reach probability
     never exceeds the value.  First in list order among the minimizers.
     """
-    values = solve_reach_exact(game, set(targets)).values
-    choice = {}
-    for s in game.states:
-        if game.owner[s] is Owner.MIN:
-            choice[s] = min(game.succ[s], key=lambda t: (values[t], game.succ[s].index(t)))
-    return MDStrategy(Owner.MIN, choice)
+    return MDStrategy(Owner.MIN, _min_choice(game, solve_reach_exact(game, set(targets)).values))
 
 
-def _progress_ranks(game: Game, values, targets: set[str]) -> dict[str, float]:
+class NoProgressError(RuntimeError):
+    """A state of positive value has no progress rank, so the values given
+    are not the game's values."""
+
+
+def _progress_ranks(game: Game, values, targets: set[str]) -> dict[str, int]:
     """Layers of forced progress within value levels.
 
-    Rank 0 marks the resolution states; elsewhere the rank is one plus the
-    best value-preserving successor rank for maximizer and random states and
-    one plus the worst for minimizer states (a minimizer stuck without any
-    value-preserving move resolves immediately).  Finite on every state with
-    positive value: an unranked flat region would deny the maximizer any
-    optimal strategy, which cannot happen in a finite game.
+    Rank 0 marks the resolution states: targets, zero-value states, random
+    states whose support straddles value levels and minimizer states without
+    a value-preserving move.  The other ranks are the attractor layers of the
+    rank-0 states over value-preserving edges (rank-0 states keep all their
+    edges), entered through one edge at maximizer and random states and
+    through all at minimizer states.  Every state gets a rank: an unranked
+    flat region would deny the maximizer any optimal strategy, which cannot
+    happen in a finite game.
     """
-    inf = float("inf")
-    rank: dict[str, float] = {}
-    flat: dict[str, list[str]] = {}
+    base: list[str] = []
+    succ: dict[str, tuple[str, ...]] = {}
     for s in game.states:
         level = values[s]
-        flat[s] = [t for t in game.succ[s] if values[t] == level]
-        if s in targets or level == 0:
-            rank[s] = 0
-        elif game.owner[s] is Owner.RANDOM and len(flat[s]) != len(game.succ[s]):
-            rank[s] = 0
-        elif game.owner[s] is Owner.MIN and not flat[s]:
-            rank[s] = 0
+        flat = tuple(t for t in game.succ[s] if values[t] == level)
+        if (s in targets or level == 0 or not flat
+                or game.owner[s] is Owner.RANDOM and len(flat) != len(game.succ[s])):
+            base.append(s)
+            succ[s] = game.succ[s]
         else:
-            rank[s] = inf
-
-    for _ in range(4 * len(game.states) + 8):
-        changed = False
-        for s in game.states:
-            if rank[s] == 0:
-                continue
-            if game.owner[s] is Owner.MIN:
-                new = 1 + max(rank[t] for t in flat[s])
-            else:
-                new = 1 + min(rank[t] for t in flat[s])
-            if new < rank[s]:
-                rank[s] = new
-                changed = True
-        if not changed:
-            break
+            succ[s] = flat
+    rank: dict[str, int] = {}
+    attractor(Game(game.owner, succ, game.prob), base, (Owner.MAX, Owner.RANDOM), layer=rank)
     for s in game.states:
-        if values[s] > 0:
-            assert rank[s] != inf, f"no progress layer at {s}"
+        if s not in rank:
+            raise NoProgressError(f"no progress layer at {s}")
     return rank
 
 
-def _uniform_max_choice(game: Game, values, targets: set[str]) -> dict[str, str]:
+def _uniform_max_choice(game: Game, values, targets: set[str],
+                        rank: dict[str, int] | None = None) -> dict[str, str]:
     """Value-preserving maximizer choices, tie-broken by progress rank."""
-    rank = _progress_ranks(game, values, targets)
+    if rank is None:
+        rank = _progress_ranks(game, values, targets)
     choice = {}
     for s in game.states:
         if game.owner[s] is not Owner.MAX:
             continue
         if s in targets or values[s] == 0:
             choice[s] = game.succ[s][0]
-            continue
-        level = values[s]
-        flat = [t for t in game.succ[s] if values[t] == level]
-        choice[s] = min(flat, key=lambda t: (rank[t], game.succ[s].index(t)))
+        else:
+            choice[s] = min((t for t in game.succ[s] if values[t] == values[s]),
+                            key=rank.__getitem__)
     return choice
 
 
@@ -205,13 +217,7 @@ def optimal_max_md_no_decrease(game: Game, targets) -> MDStrategy:
     """
     targets = set(targets)
     values = solve_reach_exact(game, targets).values
-    offenders = [
-        (s, t)
-        for s in game.states
-        if game.owner[s] is Owner.MAX and s not in targets
-        for t in game.succ[s]
-        if values[t] < values[s]
-    ]
+    offenders = _wasteful_moves(game, values, targets, Owner.MAX)
     if offenders:
         raise ValueDecreaseError(offenders)
     return MDStrategy(Owner.MAX, _uniform_max_choice(game, values, targets))
@@ -227,13 +233,11 @@ def reachplus_min_md(game: Game, targets) -> MDStrategy:
     targets = set(targets)
     values = solve_reach_exact(game, targets).values
     vplus = reach_plus_values(game, targets, values)
-    choice = {}
-    for s in game.states:
-        if game.owner[s] is not Owner.MIN:
-            continue
+    choice = _min_choice(game, values)
+    for s in choice:
         if s not in targets:
-            choice[s] = min(game.succ[s], key=lambda t: (values[t], game.succ[s].index(t)))
-        elif vplus[s] == 1:
+            continue
+        if vplus[s] == 1:
             choice[s] = game.succ[s][0]
         else:
             choice[s] = next(
@@ -253,25 +257,19 @@ def reachplus_max_md(game: Game, targets) -> MDStrategy:
     targets = set(targets)
     values = solve_reach_exact(game, targets).values
     vplus = reach_plus_values(game, targets, values)
-    offenders = [
-        (s, t)
-        for s in game.states
-        if game.owner[s] is Owner.MAX and s not in targets
-        for t in game.succ[s]
-        if vplus[t] < vplus[s]
-    ]
+    offenders = _wasteful_moves(game, vplus, targets, Owner.MAX)
     if offenders:
         raise ValueDecreaseError(offenders)
     rank = _progress_ranks(game, values, targets)
-    choice = _uniform_max_choice(game, values, targets)
-    for s in game.states:
-        if game.owner[s] is not Owner.MAX or s not in targets:
+    choice = _uniform_max_choice(game, values, targets, rank)
+    for s in choice:
+        if s not in targets:
             continue
         candidates = [
             t for t in game.succ[s] if t in targets or vplus[t] == vplus[s]
         ]
         assert candidates, f"no revisit-preserving successor at {s}"
-        choice[s] = min(candidates, key=lambda t: (rank[t], game.succ[s].index(t)))
+        choice[s] = min(candidates, key=rank.__getitem__)
     return MDStrategy(Owner.MAX, choice)
 
 
@@ -298,7 +296,7 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
     seeds = [s for s, t in pi_choice.items() if t is None]
     for k in sorted({index[s] for s in seeds}):
         live = {s for s in game.states if index[s] is None or index[s] >= k}
-        vals = solve_reach_exact(winning._patched_subgame(game, live), live & buchi_set).values
+        vals = solve_reach_exact(sink_subgame(game, live), live & buchi_set).values
         for s in seeds:
             if index[s] == k:
                 pi_choice[s] = min(game.succ[s], key=lambda t: vals[t] if t in live else ZERO)
@@ -349,6 +347,11 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
     decreasing transitions removed), or when the threshold is one.  The one
     remaining configuration is reported as out of scope: determinacy still
     holds but no MD certificate is constructed here.
+
+    One exact solve serves every case.  The residual game has the same values
+    and the same value-preserving maximizer edges as the input (a uniformly
+    optimal MD maximizer strategy uses only value-preserving edges, so it
+    stays available), hence the same uniformly optimal strategy.
     """
     c = Fraction(threshold)
     if not 0 <= c <= 1:
@@ -357,56 +360,27 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
     values = solve_reach_exact(game, targets).values
     v0 = values[start]
 
-    if v0 < c:
-        return ThresholdVerdict("min", optimal_min_md(game, targets), "value<c")
-    if v0 > c:
-        return ThresholdVerdict("max", optimal_max_md(game, targets), "value>c-finite-horizon")
-    if strict:
-        return ThresholdVerdict("min", optimal_min_md(game, targets), "case-4")
-    if c == 0:
+    if v0 < c or v0 == c and strict:
+        strategy = MDStrategy(Owner.MIN, _min_choice(game, values))
+        return ThresholdVerdict("min", strategy, "value<c" if v0 < c else "case-4")
+    if v0 == c == 0:
         any_move = MDStrategy(
             Owner.MAX,
             {s: game.succ[s][0] for s in game.states if game.owner[s] is Owner.MAX},
         )
         return ThresholdVerdict("max", any_move, "threshold-vacuous")
-
-    max_decreasing = [
-        (s, t)
-        for s in game.states
-        if game.owner[s] is Owner.MAX and s not in targets
-        for t in game.succ[s]
-        if values[t] < values[s]
-    ]
-    if not max_decreasing:
-        return ThresholdVerdict(
-            "max", optimal_max_md_no_decrease(game, targets), "case-1"
-        )
-    min_increasing = [
-        (s, t)
-        for s in game.states
-        if game.owner[s] is Owner.MIN and s not in targets
-        for t in game.succ[s]
-        if values[t] > values[s]
-    ]
-    if not min_increasing:
-        # Residual game without the maximizer's decreasing transitions: value
-        # preserving, and the no-decrease construction applies on it.
-        bad = set(max_decreasing)
-        succ = {
-            s: (
-                tuple(t for t in game.succ[s] if (s, t) not in bad)
-                if game.owner[s] is Owner.MAX
-                else game.succ[s]
-            )
-            for s in game.states
-        }
-        residual = Game(dict(game.owner), succ, dict(game.prob))
-        return ThresholdVerdict(
-            "max", optimal_max_md_no_decrease(residual, targets), "case-2"
-        )
-    if c == 1:
-        return ThresholdVerdict("max", optimal_max_md(game, targets), "case-3")
-    return ThresholdVerdict("out-of-scope", None, "none-applicable")
+    if v0 > c:
+        reason = "value>c-finite-horizon"
+    elif not _wasteful_moves(game, values, targets, Owner.MAX):
+        reason = "case-1"
+    elif not _wasteful_moves(game, values, targets, Owner.MIN):
+        reason = "case-2"
+    elif c == 1:
+        reason = "case-3"
+    else:
+        return ThresholdVerdict("out-of-scope", None, "none-applicable")
+    strategy = MDStrategy(Owner.MAX, _uniform_max_choice(game, values, targets))
+    return ThresholdVerdict("max", strategy, reason)
 
 
 def format_strategy(strategy: MDStrategy | TransducerStrategy) -> str:

@@ -31,10 +31,10 @@ escape choice at seed states, which ``strategies.buchi_md_pair`` computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import attractor as _attractor
 from .model import Game, Owner
+from .model import sink_subgame as _patched_subgame  # noqa: F401  (a span name in bench/spans.py)
 from .transforms import rvi
 
 
@@ -166,44 +166,6 @@ class BuchiPeel:
 
     partition: WinningPartition
     min_pick: dict[str, str | None]
-
-
-def _patched_subgame(game: Game, alive: set[str]) -> Game:
-    """Subgame on ``alive`` where every edge into a removed state is
-    redirected to one absorbing losing sink (merged, weights summed)."""
-    sink = "lost"
-    while sink in game.owner:
-        sink += "_"
-    owner: dict[str, Owner] = {}
-    succ: dict[str, tuple[str, ...]] = {}
-    prob: dict[str, tuple[Fraction, ...]] = {}
-    for s in game.states:
-        if s not in alive:
-            continue
-        owner[s] = game.owner[s]
-        kept: list[str] = []
-        weights: list[Fraction] = []
-        lost = Fraction(0)
-        lost_edge = False
-        for i, t in enumerate(game.succ[s]):
-            if t in alive:
-                kept.append(t)
-                if game.owner[s] is Owner.RANDOM:
-                    weights.append(game.prob[s][i])
-            else:
-                lost_edge = True
-                if game.owner[s] is Owner.RANDOM:
-                    lost += game.prob[s][i]
-        if lost_edge:
-            kept.append(sink)
-            if game.owner[s] is Owner.RANDOM:
-                weights.append(lost)
-        succ[s] = tuple(kept)
-        if game.owner[s] is Owner.RANDOM:
-            prob[s] = tuple(weights)
-    owner[sink] = Owner.MAX
-    succ[sink] = (sink,)
-    return Game(owner, succ, prob)
 
 
 def buchi_peel(game: Game, buchi_set) -> BuchiPeel:

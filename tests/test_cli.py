@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import sgsolve.strategies
 from sgsolve import parse_game
 from sgsolve.cli import main
 
@@ -196,3 +197,103 @@ def test_decide_unknown_start_state_is_an_input_error(ladder_file, capsys):
 
 def test_winning_set_has_no_almost_sure_flag(ladder_file, capsys):
     assert main(["winning-set", ladder_file, "--almost-sure"]) == 1
+
+
+def test_json_lines_trailers_are_json(ladder_file, capsys):
+    argv = ["--target", "goal", "--format", "json-lines"]
+    assert main(["winning-set", ladder_file] + argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[-1] == {"rounds": "4"}
+    assert main(["solve", ladder_file, "--mode", "iterate", "--tol", "1/1000"] + argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert list(rows[-1]) == ["error-bound"]
+
+
+def test_tol_in_exact_mode_is_an_input_error(ladder_file, capsys):
+    assert main(["solve", ladder_file, "--target", "goal", "--tol", "1/10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --tol applies to --mode iterate only\n"
+    assert captured.out == ""
+
+
+_COMMANDS = {
+    "solve": [],
+    "winning-set": [],
+    "strategy": ["--player", "min"],
+    "transform": ["--rvi"],
+    "simulate": ["--samples", "10", "--horizon", "5"],
+    "decide": ["--threshold", "1/2", "--from", "a"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("game, message", [
+    ("state a rand\nstate t max\nedge a t 1/3\nedge a a 1/3\nedge t t\ntarget t\n",
+     "error: line 1: weight-sum at a: weights sum to 2/3, expected 1\n"),
+    ("state a max\nstate m min\nstate t max\nedge a m\nedge a t\nedge t t\ntarget t\n",
+     "error: line 2: dead-end at m: state has no successor\n"),
+], ids=["weight-sum", "min-dead-end"])
+def test_every_command_validates_its_game(tmp_path, capsys, command, game, message):
+    path = tmp_path / "bad.game"
+    path.write_text(game)
+    assert main([command, str(path)] + _COMMANDS[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("strategy max md\n", "no choice at goal"),
+    ("strategy max transducer\ninitial m0\nmode m0\n", "no successor row for mode m0 at"),
+    ("strategy max transducer\ninitial m0\nmode m0\nupdate m0 q1 m9 1/1\n",
+     "bad update row for mode m0 at q1"),
+], ids=["partial-md", "partial-transducer", "update-to-unknown-mode"])
+def test_simulate_rejects_partial_or_ill_formed_strategies(ladder_file, tmp_path, capsys,
+                                                           text, message):
+    sigma = tmp_path / "sigma.strat"
+    sigma.write_text(text)
+    code = main(["simulate", ladder_file, "--target", "goal", "--samples", "10",
+                 "--horizon", "5", "--sigma", str(sigma)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+# Six states whose edges decide every verdict reason of the threshold decision:
+# values a = x = 1/2, b = t = 1, m = z = 0; the maximizer decreases at a and b
+# (to z), the minimizer increases at m (to x).
+_DECIDE_GAME = [
+    "state a max", "state b max", "state m min", "state x rand", "state t max", "state z max",
+    "edge a x", "edge a z", "edge b t", "edge b z", "edge m z", "edge m x",
+    "edge x t 1/2", "edge x z 1/2", "edge t t", "edge z z", "target t",
+]
+
+
+# Per verdict reason: the edges left out, the start state, the threshold and
+# whether it is strict.
+_DECIDE_CASES = {
+    "value<c": ((), "a", "2/3", False),
+    "value>c-finite-horizon": ((), "a", "1/3", False),
+    "case-4": ((), "a", "1/2", True),
+    "threshold-vacuous": ((), "m", "0", False),
+    "case-1": (("edge a z", "edge b z"), "a", "1/2", False),
+    "case-2": (("edge m x",), "a", "1/2", False),
+    "case-3": ((), "b", "1", False),
+    "none-applicable": ((), "a", "1/2", False),
+}
+
+
+@pytest.mark.parametrize("reason", list(_DECIDE_CASES))
+def test_decide_solves_the_game_once(tmp_path, capsys, monkeypatch, reason):
+    drop, start, threshold, strict = _DECIDE_CASES[reason]
+    calls = []
+    solve = sgsolve.strategies.solve_reach_exact
+    monkeypatch.setattr(sgsolve.strategies, "solve_reach_exact",
+                        lambda *args: calls.append(args) or solve(*args))
+    path = tmp_path / "decide.game"
+    path.write_text("\n".join(line for line in _DECIDE_GAME if line not in drop) + "\n")
+    argv = ["decide", str(path), "--threshold", threshold, "--from", start]
+    main(argv + ["--strict"] * strict)
+    assert capsys.readouterr().out.splitlines()[1] == f"reason {reason}"
+    assert len(calls) == 1

@@ -2,6 +2,8 @@
 then exact values and strategies.  No module imports from a layer above it."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import sgsolve
@@ -44,3 +46,20 @@ def test_qualitative_layer_does_not_import_exact_values_or_strategies():
 def test_import_reader_sees_every_form():
     assert "winning" in _package_imports("strategies")  # from . import winning
     assert "exact" in _package_imports("oracle")  # from .exact import ...
+
+
+def test_model_imports_no_other_package_module():
+    assert not _package_imports("model")
+
+
+def test_every_traced_name_resolves():
+    # bench/run.py --trace 1 wraps each name of this table and fails on a
+    # missing one, so renames must keep the traced names importable.
+    path = PACKAGE.parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{name}" for module, names in spans.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"sgsolve.{module}"), name, None))]
+    assert not missing
