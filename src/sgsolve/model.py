@@ -121,15 +121,17 @@ def swap_roles(game: Game) -> Game:
     return Game(flipped, dict(game.succ), dict(game.prob))
 
 
-def sink_subgame(game: Game, kept: Container[str], sink: str = "lost") -> Game:
+def sink_subgame(game: Game, kept: Container[str]) -> Game:
     """The subgame on ``kept`` with every edge leaving it sent to one
     absorbing maximizer sink, added last.
 
-    ``sink`` gets underscores appended until it names no state of ``game``.
+    The sink is named ``sink``, with underscores appended until the name is
+    not a state of ``game``.
     Parallel redirected edges are merged (weights summed for random states),
     so successor lists stay duplicate-free.  Successors outside ``game`` are
     allowed: they are redirected like any other state outside ``kept``.
     """
+    sink = "sink"
     while sink in game.owner:
         sink += "_"
     owner: dict[str, Owner] = {}
@@ -198,9 +200,7 @@ def validate(game: Game) -> list[Violation]:
             for w in weights:
                 if w <= 0:
                     out.append(Violation("nonpositive-weight", s, f"weight {w} is not positive"))
-            # Starting from the first weight saves one rational addition per
-            # state: every command validates its game at load.
-            total = sum(weights[1:], weights[0]) if weights else 0
+            total = sum(weights, Fraction(0))
             if succs and total != 1:
                 out.append(Violation("weight-sum", s, f"weights sum to {total}, expected 1"))
     return out
@@ -313,7 +313,6 @@ def truncate(base: LazyGame, depth: int, mode: SinkMode) -> Truncation:
             {s: st.weights for s, st in info.items() if st.owner is Owner.RANDOM},
         ),
         info,
-        "sink",
     )
     labels: dict[str, set[str]] = {}
     for s, st in info.items():

@@ -12,7 +12,6 @@ fixing the strategy and re-solving the residual one-player game exactly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,7 +46,8 @@ class TransducerStrategy:
 
     ``update`` maps (mode, observed state) to a distribution over modes and
     may omit pairs, which means the mode is kept.  ``choose`` maps (mode,
-    owned state) to a distribution over successors.
+    owned state) to a distribution over successors and must be total: every
+    mode needs a row at every state the strategy's owner controls.
     """
 
     owner: Owner
@@ -128,12 +128,10 @@ def _min_choice(game: Game, values) -> dict[str, str]:
             for s in game.states if game.owner[s] is Owner.MIN}
 
 
-def _wasteful_moves(game: Game, values, targets: set[str], who: Owner) -> list[tuple[str, str]]:
-    """The transitions at ``who``'s non-target states that give value away:
-    decreasing ones for the maximizer, increasing ones for the minimizer."""
-    worse = operator.lt if who is Owner.MAX else operator.gt
-    return [(s, t) for s in game.states if game.owner[s] is who and s not in targets
-            for t in game.succ[s] if worse(values[t], values[s])]
+def _wasteful_moves(game: Game, values, targets: set[str]) -> list[tuple[str, str]]:
+    """The value-decreasing transitions at the maximizer's non-target states."""
+    return [(s, t) for s in game.states if game.owner[s] is Owner.MAX and s not in targets
+            for t in game.succ[s] if values[t] < values[s]]
 
 
 def optimal_min_md(game: Game, targets) -> MDStrategy:
@@ -217,7 +215,7 @@ def optimal_max_md_no_decrease(game: Game, targets) -> MDStrategy:
     """
     targets = set(targets)
     values = solve_reach_exact(game, targets).values
-    offenders = _wasteful_moves(game, values, targets, Owner.MAX)
+    offenders = _wasteful_moves(game, values, targets)
     if offenders:
         raise ValueDecreaseError(offenders)
     return MDStrategy(Owner.MAX, _uniform_max_choice(game, values, targets))
@@ -257,7 +255,7 @@ def reachplus_max_md(game: Game, targets) -> MDStrategy:
     targets = set(targets)
     values = solve_reach_exact(game, targets).values
     vplus = reach_plus_values(game, targets, values)
-    offenders = _wasteful_moves(game, vplus, targets, Owner.MAX)
+    offenders = _wasteful_moves(game, vplus, targets)
     if offenders:
         raise ValueDecreaseError(offenders)
     rank = _progress_ranks(game, values, targets)
@@ -371,9 +369,10 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
         return ThresholdVerdict("max", any_move, "threshold-vacuous")
     if v0 > c:
         reason = "value>c-finite-horizon"
-    elif not _wasteful_moves(game, values, targets, Owner.MAX):
+    elif not _wasteful_moves(game, values, targets):
         reason = "case-1"
-    elif not _wasteful_moves(game, values, targets, Owner.MIN):
+    elif not any(values[t] > values[s] for s in game.states
+                 if game.owner[s] is Owner.MIN and s not in targets for t in game.succ[s]):
         reason = "case-2"
     elif c == 1:
         reason = "case-3"
