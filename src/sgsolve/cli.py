@@ -132,6 +132,8 @@ def _cmd_solve(args) -> int:
     game = parsed.game
     kind = obj.kind
     if kind is ObjectiveKind.REACH_WITHIN:
+        if args.mode != "exact":
+            raise ValueError("reach<=N values are exact only")
         vec = value_reach_within(game, obj.target, obj.steps)
     elif kind is ObjectiveKind.REACH_PLUS:
         if args.mode != "exact":

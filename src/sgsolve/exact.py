@@ -1,8 +1,11 @@
 """Exact reachability solvers over rationals.
 
 Reach probabilities of a fixed strategy pair are absorption probabilities of
-a finite Markov chain and are obtained by Gaussian elimination over
-``Fraction``.  Optimal values come from strategy iteration over maximizer
+a finite Markov chain.  The chain's unknowns are split into strongly
+connected blocks and solved one block at a time, successors first, by sparse
+elimination over ``Fraction`` with the values already known outside the
+block on the right-hand side (topological solving, as in Storm: Dehnert et
+al., CAV 2017).  Optimal values come from strategy iteration over maximizer
 policies, each evaluated by an exact minimizer best response.
 
 The minimizer best response needs one guard: inside the region where the
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import attractor
+from .graphs import attractor, strongly_connected_components
 from .model import Game, Owner
 
 ZERO = Fraction(0)
@@ -36,22 +39,43 @@ ONE = Fraction(1)
 _MAX_ROUNDS = 100_000
 
 
-def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square rational system in place (partial pivoting on != 0)."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+class ConvergenceError(RuntimeError):
+    """Strategy iteration failed to improve monotonically or to stop."""
+
+
+def gauss_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve a square sparse rational system.
+
+    Row ``i`` maps column indices to coefficients; a missing column is
+    zero.  Elimination below the diagonal (pivoting on != 0), then
+    back-substitution; neither argument is modified.
+    """
+    n = len(rows)
+    a = [dict(row) for row in rows]
+    b = list(rhs)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r].get(col)), None)
         if pivot is None:
             raise ValueError("singular system")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        b[col], b[pivot] = b[pivot], b[col]
+        prow = a[col]
+        p = prow[col]
+        for r in range(col + 1, n):
+            f = a[r].pop(col, None)
+            if not f:
+                continue
+            f /= p
+            row = a[r]
+            for j, x in prow.items():
+                if j != col:
+                    row[j] = row.get(j, ZERO) - f * x
+            b[r] -= f * b[col]
+    x = [ZERO] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        x[i] = (b[i] - sum((c * x[j] for j, c in row.items() if j != i), ZERO)) / row[i]
+    return x
 
 
 def _choice_successors(game: Game, choice: dict[str, str], s: str) -> tuple[tuple[str, Fraction], ...]:
@@ -71,30 +95,39 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str]) ->
 
     ``choice`` must cover every owned state.  States that cannot reach the
     target in the induced chain get probability exactly 0; the remaining
-    states form a linear system with a unique solution.
+    states form a linear system with a unique solution, solved one strongly
+    connected block at a time in the order Tarjan emits them (successors
+    first), each block in declaration order.
     """
     relevant = can_reach(game, targets, choice)
-    unknowns = [s for s in game.states if s in relevant and s not in targets]
-    index = {s: i for i, s in enumerate(unknowns)}
-    n = len(unknowns)
-    matrix = [[ZERO] * n for _ in range(n)]
-    rhs = [ZERO] * n
-    for s in unknowns:
-        i = index[s]
-        matrix[i][i] += ONE
-        for t, w in _choice_successors(game, choice, s):
-            if t in targets:
-                rhs[i] += w
-            elif t in index:
-                matrix[i][index[t]] -= w
-            # else: successor has reach probability exactly 0
-    solution = gauss_solve(matrix, rhs) if n else []
     values = {s: ZERO for s in game.states}
     for t in targets:
         if t in game.owner:
             values[t] = ONE
-    for s, i in index.items():
-        values[s] = solution[i]
+    unknowns = [s for s in game.states if s in relevant and s not in targets]
+    position = {s: i for i, s in enumerate(unknowns)}
+    moves = {s: _choice_successors(game, choice, s) for s in unknowns}
+    blocks = strongly_connected_components(unknowns, lambda s: [t for t, _ in moves[s]])
+    for block in blocks:
+        # Tarjan lists members by name; declaration order keeps path-like
+        # chains such as ruin banded, so elimination fills nothing in.
+        block.sort(key=position.__getitem__)
+        index = {s: i for i, s in enumerate(block)}
+        rows, rhs = [], []
+        for s in block:
+            row = {index[s]: ONE}
+            b = ZERO
+            for t, w in moves[s]:
+                j = index.get(t)
+                if j is None:
+                    # Solved in an earlier block, a target, or unable to reach one.
+                    b += w * values[t]
+                else:
+                    row[j] = row.get(j, ZERO) - w
+            rows.append(row)
+            rhs.append(b)
+        for s, v in zip(block, gauss_solve(rows, rhs)):
+            values[s] = v
     return values
 
 
@@ -152,7 +185,7 @@ def min_best_response(game: Game, targets: set[str],
                 improved = True
         if not improved:
             return values, pi
-    raise AssertionError("minimizer policy iteration did not converge")
+    raise ConvergenceError("minimizer policy iteration did not converge")
 
 
 def solve_reach_exact(game: Game, targets) -> ExactSolution:
@@ -173,7 +206,8 @@ def solve_reach_exact(game: Game, targets) -> ExactSolution:
     for _ in range(_MAX_ROUNDS):
         values, pi = min_best_response(game, targets, sigma)
         if previous is not None:
-            assert all(values[s] >= previous[s] for s in game.states), "improvement cycle"
+            if any(values[s] < previous[s] for s in game.states):
+                raise ConvergenceError("improvement cycle")
         previous = values
         improved = False
         for s in game.states:
@@ -185,7 +219,7 @@ def solve_reach_exact(game: Game, targets) -> ExactSolution:
                 improved = True
         if not improved:
             return ExactSolution(values, sigma, pi)
-    raise AssertionError("maximizer strategy iteration did not converge")
+    raise ConvergenceError("maximizer strategy iteration did not converge")
 
 
 def bellman_combine(game: Game, values, s: str) -> Fraction:

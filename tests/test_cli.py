@@ -216,6 +216,15 @@ def test_tol_in_exact_mode_is_an_input_error(ladder_file, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tol", [[], ["--tol", "1/10"]])
+def test_bounded_reach_in_iterate_mode_is_an_input_error(ladder_file, capsys, tol):
+    argv = ["solve", ladder_file, "--target", "goal", "--objective", "reach<=3", "--mode", "iterate"]
+    assert main(argv + tol) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: reach<=N values are exact only\n"
+    assert captured.out == ""
+
+
 _COMMANDS = {
     "solve": [],
     "winning-set": [],

@@ -1,0 +1,126 @@
+"""Exact chain solves: the sparse block-wise elimination against a dense
+reference, closed forms at sizes the dense solve could not reach, and the
+named failures of strategy iteration."""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from conftest import random_game, ruin_probability
+
+from sgsolve import Game, Owner, gallery
+from sgsolve import exact
+from sgsolve.exact import ConvergenceError, chain_reach_values, gauss_solve, solve_reach_exact
+
+
+def _dense_reach(game: Game, choice: dict[str, str], targets) -> dict[str, Fraction]:
+    """Reach probabilities of the induced chain by dense Gauss-Jordan over
+    every state that has a path to the target."""
+
+    def moves(s):
+        if game.owner[s] is Owner.RANDOM:
+            return list(zip(game.succ[s], game.prob[s]))
+        return [(choice[s], Fraction(1))]
+
+    relevant = {t for t in targets if t in game.owner}
+    grown = True
+    while grown:
+        grown = False
+        for s in game.states:
+            if s not in relevant and any(t in relevant for t, _ in moves(s)):
+                relevant.add(s)
+                grown = True
+    unknowns = [s for s in game.states if s in relevant and s not in targets]
+    col = {s: i for i, s in enumerate(unknowns)}
+    n = len(unknowns)
+    a = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for s, i in col.items():
+        a[i][i] += 1
+        for t, w in moves(s):
+            if t in targets:
+                a[i][n] += w
+            elif t in col:
+                a[i][col[t]] -= w
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    values = {s: Fraction(int(s in targets)) for s in game.states}
+    values.update((s, a[i][n]) for s, i in col.items())
+    return values
+
+
+def test_block_solve_matches_a_dense_reference_on_random_chains():
+    rng = random.Random(2024)
+    checked = 0
+    for seed in range(320):
+        game, targets = random_game(seed, n=4 + seed % 22, owned_branch=2 + seed % 2,
+                                    max_targets=3)
+        for _ in range(2):
+            choice = {s: rng.choice(game.succ[s]) for s in game.states
+                      if game.owner[s] is not Owner.RANDOM}
+            got = chain_reach_values(game, choice, set(targets))
+            assert list(got.items()) == list(_dense_reach(game, choice, targets).items())
+            checked += 1
+    assert checked == 640
+
+
+def test_ruin_at_cap_400_matches_the_closed_form():
+    p = Fraction(3, 5)
+    built = gallery.build_gamblers_ruin(p, 400)
+    started = time.perf_counter()
+    values = solve_reach_exact(built.game, built.targets).values
+    assert time.perf_counter() - started < 1.0
+    for w in range(401):
+        assert values[f"w{w}"] == ruin_probability(p, 400, w)
+
+
+def test_fig2_at_depth_160_matches_the_exit_values():
+    built = gallery.build_fig2(160)
+    started = time.perf_counter()
+    values = solve_reach_exact(built.game, built.targets).values
+    assert time.perf_counter() - started < 1.0
+    for i in range(159):
+        assert values[f"r{i}"] == 1 - Fraction(1, 2**i)
+        if i >= 1:
+            assert values[f"rp{i}"] == Fraction(1, 2**i)
+
+
+def test_gauss_solve_pivots_past_a_zero_diagonal():
+    rows = [{1: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}]
+    rhs = [Fraction(4), Fraction(3)]
+    assert gauss_solve(rows, rhs) == [Fraction(1), Fraction(2)]
+    assert rows == [{1: 2}, {0: 1, 1: 1}] and rhs == [4, 3]
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}],
+    [{0: Fraction(1)}, {}],
+])
+def test_gauss_solve_rejects_a_singular_system(rows):
+    with pytest.raises(ValueError, match="singular system"):
+        gauss_solve(rows, [Fraction(1), Fraction(2)])
+
+
+@pytest.mark.parametrize("owner, moves, value, message", [
+    ("max", ("coin", "goal"), Fraction(1), "maximizer strategy iteration did not converge"),
+    ("min", ("goal", "coin"), Fraction(1, 2), "minimizer policy iteration did not converge"),
+])
+def test_round_cap_raises_a_named_error(monkeypatch, owner, moves, value, message):
+    # The first listed move is the worse one for its owner, so the
+    # iteration needs a second round.
+    game = Game.of([
+        ("a", owner, moves),
+        ("coin", "rand", ("goal", "dead"), (Fraction(1, 2), Fraction(1, 2))),
+        ("goal", "max", ("goal",)),
+        ("dead", "max", ("dead",)),
+    ])
+    assert solve_reach_exact(game, {"goal"}).values["a"] == value
+    monkeypatch.setattr(exact, "_MAX_ROUNDS", 1)
+    with pytest.raises(ConvergenceError, match=message):
+        solve_reach_exact(game, {"goal"})

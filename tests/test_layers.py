@@ -39,6 +39,10 @@ def test_objectives_import_only_model_and_graphs():
     assert _package_imports("objectives") <= {"model", "graphs"}
 
 
+def test_exact_imports_only_model_and_graphs():
+    assert _package_imports("exact") <= {"model", "graphs"}
+
+
 def test_qualitative_layer_does_not_import_exact_values_or_strategies():
     assert not _package_imports("winning") & {"exact", "values", "strategies"}
 
