@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Game, Owner
 from .objectives import Objective, ObjectiveKind
 from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
@@ -70,6 +68,8 @@ def sample_plays(
     Strategies may be omitted only for players that own no states.  MD
     strategies are accepted and lifted to one-mode transducers.
     """
+    import numpy as np
+
     sigma = _as_transducer(sigma, Owner.MAX)
     pi = _as_transducer(pi, Owner.MIN)
     obj = objective if objective.game is game else objective.bind(game)

@@ -5,8 +5,10 @@ certified two-sided value iteration: the lower sequence climbs from the
 target indicator, the upper sequence descends from one on the states that can
 reach the target at all (everything else is exactly zero), and end components
 without target states are periodically deflated to their best maximizer exit
-so the upper sequence cannot stall above the value.  The reported error bound
-is the final gap, which is sound in supremum norm.
+so the upper sequence cannot stall above the value.  The sweeps run on numpy
+arrays over an indexed copy of the game; the end-component decomposition is
+recomputed only when the minimizer's lower-optimal edges change.  The
+reported error bound is the final gap, which is sound in supremum norm.
 
 Values of countable games are certified by interval pairs computed on a
 pessimistic and an optimistic truncation of the same depth.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import winning
-from .exact import bellman_combine, can_reach, solve_reach_exact
+from .exact import ConvergenceError, bellman_combine, can_reach, solve_reach_exact
 from .graphs import maximal_end_components
 from .model import Game, LazyGame, Owner, SinkMode, swap_roles, truncate
 from .objectives import ObjectiveKind, bounding_sinks
@@ -84,7 +86,7 @@ def value_reach(game: Game, targets, mode: str = "exact", tol=None) -> ValueVect
     """Reach values: the least fixpoint of the Bellman step above the target
     indicator.  ``mode`` is ``"exact"`` or ``"iterate"`` (lower approximant
     within ``tol``)."""
-    targets = set(targets)
+    targets = winning._check_targets(game, targets)
     if mode == "exact":
         return ValueVector(solve_reach_exact(game, targets).values)
     if mode == "iterate":
@@ -196,47 +198,86 @@ def interval_values(
     )
 
 
-def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str, float], float]:
-    reachable = can_reach(game, targets)
-    states = game.states
-    float_prob = {
-        s: tuple(float(w) for w in game.prob[s])
-        for s in states
-        if game.owner[s] is Owner.RANDOM
-    }
+class _FloatCore:
+    """A game indexed for float sweeps, built once per iteration.
 
-    def sweep(v: dict[str, float]) -> dict[str, float]:
-        out = {}
-        for s in states:
-            if s in targets:
-                out[s] = 1.0
-            elif s not in reachable:
-                out[s] = 0.0
-            else:
-                o = game.owner[s]
-                if o is Owner.MAX:
-                    out[s] = max(v[t] for t in game.succ[s])
-                elif o is Owner.MIN:
-                    out[s] = min(v[t] for t in game.succ[s])
-                else:
-                    out[s] = sum(w * v[t] for w, t in zip(float_prob[s], game.succ[s]))
+    States are numbered in declaration order.  The live states (not a target,
+    able to reach one) are split by owner; each owner has one successor-column
+    matrix, a row per state, padded to the widest row: maximizer and minimizer
+    rows with their first successor, random rows with weight ``0.0``.
+    """
+
+    def __init__(self, game: Game, targets: set[str], reachable: set[str]):
+        import numpy as np
+
+        self.game, self.targets, self.reachable = game, targets, reachable
+        self.index = index = {s: i for i, s in enumerate(game.states)}
+
+        def rows(group: list[str]):
+            width = max((len(game.succ[s]) for s in group), default=1)
+            cols = np.empty((len(group), width), dtype=np.intp)
+            for row, s in enumerate(group):
+                succ = [index[t] for t in game.succ[s]]
+                cols[row] = succ + succ[:1] * (width - len(succ))
+            return np.array([index[s] for s in group], dtype=np.intp), cols
+
+        live = {o: [s for s in game.states
+                    if game.owner[s] is o and s in reachable and s not in targets]
+                for o in Owner}
+        self.max_at, self.max_cols = rows(live[Owner.MAX])
+        self.min_at, self.min_cols = rows(live[Owner.MIN])
+        self.rand_at, rand_cols = rows(live[Owner.RANDOM])
+        weights = np.zeros(rand_cols.shape)
+        for row, s in enumerate(live[Owner.RANDOM]):
+            weights[row, :len(game.prob[s])] = [float(w) for w in game.prob[s]]
+        self.rand_terms = [(weights[:, j].copy(), rand_cols[:, j].copy())
+                           for j in range(rand_cols.shape[1])]
+        # Every reachable minimizer state, targets included: its lower-optimal
+        # edges are the ones the end-component decomposition depends on.
+        _, self.guards = rows([s for s in game.states
+                               if game.owner[s] is Owner.MIN and s in reachable])
+
+    def sweep(self, v):
+        """One Bellman sweep; targets and states that cannot reach one keep
+        their entries."""
+        import numpy as np
+
+        out = v.copy()
+        out[self.max_at] = v[self.max_cols].max(axis=1)
+        out[self.min_at] = v[self.min_cols].min(axis=1)
+        # Added column by column from zero, the order of a Python ``sum`` over
+        # the successor list, so every float is the one that loop gives.  A
+        # row reduction (``np.sum``, ``reduceat``, a matrix product) may
+        # reorder the adds or fuse them, and then the last bits differ.
+        acc = np.zeros(len(self.rand_at))
+        for w, cols in self.rand_terms:
+            acc += w * v[cols]
+        out[self.rand_at] = acc
         return out
 
-    lower = {s: 1.0 if s in targets else 0.0 for s in states}
-    upper = {s: 1.0 if s in reachable else 0.0 for s in states}
+
+def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str, float], float]:
+    import numpy as np
+
+    reachable = can_reach(game, targets)
+    core = _FloatCore(game, targets, reachable)
+    lower = np.zeros(len(game.states))
+    lower[[core.index[s] for s in targets]] = 1.0
+    upper = np.zeros(len(game.states))
+    upper[[core.index[s] for s in reachable]] = 1.0
+    found = None
     for sweep_no in range(1, _MAX_SWEEPS + 1):
-        lower = sweep(lower)
-        upper = sweep(upper)
+        lower = core.sweep(lower)
+        upper = core.sweep(upper)
         if sweep_no % _DEFLATE_EVERY == 0:
-            _deflate(game, targets, reachable, lower, upper)
-        gap = max(upper[s] - lower[s] for s in states)
+            found = _deflate(core, lower, upper, found)
+        gap = float(np.max(upper - lower))
         if gap <= tol:
-            return lower, gap
-    raise AssertionError("interval iteration did not converge")
+            return dict(zip(game.states, lower.tolist())), gap
+    raise ConvergenceError("interval iteration did not converge")
 
 
-def _deflate(game: Game, targets: set[str], reachable: set[str],
-             lower: dict[str, float], upper: dict[str, float]) -> None:
+def _deflate(core: _FloatCore, lower, upper, found):
     """Cap the upper bound of target-free end components by their best
     maximizer exit.
 
@@ -245,24 +286,37 @@ def _deflate(game: Game, targets: set[str], reachable: set[str],
     if it cannot exit at all).  Minimizer edges are narrowed to the ones
     optimal for the current lower bound so the components found shrink onto
     the ones the minimizer would actually defend.
+
+    ``found`` is what the previous call returned (``None`` on the first):
+    the narrowed edges as a key, and the members and maximizer exits of each
+    target-free component.  The decomposition depends on the lower bound
+    only through those edges, so it is recomputed only when they change.
     """
+    import numpy as np
 
-    def allowed(s: str):
-        if game.owner[s] is Owner.MIN:
-            best = min(lower[t] for t in game.succ[s])
-            return [t for t in game.succ[s] if lower[t] == best]
-        return game.succ[s]
+    near = lower[core.guards]
+    key = (near == near.min(axis=1, keepdims=True)).tobytes()
+    if found is None or found[0] != key:
+        game, index = core.game, core.index
+        low = dict(zip(game.states, lower.tolist()))
 
-    for comp in maximal_end_components(game, [s for s in game.states if s in reachable], allowed):
-        members = set(comp)
-        if members & targets:
-            continue
-        cap = 0.0
-        for s in comp:
-            if game.owner[s] is Owner.MAX:
-                for t in game.succ[s]:
-                    if t not in members:
-                        cap = max(cap, upper[t])
-        for s in comp:
-            if upper[s] > cap:
-                upper[s] = cap
+        def allowed(s: str):
+            if game.owner[s] is Owner.MIN:
+                best = min(low[t] for t in game.succ[s])
+                return [t for t in game.succ[s] if low[t] == best]
+            return game.succ[s]
+
+        caps = []
+        reachable = [s for s in game.states if s in core.reachable]
+        for comp in maximal_end_components(game, reachable, allowed):
+            members = set(comp)
+            if members & core.targets:
+                continue
+            exits = [index[t] for s in comp if game.owner[s] is Owner.MAX
+                     for t in game.succ[s] if t not in members]
+            caps.append((np.array([index[s] for s in comp], dtype=np.intp),
+                         np.array(exits, dtype=np.intp)))
+        found = key, caps
+    for members, exits in found[1]:
+        upper[members] = np.minimum(upper[members], upper[exits].max(initial=0.0))
+    return found

@@ -225,6 +225,18 @@ def test_bounded_reach_in_iterate_mode_is_an_input_error(ladder_file, capsys, to
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("objective", ["reach", "safety"])
+def test_unknown_target_in_iterate_mode_is_an_input_error(tmp_path, capsys, objective):
+    path = tmp_path / "r5.game"
+    assert main(["gallery", "ruin", "--cap", "5", "--emit", str(path)]) == 0
+    argv = ["solve", str(path), "--objective", objective, "--target", "nosuch",
+            "--mode", "iterate", "--tol", "1/1000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: target states not in game: ['nosuch']\n"
+    assert captured.out == ""
+
+
 _COMMANDS = {
     "solve": [],
     "winning-set": [],

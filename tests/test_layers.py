@@ -4,6 +4,9 @@ then exact values and strategies.  No module imports from a layer above it."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sgsolve
@@ -67,3 +70,11 @@ def test_every_traced_name_resolves():
                for name in names
                if not callable(getattr(importlib.import_module(f"sgsolve.{module}"), name, None))]
     assert not missing
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only iterate mode and simulation use numpy; they import it when run.
+    probe = "import sys, sgsolve.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Quantitative valuation: exact solves, iteration, horizons, intervals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import random_game, ruin_probability
 from sgsolve import (
     Game,
     ObjectiveKind,
+    Owner,
     SinkMode,
     bellman_step,
     epsilon_horizon,
@@ -19,8 +21,9 @@ from sgsolve import (
     value_reach_within,
     value_safety,
 )
-from sgsolve import gallery
-from sgsolve.exact import solve_reach_exact
+from sgsolve import gallery, values
+from sgsolve.exact import ConvergenceError, can_reach, solve_reach_exact
+from sgsolve.graphs import maximal_end_components
 
 HALF = Fraction(1, 2)
 
@@ -119,6 +122,115 @@ def test_gamblers_ruin_safety_matches_closed_form():
     assert exact["w1"] == 1 - ruin
     approx = value_safety(built.game, built.targets, mode="iterate", tol=1e-10)
     assert abs(approx.values["w1"] - float(1 - ruin)) <= 1e-9
+
+
+def _reference_iterate(game, targets, tol):
+    """Interval iteration over dicts of state names, deflating every 8 sweeps
+    with a fresh end-component decomposition: what iterate mode computes,
+    written as plainly as possible.  Random states add their terms left to
+    right in an explicit loop."""
+    reachable = can_reach(game, targets)
+
+    def sweep(v):
+        out = {}
+        for s in game.states:
+            if s in targets:
+                out[s] = 1.0
+            elif s not in reachable:
+                out[s] = 0.0
+            elif game.owner[s] is Owner.MAX:
+                out[s] = max(v[t] for t in game.succ[s])
+            elif game.owner[s] is Owner.MIN:
+                out[s] = min(v[t] for t in game.succ[s])
+            else:
+                acc = 0.0
+                for w, t in zip(game.prob[s], game.succ[s]):
+                    acc += float(w) * v[t]
+                out[s] = acc
+        return out
+
+    def deflate(lower, upper):
+        def allowed(s):
+            if game.owner[s] is Owner.MIN:
+                best = min(lower[t] for t in game.succ[s])
+                return [t for t in game.succ[s] if lower[t] == best]
+            return game.succ[s]
+
+        live = [s for s in game.states if s in reachable]
+        for comp in maximal_end_components(game, live, allowed):
+            if set(comp) & targets:
+                continue
+            cap = 0.0
+            for s in comp:
+                if game.owner[s] is Owner.MAX:
+                    for t in game.succ[s]:
+                        if t not in comp:
+                            cap = max(cap, upper[t])
+            for s in comp:
+                upper[s] = min(upper[s], cap)
+
+    lower = {s: 1.0 if s in targets else 0.0 for s in game.states}
+    upper = {s: 1.0 if s in reachable else 0.0 for s in game.states}
+    for sweep_no in itertools.count(1):
+        lower, upper = sweep(lower), sweep(upper)
+        if sweep_no % 8 == 0:
+            deflate(lower, upper)
+        gap = max(upper[s] - lower[s] for s in game.states)
+        if gap <= tol:
+            return lower, gap
+
+
+def _identity_inputs():
+    for owned_branch in (2, 3):
+        for seed in range(150):
+            yield random_game(seed, n=5 + seed % 12, owned_branch=owned_branch, max_targets=3)
+    # Random states with 8 or more successors: a row-wise numpy sum would
+    # add their terms in another order.
+    for seed in range(10):
+        yield random_game(seed, n=14, max_branch=12)
+    # Its safety bounds change when a stale end-component decomposition is
+    # kept after the minimizer's optimal edges moved.
+    yield random_game(585, n=14, owned_branch=3, max_targets=3)
+    for cap in (5, 30):
+        built = gallery.build_gamblers_ruin(Fraction(3, 5), cap)
+        yield built.game, built.targets
+    built = gallery.build_fig2(12)
+    yield built.game, built.targets
+
+
+def test_iterate_mode_is_bit_identical_to_the_dict_reference():
+    wide = 0
+    for game, targets in _identity_inputs():
+        wide += any(len(game.succ[s]) >= 8 and game.owner[s] is Owner.RANDOM
+                    for s in can_reach(game, targets) - targets)
+        lower, gap = _reference_iterate(game, set(targets), 1e-6)
+        reach = value_reach(game, targets, mode="iterate", tol=1e-6)
+        assert reach.values == lower and reach.error_bound == gap
+        lower, gap = _reference_iterate(swap_roles(game), set(targets), 1e-6)
+        safety = value_safety(game, targets, mode="iterate", tol=1e-6)
+        assert safety.values == {s: 1.0 - v for s, v in lower.items()}
+        assert safety.error_bound == gap
+    assert wide >= 5
+
+
+def test_iterate_finds_end_components_once_when_minimizer_edges_stay(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return maximal_end_components(*args)
+
+    monkeypatch.setattr(values, "maximal_end_components", counted)
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 100)
+    value_reach(built.game, built.targets, mode="iterate", tol=1e-9)
+    assert len(calls) == 1
+
+
+def test_iterate_sweep_cap_raises_a_named_error(monkeypatch):
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 5)
+    monkeypatch.setattr(values, "_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError):
+        value_reach(built.game, built.targets, mode="iterate", tol=1e-9)
 
 
 def test_reach_within_zero_is_indicator():
