@@ -67,6 +67,15 @@ def _trailer(key: str, value, fmt: str, lead: str = "") -> None:
         print(f"{lead}{key} {_fmt(value)}")
 
 
+def _write(text: str, path: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is empty."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _parse(path: str) -> ParsedGame:
     with open(path, encoding="utf-8") as handle:
         return parse_game(handle.read())
@@ -195,11 +204,7 @@ def _cmd_strategy(args) -> int:
     else:
         raise ValueError(f"no strategy construction for {obj.kind.value}")
     text = format_strategy(strat)
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.emit)
     return 0
 
 
@@ -208,13 +213,11 @@ def _cmd_transform(args) -> int:
     if not args.rvi:
         raise ValueError("transform currently only supports --rvi")
     obj = _objective(args, parsed)
+    if obj.kind not in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
+        raise ValueError(f"--rvi preserves reach and reachplus values, not {args.objective}")
     out = rvi(parsed.game, obj.target)
     text = format_game(out, sorted(parsed.targets))
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.emit)
     return 0
 
 
@@ -252,11 +255,7 @@ def _cmd_gallery(args) -> int:
         built = gallery_mod.build_gamblers_ruin(Fraction(args.p), args.cap)
     members = built.buchi if args.label == "buchi" else built.targets
     text = format_game(built.game, sorted(members))
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.emit)
     return 0
 
 

@@ -1,15 +1,19 @@
 """Backward closures, strongly connected components and end components.
 
 :func:`attractor` is the one backward-closure kernel of the package: graph
-reachability, positive attractors and the peeling closures of the winning
-module are all instances of it, run over the predecessor index each game
-builds once.
+reachability and distances to a target, positive attractors, the peeling
+closures of the winning module and the shrink step of the end-component
+decomposition are all instances of it, run over the predecessor index each
+game builds once.
 
 End components are computed for an "MDP view" of a game: owned states may
 use any allowed edge, random states must keep their whole support inside the
-component.  Used for bottom-component analysis of fixed-strategy chains, for
-the sound upper bounds of interval iteration, and for the exact one-player
-tail-objective solvers.
+component.  The decomposition alternates one attractor run, which removes
+the states that can be forced out of a candidate, with a strongly connected
+split of what is left (de Alfaro 1997; Chatterjee and Henzinger, ICALP
+2011).  End components give the sound upper bounds of interval iteration and
+the exact one-player tail-objective solvers; :func:`bottom_components` gives
+the bottom components of fixed-strategy chains.
 """
 
 from __future__ import annotations
@@ -146,48 +150,29 @@ def maximal_end_components(
     are never restricted).  A component is a set where random states keep
     their whole support inside, every state has at least one internal move,
     and the internal moves connect it strongly.
+
+    Each candidate is shrunk by one attractor run over the allowed-edge graph
+    (the states that can be forced out of it: a random state with one
+    successor outside, an owned one with all of them outside), and what is
+    left is split into strongly connected parts that become new candidates.
     """
-    if allowed is None:
-        allowed = lambda s: game.succ[s]
-
-    def edges(s: str):
-        if game.owner[s] is Owner.RANDOM:
-            return game.succ[s]
-        return allowed(s)
-
+    if allowed is not None:
+        game = Game(game.owner, {
+            s: game.succ[s] if o is Owner.RANDOM else tuple(allowed(s))
+            for s, o in game.owner.items()
+        }, game.prob)
     result: list[list[str]] = []
     work: list[list[str]] = [sorted(states)]
     while work:
         candidate = work.pop()
         members = set(candidate)
-        # Random states must have their full support inside; every state
-        # needs some internal move.  Shrink until stable.
-        while True:
-            bad = set()
-            for s in candidate:
-                if game.owner[s] is Owner.RANDOM:
-                    if any(t not in members for t in game.succ[s]):
-                        bad.add(s)
-                elif not any(t in members for t in edges(s)):
-                    bad.add(s)
-                elif game.owner[s] is not Owner.RANDOM and not game.succ[s]:
-                    bad.add(s)
-            if not bad:
-                break
-            members -= bad
-            candidate = [s for s in candidate if s in members]
-        if not candidate:
-            continue
-        comps = strongly_connected_components(
-            candidate, lambda s: [t for t in edges(s) if t in members]
-        )
-        if len(comps) == 1 and len(comps[0]) == len(candidate):
-            comp = comps[0]
-            # Reject a trivial singleton without a self-move.
-            if len(comp) > 1 or comp[0] in edges(comp[0]):
-                result.append(comp)
-            continue
-        for comp in comps:
-            if len(comp) > 1 or comp[0] in [t for t in edges(comp[0]) if t in set(comp)]:
-                work.append(comp)
+        leaving = {t for s in candidate for t in game.succ[s] if t not in members}
+        stuck = [s for s in candidate if not game.succ[s]]
+        out = attractor(game, [*leaving, *stuck], (Owner.RANDOM,), alive=members | leaving)
+        comps = strongly_connected_components([s for s in candidate if s not in out],
+                                              game.successors)
+        if len(comps) == 1:
+            result.append(comps[0])
+        else:
+            work.extend(comps)
     return sorted(result)

@@ -108,19 +108,6 @@ class PlayPrefix:
                 raise ValueError(f"{s!r} -> {t!r} is not an edge")
 
 
-def _bounded_reach_possible(game: Game, start: str, target: frozenset[str], budget: int) -> bool:
-    if start in target:
-        return True
-    frontier = {start}
-    seen = {start}
-    for _ in range(budget):
-        frontier = {t for s in frontier for t in game.succ[s]} - seen
-        if frontier & target:
-            return True
-        seen |= frontier
-    return False
-
-
 def decided(obj: Objective, prefix: PlayPrefix) -> Verdict:
     """Verdict for a prefix: satisfied/violated by all extensions, or undecided."""
     game = obj.game
@@ -148,8 +135,11 @@ def decided(obj: Objective, prefix: PlayPrefix) -> Verdict:
         within = states[: obj.steps + 1]
         if any(s in obj.target for s in within):
             return Verdict.SATISFIED_FOREVER
+        # Attractor layers of the target are the graph distances to it.
+        distance: dict[str, int] = {}
+        attractor(game, obj.target, tuple(Owner), layer=distance)
         remaining = obj.steps - (len(states) - 1)
-        if remaining < 0 or not _bounded_reach_possible(game, last, obj.target, remaining):
+        if distance.get(last, remaining + 1) > remaining:
             return Verdict.VIOLATED_FOREVER
         return Verdict.UNDECIDED
     if kind is ObjectiveKind.REACH_PLUS:

@@ -60,26 +60,17 @@ class IntervalValues:
     def at_initial(self) -> tuple:
         return self.lower[self.initial], self.upper[self.initial]
 
-    def width_at_initial(self):
-        lo, hi = self.at_initial()
-        return hi - lo
-
 
 def bellman_step(game: Game, targets, values) -> dict:
-    """One Bellman application: targets to 1, max/min/average elsewhere.
-
-    Pointwise monotone in ``values``; works on rationals and floats alike.
+    """One Bellman application on rationals: targets to 1, max/min/average
+    elsewhere.  Pointwise monotone in ``values``.
     """
     targets = set(targets)
-    one = Fraction(1) if not _is_float_vector(values) else 1.0
+    one = Fraction(1)
     return {
         s: one if s in targets else bellman_combine(game, values, s)
         for s in game.states
     }
-
-
-def _is_float_vector(values) -> bool:
-    return any(isinstance(v, float) for v in values.values())
 
 
 def value_reach(game: Game, targets, mode: str = "exact", tol=None) -> ValueVector:

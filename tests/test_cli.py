@@ -133,6 +133,34 @@ def test_transform_rvi_emits_parseable_game(tmp_path, capsys):
     assert parsed.game.succ["m"] == ("cheap",)
 
 
+@pytest.mark.parametrize("objective", ["safety", "buchi", "cobuchi", "reach<=3"])
+def test_transform_rvi_rejects_objectives_it_does_not_preserve(tmp_path, capsys, objective):
+    # On fig2 the minimizer's value-increasing edges are its safe moves: the
+    # reach-wise rvi game has safety value 1 at i, not 3/4.
+    path = tmp_path / "fig2.game"
+    assert main(["gallery", "fig2", "--depth", "4", "--emit", str(path)]) == 0
+    assert main(["transform", str(path), "--rvi", "--objective", objective]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --rvi preserves reach and reachplus values, not {objective}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("objective", ["reach", "reachplus"])
+def test_transform_rvi_keeps_reach_and_reachplus_values(tmp_path, capsys, objective):
+    path = tmp_path / "fig2.game"
+    assert main(["gallery", "fig2", "--depth", "4", "--emit", str(path)]) == 0
+    out = tmp_path / "rvi.game"
+    assert main(["transform", str(path), "--rvi", "--objective", objective,
+                 "--emit", str(out)]) == 0
+    capsys.readouterr()
+    values = []
+    for game in (path, out):
+        assert main(["solve", str(game), "--objective", objective]) == 0
+        values.append(capsys.readouterr().out)
+    assert values[0] == values[1]
+
+
 def test_simulate_smoke_is_deterministic(fig2_file, capsys):
     args = [
         "simulate", fig2_file, "--target", "t", "--from", "r3",
