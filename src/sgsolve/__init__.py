@@ -8,6 +8,7 @@ reproducible Monte-Carlo simulator.
 
 from .model import (
     Game,
+    InvariantError,
     LazyGame,
     Owner,
     SinkMode,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on input errors (parse failures, invalid games,
-bad flags), 2 when the threshold decision is out of scope.  All solver output
+bad flags) and on a broken internal invariant, 2 when the threshold decision
+is out of scope.  All solver output
 is deterministic; rationals print as p/q in lowest terms and floats with 12
 significant digits.
 """
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import gallery as gallery_mod
-from .model import Game, SinkMode, validate
+from .model import Game, InvariantError, SinkMode, validate
 from .objectives import Objective, ObjectiveKind, parse_objective
 from .exact import reach_plus_values
 from .simulate import SimConfig, sample_plays
@@ -360,7 +361,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.run(args)
-    except (GameFormatError, ValueDecreaseError, ValueError, OSError) as exc:
+    except (GameFormatError, ValueDecreaseError, ValueError, InvariantError, OSError) as exc:
         for line in str(exc).split("\n"):
             print(f"error: {line}", file=sys.stderr)
         return 1

@@ -239,6 +239,13 @@ class TruncationError(RuntimeError):
     """Raised when an expansion diverges (empty or over-bound successor list)."""
 
 
+class InvariantError(RuntimeError):
+    """A fact that a result rests on does not hold: a defect, not bad input.
+
+    Raised where an ``assert`` would do, because ``python -O`` strips those.
+    """
+
+
 class SinkMode(Enum):
     """How the truncation sink is labelled.
 

@@ -13,7 +13,7 @@ from itertools import product
 
 from .exact import bellman_combine, chain_reach_values, solve_reach_exact
 from .graphs import bottom_components, maximal_end_components
-from .model import Game, Owner, swap_roles
+from .model import Game, InvariantError, Owner, swap_roles
 from .objectives import Objective, ObjectiveKind
 from .values import ValueVector
 
@@ -86,14 +86,16 @@ def md_enumeration_oracle(game: Game, obj: Objective) -> ValueVector:
                 for s in game.states:
                     if vals[s] < worst[s]:
                         worst[s] = vals[s]
-        assert worst is not None
+        if worst is None:
+            raise InvariantError("a minimizer state has no successor")
         if best is None:
             best = worst
         else:
             for s in game.states:
                 if worst[s] > best[s]:
                     best[s] = worst[s]
-    assert best is not None
+    if best is None:
+        raise InvariantError("a maximizer state has no successor")
     return ValueVector(best)
 
 

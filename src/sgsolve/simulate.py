@@ -1,9 +1,26 @@
 """Monte-Carlo play sampling under a fixed strategy pair.
 
-Randomness comes from Philox, a named counter-based generator, keyed by
-``(seed, sample index)``: per-play substreams are independent of execution
-order, so results are bit-identical across runs and could be merged from
-parallel workers in sample-index order without changing the estimate.
+Randomness comes from Philox4x64-10, a counter-based generator (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  The stream
+contract:
+
+* Play ``i`` of a run with seed ``seed`` uses the key ``(seed, i)``; seeds
+  lie in ``0 <= seed < 2**63``, where numpy takes keys exactly.
+* Its draw ``k`` is word ``k % 4`` of the Philox block at counter
+  ``(k // 4 + 1, 0, 0, 0)``, mapped to a double as ``(w >> 11) * 2**-53``.
+  This is exactly the stream of
+  ``numpy.random.Generator(numpy.random.Philox(key=[seed, i])).random()``,
+  whose counter is incremented before each block, so blocks start at 1.
+* Per step a play consumes its draws in this order: the move, then the
+  maximizer's mode update, then the minimizer's.  It consumes one draw for
+  each of these whose row has more than one entry, and none otherwise.
+* A draw ``u`` picks the first entry whose cumulative weight, summed in row
+  order, is above ``u``, and the last entry if none is.
+
+Plays are advanced together, a fixed number at a time, in numpy arrays.
+Since each play owns its stream, the result depends on neither that number
+nor the order of the plays: it is bit-identical across runs and could be
+merged from parallel workers in sample-index order.
 
 Per-play verdicts follow the objectives module with a horizon cutoff.  Plays
 whose tail objective is still undecided at the horizon are scored by whether
@@ -20,6 +37,18 @@ from .model import Game, Owner
 from .objectives import Objective, ObjectiveKind
 from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
 
+# Plays advanced together.  Bounds peak memory; the result does not depend
+# on it, because every play owns its stream.
+_PLAYS = 4096
+# Philox blocks of four draws each that a play keeps ahead.  At least 2: a
+# refilled window starts up to 3 draws in, and a step takes up to 3 draws.
+_WINDOW = 2
+
+# Philox4x64-10 round multipliers and Weyl key increments.
+_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -33,6 +62,9 @@ class SimConfig:
             raise ValueError("samples must be positive")
         if not self.horizon >= self.buchi_window >= 1:
             raise ValueError("need horizon >= buchi_window >= 1")
+        # numpy rounds a larger key through a float and wraps a negative one.
+        if not 0 <= self.seed < 2**63:
+            raise ValueError("seed must satisfy 0 <= seed < 2**63")
 
 
 @dataclass(frozen=True)
@@ -55,6 +87,104 @@ def _as_transducer(strategy, owner: Owner) -> TransducerStrategy | None:
     return strategy
 
 
+def _mulhilo(np, m: int, x):
+    """High and low words of the 128-bit product ``m * x``, on 32-bit halves.
+
+    Every partial sum stays below 2**64.  The updates are in place because
+    fewer temporaries make the kernel about a fifth faster.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    x_lo, x_hi = x & low, x >> half
+    mid = x_lo * m_lo
+    mid >>= half
+    mid += x_lo * m_hi
+    cross = x_hi * m_lo
+    cross += mid & low
+    cross >>= half
+    mid >>= half
+    hi = x_hi * m_hi
+    hi += mid
+    hi += cross
+    return hi, x * np.uint64(m)
+
+
+def _philox(np, counter, seed: int, play):
+    """Philox4x64-10 at counters ``(counter, 0, 0, 0)`` under keys
+    ``(seed, play)``, elementwise over uint64 arrays: the four output words of
+    each, mapped to doubles in [0, 1) along a new last axis."""
+    c0, c2 = counter, np.zeros_like(counter)
+    c1, c3 = c2, c2
+    k0, k1 = seed, play
+    for r in range(10):
+        if r:
+            k0 = (k0 + _BUMPS[0]) & _MASK64
+            k1 = k1 + np.uint64(_BUMPS[1])
+        hi0, lo0 = _mulhilo(np, _MULTIPLIERS[0], c0)
+        hi1, lo1 = _mulhilo(np, _MULTIPLIERS[1], c2)
+        hi1 ^= c1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    out = np.empty(counter.shape + (4,))
+    for j, c in enumerate((c0, c1, c2, c3)):
+        c >>= np.uint64(11)
+        np.multiply(c, 2.0**-53, out=out[..., j])
+    return out
+
+
+class _Rows:
+    """Distribution rows as padded cumulative float weights.
+
+    ``rows`` holds one ``[(id, weight), ...]`` list per row, or ``None`` for
+    a row that is never picked from.  Weights are summed in row order.  The
+    last entry of a row, and the padding after it, get no bound, so a draw
+    above every sum picks the last entry and a one-entry row ignores its draw.
+    """
+
+    def __init__(self, np, rows):
+        self.width = max((len(row) for row in rows if row), default=1)
+        cum = np.full((len(rows), self.width - 1), np.inf)
+        out = np.zeros((len(rows), self.width), dtype=np.int64)
+        for r, row in enumerate(rows):
+            acc = 0.0
+            for c, (x, w) in enumerate(row or ()):
+                acc += float(w)
+                out[r, c] = x
+                if c + 1 < len(row):
+                    cum[r, c] = acc
+        # One contiguous array per column: gathers from them are cheapest.
+        self.bounds = [np.ascontiguousarray(col) for col in cum.T]
+        self.out = out.ravel()
+        self.draws = np.array([len(row or ()) > 1 for row in rows])
+
+    def pick(self, np, r, u):
+        """The entry of row ``r[j]`` that draw ``u[j]`` picks, for every ``j``:
+        the first whose cumulative weight is above ``u[j]``."""
+        at = r * self.width
+        for bound in self.bounds:
+            at += bound[r] <= u
+        return self.out[at]
+
+
+def _verdict_codes(np, kind: ObjectiveKind, target, absorbing):
+    """Per-state verdicts of a play standing there: 0 undecided, 1 lost,
+    2 won.  Three tables: for step 0, for later steps, and for step N of
+    reach<=N, where every play is decided.  A target visit decides before
+    absorption, but not at step 0 for reachplus."""
+    if kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS, ObjectiveKind.SAFETY):
+        absorbed_wins = np.full(len(target), kind is ObjectiveKind.SAFETY)
+    else:
+        absorbed_wins = target if kind is ObjectiveKind.BUCHI else ~target
+    absorbed = np.where(absorbing, 1 + absorbed_wins, 0)
+    if kind in (ObjectiveKind.BUCHI, ObjectiveKind.COBUCHI):
+        return absorbed, absorbed, None
+    later = np.where(target, 1 if kind is ObjectiveKind.SAFETY else 2, absorbed)
+    first = absorbed if kind is ObjectiveKind.REACH_PLUS else later
+    return first, later, np.where(target, 2, 1)
+
+
 def sample_plays(
     game: Game,
     start: str,
@@ -65,149 +195,153 @@ def sample_plays(
 ) -> Estimate:
     """Estimate the objective probability from ``start`` under the pair.
 
-    Strategies may be omitted only for players that own no states.  MD
-    strategies are accepted and lifted to one-mode transducers.
+    A strategy may be omitted, or lack rows, wherever no play needs it: a
+    play that reaches a state where it needs a missing row raises
+    ``ValueError``.  MD strategies are accepted and lifted to one-mode
+    transducers.
     """
     import numpy as np
 
-    sigma = _as_transducer(sigma, Owner.MAX)
-    pi = _as_transducer(pi, Owner.MIN)
+    pair = (_as_transducer(sigma, Owner.MAX), _as_transducer(pi, Owner.MIN))
     obj = objective if objective.game is game else objective.bind(game)
-
-    target = obj.target
+    if start not in game.owner:
+        raise ValueError(f"unknown state {start!r}")
     kind = obj.kind
-    # Per random state: cumulative float weights zipped with successors.
-    cum = {}
-    for s in game.states:
-        if game.owner[s] is Owner.RANDOM:
-            acc = 0.0
-            rows = []
-            for t, w in game.distribution(s):
-                acc += float(w)
-                rows.append((acc, t))
-            cum[s] = tuple(rows)
-    absorbing = {s for s in game.states if game.is_absorbing(s)}
-    owner_of = game.owner
+    states = game.states
+    n = len(states)
+    sid = {s: i for i, s in enumerate(states)}
 
-    class _Uniforms:
-        """Chunked uniform draws; chunk size is fixed so streams are stable."""
+    target = np.array([s in obj.target for s in states])
+    first_code, codes, last_code = _verdict_codes(
+        np, kind, target, np.array([game.is_absorbing(s) for s in states]))
 
-        __slots__ = ("rng", "buf", "pos")
+    # Mode ids per player; a missing strategy has the one mode None.
+    mode_ids = [
+        {m: j for j, m in enumerate(dict.fromkeys(
+            (*t.modes, t.initial, *(m for row in t.update.values() for m in row))))}
+        if t else {None: 0}
+        for t in pair
+    ]
+    initial = [ids[t.initial] if t else 0 for t, ids in zip(pair, mode_ids)]
 
-        def __init__(self, rng):
-            self.rng = rng
-            self.buf = rng.random(64)
-            self.pos = 0
+    def rows(dist, index):
+        if dist is None:
+            return None
+        try:
+            return [(index[x], w) for x, w in dist.items()]
+        except KeyError as exc:
+            raise ValueError(f"strategy row names unknown {exc.args[0]!r}") from None
 
-        def take(self) -> float:
-            if self.pos >= 64:
-                self.buf = self.rng.random(64)
-                self.pos = 0
-            u = self.buf[self.pos]
-            self.pos += 1
-            return u
-
-    def draw(us: _Uniforms, rows) -> str:
-        if len(rows) == 1:
-            return rows[0][1]
-        u = us.take()
-        for acc, t in rows:
-            if u < acc:
-                return t
-        return rows[-1][1]
-
-    def draw_dist(us: _Uniforms, dist: dict) -> str:
-        items = list(dist.items())
-        if len(items) == 1:
-            return items[0][0]
-        u = us.take()
-        acc = 0.0
-        for key, w in items:
-            acc += float(w)
-            if u < acc:
-                return key
-        return items[-1][0]
-
-    wins = 0
-    decided = 0
-    for i in range(cfg.samples):
-        rng = _Uniforms(np.random.Generator(np.random.Philox(key=[cfg.seed, i])))
-        state = start
-        mode_sigma = sigma.initial if sigma else None
-        mode_pi = pi.initial if pi else None
-        verdict: bool | None = None
-        last_hit = -1
-        for step in range(cfg.horizon + 1):
-            in_target = state in target
-            if in_target:
-                last_hit = step
-            if kind is ObjectiveKind.REACH and in_target:
-                verdict = True
-                break
-            if kind is ObjectiveKind.SAFETY and in_target:
-                verdict = False
-                break
-            if kind is ObjectiveKind.REACH_PLUS and in_target and step >= 1:
-                verdict = True
-                break
-            if kind is ObjectiveKind.REACH_WITHIN:
-                if in_target and step <= obj.steps:
-                    verdict = True
-                    break
-                if step >= obj.steps:
-                    verdict = False
-                    break
-            if state in absorbing:
-                if kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
-                    verdict = False
-                elif kind is ObjectiveKind.SAFETY:
-                    verdict = True
-                elif kind is ObjectiveKind.BUCHI:
-                    verdict = in_target
-                else:
-                    verdict = not in_target
-                break
-            if step == cfg.horizon:
-                break
-            owner = owner_of[state]
-            if owner is Owner.RANDOM:
-                nxt = draw(rng, cum[state])
-            elif owner is Owner.MAX:
-                if sigma is None:
-                    raise ValueError(f"owner mismatch: no maximizer strategy, needed at {state}")
-                nxt = draw_dist(rng, sigma.choose[(mode_sigma, state)])
-            else:
-                if pi is None:
-                    raise ValueError(f"owner mismatch: no minimizer strategy, needed at {state}")
-                nxt = draw_dist(rng, pi.choose[(mode_pi, state)])
-            # Memory updates consume the state being left.
-            if sigma:
-                upd = sigma.update.get((mode_sigma, state))
-                if upd:
-                    mode_sigma = draw_dist(rng, upd)
-            if pi:
-                upd = pi.update.get((mode_pi, state))
-                if upd:
-                    mode_pi = draw_dist(rng, upd)
-            state = nxt
-
-        if verdict is None:
-            window_start = cfg.horizon - cfg.buchi_window + 1
-            revisited = last_hit >= window_start
-            if kind is ObjectiveKind.BUCHI:
-                score = revisited
-            elif kind is ObjectiveKind.COBUCHI:
-                score = not revisited
-            elif kind is ObjectiveKind.SAFETY:
-                score = True
-            else:
-                score = False
+    # Move rows: one per random state and one per mode at an owned state, at
+    # ``first[state] + mode``.  A play that needs a missing one fails.
+    first = np.zeros(n, dtype=np.int64)
+    stride = np.zeros((2, n), dtype=np.int64)
+    moves = []
+    lacking = {}
+    for i, s in enumerate(states):
+        first[i] = len(moves)
+        who = game.owner[s]
+        if who is Owner.RANDOM:
+            moves.append([(sid[t], w) for t, w in game.distribution(s)])
+            continue
+        p = 0 if who is Owner.MAX else 1
+        stride[p, i] = 1
+        t = pair[p]
+        for m in mode_ids[p]:
+            row = t.choose.get((m, s)) if t else None
+            if not row:
+                lacking[len(moves)] = (
+                    f"no successor row for mode {m} at {s}" if t else
+                    f"owner mismatch: no {('maximizer', 'minimizer')[p]} strategy, needed at {s}")
+            moves.append(rows(row, sid))
+    fails = np.zeros(len(moves), dtype=bool)
+    fails[list(lacking)] = True
+    moves = _Rows(np, moves)
+    # Players whose mode can change, with their mode-update rows at
+    # ``mode * n + state``; a missing row keeps the mode.
+    dynamic = []
+    for p, (t, ids) in enumerate(zip(pair, mode_ids)):
+        if t and t.update:
+            dynamic.append((p, _Rows(np, [rows(t.update.get((m, s)), ids) or [(j, 1)]
+                                          for m, j in ids.items() for s in states])))
         else:
-            decided += 1
-            score = verdict
-        if score:
-            wins += 1
+            first += stride[p] * initial[p]
+
+    wins = undecided = 0
+    window_start = cfg.horizon - cfg.buchi_window + 1
+    span = 4 * _WINDOW
+    for lo in range(0, cfg.samples, _PLAYS):
+        count = min(_PLAYS, cfg.samples - lo)
+        slot = np.arange(count)
+        st = np.full(count, sid[start], dtype=np.int64)
+        modes = [np.full(count, initial[p], dtype=np.int64) for p, _ in dynamic]
+        # Each play reads its draws from a window of Philox blocks: draw
+        # ``4 * block + at`` sits in column ``at``.  The extra column is read
+        # only by plays that take no draw.
+        block = np.full(count, -_WINDOW, dtype=np.int64)
+        at = np.full(count, span, dtype=np.int64)
+        window = np.zeros((count, span + 1))
+        seen = np.zeros(count, dtype=bool)
+        failed = None
+        for step in range(cfg.horizon + 1):
+            code = (last_code if step == obj.steps else codes if step else first_code)[st]
+            wins += int(np.count_nonzero(code == 2))
+            done = code > 0
+            if step >= window_start:
+                seen |= target[st]
+            if step == cfg.horizon:
+                live = ~done
+                undecided += int(np.count_nonzero(live))
+                if kind is ObjectiveKind.BUCHI:
+                    wins += int(np.count_nonzero(seen & live))
+                elif kind is ObjectiveKind.COBUCHI:
+                    wins += int(np.count_nonzero(~seen & live))
+                elif kind is ObjectiveKind.SAFETY:
+                    wins += int(np.count_nonzero(live))
+                break
+
+            row = first[st]
+            for (p, _), mode in zip(dynamic, modes):
+                row = row + stride[p, st] * mode
+            if lacking:
+                lost = np.flatnonzero(fails[row] & ~done)
+                if len(lost):
+                    # Such a play stops.  Plays stay in index order, so the
+                    # first is the lowest-numbered, which names the error as
+                    # if the plays ran one after another.
+                    j = lost[0]
+                    if failed is None or slot[j] < failed[0]:
+                        failed = (slot[j], lacking[row[j]])
+                    done[lost] = True
+            if done.any():
+                keep = ~done
+                slot, st, block, at, seen, row = (
+                    a[keep] for a in (slot, st, block, at, seen, row))
+                modes = [mode[keep] for mode in modes]
+                if not len(st):
+                    break
+
+            # This step's draws, in stream order: the move, then each mode update.
+            urows = [mode * n + st for mode in modes]
+            takes = [moves.draws[row]] + [upd.draws[r] for (_, upd), r in zip(dynamic, urows)]
+            stale = np.flatnonzero(at + sum(takes) > span)
+            if len(stale):
+                block[stale] += at[stale] // 4
+                at[stale] %= 4
+                counter = block[stale, None] + np.arange(1, _WINDOW + 1)
+                key = lo + slot[stale, None]
+                words = _philox(np, counter.astype(np.uint64), cfg.seed, key.astype(np.uint64))
+                window[slot[stale], :span] = words.reshape(len(stale), span)
+            draws = []
+            for take in takes:
+                draws.append(window[slot, at])
+                at = at + take
+            st = moves.pick(np, row, draws[0])
+            modes = [upd.pick(np, r, u) for (_, upd), r, u in zip(dynamic, urows, draws[1:])]
+
+        if failed is not None:
+            raise ValueError(failed[1])
 
     mean = wins / cfg.samples
     half_width = 1.96 * (mean * (1.0 - mean) / cfg.samples) ** 0.5
-    return Estimate(mean, half_width, decided / cfg.samples)
+    return Estimate(mean, half_width, (cfg.samples - undecided) / cfg.samples)

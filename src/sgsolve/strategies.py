@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import winning
 from .exact import reach_plus_values, solve_reach_exact
 from .graphs import attractor
-from .model import Game, Owner, sink_subgame
+from .model import Game, InvariantError, Owner, sink_subgame
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -59,15 +59,22 @@ class TransducerStrategy:
     def check(self, game: Game) -> None:
         """Raise ``ValueError`` unless every row is a distribution (positive
         weights summing to one) over modes or over the state's successors,
-        and every mode has a successor row at every owned state."""
+        update rows sit at states of the game and successor rows at states
+        the owner controls, and every mode has a successor row at every
+        owned state."""
         modes = set(self.modes)
         if self.initial not in modes:
             raise ValueError("initial mode is not a mode")
         for (mode, s), dist in self.update.items():
+            if s not in game.owner:
+                raise ValueError(f"update row for mode {mode} at {s}, which is not a state")
             if mode not in modes or not _is_distribution(dist, modes):
                 raise ValueError(f"bad update row for mode {mode} at {s}")
         for (mode, s), dist in self.choose.items():
-            if mode not in modes or not _is_distribution(dist, game.succ.get(s, ())):
+            if game.owner.get(s) is not self.owner:
+                raise ValueError(f"successor row for mode {mode} at {s}, "
+                                 f"which is not a {self.owner.value} state")
+            if mode not in modes or not _is_distribution(dist, game.succ[s]):
                 raise ValueError(f"bad successor row for mode {mode} at {s}")
         for mode in self.modes:
             for s in game.states:
@@ -266,7 +273,8 @@ def reachplus_max_md(game: Game, targets) -> MDStrategy:
         candidates = [
             t for t in game.succ[s] if t in targets or vplus[t] == vplus[s]
         ]
-        assert candidates, f"no revisit-preserving successor at {s}"
+        if not candidates:
+            raise InvariantError(f"no revisit-preserving successor at {s}")
         choice[s] = min(candidates, key=rank.__getitem__)
     return MDStrategy(Owner.MAX, choice)
 
@@ -310,11 +318,12 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
         for s in owner:
             if game.owner[s] is Owner.MAX:
                 kept = tuple(t for t in game.succ[s] if t in alive)
-                assert kept, "a surviving maximizer state keeps a surviving move"
+                if not kept:
+                    raise InvariantError(f"surviving maximizer state {s} has no surviving move")
                 succ[s] = kept
             else:
-                assert all(t in alive for t in game.succ[s]), \
-                    "minimizer and random moves never leave the winning region"
+                if not all(t in alive for t in game.succ[s]):
+                    raise InvariantError(f"a move at {s} leaves the maximizer's winning region")
                 succ[s] = game.succ[s]
         prob = {s: game.prob[s] for s in owner if game.owner[s] is Owner.RANDOM}
         subgame = Game(owner, succ, prob)

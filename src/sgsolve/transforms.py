@@ -9,7 +9,7 @@ idempotent.
 from __future__ import annotations
 
 from .exact import reach_plus_values, solve_reach_exact
-from .model import Game, Owner
+from .model import Game, InvariantError, Owner
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -24,7 +24,8 @@ def rvi(game: Game, targets) -> Game:
     for s in game.states:
         if game.owner[s] is Owner.MIN:
             kept = tuple(t for t in game.succ[s] if values[t] <= values[s])
-            assert kept, "a value-preserving successor always remains"
+            if not kept:
+                raise InvariantError(f"no value-preserving successor remains at {s}")
             succ[s] = kept
         else:
             succ[s] = game.succ[s]
@@ -34,10 +35,10 @@ def rvi(game: Game, targets) -> Game:
 def classify_transitions(game: Game, targets, reach_plus: bool = False) -> dict[tuple[str, str], str]:
     """Classify every edge as increasing, decreasing or preserving.
 
-    With plain reach values this also asserts the ownership facts: an edge
+    With plain reach values this also checks the ownership facts: an edge
     controlled by the maximizer is never value-increasing and one controlled
     by the minimizer is never value-decreasing.  The facts rest on the values
-    being Bellman-consistent at the edge's source, so they are not asserted
+    being Bellman-consistent at the edge's source, so they are not checked
     at target states (whose values are pinned) or for revisit values.
     """
     targets = set(targets)
@@ -55,9 +56,9 @@ def classify_transitions(game: Game, targets, reach_plus: bool = False) -> dict[
             else:
                 label = PRESERVING
             if not reach_plus and s not in targets:
-                if game.owner[s] is Owner.MAX:
-                    assert label != INCREASING, f"maximizer edge {s}->{t} increases value"
-                if game.owner[s] is Owner.MIN:
-                    assert label != DECREASING, f"minimizer edge {s}->{t} decreases value"
+                if game.owner[s] is Owner.MAX and label == INCREASING:
+                    raise InvariantError(f"maximizer edge {s}->{t} increases value")
+                if game.owner[s] is Owner.MIN and label == DECREASING:
+                    raise InvariantError(f"minimizer edge {s}->{t} decreases value")
             out[(s, t)] = label
     return out

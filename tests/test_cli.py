@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+import sgsolve.cli
 import sgsolve.strategies
-from sgsolve import parse_game
+from sgsolve import InvariantError, parse_game
 from sgsolve.cli import main
 
 
@@ -306,6 +307,62 @@ def test_simulate_rejects_partial_or_ill_formed_strategies(ladder_file, tmp_path
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+# A total maximizer transducer for fig2 depth 4.
+_FIG2_SIGMA = "strategy max transducer\ninitial m0\nmode m0\n" + "".join(
+    f"choose m0 {s} {t} 1\n"
+    for s, t in (("s0", "s1"), ("s1", "s2"), ("s2", "s3"), ("s3", "sink"), ("t", "t"),
+                 ("sink", "sink")))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("", None),
+    ("update m0 nosuch m0 1\n", "update row for mode m0 at nosuch, which is not a state"),
+    ("choose m0 i s0 1\n", "successor row for mode m0 at i, which is not a max state"),
+], ids=["total", "update-at-unknown-state", "choose-at-foreign-state"])
+def test_simulate_rejects_foreign_transducer_rows(tmp_path, capsys, row, message):
+    game = tmp_path / "fig2.game"
+    assert main(["gallery", "fig2", "--depth", "4", "--emit", str(game)]) == 0
+    sigma = tmp_path / "sigma.strat"
+    sigma.write_text(_FIG2_SIGMA + row)
+    code = main(["simulate", str(game), "--from", "s0", "--samples", "10", "--horizon", "5",
+                 "--sigma", str(sigma)])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.err == ""
+    else:
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed, ok", [
+    ("-1", False), (str(2**63), False), (str(2**64), False), (str(2**63 - 1), True),
+])
+def test_simulate_takes_seeds_below_two_to_the_63(tmp_path, capsys, seed, ok):
+    path = tmp_path / "ruin.game"
+    assert main(["gallery", "ruin", "--cap", "5", "--emit", str(path)]) == 0
+    code = main(["simulate", str(path), "--samples", "20", "--horizon", "30",
+                 "--seed", seed])
+    captured = capsys.readouterr()
+    if ok:
+        assert code == 0 and captured.out.startswith("mean ") and captured.err == ""
+    else:
+        assert code == 1
+        assert captured.err == "error: seed must satisfy 0 <= seed < 2**63\n"
+        assert captured.out == ""
+
+
+def test_a_broken_invariant_exits_1(fig2_file, capsys, monkeypatch):
+    def broken(game, targets):
+        raise InvariantError("no value-preserving successor remains at s0")
+
+    monkeypatch.setattr(sgsolve.cli, "rvi", broken)
+    assert main(["transform", fig2_file, "--rvi"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no value-preserving successor remains at s0\n"
     assert captured.out == ""
 
 

@@ -78,3 +78,11 @@ def test_cli_import_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_package_holds_no_assert():
+    # ``python -O`` strips asserts, so a guard on a result raises instead.
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found

@@ -1,5 +1,6 @@
 """Monte-Carlo sampling: reproducibility, consistency, window scoring."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,105 @@ from sgsolve import (
     Game,
     Owner,
     SimConfig,
+    TransducerStrategy,
     buchi,
+    cobuchi,
     optimal_max_md,
     optimal_min_md,
     reach,
+    reach_plus,
+    safety,
     sample_plays,
 )
-from sgsolve import gallery
+from sgsolve import gallery, simulate
+from sgsolve.objectives import ObjectiveKind
+from sgsolve.simulate import _as_transducer, _philox
 from sgsolve.strategies import MDStrategy
 
 HALF = Fraction(1, 2)
+
+
+def reference_sample_plays(game, start, objective, cfg, sigma=None, pi=None) -> Estimate:
+    """The sampler as one Python loop per play, on numpy's own Philox
+    streams drawn one at a time: the reference the lockstep sampler must
+    match bit for bit."""
+    import numpy as np
+
+    sigma = _as_transducer(sigma, Owner.MAX)
+    pi = _as_transducer(pi, Owner.MIN)
+    obj = objective if objective.game is game else objective.bind(game)
+    kind = obj.kind
+
+    def draw(rng, dist):
+        items = list(dist.items())
+        if len(items) == 1:
+            return items[0][0]
+        u = rng.random()
+        acc = 0.0
+        for key, w in items:
+            acc += float(w)
+            if u < acc:
+                return key
+        return items[-1][0]
+
+    wins = decided = 0
+    for i in range(cfg.samples):
+        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+        state = start
+        mode_sigma = sigma.initial if sigma else None
+        mode_pi = pi.initial if pi else None
+        verdict = None
+        last_hit = -1
+        for step in range(cfg.horizon + 1):
+            in_target = state in obj.target
+            if in_target:
+                last_hit = step
+            if kind in (ObjectiveKind.REACH, ObjectiveKind.SAFETY) and in_target:
+                verdict = kind is ObjectiveKind.REACH
+                break
+            if kind is ObjectiveKind.REACH_PLUS and in_target and step >= 1:
+                verdict = True
+                break
+            if kind is ObjectiveKind.REACH_WITHIN and (in_target or step >= obj.steps):
+                verdict = in_target
+                break
+            if game.is_absorbing(state):
+                if kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
+                    verdict = False
+                elif kind is ObjectiveKind.SAFETY:
+                    verdict = True
+                elif kind is ObjectiveKind.BUCHI:
+                    verdict = in_target
+                else:
+                    verdict = not in_target
+                break
+            if step == cfg.horizon:
+                break
+            owner = game.owner[state]
+            if owner is Owner.RANDOM:
+                nxt = draw(rng, dict(game.distribution(state)))
+            else:
+                who, mode = (sigma, mode_sigma) if owner is Owner.MAX else (pi, mode_pi)
+                if who is None:
+                    player = "maximizer" if owner is Owner.MAX else "minimizer"
+                    raise ValueError(f"owner mismatch: no {player} strategy, needed at {state}")
+                nxt = draw(rng, who.choose[(mode, state)])
+            if sigma and sigma.update.get((mode_sigma, state)):
+                mode_sigma = draw(rng, sigma.update[(mode_sigma, state)])
+            if pi and pi.update.get((mode_pi, state)):
+                mode_pi = draw(rng, pi.update[(mode_pi, state)])
+            state = nxt
+        if verdict is None:
+            revisited = last_hit >= cfg.horizon - cfg.buchi_window + 1
+            score = {ObjectiveKind.BUCHI: revisited, ObjectiveKind.COBUCHI: not revisited,
+                     ObjectiveKind.SAFETY: True}.get(kind, False)
+        else:
+            decided += 1
+            score = verdict
+        wins += score
+    mean = wins / cfg.samples
+    half_width = 1.96 * (mean * (1.0 - mean) / cfg.samples) ** 0.5
+    return Estimate(mean, half_width, decided / cfg.samples)
 
 
 def test_deterministic_game_gives_zero_one_mean():
@@ -111,3 +201,160 @@ def test_config_invariants():
         SimConfig(samples=1, horizon=1, seed=1, buchi_window=2)
     with pytest.raises(ValueError):
         SimConfig(samples=1, horizon=1, seed=1, buchi_window=0)
+
+
+def test_config_rejects_seeds_that_numpy_cannot_key_exactly():
+    for seed in (-1, 2**63, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(samples=1, horizon=1, seed=seed)
+    SimConfig(samples=1, horizon=1, seed=2**63 - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**63 - 1])
+def test_kernel_is_numpy_philox(seed):
+    """Draw k of play i is word k % 4 of block k // 4 + 1 under key (seed, i)."""
+    import numpy as np
+
+    plays = [0, 1, 4095, 4096, 4097, 10**9]
+    blocks = 41
+    counter = np.arange(1, blocks + 1, dtype=np.uint64)[None, :].repeat(len(plays), axis=0)
+    key = np.array(plays, dtype=np.uint64)[:, None]
+    draws = _philox(np, counter, seed, key).reshape(len(plays), 4 * blocks)
+    for row, i in zip(draws, plays):
+        stream = np.random.Generator(np.random.Philox(key=[seed, i]))
+        assert row.tolist() == stream.random(4 * blocks).tolist()
+
+
+_KINDS = ("reach", "reach<=", "reachplus", "safety", "buchi", "cobuchi")
+
+
+def _objective(rng, kind, targets):
+    if kind == "reach<=":
+        return reach(*targets, steps=rng.randint(0, 6))
+    return {"reach": reach, "reachplus": reach_plus, "safety": safety,
+            "buchi": buchi, "cobuchi": cobuchi}[kind](*targets)
+
+
+def _distribution(rng, support):
+    """A random distribution over a random non-empty part of ``support``,
+    often with weights whose float sums are inexact."""
+    picked = rng.sample(list(support), rng.randint(1, len(support)))
+    raw = [rng.choice((1, 1, 2, 3, 7)) for _ in picked]
+    return {x: Fraction(w, sum(raw)) for x, w in zip(picked, raw)}
+
+
+def _random_md(rng, game, owner):
+    return MDStrategy(owner, {s: rng.choice(game.succ[s])
+                              for s in game.states if game.owner[s] is owner})
+
+
+def _random_transducer(rng, game, owner):
+    modes = tuple(f"m{j}" for j in range(rng.randint(2, 3)))
+    choose = {(m, s): _distribution(rng, game.succ[s])
+              for m in modes for s in game.states if game.owner[s] is owner}
+    update = {(m, s): _distribution(rng, modes)
+              for m in modes for s in game.states if rng.random() < 0.5}
+    return TransducerStrategy(owner, modes, rng.choice(modes), update, choose)
+
+
+def _same(game, start, obj, cfg, sigma=None, pi=None):
+    """The lockstep sampler and the reference agree: the same estimate, or
+    the same error."""
+    try:
+        expected = reference_sample_plays(game, start, obj, cfg, sigma=sigma, pi=pi)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            sample_plays(game, start, obj, cfg, sigma=sigma, pi=pi)
+        assert str(raised.value) == str(exc)
+        return None
+    assert sample_plays(game, start, obj, cfg, sigma=sigma, pi=pi) == expected
+    return expected
+
+
+def test_lockstep_sampler_matches_the_reference_on_random_games():
+    estimates = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        game, targets = random_game(seed, n=rng.randint(2, 9), max_branch=3,
+                                    owned_branch=rng.choice((1, 2, 3)))
+        make = _random_transducer if seed % 2 else _random_md
+        sigma = make(rng, game, Owner.MAX) if rng.random() < 0.9 else None
+        pi = make(rng, game, Owner.MIN) if rng.random() < 0.9 else None
+        horizon = rng.choice((1, 2, rng.randint(3, 30)))
+        cfg = SimConfig(samples=rng.randint(1, 150), horizon=horizon, seed=rng.getrandbits(63),
+                        buchi_window=rng.randint(1, horizon))
+        obj = _objective(rng, _KINDS[seed % len(_KINDS)], targets)
+        estimates += _same(game, rng.choice(game.states), obj, cfg, sigma, pi) is not None
+    assert estimates >= 250
+
+
+_GALLERY = {
+    "fig2": (lambda: gallery.build_fig2(6), "i"),
+    "fig2u": (lambda: gallery.build_fig2_with_u(5), "u"),
+    "ruin": (lambda: gallery.build_gamblers_ruin(Fraction(3, 5), 8), "w1"),
+    "ladder": (lambda: gallery.build_ladder(3), "home"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GALLERY))
+def test_lockstep_sampler_matches_the_reference_on_the_gallery(name):
+    build, start = _GALLERY[name]
+    built = build()
+    game = built.game
+    rng = random.Random(name)
+    for kind in _KINDS:
+        members = built.buchi if kind in ("buchi", "cobuchi") else built.targets
+        obj = _objective(rng, kind, members)
+        for transducers in (False, True):
+            make = _random_transducer if transducers else _random_md
+            cfg = SimConfig(samples=rng.randint(60, 200), horizon=rng.choice((1, 40)),
+                            seed=rng.getrandbits(63), buchi_window=1)
+            if cfg.horizon > 1:
+                cfg = SimConfig(cfg.samples, cfg.horizon, cfg.seed, rng.randint(1, 10))
+            assert _same(game, start, obj, cfg, make(rng, game, Owner.MAX),
+                         make(rng, game, Owner.MIN)) is not None
+
+
+def test_estimates_do_not_depend_on_the_play_block(monkeypatch):
+    fig2 = gallery.build_fig2(5)
+    rng = random.Random(5)
+    sigma = _random_transducer(rng, fig2.game, Owner.MAX)
+    pi = _random_transducer(rng, fig2.game, Owner.MIN)
+    obj = buchi(*fig2.buchi)
+    cfg = SimConfig(samples=2 * simulate._PLAYS + 37, horizon=12, seed=11, buchi_window=3)
+    whole = _same(fig2.game, "i", obj, cfg, sigma, pi)
+    for plays in (1, 7, 64):
+        monkeypatch.setattr(simulate, "_PLAYS", plays)
+        small = SimConfig(samples=150, horizon=12, seed=11, buchi_window=3)
+        assert sample_plays(fig2.game, "i", obj, small, sigma, pi) == \
+            reference_sample_plays(fig2.game, "i", obj, small, sigma, pi)
+    monkeypatch.undo()
+    assert sample_plays(fig2.game, "i", obj, cfg, sigma, pi) == whole
+
+
+def test_unreachable_owner_needs_no_strategy():
+    g = Game.of([
+        ("a", "rand", ("b", "t"), (HALF, HALF)),
+        ("b", "rand", ("a", "t"), (HALF, HALF)),
+        ("m", "max", ("a", "t")),
+        ("n", "min", ("m",)),
+        ("t", "rand", ("t",), (1,)),
+    ])
+    cfg = SimConfig(samples=300, horizon=20, seed=4)
+    assert _same(g, "a", reach("t"), cfg).mean == 1.0
+    with pytest.raises(ValueError, match="owner mismatch: no minimizer strategy, needed at n"):
+        sample_plays(g, "n", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {"m": "a"}))
+
+
+def test_a_missing_row_fails_only_where_a_play_needs_it():
+    g = Game.of([
+        ("a", "rand", ("t", "m"), (HALF, HALF)),
+        ("m", "max", ("t",)),
+        ("k", "max", ("t",)),
+        ("t", "rand", ("t",), (1,)),
+    ])
+    cfg = SimConfig(samples=50, horizon=5, seed=2)
+    partial = MDStrategy(Owner.MAX, {"m": "t"})
+    assert sample_plays(g, "a", reach("t"), cfg, sigma=partial).mean == 1.0
+    with pytest.raises(ValueError, match="no successor row for mode m0 at m"):
+        sample_plays(g, "a", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {"k": "t"}))
