@@ -11,6 +11,7 @@ from .model import (
     InvariantError,
     LazyGame,
     Owner,
+    SgsolveError,
     SinkMode,
     StateInfo,
     Truncation,

@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on input errors (parse failures, invalid games,
-bad flags) and on a broken internal invariant, 2 when the threshold decision
-is out of scope.  All solver output
-is deterministic; rationals print as p/q in lowest terms and floats with 12
-significant digits.
+Exit codes: 0 on success, 2 when the threshold decision is out of scope, and
+1 on every error: bad input (a parse failure, an invalid game, a bad flag or
+rational; rational flags take ``p`` or ``p/q``) or a failed computation (any
+``model.SgsolveError``, such as ``ConvergenceError`` or a broken invariant),
+printed as ``error:`` lines on stderr and never as a traceback.  All solver
+output is deterministic; rationals print as p/q in lowest terms and floats
+with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ import sys
 from fractions import Fraction
 
 from . import gallery as gallery_mod
-from .model import Game, InvariantError, SinkMode, validate
+from .model import Game, SgsolveError, SinkMode, _as_fraction, validate
 from .objectives import Objective, ObjectiveKind, parse_objective
 from .exact import reach_plus_values
 from .simulate import SimConfig, sample_plays
 from .strategies import (
     MDStrategy,
     TransducerStrategy,
-    ValueDecreaseError,
     buchi_md_pair,
     format_strategy,
     optimal_max_md_no_decrease,
@@ -32,7 +33,7 @@ from .strategies import (
     reachplus_min_md,
     threshold_decide,
 )
-from .textio import GameFormatError, ParsedGame, format_game, parse_game
+from .textio import ParsedGame, format_game, parse_game
 from .transforms import rvi
 from .values import SOLVERS, ValueVector, value_reach_within
 from .winning import WinningPartition, almost_sure_buchi, almost_sure_reach, almost_sure_safety
@@ -150,7 +151,7 @@ def _cmd_solve(args) -> int:
             raise ValueError("reachplus values are exact only")
         vec = ValueVector(reach_plus_values(game, obj.target))
     else:
-        tol = Fraction(args.tol) if args.tol else None
+        tol = _as_fraction(args.tol) if args.tol else None
         vec = SOLVERS[kind](game, obj.target, mode=args.mode, tol=tol)
     rows = [(s, vec.values[s]) for s in game.states]
     _emit(rows, ("state", "value"), args.format, sys.stdout)
@@ -253,7 +254,7 @@ def _cmd_gallery(args) -> int:
     elif kind == "ladder":
         built = gallery_mod.build_ladder(args.k)
     else:
-        built = gallery_mod.build_gamblers_ruin(Fraction(args.p), args.cap)
+        built = gallery_mod.build_gamblers_ruin(args.p, args.cap)
     members = built.buchi if args.label == "buchi" else built.targets
     text = format_game(built.game, sorted(members))
     _write(text, args.emit)
@@ -266,7 +267,7 @@ def _cmd_decide(args) -> int:
     if obj.kind is not ObjectiveKind.REACH:
         raise ValueError("the threshold decision handles reachability objectives")
     verdict = threshold_decide(
-        parsed.game, obj.target, Fraction(args.threshold), args.strict,
+        parsed.game, obj.target, args.threshold, args.strict,
         _state(parsed.game, args.from_state),
     )
     print(f"winner {verdict.winner}")
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.run(args)
-    except (GameFormatError, ValueDecreaseError, ValueError, InvariantError, OSError) as exc:
+    except (SgsolveError, ValueError, OSError) as exc:
         for line in str(exc).split("\n"):
             print(f"error: {line}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import attractor, strongly_connected_components
-from .model import Game, Owner
+from .model import Game, Owner, SgsolveError, check_targets
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,7 +39,7 @@ ONE = Fraction(1)
 _MAX_ROUNDS = 100_000
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(SgsolveError, RuntimeError):
     """Strategy iteration failed to improve monotonically or to stop."""
 
 
@@ -133,15 +133,9 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str]) ->
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Exact game values plus the optimal MD pair found by iteration.
-
-    ``max_choice`` is uniformly optimal: fixing it, the minimizer's best
-    response still realizes the values at every state.
-    """
+    """Exact game values."""
 
     values: dict[str, Fraction]
-    max_choice: dict[str, str]
-    min_choice: dict[str, str]
 
 
 def positive_attractor(game: Game, targets: set[str],
@@ -151,9 +145,8 @@ def positive_attractor(game: Game, targets: set[str],
     return attractor(game, targets, (Owner.MAX, Owner.RANDOM), choice=sigma)
 
 
-def min_best_response(game: Game, targets: set[str],
-                      sigma: dict[str, str]) -> tuple[dict[str, Fraction], dict[str, str]]:
-    """Exact minimizer best response against a fixed maximizer policy.
+def min_best_response(game: Game, targets: set[str], sigma: dict[str, str]) -> dict[str, Fraction]:
+    """Values of the exact minimizer best response to a fixed maximizer policy.
 
     Inside the avoidance region (no positive reach against this maximizer)
     the minimizer is pinned to a move that stays there; outside it, strictly
@@ -184,12 +177,12 @@ def min_best_response(game: Game, targets: set[str],
                 pi[s] = best
                 improved = True
         if not improved:
-            return values, pi
+            return values
     raise ConvergenceError("minimizer policy iteration did not converge")
 
 
 def solve_reach_exact(game: Game, targets) -> ExactSolution:
-    """Exact reach values and an optimal MD pair.
+    """Exact reach values.
 
     Maximizer strategy iteration with exact best-response evaluations: switch
     to a strictly better successor under the current evaluation, re-evaluate,
@@ -197,14 +190,11 @@ def solve_reach_exact(game: Game, targets) -> ExactSolution:
     increasing, so the loop terminates, and a switch-free policy realizes a
     Bellman fixpoint that is squeezed onto the game value.
     """
-    targets = set(targets)
-    unknown = targets - set(game.owner)
-    if unknown:
-        raise ValueError(f"target states not in game: {sorted(unknown)}")
+    targets = check_targets(game, targets)
     sigma = {s: game.succ[s][0] for s in game.states if game.owner[s] is Owner.MAX}
     previous: dict[str, Fraction] | None = None
     for _ in range(_MAX_ROUNDS):
-        values, pi = min_best_response(game, targets, sigma)
+        values = min_best_response(game, targets, sigma)
         if previous is not None:
             if any(values[s] < previous[s] for s in game.states):
                 raise ConvergenceError("improvement cycle")
@@ -218,7 +208,7 @@ def solve_reach_exact(game: Game, targets) -> ExactSolution:
                 sigma[s] = best
                 improved = True
         if not improved:
-            return ExactSolution(values, sigma, pi)
+            return ExactSolution(values)
     raise ConvergenceError("maximizer strategy iteration did not converge")
 
 

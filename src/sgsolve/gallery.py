@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Game, LazyGame, Owner, SinkMode, StateInfo, Truncation, truncate
+from .model import Game, LazyGame, Owner, SinkMode, StateInfo, Truncation, _as_fraction, truncate
 
 HALF = Fraction(1, 2)
 
@@ -143,7 +143,7 @@ def build_ladder(k: int) -> GalleryGame:
 def build_gamblers_ruin(p, cap: int) -> GalleryGame:
     """The ruin chain on 0..cap: win a unit with probability p, lose one
     otherwise; 0 (ruin, the target) and cap are absorbing."""
-    p = Fraction(p)
+    p = _as_fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must be strictly between 0 and 1")
     if cap < 2:
@@ -162,7 +162,7 @@ def build_gamblers_ruin(p, cap: int) -> GalleryGame:
 
 def gamblers_ruin_lazy(p) -> LazyGame:
     """The unbounded ruin chain, for truncation-certified interval bounds."""
-    p = Fraction(p)
+    p = _as_fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must be strictly between 0 and 1")
 

@@ -14,6 +14,7 @@ callback must be pure and reentrant.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -29,12 +30,23 @@ class Owner(Enum):
     RANDOM = "rand"
 
 
+class SgsolveError(Exception):
+    """Base of the errors sgsolve raises on purpose; each subclass also keeps
+    a ``ValueError`` (bad input) or ``RuntimeError`` (failed computation) base."""
+
+
+_RATIONAL = re.compile(r"[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
 def _as_fraction(w) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int):
+    """The one reader of exact rationals: a ``Fraction``, an ``int``, or text
+    ``p`` or ``p/q`` in ASCII digits with ``q >= 1``.  Malformed text raises
+    ``ValueError``; anything else (a float, say) raises ``TypeError``."""
+    if isinstance(w, (Fraction, int)):
         return Fraction(w)
     if isinstance(w, str):
+        if not _RATIONAL.fullmatch(w):
+            raise ValueError(f"malformed rational {w!r}: expected p or p/q with q >= 1")
         return Fraction(w)
     raise TypeError(f"not an exact rational weight: {w!r}")
 
@@ -110,6 +122,15 @@ class Game:
             elif len(row) >= 4 and row[3] is not None:
                 raise ValueError(f"owned state {sid!r} must not carry weights")
         return cls(owner, succ, prob)
+
+
+def check_targets(game: Game, targets) -> set[str]:
+    """``targets`` as a set, after checking that each is a state of ``game``."""
+    targets = set(targets)
+    stray = targets - game.owner.keys()
+    if stray:
+        raise ValueError(f"target states not in game: {sorted(stray)}")
+    return targets
 
 
 def swap_roles(game: Game) -> Game:
@@ -235,11 +256,11 @@ class LazyGame:
     branching_bound: int | None = None
 
 
-class TruncationError(RuntimeError):
+class TruncationError(SgsolveError, RuntimeError):
     """Raised when an expansion diverges (empty or over-bound successor list)."""
 
 
-class InvariantError(RuntimeError):
+class InvariantError(SgsolveError, RuntimeError):
     """A fact that a result rests on does not hold: a defect, not bad input.
 
     Raised where an ``assert`` would do, because ``python -O`` strips those.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .graphs import attractor
-from .model import Game, Owner, SinkMode
+from .model import Game, Owner, SinkMode, check_targets
 
 
 class ObjectiveKind(Enum):
@@ -52,9 +52,7 @@ class Objective:
             raise ValueError("steps must be non-negative")
 
     def bind(self, game: Game) -> "Objective":
-        stray = self.target - set(game.owner)
-        if stray:
-            raise ValueError(f"target states not in game: {sorted(stray)}")
+        check_targets(game, self.target)
         return replace(self, game=game)
 
 

@@ -172,11 +172,9 @@ def _verdict_codes(np, kind: ObjectiveKind, target, absorbing):
     """Per-state verdicts of a play standing there: 0 undecided, 1 lost,
     2 won.  Three tables: for step 0, for later steps, and for step N of
     reach<=N, where every play is decided.  A target visit decides before
-    absorption, but not at step 0 for reachplus."""
-    if kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS, ObjectiveKind.SAFETY):
-        absorbed_wins = np.full(len(target), kind is ObjectiveKind.SAFETY)
-    else:
-        absorbed_wins = target if kind is ObjectiveKind.BUCHI else ~target
+    absorption, but not at step 0 for reachplus.  An absorbed play stays put,
+    so whether its state is a target decides."""
+    absorbed_wins = ~target if kind in (ObjectiveKind.SAFETY, ObjectiveKind.COBUCHI) else target
     absorbed = np.where(absorbing, 1 + absorbed_wins, 0)
     if kind in (ObjectiveKind.BUCHI, ObjectiveKind.COBUCHI):
         return absorbed, absorbed, None

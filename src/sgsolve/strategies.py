@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import winning
 from .exact import reach_plus_values, solve_reach_exact
 from .graphs import attractor
-from .model import Game, InvariantError, Owner, sink_subgame
+from .model import Game, InvariantError, Owner, SgsolveError, _as_fraction, sink_subgame
+from .textio import _tokens
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -118,7 +119,7 @@ def apply_md(game: Game, strategy: MDStrategy) -> Game:
     return Game(dict(game.owner), succ, dict(game.prob))
 
 
-class ValueDecreaseError(ValueError):
+class ValueDecreaseError(SgsolveError, ValueError):
     """The maximizer has value-decreasing transitions; lists the witnesses."""
 
     def __init__(self, offenders: list[tuple[str, str]]):
@@ -151,7 +152,7 @@ def optimal_min_md(game: Game, targets) -> MDStrategy:
     return MDStrategy(Owner.MIN, _min_choice(game, solve_reach_exact(game, set(targets)).values))
 
 
-class NoProgressError(RuntimeError):
+class NoProgressError(SgsolveError, RuntimeError):
     """A state of positive value has no progress rank, so the values given
     are not the game's values."""
 
@@ -360,7 +361,7 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
     optimal MD maximizer strategy uses only value-preserving edges, so it
     stays available), hence the same uniformly optimal strategy.
     """
-    c = Fraction(threshold)
+    c = _as_fraction(threshold)
     if not 0 <= c <= 1:
         raise ValueError("threshold must be within [0, 1]")
     targets = set(targets)
@@ -409,11 +410,8 @@ def format_strategy(strategy: MDStrategy | TransducerStrategy) -> str:
 
 
 def parse_strategy(text: str) -> MDStrategy | TransducerStrategy:
-    lines = [
-        (no, raw.split("#", 1)[0].split())
-        for no, raw in enumerate(text.splitlines(), start=1)
-        if raw.split("#", 1)[0].strip()
-    ]
+    """Read a strategy file; an error in a row, a repeated one included, names its line."""
+    lines = list(_tokens(text))
     if not lines or lines[0][1][0] != "strategy" or len(lines[0][1]) != 3:
         raise ValueError("strategy file must start with: strategy max|min md|transducer")
     _, header = lines[0]
@@ -424,25 +422,31 @@ def parse_strategy(text: str) -> MDStrategy | TransducerStrategy:
         for no, toks in lines[1:]:
             if toks[0] != "choose" or len(toks) != 3:
                 raise ValueError(f"line {no}: expected: choose <state> <successor>")
+            if toks[1] in choice:
+                raise ValueError(f"line {no}: repeated choose row at {toks[1]}")
             choice[toks[1]] = toks[2]
         return MDStrategy(owner, choice)
     if form != "transducer":
         raise ValueError(f"unknown strategy form {form!r}")
     modes: list[str] = []
     initial = None
-    update: dict[tuple[str, str], dict[str, Fraction]] = {}
-    choose: dict[tuple[str, str], dict[str, Fraction]] = {}
+    rows: dict[str, dict[tuple[str, str], dict[str, Fraction]]] = {"update": {}, "choose": {}}
     for no, toks in lines[1:]:
         if toks[0] == "initial" and len(toks) == 2:
             initial = toks[1]
         elif toks[0] == "mode" and len(toks) == 2:
             modes.append(toks[1])
-        elif toks[0] == "update" and len(toks) == 5:
-            update.setdefault((toks[1], toks[2]), {})[toks[3]] = Fraction(toks[4])
-        elif toks[0] == "choose" and len(toks) == 5:
-            choose.setdefault((toks[1], toks[2]), {})[toks[3]] = Fraction(toks[4])
+        elif toks[0] in rows and len(toks) == 5:
+            kw, mode, s, to, weight = toks
+            row = rows[kw].setdefault((mode, s), {})
+            if to in row:
+                raise ValueError(f"line {no}: repeated {kw} row for mode {mode} at {s} to {to}")
+            try:
+                row[to] = _as_fraction(weight)
+            except ValueError as exc:
+                raise ValueError(f"line {no}: {exc}") from None
         else:
             raise ValueError(f"line {no}: malformed transducer row")
     if initial is None:
         raise ValueError("transducer needs an initial mode")
-    return TransducerStrategy(owner, tuple(modes), initial, update, choose)
+    return TransducerStrategy(owner, tuple(modes), initial, rows["update"], rows["choose"])

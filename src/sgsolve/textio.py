@@ -16,16 +16,13 @@ are left to :func:`sgsolve.model.validate`, which reports them as violations.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Game, Owner
-
-_RATIONAL = re.compile(r"^\d+(/\d+)?$")
+from .model import Game, Owner, SgsolveError, _as_fraction
 
 
-class GameFormatError(ValueError):
+class GameFormatError(SgsolveError, ValueError):
     """A hard parse error, with the 1-based line number it occurred on."""
 
     def __init__(self, line: int, message: str):
@@ -44,6 +41,7 @@ class ParsedGame:
 
 
 def _tokens(text: str):
+    """Line number and tokens of each line not blank once its comment is cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -73,9 +71,11 @@ def parse_game(text: str) -> ParsedGame:
             if len(toks) == 3:
                 edges.append((lineno, toks[1], toks[2], None))
             elif len(toks) == 4:
-                if not _RATIONAL.match(toks[3]):
-                    raise GameFormatError(lineno, f"malformed rational weight {toks[3]!r}")
-                edges.append((lineno, toks[1], toks[2], Fraction(toks[3])))
+                try:
+                    weight = _as_fraction(toks[3])
+                except ValueError:
+                    raise GameFormatError(lineno, f"malformed rational weight {toks[3]!r}") from None
+                edges.append((lineno, toks[1], toks[2], weight))
             else:
                 raise GameFormatError(lineno, "expected: edge <src> <dst> [<p/q>]")
         elif kw == "target":
@@ -118,8 +118,7 @@ def format_game(game: Game, targets=()) -> str:
     for s in game.states:
         if game.owner[s] is Owner.RANDOM:
             for t, w in game.distribution(s):
-                lines.append(f"edge {s} {t} {w.numerator}/{w.denominator}" if w.denominator != 1
-                             else f"edge {s} {t} {w.numerator}/1")
+                lines.append(f"edge {s} {t} {w.numerator}/{w.denominator}")
         else:
             for t in game.succ[s]:
                 lines.append(f"edge {s} {t}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import winning
 from .exact import ConvergenceError, bellman_combine, can_reach, solve_reach_exact
 from .graphs import maximal_end_components
-from .model import Game, LazyGame, Owner, SinkMode, swap_roles, truncate
+from .model import Game, LazyGame, Owner, SinkMode, _as_fraction, check_targets, swap_roles, truncate
 from .objectives import ObjectiveKind, bounding_sinks
 
 _DEFLATE_EVERY = 8
@@ -77,7 +77,7 @@ def value_reach(game: Game, targets, mode: str = "exact", tol=None) -> ValueVect
     """Reach values: the least fixpoint of the Bellman step above the target
     indicator.  ``mode`` is ``"exact"`` or ``"iterate"`` (lower approximant
     within ``tol``)."""
-    targets = winning._check_targets(game, targets)
+    targets = check_targets(game, targets)
     if mode == "exact":
         return ValueVector(solve_reach_exact(game, targets).values)
     if mode == "iterate":
@@ -91,12 +91,7 @@ def value_reach(game: Game, targets, mode: str = "exact", tol=None) -> ValueVect
 def value_safety(game: Game, targets, mode: str = "exact", tol=None) -> ValueVector:
     """Safety values: one minus the opponent's reach value after swapping
     the players' roles.  The iterative form converges from above."""
-    inner = value_reach(swap_roles(game), targets, mode=mode, tol=tol)
-    one = Fraction(1) if inner.is_exact else 1.0
-    return ValueVector(
-        {s: one - v for s, v in inner.values.items()},
-        error_bound=inner.error_bound,
-    )
+    return _complement(value_reach(swap_roles(game), targets, mode=mode, tol=tol))
 
 
 def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
@@ -113,7 +108,7 @@ def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
 def epsilon_horizon(game: Game, targets, state: str, eps) -> int:
     """Least horizon whose bounded-reach value at ``state`` exceeds the
     unbounded value minus ``eps``.  Exists on every finite game."""
-    eps = Fraction(eps)
+    eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if eps >= 1:
@@ -142,12 +137,13 @@ def value_buchi(game: Game, buchi_set, mode: str = "exact", tol=None) -> ValueVe
 
 def value_cobuchi(game: Game, target, mode: str = "exact", tol=None) -> ValueVector:
     """Co-Buchi values via duality with the role-swapped Buchi game."""
-    inner = value_buchi(swap_roles(game), target, mode=mode, tol=tol)
+    return _complement(value_buchi(swap_roles(game), target, mode=mode, tol=tol))
+
+
+def _complement(inner: ValueVector) -> ValueVector:
+    """One minus every value, under the same error bound."""
     one = Fraction(1) if inner.is_exact else 1.0
-    return ValueVector(
-        {s: one - v for s, v in inner.values.items()},
-        error_bound=inner.error_bound,
-    )
+    return ValueVector({s: one - v for s, v in inner.values.items()}, inner.error_bound)
 
 
 SOLVERS = {

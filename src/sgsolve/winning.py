@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import attractor as _attractor
-from .model import Game, Owner
+from .model import Game, Owner, check_targets
 from .model import sink_subgame as _patched_subgame  # noqa: F401  (a span name in bench/spans.py)
 from .transforms import rvi
 
@@ -52,19 +52,11 @@ class WinningPartition:
     index: dict[str, int | None]
 
 
-def _check_targets(game: Game, targets) -> set[str]:
-    targets = set(targets)
-    stray = targets - set(game.owner)
-    if stray:
-        raise ValueError(f"target states not in game: {sorted(stray)}")
-    return targets
-
-
 def positive_reach_set(game: Game, targets) -> frozenset[str]:
     """States from which the maximizer forces the target with positive
     probability: the classic attractor (maximizer and random states need one
     successor inside, minimizer states need all)."""
-    targets = _check_targets(game, targets)
+    targets = check_targets(game, targets)
     return frozenset(_attractor(game, targets, (Owner.MAX, Owner.RANDOM)))
 
 
@@ -118,7 +110,7 @@ def almost_sure_reach(game: Game, targets) -> WinningPartition:
     fixpoint region is exactly the set of states with value one, and the
     complement is min-winning via any optimal minimizing choice.
     """
-    targets = _check_targets(game, targets)
+    targets = check_targets(game, targets)
     g = rvi(game, targets) if any(o is Owner.MIN for o in game.owner.values()) else game
     index: dict[str, int | None] = dict.fromkeys(game.states)
     region, rounds = _reach_peel(g, targets, set(g.states), index)
@@ -139,7 +131,7 @@ def almost_sure_safety(game: Game, targets) -> WinningPartition:
     opponent's attractor (minimizer and random states need one successor in,
     maximizer states need all).  Indices record attractor layers.
     """
-    targets = _check_targets(game, targets)
+    targets = check_targets(game, targets)
     layer: dict[str, int] = {}
     attr = _attractor(game, targets, (Owner.MIN, Owner.RANDOM), layer=layer)
     index: dict[str, int | None] = {
@@ -182,7 +174,7 @@ def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
     the minimizer's step into the previous level is recorded; its escape at
     seeds is left to ``strategies.buchi_md_pair``.
     """
-    buchi_set = _check_targets(game, buchi_set)
+    buchi_set = check_targets(game, buchi_set)
     alive = set(game.states)
     index: dict[str, int | None] = dict.fromkeys(game.states)
     min_pick: dict[str, str | None] = {}

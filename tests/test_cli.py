@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from conftest import random_game
 
 import sgsolve.cli
 import sgsolve.strategies
-from sgsolve import InvariantError, parse_game
+import sgsolve.values
+from sgsolve import (InvariantError, almost_sure_buchi, almost_sure_safety, format_game, gallery,
+                     parse_game)
 from sgsolve.cli import main
 
 
@@ -403,3 +406,67 @@ def test_decide_solves_the_game_once(tmp_path, capsys, monkeypatch, reason):
     main(argv + ["--strict"] * strict)
     assert capsys.readouterr().out.splitlines()[1] == f"reason {reason}"
     assert len(calls) == 1
+
+
+_LADDER2_SIGMA = ("strategy max md\nchoose dead dead\nchoose q1 x1\nchoose q2 x2\n"
+                  "choose goal goal\nchoose home goal\n")
+_MALFORMED = "malformed rational '{}': expected p or p/q with q >= 1"
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["validate", "{game}"], {"game": "state a rand\nstate t max\nedge a t 1/0\nedge t t\n"},
+     "line 3: malformed rational weight '1/0'"),
+    (["simulate", "{ladder}", "--samples", "10", "--horizon", "5", "--sigma", "{sigma}"],
+     {"sigma": "strategy max transducer\ninitial m0\nmode m0\nchoose m0 home goal 1/0\n"},
+     "line 4: " + _MALFORMED.format("1/0")),
+    (["simulate", "{ladder}", "--samples", "10", "--horizon", "5", "--sigma", "{sigma}"],
+     {"sigma": "strategy max transducer\ninitial m0\nmode m0\nupdate m0 home m0 abc\n"},
+     "line 4: " + _MALFORMED.format("abc")),
+    (["simulate", "{ladder}", "--samples", "10", "--horizon", "5", "--sigma", "{sigma}"],
+     {"sigma": _LADDER2_SIGMA + "choose home q2\n"}, "line 7: repeated choose row at home"),
+    (["simulate", "{ladder}", "--samples", "10", "--horizon", "5", "--sigma", "{sigma}"],
+     {"sigma": "strategy max transducer\ninitial m0\nmode m0\n"
+               "choose m0 home goal 1/2\nchoose m0 home goal 1/2\n"},
+     "line 5: repeated choose row for mode m0 at home to goal"),
+    (["decide", "{ladder}", "--threshold", "1/0", "--from", "home"], {}, _MALFORMED.format("1/0")),
+    (["solve", "{ladder}", "--mode", "iterate", "--tol", "1/0"], {}, _MALFORMED.format("1/0")),
+    (["solve", "{ladder}", "--mode", "iterate", "--tol", "1e-9"], {}, _MALFORMED.format("1e-9")),
+    (["gallery", "ruin", "--p", "1/0"], {}, _MALFORMED.format("1/0")),
+    (["gallery", "ruin", "--p", "0.5"], {}, _MALFORMED.format("0.5")),
+], ids=["game-weight", "transducer-choose", "transducer-update", "repeated-md-choose",
+        "repeated-transducer-choose", "threshold", "tol", "decimal-tol", "p", "decimal-p"])
+def test_malformed_rationals_and_repeated_rows_exit_1(tmp_path, capsys, argv, files, message):
+    paths = {"ladder": tmp_path / "ladder.game"}
+    assert main(["gallery", "ladder", "--k", "2", "--emit", str(paths["ladder"])]) == 0
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_an_iteration_that_hits_the_sweep_cap_exits_1(fig2_file, capsys, monkeypatch):
+    monkeypatch.setattr(sgsolve.values, "_MAX_SWEEPS", 1)
+    argv = ["solve", fig2_file, "--target", "t", "--mode", "iterate", "--tol", "1/100000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: interval iteration did not converge\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("objective, partition", [
+    ("buchi", almost_sure_buchi), ("safety", almost_sure_safety),
+])
+def test_winning_set_buchi_and_safety_match_the_library(tmp_path, capsys, objective, partition):
+    games = [random_game(seed, n=10) for seed in range(20)]
+    games += [(built.game, built.buchi) for built in (gallery.build_fig2(8), gallery.build_ladder(3))]
+    for k, (game, target) in enumerate(games):
+        path = tmp_path / f"g{k}.game"
+        path.write_text(format_game(game, sorted(target)))
+        assert main(["winning-set", str(path), "--objective", objective]) == 0
+        part = partition(game, target)
+        expected = [f"state {s} {'max' if s in part.max_wins else 'min'} index "
+                    f"{'bot' if part.index[s] is None else part.index[s]}" for s in game.states]
+        assert capsys.readouterr().out.splitlines() == expected + [f"rounds {part.rounds}"]

@@ -1,0 +1,136 @@
+"""Seeded CLI fuzz: mutated game and strategy files and flag values drawn
+from a fixed pool end in exit code 0, 1 or 2, never in an exception."""
+
+import random
+
+from sgsolve.cli import main
+
+RUNS = 800
+
+# Flag values: well-formed ones next to malformed, zero, negative and
+# out-of-range ones.  No tolerance here is small enough to reach the sweep cap.
+POOL = ("0", "1", "2", "-1", "abc", "1/0", "0/1", "1/2", "2/1", "1e-3", "0.5", "")
+COUNTS = ("1", "2", "3", "5")
+RATIONALS = ("1/2", "3/5", "1/1000")
+OBJECTIVES = ("reach", "safety", "buchi", "cobuchi", "reachplus", "reach<=3", "reach<=x",
+              "reach<=-1", "bogus")
+KEYWORDS = ("state", "edge", "target", "strategy", "choose", "update", "mode", "initial")
+
+GALLERY = {
+    "fig2": ["fig2", "--depth", "4"],
+    "fig2b": ["fig2", "--depth", "4", "--label", "buchi"],
+    "fig2u": ["fig2u", "--depth", "4"],
+    "ladder": ["ladder", "--k", "2"],
+    "ruin": ["ruin", "--cap", "5"],
+}
+STRATEGIES = {
+    "fig2-max": ["fig2b", "--objective", "buchi", "--player", "max"],
+    "fig2-min": ["fig2", "--player", "min"],
+    "ladder-max": ["ladder", "--objective", "buchi", "--player", "max"],
+}
+TRANSDUCER = ("strategy max transducer\ninitial m0\nmode m0\nmode m1\n"
+              "update m0 s0 m1 1/2\nupdate m0 s0 m0 1/2\n"
+              "choose m0 s0 s1 1/3\nchoose m0 s0 r0 2/3\nchoose m1 s0 r0 1\n"
+              "choose m0 s1 s2 1\nchoose m1 s1 s2 1\n")
+
+
+def _base_files(tmp_path, capsys) -> dict[str, str]:
+    texts = {}
+    for name, argv in GALLERY.items():
+        path = tmp_path / f"{name}.game"
+        assert main(["gallery"] + argv + ["--emit", str(path)]) == 0
+        texts[name] = path.read_text()
+    for name, (game, *argv) in STRATEGIES.items():
+        path = tmp_path / f"{name}.strat"
+        assert main(["strategy", str(tmp_path / f"{game}.game")] + argv
+                    + ["--emit", str(path)]) == 0
+        texts[name] = path.read_text()
+    texts["fig2-transducer"] = TRANSDUCER
+    capsys.readouterr()
+    return texts
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Up to two edits: a token replaced, a line dropped, repeated, swapped or
+    made up."""
+    lines = text.splitlines()
+    words = text.split()
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        at = rng.randrange(len(lines))
+        how = rng.randrange(5)
+        if how == 0:
+            toks = lines[at].split() or [""]
+            toks[rng.randrange(len(toks))] = rng.choice(rng.choice((words, POOL)))
+            lines[at] = " ".join(toks)
+        elif how == 1 and len(lines) > 1:
+            del lines[at]
+        elif how == 2:
+            lines.insert(at, lines[at])
+        elif how == 3:
+            other = rng.randrange(len(lines))
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            made = [rng.choice(words + list(POOL)) for _ in range(rng.randint(1, 4))]
+            lines.insert(at, " ".join([rng.choice(KEYWORDS)] + made))
+    return "\n".join(lines) + "\n"
+
+
+def _argv(rng: random.Random, tmp_path, texts: dict[str, str]) -> list[str]:
+    def write(name: str) -> str:
+        path = tmp_path / f"fuzz-{name}"
+        path.write_text(_mutate(rng, texts[name]))
+        return path, str(path)
+
+    def pick(valid) -> str:
+        """Mostly a well-formed value, sometimes one from the pool."""
+        return rng.choice(valid if rng.random() < 0.7 else POOL)
+
+    def maybe(flag: str, valid) -> list[str]:
+        return [flag, pick(valid)] if rng.random() < 0.5 else []
+
+    path, game = write(rng.choice(list(GALLERY)))
+    states = [line.split()[1] for line in path.read_text().splitlines()
+              if line.startswith("state ") and len(line.split()) > 1] or ["x"]
+    common = maybe("--objective", OBJECTIVES) + maybe("--target", states)
+    emit = ["--emit", str(tmp_path / "out")]
+    command = rng.choice(("validate", "solve", "winning-set", "strategy", "transform",
+                          "simulate", "decide", "gallery"))
+    if command == "validate":
+        return ["validate", game]
+    if command == "solve":
+        iterate = rng.random() < 0.5
+        return (["solve", game] + common + ["--mode", "iterate"] * iterate
+                + (["--tol", pick(RATIONALS)] if iterate or rng.random() < 0.1 else []))
+    if command == "winning-set":
+        return ["winning-set", game] + common
+    if command == "strategy":
+        return ["strategy", game, "--player", rng.choice(("max", "min"))] + common + emit
+    if command == "transform":
+        return ["transform", game, "--rvi"] + common + emit
+    if command == "simulate":
+        strategies = [name for name in texts if name not in GALLERY]
+        return (["simulate", game, "--samples", pick(COUNTS), "--horizon", pick(COUNTS)]
+                + common + maybe("--seed", COUNTS) + maybe("--buchi-window", COUNTS)
+                + maybe("--from", states)
+                + (["--sigma", write(rng.choice(strategies))[1]] if rng.random() < 0.7 else [])
+                + (["--pi", write(rng.choice(strategies))[1]] if rng.random() < 0.3 else []))
+    if command == "decide":
+        return (["decide", game, "--threshold", pick(RATIONALS), "--from", pick(states)]
+                + common + ["--strict"] * rng.randint(0, 1))
+    return (["gallery", rng.choice(("fig2", "fig2u", "ladder", "ruin"))]
+            + maybe("--depth", COUNTS) + maybe("--k", COUNTS) + maybe("--p", RATIONALS)
+            + maybe("--cap", COUNTS) + emit)
+
+
+def test_cli_fuzz_exits_0_1_or_2(tmp_path, capsys):
+    texts = _base_files(tmp_path, capsys)
+    rng = random.Random(20261018)
+    for run in range(RUNS):
+        argv = _argv(rng, tmp_path, texts)
+        try:
+            code = main(argv)
+        except BaseException as exc:  # noqa: BLE001 - the failure names the input
+            inputs = {p.name: p.read_text() for p in tmp_path.glob("fuzz-*")}
+            raise AssertionError(f"run {run}: {argv} raised {exc!r}; files {inputs}") from exc
+        assert code in (0, 1, 2), (run, argv, code)
+        capsys.readouterr()

@@ -86,3 +86,20 @@ def test_package_holds_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_every_exception_class_derives_from_the_package_base():
+    # ``main`` maps the base to exit 1, so a new error class must join it.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":  # runs the CLI when imported
+            continue
+        module = importlib.import_module(f"sgsolve.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, BaseException):
+                    found[node.name] = cls
+    assert {"GameFormatError", "TruncationError", "InvariantError", "ConvergenceError",
+            "NoProgressError", "ValueDecreaseError"} <= set(found)
+    assert [name for name, cls in found.items() if not issubclass(cls, sgsolve.SgsolveError)] == []

@@ -16,6 +16,7 @@ from sgsolve import (
     validate,
 )
 from sgsolve import gallery
+from sgsolve.model import _as_fraction, check_targets
 
 HALF = Fraction(1, 2)
 
@@ -149,3 +150,29 @@ def test_optimistic_sink_joins_every_label_set():
     assert pess.sink not in pess.label_set("buchi")
     assert opt.sink in opt.label_set("target")
     assert opt.sink in opt.label_set("buchi")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", Fraction(0)), ("7", Fraction(7)), ("2/4", HALF), ("01/10", Fraction(1, 10)),
+])
+def test_rational_reader_takes_p_and_p_over_q(text, value):
+    assert _as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1/0", "3/00", "abc", "", "1e-9", "0.5", "-1/2", "+1", " 1",
+                                  "1/", "/2", "1/2/3", "\u0661/2"])
+def test_rational_reader_rejects_anything_else(text):
+    with pytest.raises(ValueError, match="malformed rational"):
+        _as_fraction(text)
+
+
+def test_rational_reader_takes_no_floats():
+    with pytest.raises(TypeError):
+        _as_fraction(0.5)
+
+
+def test_target_check_names_the_stray_states():
+    g = Game.of([("s", "max", ("s",))])
+    assert check_targets(g, ("s",)) == {"s"}
+    with pytest.raises(ValueError, match=r"target states not in game: \['x', 'y'\]"):
+        check_targets(g, ("y", "s", "x"))

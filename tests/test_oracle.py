@@ -13,12 +13,14 @@ from sgsolve import (
     md_enumeration_oracle,
     mdp_buchi_exact,
     reach,
+    reach_plus,
     safety,
     value_buchi,
     value_reach,
     value_safety,
 )
 from sgsolve import gallery
+from sgsolve.exact import reach_plus_values
 
 HALF = Fraction(1, 2)
 
@@ -118,3 +120,9 @@ def test_mdp_buchi_rejects_two_active_players():
     ])
     with pytest.raises(ValueError):
         mdp_buchi_exact(g, {"a"})
+
+
+def test_oracle_reachplus_matches_reach_plus_values():
+    for seed in range(300):
+        g, t = random_game(seed, n=7)
+        assert md_enumeration_oracle(g, reach_plus(*t)).values == reach_plus_values(g, t), seed

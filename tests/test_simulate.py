@@ -21,7 +21,8 @@ from sgsolve import (
     safety,
     sample_plays,
 )
-from sgsolve import gallery, simulate
+from sgsolve import gallery, simulate, value_reach_within
+from sgsolve.exact import reach_plus_values
 from sgsolve.objectives import ObjectiveKind
 from sgsolve.simulate import _as_transducer, _philox
 from sgsolve.strategies import MDStrategy
@@ -74,8 +75,9 @@ def reference_sample_plays(game, start, objective, cfg, sigma=None, pi=None) -> 
                 verdict = in_target
                 break
             if game.is_absorbing(state):
-                if kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
-                    verdict = False
+                if kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_WITHIN,
+                            ObjectiveKind.REACH_PLUS):
+                    verdict = in_target
                 elif kind is ObjectiveKind.SAFETY:
                     verdict = True
                 elif kind is ObjectiveKind.BUCHI:
@@ -358,3 +360,20 @@ def test_a_missing_row_fails_only_where_a_play_needs_it():
     assert sample_plays(g, "a", reach("t"), cfg, sigma=partial).mean == 1.0
     with pytest.raises(ValueError, match="no successor row for mode m0 at m"):
         sample_plays(g, "a", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {"k": "t"}))
+
+
+# a steps into the absorbing non-target d; t is an absorbing target.
+_ABSORBING = Game.of([("a", "rand", ("d",), (1,)), ("d", "rand", ("d",), (1,)),
+                      ("t", "rand", ("t",), (1,))])
+
+
+def test_bounded_reach_play_absorbed_outside_the_target_is_lost():
+    est = sample_plays(_ABSORBING, "a", reach("t", steps=5), SimConfig(10, 20, 1))
+    assert value_reach_within(_ABSORBING, {"t"}, 5)["a"] == 0
+    assert est.mean == 0.0 and est.decided_fraction == 1.0
+
+
+def test_reachplus_play_starting_in_an_absorbing_target_is_won():
+    est = sample_plays(_ABSORBING, "t", reach_plus("t"), SimConfig(10, 20, 1))
+    assert reach_plus_values(_ABSORBING, {"t"})["t"] == 1
+    assert est.mean == 1.0 and est.decided_fraction == 1.0

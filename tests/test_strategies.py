@@ -385,3 +385,19 @@ def test_strategy_validation_errors():
         MDStrategy(Owner.MAX, {"a": "b", "b": "b"}).check_total(g)  # a->b not an edge
     with pytest.raises(ValueError):
         parse_strategy("choose a b\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("strategy max md\nchoose a a\nchoose b a\nchoose a b\n",
+     "line 4: repeated choose row at a"),
+    ("strategy max transducer\ninitial m\nmode m\nupdate m a m 1\nupdate m a m 1\n",
+     "line 5: repeated update row for mode m at a to m"),
+    ("strategy max transducer\ninitial m\nmode m\n# weight\nchoose m a b 1/0\n",
+     "line 5: malformed rational '1/0': expected p or p/q with q >= 1"),
+    ("strategy max transducer\ninitial m\nmode m\nchoose m a b 0.5\n",
+     "line 4: malformed rational '0.5': expected p or p/q with q >= 1"),
+])
+def test_strategy_file_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_strategy(text)
+    assert str(err.value) == message
