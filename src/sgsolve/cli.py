@@ -17,9 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import gallery as gallery_mod
-from .model import Game, SgsolveError, SinkMode, _as_fraction, validate
+from .model import Game, Owner, SgsolveError, SinkMode, _as_fraction, validate
 from .objectives import Objective, ObjectiveKind, parse_objective
-from .exact import reach_plus_values
+from .exact import reach_plus_values, solve_reach_exact
 from .simulate import SimConfig, sample_plays
 from .strategies import (
     MDStrategy,
@@ -112,6 +112,14 @@ def _strategy(path: str, game: Game) -> MDStrategy | TransducerStrategy:
     return strategy
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    """The rational value of a flag; a malformed one is an error naming it."""
+    try:
+        return _as_fraction(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _state(game: Game, name: str) -> str:
     if name not in game.owner:
         raise ValueError(f"unknown state {name!r}")
@@ -149,9 +157,9 @@ def _cmd_solve(args) -> int:
     elif kind is ObjectiveKind.REACH_PLUS:
         if args.mode != "exact":
             raise ValueError("reachplus values are exact only")
-        vec = ValueVector(reach_plus_values(game, obj.target))
+        vec = ValueVector(reach_plus_values(game, solve_reach_exact(game, obj.target)))
     else:
-        tol = _as_fraction(args.tol) if args.tol else None
+        tol = _rational("--tol", args.tol) if args.tol else None
         vec = SOLVERS[kind](game, obj.target, mode=args.mode, tol=tol)
     rows = [(s, vec.values[s]) for s in game.states]
     _emit(rows, ("state", "value"), args.format, sys.stdout)
@@ -162,6 +170,8 @@ def _cmd_solve(args) -> int:
 
 def _partition_for(kind: ObjectiveKind, game: Game, target) -> WinningPartition:
     if kind is ObjectiveKind.REACH:
+        if any(o is Owner.MIN for o in game.owner.values()):
+            game = rvi(game, solve_reach_exact(game, target))
         return almost_sure_reach(game, target)
     if kind is ObjectiveKind.BUCHI:
         return almost_sure_buchi(game, target)
@@ -217,7 +227,7 @@ def _cmd_transform(args) -> int:
     obj = _objective(args, parsed)
     if obj.kind not in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
         raise ValueError(f"--rvi preserves reach and reachplus values, not {args.objective}")
-    out = rvi(parsed.game, obj.target)
+    out = rvi(parsed.game, solve_reach_exact(parsed.game, obj.target))
     text = format_game(out, sorted(parsed.targets))
     _write(text, args.emit)
     return 0
@@ -254,7 +264,7 @@ def _cmd_gallery(args) -> int:
     elif kind == "ladder":
         built = gallery_mod.build_ladder(args.k)
     else:
-        built = gallery_mod.build_gamblers_ruin(args.p, args.cap)
+        built = gallery_mod.build_gamblers_ruin(_rational("--p", args.p), args.cap)
     members = built.buchi if args.label == "buchi" else built.targets
     text = format_game(built.game, sorted(members))
     _write(text, args.emit)
@@ -266,9 +276,9 @@ def _cmd_decide(args) -> int:
     obj = _objective(args, parsed)
     if obj.kind is not ObjectiveKind.REACH:
         raise ValueError("the threshold decision handles reachability objectives")
+    start = _state(parsed.game, args.from_state)
     verdict = threshold_decide(
-        parsed.game, obj.target, args.threshold, args.strict,
-        _state(parsed.game, args.from_state),
+        parsed.game, obj.target, _rational("--threshold", args.threshold), args.strict, start,
     )
     print(f"winner {verdict.winner}")
     print(f"reason {verdict.reason}")

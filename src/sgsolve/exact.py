@@ -25,7 +25,6 @@ results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import attractor, strongly_connected_components
@@ -131,13 +130,6 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str]) ->
     return values
 
 
-@dataclass(frozen=True)
-class ExactSolution:
-    """Exact game values."""
-
-    values: dict[str, Fraction]
-
-
 def positive_attractor(game: Game, targets: set[str],
                        sigma: dict[str, str] | None = None) -> set[str]:
     """States from which the target is reached with positive probability
@@ -181,8 +173,8 @@ def min_best_response(game: Game, targets: set[str], sigma: dict[str, str]) -> d
     raise ConvergenceError("minimizer policy iteration did not converge")
 
 
-def solve_reach_exact(game: Game, targets) -> ExactSolution:
-    """Exact reach values.
+def solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
+    """Exact reach values, by state.
 
     Maximizer strategy iteration with exact best-response evaluations: switch
     to a strictly better successor under the current evaluation, re-evaluate,
@@ -208,7 +200,7 @@ def solve_reach_exact(game: Game, targets) -> ExactSolution:
                 sigma[s] = best
                 improved = True
         if not improved:
-            return ExactSolution(values)
+            return values
     raise ConvergenceError("maximizer strategy iteration did not converge")
 
 
@@ -222,15 +214,12 @@ def bellman_combine(game: Game, values, s: str) -> Fraction:
     return sum((w * values[t] for t, w in game.distribution(s)), ZERO)
 
 
-def reach_plus_values(game: Game, targets, values: dict[str, Fraction] | None = None) -> dict[str, Fraction]:
+def reach_plus_values(game: Game, values) -> dict[str, Fraction]:
     """Values of "visit the target after at least one step".
 
-    Off target these coincide with plain reach values; on target states the
-    value is one owner-appropriate combination of the plain reach values of
-    the successors, i.e. a single Bellman application without the target
-    override.
+    Off target these coincide with the plain reach ``values`` given; on
+    target states the value is one owner-appropriate combination of the
+    successors' reach values, i.e. a single Bellman application without the
+    target override.
     """
-    targets = set(targets)
-    if values is None:
-        values = solve_reach_exact(game, targets).values
     return {s: bellman_combine(game, values, s) for s in game.states}

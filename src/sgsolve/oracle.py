@@ -122,10 +122,10 @@ def mdp_buchi_exact(game: Game, buchi_set) -> ValueVector:
         for comp in maximal_end_components(game, game.states):
             if any(s in buchi_set for s in comp):
                 winning.update(comp)
-        return ValueVector(solve_reach_exact(game, winning).values)
+        return ValueVector(solve_reach_exact(game, winning))
     safe = [s for s in game.states if s not in buchi_set]
     havens: set[str] = set()
     for comp in maximal_end_components(game, safe):
         havens.update(comp)
-    escape = solve_reach_exact(swap_roles(game), havens).values
+    escape = solve_reach_exact(swap_roles(game), havens)
     return ValueVector({s: ONE - escape[s] for s in game.states})

@@ -149,7 +149,7 @@ def optimal_min_md(game: Game, targets) -> MDStrategy:
     supermartingale under every opposing strategy, so the reach probability
     never exceeds the value.  First in list order among the minimizers.
     """
-    return MDStrategy(Owner.MIN, _min_choice(game, solve_reach_exact(game, set(targets)).values))
+    return MDStrategy(Owner.MIN, _min_choice(game, solve_reach_exact(game, set(targets))))
 
 
 class NoProgressError(SgsolveError, RuntimeError):
@@ -208,7 +208,7 @@ def _uniform_max_choice(game: Game, values, targets: set[str],
 def optimal_max_md(game: Game, targets) -> MDStrategy:
     """An MD strategy optimal maximizing in every state (finite games)."""
     targets = set(targets)
-    values = solve_reach_exact(game, targets).values
+    values = solve_reach_exact(game, targets)
     return MDStrategy(Owner.MAX, _uniform_max_choice(game, values, targets))
 
 
@@ -222,7 +222,7 @@ def optimal_max_md_no_decrease(game: Game, targets) -> MDStrategy:
     Bellman-consistent and the choice at them cannot matter.
     """
     targets = set(targets)
-    values = solve_reach_exact(game, targets).values
+    values = solve_reach_exact(game, targets)
     offenders = _wasteful_moves(game, values, targets)
     if offenders:
         raise ValueDecreaseError(offenders)
@@ -237,8 +237,8 @@ def reachplus_min_md(game: Game, targets) -> MDStrategy:
     exactly that value, which always exists.
     """
     targets = set(targets)
-    values = solve_reach_exact(game, targets).values
-    vplus = reach_plus_values(game, targets, values)
+    values = solve_reach_exact(game, targets)
+    vplus = reach_plus_values(game, values)
     choice = _min_choice(game, values)
     for s in choice:
         if s not in targets:
@@ -261,8 +261,8 @@ def reachplus_max_md(game: Game, targets) -> MDStrategy:
     successor, preferring the smaller progress rank.
     """
     targets = set(targets)
-    values = solve_reach_exact(game, targets).values
-    vplus = reach_plus_values(game, targets, values)
+    values = solve_reach_exact(game, targets)
+    vplus = reach_plus_values(game, values)
     offenders = _wasteful_moves(game, vplus, targets)
     if offenders:
         raise ValueDecreaseError(offenders)
@@ -303,7 +303,7 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
     seeds = [s for s, t in pi_choice.items() if t is None]
     for k in sorted({index[s] for s in seeds}):
         live = {s for s in game.states if index[s] is None or index[s] >= k}
-        vals = solve_reach_exact(sink_subgame(game, live), live & buchi_set).values
+        vals = solve_reach_exact(sink_subgame(game, live), live & buchi_set)
         for s in seeds:
             if index[s] == k:
                 pi_choice[s] = min(game.succ[s], key=lambda t: vals[t] if t in live else ZERO)
@@ -365,7 +365,7 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
     if not 0 <= c <= 1:
         raise ValueError("threshold must be within [0, 1]")
     targets = set(targets)
-    values = solve_reach_exact(game, targets).values
+    values = solve_reach_exact(game, targets)
     v0 = values[start]
 
     if v0 < c or v0 == c and strict:
@@ -414,7 +414,9 @@ def parse_strategy(text: str) -> MDStrategy | TransducerStrategy:
     lines = list(_tokens(text))
     if not lines or lines[0][1][0] != "strategy" or len(lines[0][1]) != 3:
         raise ValueError("strategy file must start with: strategy max|min md|transducer")
-    _, header = lines[0]
+    head, header = lines[0]
+    if header[1] not in (Owner.MAX.value, Owner.MIN.value):
+        raise ValueError(f"line {head}: a strategy belongs to max or min, not {header[1]!r}")
     owner = Owner(header[1])
     form = header[2]
     if form == "md":
@@ -427,7 +429,7 @@ def parse_strategy(text: str) -> MDStrategy | TransducerStrategy:
             choice[toks[1]] = toks[2]
         return MDStrategy(owner, choice)
     if form != "transducer":
-        raise ValueError(f"unknown strategy form {form!r}")
+        raise ValueError(f"line {head}: unknown strategy form {form!r}")
     modes: list[str] = []
     initial = None
     rows: dict[str, dict[tuple[str, str], dict[str, Fraction]]] = {"update": {}, "choose": {}}

@@ -1,4 +1,4 @@
-"""Value-preserving game transformations.
+"""Value-preserving game transformations, on exact values the caller solved.
 
 ``rvi`` deletes every minimizer-controlled transition into a strictly more
 valuable state.  At least one successor of equal value always remains, so no
@@ -8,7 +8,6 @@ idempotent.
 
 from __future__ import annotations
 
-from .exact import reach_plus_values, solve_reach_exact
 from .model import Game, InvariantError, Owner
 
 INCREASING = "increasing"
@@ -16,10 +15,9 @@ DECREASING = "decreasing"
 PRESERVING = "preserving"
 
 
-def rvi(game: Game, targets) -> Game:
-    """Remove the minimizer's value-increasing transitions w.r.t. reaching
-    ``targets``.  Returns a new game; values are preserved."""
-    values = solve_reach_exact(game, targets).values
+def rvi(game: Game, values) -> Game:
+    """Remove the minimizer's value-increasing transitions under the exact
+    reach ``values``.  Returns a new game; values are preserved."""
     succ: dict[str, tuple[str, ...]] = {}
     for s in game.states:
         if game.owner[s] is Owner.MIN:
@@ -32,8 +30,9 @@ def rvi(game: Game, targets) -> Game:
     return Game(dict(game.owner), succ, dict(game.prob))
 
 
-def classify_transitions(game: Game, targets, reach_plus: bool = False) -> dict[tuple[str, str], str]:
-    """Classify every edge as increasing, decreasing or preserving.
+def classify_transitions(game: Game, values, targets, reach_plus: bool = False) -> dict[tuple[str, str], str]:
+    """Classify every edge as increasing, decreasing or preserving under the
+    exact reach ``values`` of ``targets`` (revisit values with ``reach_plus``).
 
     With plain reach values this also checks the ownership facts: an edge
     controlled by the maximizer is never value-increasing and one controlled
@@ -42,10 +41,6 @@ def classify_transitions(game: Game, targets, reach_plus: bool = False) -> dict[
     at target states (whose values are pinned) or for revisit values.
     """
     targets = set(targets)
-    if reach_plus:
-        values = reach_plus_values(game, targets)
-    else:
-        values = solve_reach_exact(game, targets).values
     out: dict[tuple[str, str], str] = {}
     for s in game.states:
         for t in game.succ[s]:

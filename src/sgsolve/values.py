@@ -79,7 +79,7 @@ def value_reach(game: Game, targets, mode: str = "exact", tol=None) -> ValueVect
     within ``tol``)."""
     targets = check_targets(game, targets)
     if mode == "exact":
-        return ValueVector(solve_reach_exact(game, targets).values)
+        return ValueVector(solve_reach_exact(game, targets))
     if mode == "iterate":
         if tol is None or tol <= 0:
             raise ValueError("iterate mode needs a positive tolerance")
@@ -114,7 +114,7 @@ def epsilon_horizon(game: Game, targets, state: str, eps) -> int:
     if eps >= 1:
         return 0
     targets = set(targets)
-    goal = solve_reach_exact(game, targets).values[state] - eps
+    goal = solve_reach_exact(game, targets)[state] - eps
     v = {s: Fraction(1 if s in targets else 0) for s in game.states}
     horizon = 0
     while v[state] <= goal:

@@ -1,18 +1,20 @@
 """Qualitative winning sets: almost-sure and positive-probability regions.
 
-All three computations return a full partition of the state space together
-with per-state removal indices: a state keeps index bottom (``None``) exactly
-when it is maximizer-winning, and min-winning states record the peeling round
-that eliminated them.  On finite games every fixpoint below converges in
-finitely many rounds.
+All three computations run on the game graph alone and return a full
+partition of the state space together with per-state removal indices: a
+state keeps index bottom (``None``) exactly when it is maximizer-winning, and
+min-winning states record the peeling round that eliminated them.  On finite
+games every fixpoint below converges in finitely many rounds.
 
-Almost-sure reachability peels with a confined attractor: each round keeps
-the least set that can make progress towards the target while random states
-never leak outside the surviving region and the minimizer cannot steer
-outside it.  States from which the target is unreachable even with maximal
-cooperation are discarded up front with index 0.  Removal cascades one
-dependency layer per round, which is what the escalation gallery family
-exercises.
+Almost-sure reachability peels the game it is given with a confined
+attractor: each round keeps the least set that can make progress towards
+the target while random states never leak outside the surviving region and
+the minimizer cannot steer outside it.  States from which the target is
+unreachable even with maximal cooperation are discarded up front with
+index 0.  Removal cascades one dependency layer per round, which is what the
+escalation gallery family exercises.  ``winning-set`` passes the game without
+the minimizer's value-increasing transitions (``transforms.rvi``), which can
+move indices but never the partition.
 
 Almost-sure Buchi peels on the game graph alone.  A state's value of
 "visit the live Buchi set again after at least one step" is one exactly when
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from .graphs import attractor as _attractor
 from .model import Game, Owner, check_targets
 from .model import sink_subgame as _patched_subgame  # noqa: F401  (a span name in bench/spans.py)
-from .transforms import rvi
 
 
 @dataclass(frozen=True)
@@ -101,19 +102,17 @@ def _reach_peel(game: Game, targets: set[str], alive: set[str],
 
 
 def almost_sure_reach(game: Game, targets) -> WinningPartition:
-    """Partition for surely-almost-sure reachability.
+    """Partition for surely-almost-sure reachability, peeled on the game given.
 
-    Setup removes the minimizer's value-increasing transitions (value
-    preserving) and discards, with index 0, the states that cannot reach the
-    target at all.  Each subsequent round shrinks the surviving region to its
-    confined attractor; states dropped in round ``k`` get index ``k``.  The
-    fixpoint region is exactly the set of states with value one, and the
-    complement is min-winning via any optimal minimizing choice.
+    Setup discards, with index 0, the states that cannot reach the target at
+    all.  Each subsequent round shrinks the surviving region to its confined
+    attractor; states dropped in round ``k`` get index ``k``.  The fixpoint
+    region is exactly the set of states with value one, and the complement
+    is min-winning via any optimal minimizing choice.
     """
     targets = check_targets(game, targets)
-    g = rvi(game, targets) if any(o is Owner.MIN for o in game.owner.values()) else game
     index: dict[str, int | None] = dict.fromkeys(game.states)
-    region, rounds = _reach_peel(g, targets, set(g.states), index)
+    region, rounds = _reach_peel(game, targets, set(game.states), index)
     max_wins = frozenset(region)
     return WinningPartition(
         max_wins=max_wins,

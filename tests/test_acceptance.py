@@ -138,10 +138,11 @@ def test_criterion_5_rvi_preserving_and_idempotent():
     started = time.time()
     for seed in range(100):
         g, t = random_game(seed, n=6 + seed % 7)
-        values = solve_reach_exact(g, t).values
-        once = rvi(g, t)
-        assert solve_reach_exact(once, t).values == values
-        twice = rvi(once, t)
+        values = solve_reach_exact(g, t)
+        once = rvi(g, values)
+        again = solve_reach_exact(once, t)
+        assert again == values
+        twice = rvi(once, again)
         assert twice.succ == once.succ and twice.owner == once.owner
     _report(5, "rvi preserves exact values and is idempotent on 100 seeded games", started)
 
@@ -180,9 +181,9 @@ def test_criterion_7_md_strategy_certificates():
     instances = [random_game(seed, n=6 + seed % 5) for seed in range(40)]
     instances += [(b.game, b.targets) for b in _gallery_instances()]
     for g, t in instances:
-        values = solve_reach_exact(g, t).values
-        assert solve_reach_exact(apply_md(g, optimal_min_md(g, t)), t).values == values
-        assert solve_reach_exact(apply_md(g, optimal_max_md(g, t)), t).values == values
+        values = solve_reach_exact(g, t)
+        assert solve_reach_exact(apply_md(g, optimal_min_md(g, t)), t) == values
+        assert solve_reach_exact(apply_md(g, optimal_max_md(g, t)), t) == values
     buchi_instances = [random_game(seed, n=6) for seed in range(40)]
     buchi_instances += [
         (b.game, b.buchi) for b in (gallery.build_fig2(8), gallery.build_ladder(4))
@@ -217,7 +218,7 @@ def test_criterion_9_simulation_consistency():
     fig2 = gallery.build_fig2(10)
     horizon = max(60, epsilon_horizon(fig2.game, fig2.targets, "r3", eps))
     runs.append((fig2.game, "r3", fig2.targets, horizon, None, None, Fraction(7, 8)))
-    pair_value = solve_reach_exact(fig2.game, fig2.targets).values["i"]
+    pair_value = solve_reach_exact(fig2.game, fig2.targets)["i"]
     runs.append((
         fig2.game, "i", fig2.targets,
         max(80, epsilon_horizon(fig2.game, fig2.targets, "i", eps)),
@@ -246,7 +247,7 @@ def test_criterion_9_simulation_consistency():
         max(60, epsilon_horizon(fig2u.game, fig2u.targets, "u", eps)),
         optimal_max_md(fig2u.game, fig2u.targets),
         optimal_min_md(fig2u.game, fig2u.targets),
-        solve_reach_exact(fig2u.game, fig2u.targets).values["u"],
+        solve_reach_exact(fig2u.game, fig2u.targets)["u"],
     ))
 
     for game, start, targets, horizon, sigma, pi, expected in runs:

@@ -428,11 +428,14 @@ _MALFORMED = "malformed rational '{}': expected p or p/q with q >= 1"
      {"sigma": "strategy max transducer\ninitial m0\nmode m0\n"
                "choose m0 home goal 1/2\nchoose m0 home goal 1/2\n"},
      "line 5: repeated choose row for mode m0 at home to goal"),
-    (["decide", "{ladder}", "--threshold", "1/0", "--from", "home"], {}, _MALFORMED.format("1/0")),
-    (["solve", "{ladder}", "--mode", "iterate", "--tol", "1/0"], {}, _MALFORMED.format("1/0")),
-    (["solve", "{ladder}", "--mode", "iterate", "--tol", "1e-9"], {}, _MALFORMED.format("1e-9")),
-    (["gallery", "ruin", "--p", "1/0"], {}, _MALFORMED.format("1/0")),
-    (["gallery", "ruin", "--p", "0.5"], {}, _MALFORMED.format("0.5")),
+    (["decide", "{ladder}", "--threshold", "1/0", "--from", "home"], {},
+     "--threshold: " + _MALFORMED.format("1/0")),
+    (["solve", "{ladder}", "--mode", "iterate", "--tol", "1/0"], {},
+     "--tol: " + _MALFORMED.format("1/0")),
+    (["solve", "{ladder}", "--mode", "iterate", "--tol", "1e-9"], {},
+     "--tol: " + _MALFORMED.format("1e-9")),
+    (["gallery", "ruin", "--p", "1/0"], {}, "--p: " + _MALFORMED.format("1/0")),
+    (["gallery", "ruin", "--p", "0.5"], {}, "--p: " + _MALFORMED.format("0.5")),
 ], ids=["game-weight", "transducer-choose", "transducer-update", "repeated-md-choose",
         "repeated-transducer-choose", "threshold", "tol", "decimal-tol", "p", "decimal-p"])
 def test_malformed_rationals_and_repeated_rows_exit_1(tmp_path, capsys, argv, files, message):

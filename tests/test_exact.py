@@ -74,7 +74,7 @@ def test_ruin_at_cap_400_matches_the_closed_form():
     p = Fraction(3, 5)
     built = gallery.build_gamblers_ruin(p, 400)
     started = time.perf_counter()
-    values = solve_reach_exact(built.game, built.targets).values
+    values = solve_reach_exact(built.game, built.targets)
     assert time.perf_counter() - started < 1.0
     for w in range(401):
         assert values[f"w{w}"] == ruin_probability(p, 400, w)
@@ -83,7 +83,7 @@ def test_ruin_at_cap_400_matches_the_closed_form():
 def test_fig2_at_depth_160_matches_the_exit_values():
     built = gallery.build_fig2(160)
     started = time.perf_counter()
-    values = solve_reach_exact(built.game, built.targets).values
+    values = solve_reach_exact(built.game, built.targets)
     assert time.perf_counter() - started < 1.0
     for i in range(159):
         assert values[f"r{i}"] == 1 - Fraction(1, 2**i)
@@ -120,7 +120,7 @@ def test_round_cap_raises_a_named_error(monkeypatch, owner, moves, value, messag
         ("goal", "max", ("goal",)),
         ("dead", "max", ("dead",)),
     ])
-    assert solve_reach_exact(game, {"goal"}).values["a"] == value
+    assert solve_reach_exact(game, {"goal"})["a"] == value
     monkeypatch.setattr(exact, "_MAX_ROUNDS", 1)
     with pytest.raises(ConvergenceError, match=message):
         solve_reach_exact(game, {"goal"})

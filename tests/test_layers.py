@@ -34,25 +34,44 @@ def _package_imports(module: str) -> set[str]:
     return found
 
 
+def _reaches(module: str) -> set[str]:
+    """The sgsolve modules that ``module`` imports directly or through other
+    package modules."""
+    seen: set[str] = set()
+    todo = [module]
+    while todo:
+        for name in _package_imports(todo.pop()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen - {module}
+
+
 def test_graph_kernel_imports_only_the_model():
-    assert _package_imports("graphs") <= {"model"}
+    assert _reaches("graphs") <= {"model"}
 
 
 def test_objectives_import_only_model_and_graphs():
-    assert _package_imports("objectives") <= {"model", "graphs"}
+    assert _reaches("objectives") <= {"model", "graphs"}
 
 
 def test_exact_imports_only_model_and_graphs():
-    assert _package_imports("exact") <= {"model", "graphs"}
+    assert _reaches("exact") <= {"model", "graphs"}
 
 
 def test_qualitative_layer_does_not_import_exact_values_or_strategies():
-    assert not _package_imports("winning") & {"exact", "values", "strategies"}
+    # Not even through another module: the peel takes the game it is given.
+    assert _reaches("winning") <= {"graphs", "model"}
+
+
+def test_transforms_reach_only_the_model():
+    # ``rvi`` and ``classify_transitions`` take values their caller solved.
+    assert _reaches("transforms") <= {"model"}
 
 
 def test_import_reader_sees_every_form():
     assert "winning" in _package_imports("strategies")  # from . import winning
     assert "exact" in _package_imports("oracle")  # from .exact import ...
+    assert "winning" in _reaches("oracle") - _package_imports("oracle")  # via values
 
 
 def test_model_imports_no_other_package_module():

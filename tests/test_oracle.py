@@ -20,7 +20,7 @@ from sgsolve import (
     value_safety,
 )
 from sgsolve import gallery
-from sgsolve.exact import reach_plus_values
+from sgsolve.exact import reach_plus_values, solve_reach_exact
 
 HALF = Fraction(1, 2)
 
@@ -125,4 +125,5 @@ def test_mdp_buchi_rejects_two_active_players():
 def test_oracle_reachplus_matches_reach_plus_values():
     for seed in range(300):
         g, t = random_game(seed, n=7)
-        assert md_enumeration_oracle(g, reach_plus(*t)).values == reach_plus_values(g, t), seed
+        values = solve_reach_exact(g, t)
+        assert md_enumeration_oracle(g, reach_plus(*t)).values == reach_plus_values(g, values), seed

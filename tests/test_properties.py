@@ -1,0 +1,69 @@
+"""Property tests over generated games.
+
+Hypothesis runs derandomized with a bounded number of examples, so the suite
+stays deterministic and quick; a failure prints its smallest game.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
+
+from sgsolve import Game, almost_sure_reach, md_enumeration_oracle, reach, rvi
+from sgsolve.exact import solve_reach_exact
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+
+
+@st.composite
+def games(draw, max_states: int, owned_width: int) -> tuple[Game, frozenset[str]]:
+    """A game of 3 to ``max_states`` states with no dead ends, exact weights
+    summing to one, and one or two targets.
+
+    Successor lists and targets are prefixes of drawn permutations: drawing
+    states one by one leans towards ``s0`` and mostly yields games whose
+    values are all 0 or 1.
+    """
+    n = draw(st.integers(3, max_states))
+    ids = [f"s{i}" for i in range(n)]
+    rows = []
+    for s in ids:
+        owner = draw(st.sampled_from(("max", "min", "rand")))
+        width = draw(st.integers(1, 3 if owner == "rand" else owned_width))
+        succs = draw(st.permutations(ids))[:width]
+        if owner == "rand":
+            raw = draw(st.lists(st.integers(1, 4), min_size=width, max_size=width))
+            rows.append((s, owner, succs, [Fraction(x, sum(raw)) for x in raw]))
+        else:
+            rows.append((s, owner, succs))
+    targets = draw(st.permutations(ids))[:draw(st.integers(1, 2))]
+    return Game.of(rows), frozenset(targets)
+
+
+# Eight states with two choices each make at most 256 MD pairs, far inside
+# ``oracle.PAIR_BOUND`` (the oracle refuses larger games).
+_ORACLE_SIZED = games(max_states=8, owned_width=2)
+
+
+@PROPERTY
+@given(_ORACLE_SIZED)
+def test_exact_reach_values_equal_the_enumeration_oracle(case):
+    game, targets = case
+    values = solve_reach_exact(game, targets)
+    # Steer the search towards games with values strictly inside (0, 1).
+    target(float(sum(0 < v < 1 for v in values.values())))
+    assert values == md_enumeration_oracle(game, reach(*targets)).values
+
+
+@PROPERTY
+@given(games(max_states=12, owned_width=3))
+def test_pruning_moves_peel_indices_never_the_partition(case):
+    game, targets = case
+    values = solve_reach_exact(game, targets)
+    value_one = {s for s in game.states if values[s] == 1}
+    pruned_game = rvi(game, values)
+    # Steer the search towards games where pruning removes many edges.
+    target(float(sum(len(game.succ[s]) - len(pruned_game.succ[s]) for s in game.states)))
+    plain = almost_sure_reach(game, targets)
+    pruned = almost_sure_reach(pruned_game, targets)
+    assert plain.max_wins == pruned.max_wins == value_one

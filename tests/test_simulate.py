@@ -22,7 +22,7 @@ from sgsolve import (
     sample_plays,
 )
 from sgsolve import gallery, simulate, value_reach_within
-from sgsolve.exact import reach_plus_values
+from sgsolve.exact import reach_plus_values, solve_reach_exact
 from sgsolve.objectives import ObjectiveKind
 from sgsolve.simulate import _as_transducer, _philox
 from sgsolve.strategies import MDStrategy
@@ -152,7 +152,7 @@ def test_strategy_pair_estimate_matches_game_value():
     fig2 = gallery.build_fig2(7)
     from sgsolve.exact import solve_reach_exact
 
-    exact = float(solve_reach_exact(fig2.game, fig2.targets).values["i"])
+    exact = float(solve_reach_exact(fig2.game, fig2.targets)["i"])
     est = sample_plays(
         fig2.game,
         "i",
@@ -375,5 +375,5 @@ def test_bounded_reach_play_absorbed_outside_the_target_is_lost():
 
 def test_reachplus_play_starting_in_an_absorbing_target_is_won():
     est = sample_plays(_ABSORBING, "t", reach_plus("t"), SimConfig(10, 20, 1))
-    assert reach_plus_values(_ABSORBING, {"t"})["t"] == 1
+    assert reach_plus_values(_ABSORBING, solve_reach_exact(_ABSORBING, {"t"}))["t"] == 1
     assert est.mean == 1.0 and est.decided_fraction == 1.0

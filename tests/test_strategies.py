@@ -33,7 +33,7 @@ HALF = Fraction(1, 2)
 
 
 def _strip_max_decreasing(game, targets):
-    values = solve_reach_exact(game, targets).values
+    values = solve_reach_exact(game, targets)
     succ = {
         s: (
             tuple(t for t in game.succ[s] if values[t] >= values[s])
@@ -66,17 +66,17 @@ def test_optimal_min_on_u_extension_takes_the_ladder():
 def test_optimal_min_re_solve_reproduces_values():
     for seed in range(30):
         g, t = random_game(seed)
-        values = solve_reach_exact(g, t).values
+        values = solve_reach_exact(g, t)
         residual = apply_md(g, optimal_min_md(g, t))
-        assert solve_reach_exact(residual, t).values == values
+        assert solve_reach_exact(residual, t) == values
 
 
 def test_optimal_max_re_solve_reproduces_values():
     for seed in range(30):
         g, t = random_game(seed)
-        values = solve_reach_exact(g, t).values
+        values = solve_reach_exact(g, t)
         residual = apply_md(g, optimal_max_md(g, t))
-        assert solve_reach_exact(residual, t).values == values
+        assert solve_reach_exact(residual, t) == values
 
 
 def test_rank_tiebreak_prefers_the_closer_preserving_successor():
@@ -128,10 +128,10 @@ def test_no_decrease_precondition_lists_offenders():
 def test_no_decrease_on_stripped_games_re_solves():
     for seed in range(30):
         g, t = random_game(seed)
-        values = solve_reach_exact(g, t).values
+        values = solve_reach_exact(g, t)
         residual = _strip_max_decreasing(g, t)
         strategy = optimal_max_md_no_decrease(residual, t)
-        assert solve_reach_exact(apply_md(residual, strategy), t).values == values
+        assert solve_reach_exact(apply_md(residual, strategy), t) == values
 
 
 def test_ladder_residual_strategy_wins_from_home():
@@ -140,14 +140,14 @@ def test_ladder_residual_strategy_wins_from_home():
     strategy = optimal_max_md_no_decrease(residual, built.targets)
     assert strategy.choice["home"] == "goal"
     fixed = apply_md(residual, strategy)
-    values = solve_reach_exact(fixed, built.targets).values
-    assert values == solve_reach_exact(built.game, built.targets).values
+    values = solve_reach_exact(fixed, built.targets)
+    assert values == solve_reach_exact(built.game, built.targets)
     assert values["home"] == 1
 
 
 def test_reachplus_on_absorbing_target_loop():
     g = Game.of([("t", "min", ("t",)), ("a", "max", ("t", "a"))])
-    vplus = reach_plus_values(g, {"t"})
+    vplus = reach_plus_values(g, solve_reach_exact(g, {"t"}))
     assert vplus["t"] == 1
     assert reachplus_min_md(g, {"t"}).choice["t"] == "t"
     g2 = Game.of([("t", "max", ("t",)), ("a", "min", ("t", "a"))])
@@ -157,7 +157,7 @@ def test_reachplus_on_absorbing_target_loop():
 def test_reachplus_min_exits_the_accepting_ladder():
     fig2 = gallery.build_fig2(9)
     strategy = reachplus_min_md(fig2.game, fig2.buchi)
-    vplus = reach_plus_values(fig2.game, fig2.buchi)
+    vplus = reach_plus_values(fig2.game, solve_reach_exact(fig2.game, fig2.buchi))
     for i in range(1, 7):
         assert vplus[f"sp{i}"] == Fraction(1, 2**i)
         assert strategy.choice[f"sp{i}"] == f"rp{i}"
@@ -167,19 +167,19 @@ def test_reachplus_re_solve_certificates():
     applicable = 0
     for seed in range(40):
         g, t = random_game(seed)
-        values = solve_reach_exact(g, t).values
-        vplus = reach_plus_values(g, t, values)
+        values = solve_reach_exact(g, t)
+        vplus = reach_plus_values(g, values)
         residual = apply_md(g, reachplus_min_md(g, t))
-        resolved = solve_reach_exact(residual, t).values
-        assert reach_plus_values(residual, t, resolved) == vplus
+        resolved = solve_reach_exact(residual, t)
+        assert reach_plus_values(residual, resolved) == vplus
         try:
             strategy = reachplus_max_md(g, t)
         except ValueDecreaseError:
             continue
         applicable += 1
         residual = apply_md(g, strategy)
-        resolved = solve_reach_exact(residual, t).values
-        assert reach_plus_values(residual, t, resolved) == vplus
+        resolved = solve_reach_exact(residual, t)
+        assert reach_plus_values(residual, resolved) == vplus
     assert applicable > 10
 
 
@@ -242,7 +242,7 @@ def test_threshold_below_value_minimizer_wins():
     assert verdict.winner == "min"
     assert verdict.reason == "value<c"
     residual = apply_md(fig2.game, verdict.strategy)
-    assert solve_reach_exact(residual, fig2.targets).values["r3"] == Fraction(7, 8)
+    assert solve_reach_exact(residual, fig2.targets)["r3"] == Fraction(7, 8)
 
 
 def test_threshold_strictly_positive_maximizer_wins():
@@ -250,7 +250,7 @@ def test_threshold_strictly_positive_maximizer_wins():
     verdict = threshold_decide(fig2.game, fig2.targets, Fraction(0), True, "s0")
     assert verdict.winner == "max"
     residual = apply_md(fig2.game, verdict.strategy)
-    assert solve_reach_exact(residual, fig2.targets).values["s0"] > 0
+    assert solve_reach_exact(residual, fig2.targets)["s0"] > 0
 
 
 def test_threshold_one_on_ladder_guard_state():
@@ -258,7 +258,7 @@ def test_threshold_one_on_ladder_guard_state():
     verdict = threshold_decide(built.game, built.targets, Fraction(1), False, "q1")
     assert verdict.winner == "min"
     residual = apply_md(built.game, verdict.strategy)
-    assert solve_reach_exact(residual, built.targets).values["q1"] < 1
+    assert solve_reach_exact(residual, built.targets)["q1"] < 1
 
 
 def test_threshold_case_tags_at_the_value():
@@ -287,7 +287,7 @@ def test_threshold_case_two_uses_the_residual_game():
     verdict = threshold_decide(g, {"t"}, HALF, False, "a")
     assert (verdict.winner, verdict.reason) == ("max", "case-2")
     residual = apply_md(g, verdict.strategy)
-    assert solve_reach_exact(residual, {"t"}).values["a"] == HALF
+    assert solve_reach_exact(residual, {"t"})["a"] == HALF
 
 
 def test_threshold_case_three_at_one():
@@ -302,7 +302,7 @@ def test_threshold_case_three_at_one():
     verdict = threshold_decide(g, {"t"}, Fraction(1), False, "a")
     assert (verdict.winner, verdict.reason) == ("max", "case-3")
     residual = apply_md(g, verdict.strategy)
-    assert solve_reach_exact(residual, {"t"}).values["a"] == 1
+    assert solve_reach_exact(residual, {"t"})["a"] == 1
 
 
 def test_threshold_out_of_scope_corner():
@@ -330,7 +330,7 @@ def test_threshold_out_of_scope_corner():
 def test_threshold_verdicts_hold_up_on_random_games():
     for seed in range(25):
         g, t = random_game(seed, n=6)
-        values = solve_reach_exact(g, t).values
+        values = solve_reach_exact(g, t)
         start = g.states[seed % len(g.states)]
         for c, strict in ((values[start], False), (values[start], True),
                           (HALF, False), (Fraction(1), False)):
@@ -339,7 +339,7 @@ def test_threshold_verdicts_hold_up_on_random_games():
                 assert not strict and 0 < c < 1
                 continue
             residual = apply_md(g, verdict.strategy)
-            achieved = solve_reach_exact(residual, t).values[start]
+            achieved = solve_reach_exact(residual, t)[start]
             if verdict.winner == "max":
                 assert achieved > c if strict else achieved >= c
             else:
@@ -396,6 +396,10 @@ def test_strategy_validation_errors():
      "line 5: malformed rational '1/0': expected p or p/q with q >= 1"),
     ("strategy max transducer\ninitial m\nmode m\nchoose m a b 0.5\n",
      "line 4: malformed rational '0.5': expected p or p/q with q >= 1"),
+    ("# sigma\nstrategy foo md\nchoose a a\n",
+     "line 2: a strategy belongs to max or min, not 'foo'"),
+    ("strategy rand md\nchoose a a\n", "line 1: a strategy belongs to max or min, not 'rand'"),
+    ("\n# header below\n\nstrategy max foo\n", "line 4: unknown strategy form 'foo'"),
 ])
 def test_strategy_file_errors_name_their_line(text, message):
     with pytest.raises(ValueError) as err:

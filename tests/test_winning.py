@@ -12,14 +12,17 @@ from sgsolve import (
     almost_sure_reach,
     almost_sure_safety,
     buchi,
+    format_game,
     md_enumeration_oracle,
     positive_reach_set,
+    rvi,
     swap_roles,
     value_buchi,
     value_reach,
     value_safety,
 )
 from sgsolve import gallery
+from sgsolve.cli import main
 from sgsolve.exact import bellman_combine, solve_reach_exact
 from sgsolve.winning import _patched_subgame, buchi_peel
 
@@ -196,17 +199,39 @@ def test_target_subset_is_checked():
         positive_reach_set(g, {"nope"})
 
 
+def _rvi_matters_game():
+    g, _ = random_game(157, n=22, max_branch=3, owned_branch=3, max_targets=3)
+    return g
+
+
+# The peel's indices on that game once the minimizer's value-increasing
+# edges are gone, as ``winning-set`` reports them.
+_RVI_INDICES = [1, 3, 0, 2, 2, 0, 0, 3, 3, 1, None, 2, 2, 0, 1, 0, 1, 2, 1, 1, 0, 2]
+
+
 def test_almost_sure_reach_indices_pinned_on_a_game_where_rvi_matters():
     # Without the minimizer's value-increasing edges removed first, the peel
     # on this game ends after two rounds and s1 leaves in round 2.  The
-    # transformation is part of what the indices mean, so it stays.
-    g, _ = random_game(157, n=22, max_branch=3, owned_branch=3, max_targets=3)
-    part = almost_sure_reach(g, {"s10"})
+    # transformation is part of what the indices mean, so ``winning-set``
+    # applies it before the peel.
+    g = _rvi_matters_game()
+    plain = almost_sure_reach(g, {"s10"})
+    assert plain.rounds == 2 and plain.index["s1"] == 2
+    part = almost_sure_reach(rvi(g, solve_reach_exact(g, {"s10"})), {"s10"})
+    assert part.max_wins == plain.max_wins
     assert part.rounds == 3
     assert part.index["s1"] == 3
-    assert [part.index[s] for s in g.states] == [
-        1, 3, 0, 2, 2, 0, 0, 3, 3, 1, None, 2, 2, 0, 1, 0, 1, 2, 1, 1, 0, 2,
-    ]
+    assert [part.index[s] for s in g.states] == _RVI_INDICES
+
+
+def test_winning_set_command_pins_the_rvi_indices(tmp_path, capsys):
+    g = _rvi_matters_game()
+    path = tmp_path / "g157.game"
+    path.write_text(format_game(g, ["s10"]))
+    assert main(["winning-set", str(path)]) == 0
+    expected = [f"state {s} {'max' if i is None else 'min'} index {'bot' if i is None else i}"
+                for s, i in zip(g.states, _RVI_INDICES)]
+    assert capsys.readouterr().out.splitlines() == expected + ["rounds 3"]
 
 
 def _removal_closure(game, alive, seeds):
@@ -249,7 +274,7 @@ def test_buchi_peel_seeds_are_the_states_with_exact_revisit_value_below_one():
             if not alive:
                 break
             sub = _patched_subgame(game, alive)
-            vals = solve_reach_exact(sub, alive & buchi_set).values
+            vals = solve_reach_exact(sub, alive & buchi_set)
             seeds = {s for s in alive if bellman_combine(sub, vals, s) < 1}
             removed = {s for s in alive if index[s] == k}
             assert removed == _removal_closure(game, alive, seeds), (buchi_set, k)
