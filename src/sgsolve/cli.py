@@ -12,6 +12,7 @@ with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -287,7 +288,10 @@ def _cmd_decide(args) -> int:
     return 2 if verdict.winner == "out-of-scope" else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and it writes its messages to the ``sys.stderr`` of the call."""
     parser = argparse.ArgumentParser(
         prog="sgsolve",
         description="Solve turn-based 2.5-player stochastic games.",

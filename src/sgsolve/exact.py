@@ -21,6 +21,16 @@ are then a full Bellman fixpoint, hence at least the game value (the least
 fixpoint), and they are realized against the actual minimizer, hence at most
 it.  Tie-breaks keep the incumbent choice and prefer earlier successors, so
 results are deterministic.
+
+Evaluations are incremental.  Each best response starts from the previous
+one's minimizer choices (re-pinned for the new maximizer policy), which is
+sound from any start: under every minimizer policy each state of the
+positive attractor keeps a path to the target, so those states are
+transient, the induced chain has a unique solution, and strictly improving
+switches descend to the same pinned fixpoint.  Each chain solve, in turn,
+re-solves only the states that can reach a switched choice along the new
+chain's edges: the sub-chain any other state can reach is the one it had
+before, so its unique solution there is unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ ONE = Fraction(1)
 # Generous global guard: improvement is strictly monotone, so hitting this
 # bound means a broken improvement step rather than a hard instance.
 _MAX_ROUNDS = 100_000
+
+# An induced Markov chain: the owned states' moves and their reach values.
+Chain = tuple[dict[str, str], dict[str, Fraction]]
 
 
 class ConvergenceError(SgsolveError, RuntimeError):
@@ -89,7 +102,8 @@ def can_reach(game: Game, targets: set[str], choice: dict[str, str] | None = Non
     return attractor(game, targets, tuple(Owner), choice=choice)
 
 
-def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str]) -> dict[str, Fraction]:
+def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
+                       previous: Chain | None = None) -> dict[str, Fraction]:
     """Exact reach probabilities when both players' moves are fixed.
 
     ``choice`` must cover every owned state.  States that cannot reach the
@@ -97,13 +111,26 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str]) ->
     states form a linear system with a unique solution, solved one strongly
     connected block at a time in the order Tarjan emits them (successors
     first), each block in declaration order.
+
+    ``previous`` is an earlier chain of the same game and targets, as its
+    ``(choice, values)`` pair.  Only the states that can reach a switched
+    choice along this chain's edges are solved again; every other state
+    keeps its previous value, since the sub-chain it can reach is unchanged.
     """
     relevant = can_reach(game, targets, choice)
-    values = {s: ZERO for s in game.states}
+    if previous is None:
+        affected = game.owner
+        values = {s: ZERO for s in game.states}
+    else:
+        old_choice, old_values = previous
+        values = dict(old_values)
+        affected = can_reach(game, {s for s, t in choice.items() if old_choice[s] != t}, choice)
+        for s in affected:
+            values[s] = ZERO
     for t in targets:
         if t in game.owner:
             values[t] = ONE
-    unknowns = [s for s in game.states if s in relevant and s not in targets]
+    unknowns = [s for s in game.states if s in affected and s in relevant and s not in targets]
     position = {s: i for i, s in enumerate(unknowns)}
     moves = {s: _choice_successors(game, choice, s) for s in unknowns}
     blocks = strongly_connected_components(unknowns, lambda s: [t for t, _ in moves[s]])
@@ -137,12 +164,24 @@ def positive_attractor(game: Game, targets: set[str],
     return attractor(game, targets, (Owner.MAX, Owner.RANDOM), choice=sigma)
 
 
-def min_best_response(game: Game, targets: set[str], sigma: dict[str, str]) -> dict[str, Fraction]:
-    """Values of the exact minimizer best response to a fixed maximizer policy.
+def min_best_response(game: Game, targets: set[str], sigma: dict[str, str],
+                      previous: Chain | None = None) -> Chain:
+    """The chain of the exact minimizer best response to a fixed maximizer
+    policy, as its ``(choice, values)`` pair.
 
     Inside the avoidance region (no positive reach against this maximizer)
     the minimizer is pinned to a move that stays there; outside it, strictly
     improving one-step switches iterate to the unique pinned fixpoint.
+
+    ``previous`` is the chain of an earlier call on the same game and
+    targets.  Its minimizer choices are the starting policy wherever they
+    are not re-pinned, and each evaluation re-solves only what changed since
+    the one before.  Any start works: under every minimizer policy each
+    state of the positive attractor keeps a path to the target (a maximizer
+    state along ``sigma``, a random state through some successor, a
+    minimizer state through all of them), so those states are transient,
+    the chain has one solution, and improvement runs down to the same
+    fixpoint from wherever it starts.
     """
     attractor = positive_attractor(game, targets, sigma)
     pi: dict[str, str] = {}
@@ -150,16 +189,18 @@ def min_best_response(game: Game, targets: set[str], sigma: dict[str, str]) -> d
     for s in game.states:
         if game.owner[s] is not Owner.MIN:
             continue
+        start = game.succ[s][0] if previous is None else previous[0][s]
         if s not in attractor:
             # Some successor stays out of the attractor, else s would be in it.
-            pi[s] = next(t for t in game.succ[s] if t not in attractor)
+            if start in attractor:
+                start = next(t for t in game.succ[s] if t not in attractor)
             frozen.add(s)
-        else:
-            pi[s] = game.succ[s][0]
+        pi[s] = start
     for _ in range(_MAX_ROUNDS):
         choice = dict(sigma)
         choice.update(pi)
-        values = chain_reach_values(game, choice, targets)
+        values = chain_reach_values(game, choice, targets, previous)
+        previous = choice, values
         improved = False
         for s in game.states:
             if game.owner[s] is not Owner.MIN or s in frozen or s in targets:
@@ -169,7 +210,7 @@ def min_best_response(game: Game, targets: set[str], sigma: dict[str, str]) -> d
                 pi[s] = best
                 improved = True
         if not improved:
-            return values
+            return previous
     raise ConvergenceError("minimizer policy iteration did not converge")
 
 
@@ -180,17 +221,19 @@ def solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
     to a strictly better successor under the current evaluation, re-evaluate,
     stop when no switch is left.  The evaluation sequence is strictly
     increasing, so the loop terminates, and a switch-free policy realizes a
-    Bellman fixpoint that is squeezed onto the game value.
+    Bellman fixpoint that is squeezed onto the game value.  Each best
+    response starts from the previous round's chain.
     """
     targets = check_targets(game, targets)
     sigma = {s: game.succ[s][0] for s in game.states if game.owner[s] is Owner.MAX}
-    previous: dict[str, Fraction] | None = None
+    chain: Chain | None = None
     for _ in range(_MAX_ROUNDS):
-        values = min_best_response(game, targets, sigma)
+        previous = chain
+        chain = min_best_response(game, targets, sigma, previous)
+        values = chain[1]
         if previous is not None:
-            if any(values[s] < previous[s] for s in game.states):
+            if any(values[s] < previous[1][s] for s in game.states):
                 raise ConvergenceError("improvement cycle")
-        previous = values
         improved = False
         for s in game.states:
             if game.owner[s] is not Owner.MAX or s in targets:

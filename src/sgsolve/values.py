@@ -9,6 +9,8 @@ so the upper sequence cannot stall above the value.  The sweeps run on numpy
 arrays over an indexed copy of the game; the end-component decomposition is
 recomputed only when the minimizer's lower-optimal edges change.  The
 reported error bound is the final gap, which is sound in supremum norm.
+Bounded-reach values are exact Bellman steps from the target indicator, each
+recomputing only the predecessors of the states the step before changed.
 
 Values of countable games are certified by interval pairs computed on a
 pessimistic and an optimistic truncation of the same depth.
@@ -16,8 +18,10 @@ pessimistic and an optimistic truncation of the same depth.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import winning
 from .exact import ConvergenceError, bellman_combine, can_reach, solve_reach_exact
@@ -98,10 +102,8 @@ def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
     """Exact values of reaching the target within ``steps`` steps."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    targets = set(targets)
-    v = {s: Fraction(1 if s in targets else 0) for s in game.states}
-    for _ in range(steps):
-        v = bellman_step(game, targets, v)
+    for v in islice(_bounded_reach(game, targets), steps + 1):
+        pass
     return ValueVector(v)
 
 
@@ -113,14 +115,31 @@ def epsilon_horizon(game: Game, targets, state: str, eps) -> int:
         raise ValueError("eps must be positive")
     if eps >= 1:
         return 0
-    targets = set(targets)
     goal = solve_reach_exact(game, targets)[state] - eps
+    # The sequence ends only at a fixpoint, which is the value itself.
+    return next(h for h, v in enumerate(_bounded_reach(game, targets)) if v[state] > goal)
+
+
+def _bounded_reach(game: Game, targets) -> Iterator[dict[str, Fraction]]:
+    """The bounded-reach vectors ``v_0, v_1, ...`` (``v_k`` is what ``k``
+    applications of :func:`bellman_step` make of the target indicator), as
+    one dict updated in place; ends once a step changes nothing.
+
+    A state's value can change at step ``k + 1`` only if a successor's
+    changed at step ``k`` (at step 1: only if a successor is a target), so
+    each step recomputes just the predecessors of the last changes.
+    """
+    targets = set(targets)
     v = {s: Fraction(1 if s in targets else 0) for s in game.states}
-    horizon = 0
-    while v[state] <= goal:
-        v = bellman_step(game, targets, v)
-        horizon += 1
-    return horizon
+    preds = game.predecessors
+    changed = [t for t in targets if t in v]
+    while changed:
+        yield v
+        frontier = {p for t in changed for p in preds[t] if p not in targets}
+        step = {s: bellman_combine(game, v, s) for s in frontier}
+        changed = [s for s, x in step.items() if x != v[s]]
+        v.update(step)
+    yield v
 
 
 def value_buchi(game: Game, buchi_set, mode: str = "exact", tol=None) -> ValueVector:

@@ -1,6 +1,10 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import random_game
@@ -473,3 +477,26 @@ def test_winning_set_buchi_and_safety_match_the_library(tmp_path, capsys, object
         expected = [f"state {s} {'max' if s in part.max_wins else 'min'} index "
                     f"{'bot' if part.index[s] is None else part.index[s]}" for s in game.states]
         assert capsys.readouterr().out.splitlines() == expected + [f"rounds {part.rounds}"]
+
+
+def test_one_parser_serves_every_call_of_a_process(ladder_file, capsys, monkeypatch):
+    # The parser is built once per process; a call that errors, in argparse
+    # or in the solver, must leave nothing behind for the calls after it.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["solve", ladder_file, "--nosuch-flag"],
+        ["solve", ladder_file, "--target", "nosuch"],
+        ["solve", ladder_file, "--target", "goal"],
+        ["winning-set", ladder_file, "--target", "goal"],
+        ["decide", ladder_file, "--target", "goal", "--threshold", "1/2", "--from", "q1"],
+    ]
+    src = str(Path(sgsolve.cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    alone = [subprocess.run([sys.executable, "-m", "sgsolve", *argv], capture_output=True,
+                            text=True, env=env) for argv in calls]
+    assert [p.returncode for p in alone] == [1, 1, 0, 0, 0]
+    for argv, proc in zip(calls, alone):
+        code = main(argv)
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert sgsolve.cli._build_parser() is sgsolve.cli._build_parser()

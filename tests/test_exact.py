@@ -11,7 +11,8 @@ from conftest import random_game, ruin_probability
 
 from sgsolve import Game, Owner, gallery
 from sgsolve import exact
-from sgsolve.exact import ConvergenceError, chain_reach_values, gauss_solve, solve_reach_exact
+from sgsolve.exact import (ConvergenceError, chain_reach_values, gauss_solve, min_best_response,
+                           solve_reach_exact)
 
 
 def _dense_reach(game: Game, choice: dict[str, str], targets) -> dict[str, Fraction]:
@@ -68,6 +69,54 @@ def test_block_solve_matches_a_dense_reference_on_random_chains():
             assert list(got.items()) == list(_dense_reach(game, choice, targets).items())
             checked += 1
     assert checked == 640
+
+
+def _switch(rng: random.Random, game: Game, choice: dict[str, str], count: int) -> dict[str, str]:
+    """``choice`` with ``count`` owned states (of those that have a second
+    successor) switched to another successor."""
+    choice = dict(choice)
+    free = [s for s in choice if len(game.succ[s]) > 1]
+    for s in rng.sample(free, min(count, len(free))):
+        choice[s] = rng.choice([t for t in game.succ[s] if t != choice[s]])
+    return choice
+
+
+def test_block_reuse_matches_a_dense_reference_after_switched_choices():
+    # The dense reference's 640 pairs, each re-solved from its chain after
+    # one switched choice, then from that chain after several more.
+    rng = random.Random(2024)
+    checked = 0
+    for seed in range(320):
+        game, targets = random_game(seed, n=4 + seed % 22, owned_branch=2 + seed % 2,
+                                    max_targets=3)
+        for _ in range(2):
+            choice = {s: rng.choice(game.succ[s]) for s in game.states
+                      if game.owner[s] is not Owner.RANDOM}
+            chain = choice, chain_reach_values(game, choice, set(targets))
+            for count in (1, rng.randint(2, 5)):
+                switched = _switch(rng, game, chain[0], count)
+                got = chain_reach_values(game, switched, set(targets), chain)
+                assert list(got.items()) == list(_dense_reach(game, switched, targets).items())
+                checked += switched != chain[0]
+                chain = switched, got
+    assert checked > 1000
+
+
+def test_best_response_does_not_depend_on_its_start():
+    # Any earlier chain, whatever its minimizer choices (inside the positive
+    # attractor or not), leads to the values of a cold start.
+    rng = random.Random(7)
+    for seed in range(200):
+        game, targets = random_game(seed, n=4 + seed % 18, owned_branch=3, max_targets=2)
+        targets = set(targets)
+        owned = [s for s in game.states if game.owner[s] is not Owner.RANDOM]
+        sigma = {s: rng.choice(game.succ[s]) for s in owned if game.owner[s] is Owner.MAX}
+        cold = min_best_response(game, targets, sigma)
+        start = {s: rng.choice(game.succ[s]) for s in owned}
+        warm = min_best_response(game, targets, sigma,
+                                 (start, chain_reach_values(game, start, targets)))
+        assert warm[1] == cold[1]
+        assert chain_reach_values(game, warm[0], targets) == cold[1]
 
 
 def test_ruin_at_cap_400_matches_the_closed_form():

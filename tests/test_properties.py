@@ -9,7 +9,8 @@ from fractions import Fraction
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from sgsolve import Game, almost_sure_reach, md_enumeration_oracle, reach, rvi
+from sgsolve import (Game, almost_sure_reach, bellman_step, gallery, md_enumeration_oracle, reach,
+                     rvi, value_reach_within)
 from sgsolve.exact import solve_reach_exact
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -67,3 +68,21 @@ def test_pruning_moves_peel_indices_never_the_partition(case):
     plain = almost_sure_reach(game, targets)
     pruned = almost_sure_reach(pruned_game, targets)
     assert plain.max_wins == pruned.max_wins == value_one
+
+
+_GALLERY = [(built.game, frozenset(built.targets)) for built in (
+    gallery.build_fig2(6), gallery.build_fig2_with_u(5), gallery.build_ladder(4),
+    gallery.build_gamblers_ruin(Fraction(2, 5), 7),
+)]
+
+
+@PROPERTY
+@given(st.one_of(games(max_states=12, owned_width=3), st.sampled_from(_GALLERY)))
+def test_bounded_reach_equals_repeated_bellman_steps(case):
+    game, targets = case
+    v = {s: Fraction(int(s in targets)) for s in game.states}
+    # Steer the search towards games whose values keep moving for long.
+    target(float(sum(value_reach_within(game, targets, 12)[s] != v[s] for s in game.states)))
+    for steps in range(13):
+        assert list(value_reach_within(game, targets, steps).values.items()) == list(v.items())
+        v = bellman_step(game, targets, v)
