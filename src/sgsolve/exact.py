@@ -5,8 +5,10 @@ a finite Markov chain.  The chain's unknowns are split into strongly
 connected blocks and solved one block at a time, successors first, by sparse
 elimination over ``Fraction`` with the values already known outside the
 block on the right-hand side (topological solving, as in Storm: Dehnert et
-al., CAV 2017).  Optimal values come from strategy iteration over maximizer
-policies, each evaluated by an exact minimizer best response.
+al., CAV 2017); a one-state block needs no elimination, only a division by
+one minus its self-loop weight.  Optimal values come from strategy
+iteration over maximizer policies, each evaluated by an exact minimizer best
+response.
 
 The minimizer best response needs one guard: inside the region where the
 minimizer can avoid the target outright (the complement of the positive
@@ -152,7 +154,9 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
                     row[j] = row.get(j, ZERO) - w
             rows.append(row)
             rhs.append(b)
-        for s, v in zip(block, gauss_solve(rows, rhs)):
+        # A single state's row is its one equation: (1 - self-loop) x = b.
+        solved = [rhs[0] / rows[0][0]] if len(block) == 1 else gauss_solve(rows, rhs)
+        for s, v in zip(block, solved):
             values[s] = v
     return values
 

@@ -22,11 +22,16 @@ Since each play owns its stream, the result depends on neither that number
 nor the order of the plays: it is bit-identical across runs and could be
 merged from parallel workers in sample-index order.
 
-Per-play verdicts follow the objectives module with a horizon cutoff.  Plays
-whose tail objective is still undecided at the horizon are scored by whether
-the target was visited within the trailing window; the share of properly
-decided plays is reported so callers can tell how much of the estimate rests
-on the window heuristic.
+Per-play verdicts come from per-state tables (``_verdict_codes``), not from
+``objectives.decided``: a play is decided when it visits a target under a
+reach, reachplus (after step 0) or safety objective, at step ``N`` of
+``reach<=N``, or when it enters an absorbing state, whose target flag then
+decides.  A play still undecided at the horizon counts as lost for reach and
+won for safety; a Buchi or co-Buchi play is scored by whether the target was
+visited within the trailing window.  The share of plays decided within the
+horizon is reported, so callers can tell how much of the estimate rests on
+the cutoff.  It can be lower than the share whose prefix
+``objectives.decided`` would already call decided.
 """
 
 from __future__ import annotations

@@ -6,9 +6,13 @@ target indicator, the upper sequence descends from one on the states that can
 reach the target at all (everything else is exactly zero), and end components
 without target states are periodically deflated to their best maximizer exit
 so the upper sequence cannot stall above the value.  The sweeps run on numpy
-arrays over an indexed copy of the game; the end-component decomposition is
-recomputed only when the minimizer's lower-optimal edges change.  The
-reported error bound is the final gap, which is sound in supremum norm.
+arrays over an indexed copy of the game, with both sequences in one flat
+vector (lower half, then upper half) that each sweep updates in place; the
+end-component decomposition is recomputed only when the minimizer's
+lower-optimal edges change.  The reported error bound is the final gap.  It
+is sound in supremum norm in real arithmetic; the sweeps round to nearest,
+so the returned floats can miss it by a few ulps.  Sound floats need
+directed rounding, the lower half rounded down and the upper half up.
 Bounded-reach values are exact Bellman steps from the target indicator, each
 recomputing only the predecessors of the states the step before changed.
 
@@ -38,7 +42,8 @@ class ValueVector:
     """Per-state values in [0, 1].
 
     ``error_bound`` is ``None`` for exact rational vectors; otherwise it is a
-    sound supremum-norm bound on the distance to the true value vector.
+    supremum-norm bound on the distance to the true value vector, sound in
+    real arithmetic (the floats may miss it by a few ulps).
     """
 
     values: dict[str, Fraction] | dict[str, float]
@@ -207,10 +212,15 @@ def interval_values(
 class _FloatCore:
     """A game indexed for float sweeps, built once per iteration.
 
-    States are numbered in declaration order.  The live states (not a target,
-    able to reach one) are split by owner; each owner has one successor-column
-    matrix, a row per state, padded to the widest row: maximizer and minimizer
-    rows with their first successor, random rows with weight ``0.0``.
+    States are numbered in declaration order, and both bounds live in one
+    flat vector of length ``2n``: the lower bound at ``[0, n)`` and the upper
+    bound at ``[n, 2n)``.  The live states (not a target, able to reach one)
+    are split by owner; each owner has one successor-column matrix, a row per
+    state and bound, padded to the widest row: maximizer and minimizer rows
+    with their first successor, random rows with weight ``0.0``.  The upper
+    rows are the lower ones shifted by ``n``, so one gather, reduce and
+    scatter per owner sweeps both bounds.  Directed rounding fits the same
+    layout: the lower half would round down and the upper half up.
     """
 
     def __init__(self, game: Game, targets: set[str], reachable: set[str]):
@@ -218,6 +228,7 @@ class _FloatCore:
 
         self.game, self.targets, self.reachable = game, targets, reachable
         self.index = index = {s: i for i, s in enumerate(game.states)}
+        n = len(game.states)
 
         def rows(group: list[str]):
             width = max((len(game.succ[s]) for s in group), default=1)
@@ -227,39 +238,48 @@ class _FloatCore:
                 cols[row] = succ + succ[:1] * (width - len(succ))
             return np.array([index[s] for s in group], dtype=np.intp), cols
 
+        def both(at, cols):
+            return np.concatenate((at, at + n)), np.concatenate((cols, cols + n))
+
         live = {o: [s for s in game.states
                     if game.owner[s] is o and s in reachable and s not in targets]
                 for o in Owner}
-        self.max_at, self.max_cols = rows(live[Owner.MAX])
-        self.min_at, self.min_cols = rows(live[Owner.MIN])
-        self.rand_at, rand_cols = rows(live[Owner.RANDOM])
+        self.max_at, self.max_cols = both(*rows(live[Owner.MAX]))
+        self.min_at, self.min_cols = both(*rows(live[Owner.MIN]))
+        self.rand_at, rand_cols = both(*rows(live[Owner.RANDOM]))
         weights = np.zeros(rand_cols.shape)
-        for row, s in enumerate(live[Owner.RANDOM]):
+        for row, s in enumerate(live[Owner.RANDOM] * 2):
             weights[row, :len(game.prob[s])] = [float(w) for w in game.prob[s]]
-        self.rand_terms = [(weights[:, j].copy(), rand_cols[:, j].copy())
-                           for j in range(rand_cols.shape[1])]
+        terms = rand_cols.shape[1] if len(self.rand_at) else 0
+        self.rand_terms = [(weights[:, j].copy(), rand_cols[:, j].copy()) for j in range(terms)]
         # Every reachable minimizer state, targets included: its lower-optimal
         # edges are the ones the end-component decomposition depends on.
         _, self.guards = rows([s for s in game.states
                                if game.owner[s] is Owner.MIN and s in reachable])
 
-    def sweep(self, v):
-        """One Bellman sweep; targets and states that cannot reach one keep
-        their entries."""
-        import numpy as np
-
-        out = v.copy()
-        out[self.max_at] = v[self.max_cols].max(axis=1)
-        out[self.min_at] = v[self.min_cols].min(axis=1)
-        # Added column by column from zero, the order of a Python ``sum`` over
-        # the successor list, so every float is the one that loop gives.  A
-        # row reduction (``np.sum``, ``reduceat``, a matrix product) may
-        # reorder the adds or fuse them, and then the last bits differ.
-        acc = np.zeros(len(self.rand_at))
-        for w, cols in self.rand_terms:
-            acc += w * v[cols]
-        out[self.rand_at] = acc
-        return out
+    def sweep(self, v) -> None:
+        """One Bellman sweep of both bounds, in place.  Every new entry is
+        computed from the old ``v`` before any is written (a Jacobi sweep);
+        targets and states that cannot reach one keep their entries."""
+        new = []
+        if len(self.max_at):
+            new.append((self.max_at, v[self.max_cols].max(axis=1)))
+        if len(self.min_at):
+            new.append((self.min_at, v[self.min_cols].min(axis=1)))
+        if self.rand_terms:
+            # Added column by column in successor order, the order of a
+            # Python ``sum`` over the successor list, so every float is the
+            # one that loop gives (its leading ``0.0 +`` changes no term,
+            # all being non-negative).  A row reduction (``np.sum``,
+            # ``reduceat``, a matrix product) may reorder the adds or fuse
+            # them, and then the last bits differ.
+            (w, cols), *rest = self.rand_terms
+            acc = w * v[cols]
+            for w, cols in rest:
+                acc += w * v[cols]
+            new.append((self.rand_at, acc))
+        for at, x in new:
+            v[at] = x
 
 
 def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str, float], float]:
@@ -267,17 +287,17 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str,
 
     reachable = can_reach(game, targets)
     core = _FloatCore(game, targets, reachable)
-    lower = np.zeros(len(game.states))
+    n = len(game.states)
+    v = np.zeros(2 * n)
+    lower, upper = v[:n], v[n:]
     lower[[core.index[s] for s in targets]] = 1.0
-    upper = np.zeros(len(game.states))
     upper[[core.index[s] for s in reachable]] = 1.0
     found = None
     for sweep_no in range(1, _MAX_SWEEPS + 1):
-        lower = core.sweep(lower)
-        upper = core.sweep(upper)
+        core.sweep(v)
         if sweep_no % _DEFLATE_EVERY == 0:
             found = _deflate(core, lower, upper, found)
-        gap = float(np.max(upper - lower))
+        gap = float((upper - lower).max())
         if gap <= tol:
             return dict(zip(game.states, lower.tolist())), gap
     raise ConvergenceError("interval iteration did not converge")
@@ -293,10 +313,12 @@ def _deflate(core: _FloatCore, lower, upper, found):
     optimal for the current lower bound so the components found shrink onto
     the ones the minimizer would actually defend.
 
-    ``found`` is what the previous call returned (``None`` on the first):
-    the narrowed edges as a key, and the members and maximizer exits of each
-    target-free component.  The decomposition depends on the lower bound
-    only through those edges, so it is recomputed only when they change.
+    ``lower`` and ``upper`` are the two halves of the iteration vector, as
+    views; ``upper`` is capped in place.  ``found`` is what the previous
+    call returned (``None`` on the first): the narrowed edges as a key, and
+    the members and maximizer exits of each target-free component.  The
+    decomposition depends on the lower bound only through those edges, so
+    it is recomputed only when they change.
     """
     import numpy as np
 

@@ -11,8 +11,9 @@ from conftest import random_game, ruin_probability
 
 from sgsolve import Game, Owner, gallery
 from sgsolve import exact
-from sgsolve.exact import (ConvergenceError, chain_reach_values, gauss_solve, min_best_response,
-                           solve_reach_exact)
+from sgsolve.exact import (ConvergenceError, can_reach, chain_reach_values, gauss_solve,
+                           min_best_response, solve_reach_exact)
+from sgsolve.graphs import strongly_connected_components
 
 
 def _dense_reach(game: Game, choice: dict[str, str], targets) -> dict[str, Fraction]:
@@ -56,9 +57,21 @@ def _dense_reach(game: Game, choice: dict[str, str], targets) -> dict[str, Fract
     return values
 
 
+def _single_state_blocks(game: Game, choice: dict[str, str], targets) -> list[tuple[str, bool]]:
+    """The one-state blocks of the induced chain's unknowns, each with
+    whether it has a self-loop."""
+    moves = {s: game.succ[s] if game.owner[s] is Owner.RANDOM else (choice[s],)
+             for s in game.states}
+    unknowns = [s for s in can_reach(game, set(targets), choice) if s not in targets]
+    blocks = strongly_connected_components(
+        unknowns, lambda s: [t for t in moves[s] if t in unknowns])
+    return [(b[0], b[0] in moves[b[0]]) for b in blocks if len(b) == 1]
+
+
 def test_block_solve_matches_a_dense_reference_on_random_chains():
     rng = random.Random(2024)
     checked = 0
+    singles = {True: 0, False: 0}
     for seed in range(320):
         game, targets = random_game(seed, n=4 + seed % 22, owned_branch=2 + seed % 2,
                                     max_targets=3)
@@ -68,7 +81,26 @@ def test_block_solve_matches_a_dense_reference_on_random_chains():
             got = chain_reach_values(game, choice, set(targets))
             assert list(got.items()) == list(_dense_reach(game, choice, targets).items())
             checked += 1
+            for _, loop in _single_state_blocks(game, choice, targets):
+                singles[loop] += 1
     assert checked == 640
+    # One-state blocks skip elimination; both kinds are covered.
+    assert singles[True] > 0 and singles[False] > 0
+
+
+def test_single_state_block_with_a_random_self_loop():
+    third = Fraction(1, 3)
+    game = Game.of([
+        ("a", "max", ("b", "z")),
+        ("b", "rand", ("b", "t", "z"), (third, third, third)),
+        ("t", "max", ("t",)),
+        ("z", "max", ("z",)),
+    ])
+    choice = {"a": "b", "t": "t", "z": "z"}
+    assert _single_state_blocks(game, choice, {"t"}) == [("b", True), ("a", False)]
+    got = chain_reach_values(game, choice, {"t"})
+    assert list(got.items()) == list(_dense_reach(game, choice, {"t"}).items())
+    assert got["a"] == got["b"] == Fraction(1, 2)
 
 
 def _switch(rng: random.Random, game: Game, choice: dict[str, str], count: int) -> dict[str, str]:

@@ -181,36 +181,82 @@ def _reference_iterate(game, targets, tol):
 
 
 def _identity_inputs():
+    """(game, targets, tol) triples; the last ones at the benchmark's tol."""
     for owned_branch in (2, 3):
         for seed in range(150):
-            yield random_game(seed, n=5 + seed % 12, owned_branch=owned_branch, max_targets=3)
+            yield (*random_game(seed, n=5 + seed % 12, owned_branch=owned_branch, max_targets=3),
+                   1e-6)
     # Random states with 8 or more successors: a row-wise numpy sum would
     # add their terms in another order.
     for seed in range(10):
-        yield random_game(seed, n=14, max_branch=12)
+        yield (*random_game(seed, n=14, max_branch=12), 1e-6)
     # Its safety bounds change when a stale end-component decomposition is
     # kept after the minimizer's optimal edges moved.
-    yield random_game(585, n=14, owned_branch=3, max_targets=3)
+    yield (*random_game(585, n=14, owned_branch=3, max_targets=3), 1e-6)
     for cap in (5, 30):
         built = gallery.build_gamblers_ruin(Fraction(3, 5), cap)
-        yield built.game, built.targets
+        yield built.game, built.targets, 1e-6
     built = gallery.build_fig2(12)
-    yield built.game, built.targets
+    yield built.game, built.targets, 1e-6
+    # Only random states are live.
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 100)
+    yield built.game, built.targets, 1e-9
+    built = gallery.build_fig2(40)
+    yield built.game, built.targets, 1e-9
+    # No live state: only the target can reach the target.
+    yield Game.of([
+        ("a", "rand", ("a", "z"), (HALF, HALF)),
+        ("b", "min", ("a", "b")),
+        ("t", "max", ("t",)),
+        ("z", "max", ("z",)),
+    ]), {"t"}, 1e-9
+    # No live random state: a maximizer/minimizer cycle the minimizer can
+    # keep, beside a random state that cannot reach the target.
+    yield Game.of([
+        ("a", "max", ("b", "z")),
+        ("b", "min", ("a", "t")),
+        ("c", "max", ("t", "a")),
+        ("r", "rand", ("z", "r"), (HALF, HALF)),
+        ("t", "max", ("t",)),
+        ("z", "max", ("z",)),
+    ]), {"t"}, 1e-9
 
 
 def test_iterate_mode_is_bit_identical_to_the_dict_reference():
     wide = 0
-    for game, targets in _identity_inputs():
-        wide += any(len(game.succ[s]) >= 8 and game.owner[s] is Owner.RANDOM
-                    for s in can_reach(game, targets) - targets)
-        lower, gap = _reference_iterate(game, set(targets), 1e-6)
-        reach = value_reach(game, targets, mode="iterate", tol=1e-6)
+    owner_sets = set()
+    for game, targets, tol in _identity_inputs():
+        live = can_reach(game, targets) - set(targets)
+        wide += any(len(game.succ[s]) >= 8 and game.owner[s] is Owner.RANDOM for s in live)
+        owner_sets.add(frozenset(game.owner[s] for s in live))
+        lower, gap = _reference_iterate(game, set(targets), tol)
+        reach = value_reach(game, targets, mode="iterate", tol=tol)
         assert reach.values == lower and reach.error_bound == gap
-        lower, gap = _reference_iterate(swap_roles(game), set(targets), 1e-6)
-        safety = value_safety(game, targets, mode="iterate", tol=1e-6)
+        lower, gap = _reference_iterate(swap_roles(game), set(targets), tol)
+        safety = value_safety(game, targets, mode="iterate", tol=tol)
         assert safety.values == {s: 1.0 - v for s, v in lower.items()}
         assert safety.error_bound == gap
     assert wide >= 5
+    # Every owner group is skipped somewhere: no live state at all, only
+    # random ones, and none random.
+    assert {frozenset(), frozenset({Owner.RANDOM})} <= owner_sets
+    assert any(Owner.RANDOM not in owners and owners for owners in owner_sets)
+
+
+def test_iterate_sweeps_both_bounds_in_one_call(monkeypatch):
+    # One call per sweep: the lower and upper bound share a vector.
+    calls = 0
+    sweep = values._FloatCore.sweep
+
+    def counted(core, v):
+        nonlocal calls
+        calls += 1
+        return sweep(core, v)
+
+    monkeypatch.setattr(values._FloatCore, "sweep", counted)
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 100)
+    value_reach(built.game, built.targets, mode="iterate", tol=1e-9)
+    assert calls == 1603
 
 
 def test_iterate_finds_end_components_once_when_minimizer_edges_stay(monkeypatch):
