@@ -6,50 +6,25 @@ rational; rational flags take ``p`` or ``p/q``) or a failed computation (any
 ``model.SgsolveError``, such as ``ConvergenceError`` or a broken invariant),
 printed as ``error:`` lines on stderr and never as a traceback.  All solver
 output is deterministic; rationals print as p/q in lowest terms and floats
-with 12 significant digits.
+with 12 significant digits.  Each command imports only the layers it runs,
+so ``--help`` and a flag error load nothing of the package beyond this module.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from fractions import Fraction
-
-from . import gallery as gallery_mod
-from .model import Game, Owner, SgsolveError, SinkMode, _as_fraction, validate
-from .objectives import Objective, ObjectiveKind, parse_objective
-from .exact import reach_plus_values, solve_reach_exact
-from .simulate import SimConfig, sample_plays
-from .strategies import (
-    MDStrategy,
-    TransducerStrategy,
-    buchi_md_pair,
-    format_strategy,
-    optimal_max_md_no_decrease,
-    optimal_min_md,
-    parse_strategy,
-    reachplus_max_md,
-    reachplus_min_md,
-    threshold_decide,
-)
-from .textio import ParsedGame, format_game, parse_game
-from .transforms import rvi
-from .values import SOLVERS, ValueVector, value_reach_within
-from .winning import WinningPartition, almost_sure_buchi, almost_sure_reach, almost_sure_safety
 
 
 def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str, out) -> None:
     if fmt == "json-lines":
+        import json
+
         for row in rows:
             out.write(json.dumps(dict(zip(header, map(_fmt, row)))) + "\n")
     elif fmt == "table":
@@ -65,6 +40,8 @@ def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str, out) -> None:
 def _trailer(key: str, value, fmt: str, lead: str = "") -> None:
     """The summary line after the rows; a JSON object in json-lines format."""
     if fmt == "json-lines":
+        import json
+
         print(json.dumps({key: _fmt(value)}))
     else:
         print(f"{lead}{key} {_fmt(value)}")
@@ -79,13 +56,17 @@ def _write(text: str, path: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse(path: str) -> ParsedGame:
+def _parse(path: str):
+    from .textio import parse_game
+
     with open(path, encoding="utf-8") as handle:
         return parse_game(handle.read())
 
 
-def _violations(parsed: ParsedGame) -> list[str]:
+def _violations(parsed) -> list[str]:
     """The game's violations, each led by the line that declares its state."""
+    from .model import validate
+
     out = []
     for v in validate(parsed.game):
         line = parsed.state_lines.get(v.state)
@@ -93,7 +74,7 @@ def _violations(parsed: ParsedGame) -> list[str]:
     return out
 
 
-def _load(path: str) -> ParsedGame:
+def _load(path: str):
     """Parse a game file and reject a game that breaks the invariants."""
     parsed = _parse(path)
     violations = _violations(parsed)
@@ -102,8 +83,10 @@ def _load(path: str) -> ParsedGame:
     return parsed
 
 
-def _strategy(path: str, game: Game) -> MDStrategy | TransducerStrategy:
+def _strategy(path: str, game):
     """Parse a strategy file and check it against the game."""
+    from .strategies import MDStrategy, parse_strategy
+
     with open(path, encoding="utf-8") as handle:
         strategy = parse_strategy(handle.read())
     if isinstance(strategy, MDStrategy):
@@ -113,21 +96,25 @@ def _strategy(path: str, game: Game) -> MDStrategy | TransducerStrategy:
     return strategy
 
 
-def _rational(flag: str, text: str) -> Fraction:
+def _rational(flag: str, text: str):
     """The rational value of a flag; a malformed one is an error naming it."""
+    from .model import _as_fraction
+
     try:
         return _as_fraction(text)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _state(game: Game, name: str) -> str:
+def _state(game, name: str) -> str:
     if name not in game.owner:
         raise ValueError(f"unknown state {name!r}")
     return name
 
 
-def _objective(args, parsed: ParsedGame) -> Objective:
+def _objective(args, parsed):
+    from .objectives import parse_objective
+
     target = args.target if args.target else ",".join(sorted(parsed.targets))
     if not target:
         raise ValueError("no target set: pass --target or declare targets in the file")
@@ -145,6 +132,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .exact import reach_plus_values, solve_reach_exact
+    from .objectives import ObjectiveKind
+    from .values import SOLVERS, ValueVector, value_reach_within
+
     if args.tol and args.mode != "iterate":
         raise ValueError("--tol applies to --mode iterate only")
     parsed = _load(args.file)
@@ -169,7 +160,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _partition_for(kind: ObjectiveKind, game: Game, target) -> WinningPartition:
+def _partition_for(kind, game, target):
+    from .exact import solve_reach_exact
+    from .model import Owner
+    from .objectives import ObjectiveKind
+    from .transforms import rvi
+    from .winning import almost_sure_buchi, almost_sure_reach, almost_sure_safety
+
     if kind is ObjectiveKind.REACH:
         if any(o is Owner.MIN for o in game.owner.values()):
             game = rvi(game, solve_reach_exact(game, target))
@@ -196,6 +193,10 @@ def _cmd_winning_set(args) -> int:
 
 
 def _cmd_strategy(args) -> int:
+    from .objectives import ObjectiveKind
+    from .strategies import (buchi_md_pair, format_strategy, optimal_max_md_no_decrease,
+                             optimal_min_md, reachplus_max_md, reachplus_min_md)
+
     parsed = _load(args.file)
     obj = _objective(args, parsed)
     game = parsed.game
@@ -222,6 +223,11 @@ def _cmd_strategy(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .exact import solve_reach_exact
+    from .objectives import ObjectiveKind
+    from .textio import format_game
+    from .transforms import rvi
+
     parsed = _load(args.file)
     if not args.rvi:
         raise ValueError("transform currently only supports --rvi")
@@ -235,6 +241,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import SimConfig, sample_plays
+
     parsed = _load(args.file)
     obj = _objective(args, parsed)
     cfg = SimConfig(
@@ -257,15 +265,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
+    from . import gallery
+    from .model import SinkMode
+    from .textio import format_game
+
     kind = args.kind
     if kind == "fig2":
-        built = gallery_mod.build_fig2(args.depth, SinkMode(args.sink))
+        built = gallery.build_fig2(args.depth, SinkMode(args.sink))
     elif kind == "fig2u":
-        built = gallery_mod.build_fig2_with_u(args.depth, SinkMode(args.sink))
+        built = gallery.build_fig2_with_u(args.depth, SinkMode(args.sink))
     elif kind == "ladder":
-        built = gallery_mod.build_ladder(args.k)
+        built = gallery.build_ladder(args.k)
     else:
-        built = gallery_mod.build_gamblers_ruin(_rational("--p", args.p), args.cap)
+        built = gallery.build_gamblers_ruin(_rational("--p", args.p), args.cap)
     members = built.buchi if args.label == "buchi" else built.targets
     text = format_game(built.game, sorted(members))
     _write(text, args.emit)
@@ -273,6 +285,9 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .objectives import ObjectiveKind
+    from .strategies import format_strategy, threshold_decide
+
     parsed = _load(args.file)
     obj = _objective(args, parsed)
     if obj.kind is not ObjectiveKind.REACH:
@@ -374,6 +389,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    from .model import SgsolveError
+
     try:
         return args.run(args)
     except (SgsolveError, ValueError, OSError) as exc:

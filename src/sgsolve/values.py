@@ -292,7 +292,8 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str,
     lower, upper = v[:n], v[n:]
     lower[[core.index[s] for s in targets]] = 1.0
     upper[[core.index[s] for s in reachable]] = 1.0
-    found = None
+    found = last = None
+    last_gap = float("inf")
     for sweep_no in range(1, _MAX_SWEEPS + 1):
         core.sweep(v)
         if sweep_no % _DEFLATE_EVERY == 0:
@@ -300,6 +301,15 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str,
         gap = float((upper - lower).max())
         if gap <= tol:
             return dict(zip(game.states, lower.tolist())), gap
+        if sweep_no % _DEFLATE_EVERY == 0:
+            # A deflation period maps ``v`` to a function of ``v`` alone, so
+            # a vector equal to the last period's is a fixpoint.  Snapshots
+            # are taken only once the gap stops shrinking.
+            if last is not None and np.array_equal(v, last):
+                raise ConvergenceError(f"interval iteration cannot reach tolerance {tol:g}: "
+                                       f"the bounds stopped moving at gap {gap:g}")
+            last = v.copy() if gap >= last_gap else None
+            last_gap = gap
     raise ConvergenceError("interval iteration did not converge")
 
 

@@ -11,6 +11,7 @@ from conftest import random_game
 
 import sgsolve.cli
 import sgsolve.strategies
+import sgsolve.transforms
 import sgsolve.values
 from sgsolve import (InvariantError, almost_sure_buchi, almost_sure_safety, format_game, gallery,
                      parse_game)
@@ -366,7 +367,7 @@ def test_a_broken_invariant_exits_1(fig2_file, capsys, monkeypatch):
     def broken(game, targets):
         raise InvariantError("no value-preserving successor remains at s0")
 
-    monkeypatch.setattr(sgsolve.cli, "rvi", broken)
+    monkeypatch.setattr(sgsolve.transforms, "rvi", broken)
     assert main(["transform", fig2_file, "--rvi"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: no value-preserving successor remains at s0\n"
@@ -461,6 +462,25 @@ def test_an_iteration_that_hits_the_sweep_cap_exits_1(fig2_file, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.err == "error: interval iteration did not converge\n"
     assert captured.out == ""
+
+
+def test_an_unreachable_tolerance_exits_1_once_the_bounds_stop_moving(tmp_path, capsys,
+                                                                      monkeypatch):
+    # Below double resolution the gap stays at 2.2e-16 on ruin cap 5 and the
+    # vector repeats from sweep 176 on; the sweep cap is 2,000,000.
+    path = tmp_path / "ruin.game"
+    assert main(["gallery", "ruin", "--cap", "5", "--emit", str(path)]) == 0
+    sweeps = []
+    sweep = sgsolve.values._FloatCore.sweep
+    monkeypatch.setattr(sgsolve.values._FloatCore, "sweep",
+                        lambda core, v: sweeps.append(1) or sweep(core, v))
+    argv = ["solve", str(path), "--mode", "iterate", "--tol", "1/100000000000000000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: interval iteration cannot reach tolerance 1e-20: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert len(sweeps) <= 200
 
 
 @pytest.mark.parametrize("objective, partition", [

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sgsolve
 
 PACKAGE = Path(sgsolve.__file__).parent
@@ -97,6 +99,49 @@ def test_cli_import_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
     assert done.stdout.strip() == "False"
+
+
+# Runs ``cli.main`` on the arguments after ``-c`` in a fresh interpreter,
+# then writes to stderr the sgsolve modules it loaded and whether numpy is.
+_PROBE = ("import sys; from sgsolve import cli; cli.main(sys.argv[1:]); print(repr(("
+          "sorted(m for m in sys.modules if m.startswith('sgsolve')), "
+          "'numpy' in sys.modules)), file=sys.stderr)")
+
+
+def _loaded_by(*argv: str) -> tuple[set[str], bool]:
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    modules, numpy = ast.literal_eval(done.stderr.splitlines()[-1])
+    return {m.removeprefix("sgsolve.") for m in modules}, numpy
+
+
+@pytest.fixture(scope="module")
+def ruin_file(tmp_path_factory):
+    from sgsolve.cli import main
+
+    path = tmp_path_factory.mktemp("games") / "ruin.game"
+    assert main(["gallery", "ruin", "--cap", "5", "--emit", str(path)]) == 0
+    return str(path)
+
+
+def test_help_loads_only_the_package_and_the_cli():
+    assert _loaded_by("--help") == ({"sgsolve", "cli"}, False)
+
+
+def test_validate_loads_only_model_and_textio(ruin_file):
+    assert _loaded_by("validate", ruin_file)[0] <= {"sgsolve", "cli", "model", "textio"}
+
+
+def test_gallery_loads_no_solver():
+    loaded, _ = _loaded_by("gallery", "ruin", "--cap", "5")
+    assert not loaded & {"exact", "values", "winning", "strategies", "simulate", "oracle"}
+
+
+def test_exact_solve_loads_no_strategy_simulation_oracle_or_numpy(ruin_file):
+    loaded, numpy = _loaded_by("solve", ruin_file)
+    assert "values" in loaded
+    assert not loaded & {"simulate", "strategies", "oracle", "gallery"}
+    assert not numpy
 
 
 def test_package_holds_no_assert():
