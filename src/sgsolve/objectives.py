@@ -1,17 +1,26 @@
 """Objectives over plays, their prefix semantics and dualization.
 
-An objective is a kind plus a target set.  ``decided`` classifies a finite
-play prefix: satisfied forever (every infinite extension satisfies the
-objective), violated forever (no extension does), or undecided.  For the two
-tail objectives a verdict is only emitted once the play has entered an
-absorbing state, where membership of that state decides; any other bounded
-horizon estimate is the simulator's job.
+An objective is a kind plus a target set.  Objectives are events over
+infinite plays, so a finite prefix is satisfied forever (every extension
+satisfies the objective), violated forever (none does) or undecided: the
+first decided code along it in the bound objective's :class:`VerdictTable`.
+``decided`` and the simulator read that one table, built once from one
+attractor run whose layers are the graph distances to the target.  At step
+``k`` a state is:
+
+* for reach, reachplus and reach<=N: won if a target, lost if the target is
+  out of reach (safety: the other way round);
+* for reach<=N: also lost if its distance is above ``N - k``;
+* for reachplus at step 0: lost only if no successor can reach the target;
+* for Buchi and co-Buchi: decided only if absorbing, won if a target
+  (co-Buchi: the other way round).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .graphs import attractor
 from .model import Game, Owner, SinkMode, check_targets
@@ -30,6 +39,24 @@ class Verdict(Enum):
     SATISFIED_FOREVER = "satisfied-forever"
     VIOLATED_FOREVER = "violated-forever"
     UNDECIDED = "undecided"
+
+
+@dataclass(frozen=True)
+class VerdictTable:
+    """Per-state verdict codes: 0 undecided, 1 violated forever, 2 satisfied
+    forever.  ``first`` holds those at step 0, ``later`` those at later steps
+    and, for reach<=N only, ``lost_from`` the step from which a play standing
+    in a state has lost."""
+
+    first: dict[str, int]
+    later: dict[str, int]
+    lost_from: dict[str, int] | None = None
+
+    def code(self, state: str, step: int) -> int:
+        """The code of a play standing in ``state`` at ``step``."""
+        if self.lost_from is not None and step >= self.lost_from[state]:
+            return 1
+        return (self.later if step else self.first)[state]
 
 
 @dataclass(frozen=True)
@@ -54,6 +81,32 @@ class Objective:
     def bind(self, game: Game) -> "Objective":
         check_targets(game, self.target)
         return replace(self, game=game)
+
+    @cached_property
+    def verdicts(self) -> VerdictTable:
+        """The verdict table of a bound objective, built on first use and kept."""
+        game = self.game
+        if game is None:
+            raise ValueError("objective is not bound to a game")
+        kind, target, states = self.kind, self.target, game.states
+        if kind in (ObjectiveKind.BUCHI, ObjectiveKind.COBUCHI):
+            wins = kind is ObjectiveKind.BUCHI
+            codes = {s: (2 if (s in target) == wins else 1) if game.is_absorbing(s) else 0
+                     for s in states}
+            return VerdictTable(codes, codes)
+        # Attractor layers of the target are the graph distances to it.
+        distance: dict[str, int] = {}
+        attractor(game, target, tuple(Owner), layer=distance)
+        at_target, out_of_reach = (1, 2) if kind is ObjectiveKind.SAFETY else (2, 1)
+        later = {s: at_target if s in target else 0 if s in distance else out_of_reach
+                 for s in states}
+        first = later
+        if kind is ObjectiveKind.REACH_PLUS:
+            first = {s: 0 if any(t in distance for t in game.succ[s]) else 1 for s in states}
+        lost_from = None
+        if self.steps is not None:
+            lost_from = {s: self.steps + 1 - distance.get(s, self.steps + 1) for s in states}
+        return VerdictTable(first, later, lost_from)
 
 
 def reach(*target: str, steps: int | None = None) -> Objective:
@@ -101,60 +154,22 @@ class PlayPrefix:
             raise ValueError("a play prefix is non-empty")
 
     def check_consistent(self, game: Game) -> None:
+        for s in self.states:
+            if s not in game.owner:
+                raise ValueError(f"unknown state {s!r} in the play prefix")
         for s, t in zip(self.states, self.states[1:]):
             if t not in game.succ[s]:
                 raise ValueError(f"{s!r} -> {t!r} is not an edge")
 
 
 def decided(obj: Objective, prefix: PlayPrefix) -> Verdict:
-    """Verdict for a prefix: satisfied/violated by all extensions, or undecided."""
-    game = obj.game
-    if game is None:
-        raise ValueError("objective is not bound to a game")
-    prefix.check_consistent(game)
-    states = prefix.states
-    last = states[-1]
-    hit = any(s in obj.target for s in states)
-    kind = obj.kind
-
-    if kind is ObjectiveKind.REACH:
-        if hit:
-            return Verdict.SATISFIED_FOREVER
-        if last not in attractor(game, obj.target, tuple(Owner)):
-            return Verdict.VIOLATED_FOREVER
-        return Verdict.UNDECIDED
-    if kind is ObjectiveKind.SAFETY:
-        if hit:
-            return Verdict.VIOLATED_FOREVER
-        if last not in attractor(game, obj.target, tuple(Owner)):
-            return Verdict.SATISFIED_FOREVER
-        return Verdict.UNDECIDED
-    if kind is ObjectiveKind.REACH_WITHIN:
-        within = states[: obj.steps + 1]
-        if any(s in obj.target for s in within):
-            return Verdict.SATISFIED_FOREVER
-        # Attractor layers of the target are the graph distances to it.
-        distance: dict[str, int] = {}
-        attractor(game, obj.target, tuple(Owner), layer=distance)
-        remaining = obj.steps - (len(states) - 1)
-        if distance.get(last, remaining + 1) > remaining:
-            return Verdict.VIOLATED_FOREVER
-        return Verdict.UNDECIDED
-    if kind is ObjectiveKind.REACH_PLUS:
-        if any(s in obj.target for s in states[1:]):
-            return Verdict.SATISFIED_FOREVER
-        # A prefix ending anywhere can still take >= 1 step, so only graph
-        # unreachability rules the objective out.
-        reachable = attractor(game, obj.target, tuple(Owner))
-        if not any(t in reachable for t in game.succ[last]):
-            return Verdict.VIOLATED_FOREVER
-        return Verdict.UNDECIDED
-    # Tail objectives: decide only at absorbing states.
-    if game.is_absorbing(last):
-        member = last in obj.target
-        if kind is ObjectiveKind.BUCHI:
-            return Verdict.SATISFIED_FOREVER if member else Verdict.VIOLATED_FOREVER
-        return Verdict.VIOLATED_FOREVER if member else Verdict.SATISFIED_FOREVER
+    """Verdict for a prefix: the first decided code of ``obj.verdicts`` along it."""
+    table = obj.verdicts
+    prefix.check_consistent(obj.game)
+    for step, s in enumerate(prefix.states):
+        code = table.code(s, step)
+        if code:
+            return (Verdict.UNDECIDED, Verdict.VIOLATED_FOREVER, Verdict.SATISFIED_FOREVER)[code]
     return Verdict.UNDECIDED
 
 
@@ -179,17 +194,11 @@ def parse_objective(kind: str, target_csv: str) -> Objective:
     if not target:
         raise ValueError("empty target set")
     if kind.startswith("reach<="):
-        return Objective(ObjectiveKind.REACH_WITHIN, target, int(kind[len("reach<="):]))
-    try:
-        return Objective(
-            {
-                "reach": ObjectiveKind.REACH,
-                "safety": ObjectiveKind.SAFETY,
-                "buchi": ObjectiveKind.BUCHI,
-                "cobuchi": ObjectiveKind.COBUCHI,
-                "reachplus": ObjectiveKind.REACH_PLUS,
-            }[kind],
-            target,
-        )
-    except KeyError:
-        raise ValueError(f"unknown objective {kind!r}") from None
+        steps = kind[len("reach<="):]
+        if not (steps.isascii() and steps.isdigit()):
+            raise ValueError(f"objective {kind!r}: N in reach<=N must be ASCII digits")
+        return Objective(ObjectiveKind.REACH_WITHIN, target, int(steps))
+    # The other CLI names are the kinds' own values.
+    if kind not in ("reach", "safety", "buchi", "cobuchi", "reachplus"):
+        raise ValueError(f"unknown objective {kind!r}")
+    return Objective(ObjectiveKind(kind), target)

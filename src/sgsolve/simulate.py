@@ -22,16 +22,13 @@ Since each play owns its stream, the result depends on neither that number
 nor the order of the plays: it is bit-identical across runs and could be
 merged from parallel workers in sample-index order.
 
-Per-play verdicts come from per-state tables (``_verdict_codes``), not from
-``objectives.decided``: a play is decided when it visits a target under a
-reach, reachplus (after step 0) or safety objective, at step ``N`` of
-``reach<=N``, or when it enters an absorbing state, whose target flag then
-decides.  A play still undecided at the horizon counts as lost for reach and
-won for safety; a Buchi or co-Buchi play is scored by whether the target was
-visited within the trailing window.  The share of plays decided within the
-horizon is reported, so callers can tell how much of the estimate rests on
-the cutoff.  It can be lower than the share whose prefix
-``objectives.decided`` would already call decided.
+A play is decided at the first step whose verdict code, in the objective's
+verdict table, is decided: the rule is stated once, in the ``objectives``
+module docstring, and ``objectives.decided`` reads the same table.  A play
+still undecided at the horizon counts as lost for reach and won for safety;
+a Buchi or co-Buchi play is scored by whether the target was visited within
+the trailing window.  The share of plays decided within the horizon is
+reported, so callers can tell how much of the estimate rests on the cutoff.
 """
 
 from __future__ import annotations
@@ -173,21 +170,6 @@ class _Rows:
         return self.out[at]
 
 
-def _verdict_codes(np, kind: ObjectiveKind, target, absorbing):
-    """Per-state verdicts of a play standing there: 0 undecided, 1 lost,
-    2 won.  Three tables: for step 0, for later steps, and for step N of
-    reach<=N, where every play is decided.  A target visit decides before
-    absorption, but not at step 0 for reachplus.  An absorbed play stays put,
-    so whether its state is a target decides."""
-    absorbed_wins = ~target if kind in (ObjectiveKind.SAFETY, ObjectiveKind.COBUCHI) else target
-    absorbed = np.where(absorbing, 1 + absorbed_wins, 0)
-    if kind in (ObjectiveKind.BUCHI, ObjectiveKind.COBUCHI):
-        return absorbed, absorbed, None
-    later = np.where(target, 1 if kind is ObjectiveKind.SAFETY else 2, absorbed)
-    first = absorbed if kind is ObjectiveKind.REACH_PLUS else later
-    return first, later, np.where(target, 2, 1)
-
-
 def sample_plays(
     game: Game,
     start: str,
@@ -215,8 +197,12 @@ def sample_plays(
     sid = {s: i for i, s in enumerate(states)}
 
     target = np.array([s in obj.target for s in states])
-    first_code, codes, last_code = _verdict_codes(
-        np, kind, target, np.array([game.is_absorbing(s) for s in states]))
+    table = obj.verdicts
+    first_code, codes = (np.array([t[s] for s in states]) for t in (table.first, table.later))
+    lost_from = None
+    if table.lost_from is not None:
+        # Capped at a step no play reaches, which keeps any N in int64.
+        lost_from = np.array([min(table.lost_from[s], cfg.horizon + 1) for s in states])
 
     # Mode ids per player; a missing strategy has the one mode None.
     mode_ids = [
@@ -287,7 +273,9 @@ def sample_plays(
         seen = np.zeros(count, dtype=bool)
         failed = None
         for step in range(cfg.horizon + 1):
-            code = (last_code if step == obj.steps else codes if step else first_code)[st]
+            code = (codes if step else first_code)[st]
+            if lost_from is not None:
+                code[step >= lost_from[st]] = 1
             wins += int(np.count_nonzero(code == 2))
             done = code > 0
             if step >= window_start:

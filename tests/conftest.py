@@ -1,12 +1,16 @@
-"""Shared test helpers: a seeded random-game generator and independent
-closed-form oracles (kept free of the solver machinery they referee)."""
+"""Shared test helpers: a seeded random-game generator, independent
+closed-form oracles and a one-play-at-a-time reference sampler (kept free of
+the solver machinery they referee)."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
-from sgsolve import Game
+from sgsolve import Estimate, Game, Owner
+from sgsolve.objectives import ObjectiveKind
+from sgsolve.simulate import _as_transducer
 
 
 def random_game(seed: int, n: int = 8, max_branch: int = 3, owned_branch: int = 2,
@@ -42,3 +46,110 @@ def ruin_probability(p: Fraction, cap: int, wealth: int) -> Fraction:
         return Fraction(cap - wealth, cap)
     r = q / p
     return (r**wealth - r**cap) / (1 - r**cap)
+
+
+def reference_plays(game, start, objective, cfg, sigma=None, pi=None):
+    """The sampler as one Python loop per play, on numpy's own Philox
+    streams drawn one at a time.  Yields, per play, the states it visited,
+    its verdict (``True`` won, ``False`` lost, ``None`` still open at the
+    horizon) and its score.
+
+    The verdict rule is written out here, with graph distances from a
+    breadth-first search of its own, so that it referees the objectives
+    module's verdict table rather than reads it.
+    """
+    import numpy as np
+
+    sigma = _as_transducer(sigma, Owner.MAX)
+    pi = _as_transducer(pi, Owner.MIN)
+    obj = objective if objective.game is game else objective.bind(game)
+    kind = obj.kind
+
+    preds = {s: [] for s in game.states}
+    for s in game.states:
+        for t in game.succ[s]:
+            preds[t].append(s)
+    distance = dict.fromkeys(obj.target, 0)
+    queue = deque(obj.target)
+    while queue:
+        t = queue.popleft()
+        for s in preds[t]:
+            if s not in distance:
+                distance[s] = distance[t] + 1
+                queue.append(s)
+
+    def verdict_at(state, step):
+        in_target = state in obj.target
+        if kind in (ObjectiveKind.BUCHI, ObjectiveKind.COBUCHI):
+            if game.is_absorbing(state):
+                return in_target == (kind is ObjectiveKind.BUCHI)
+            return None
+        if kind is ObjectiveKind.REACH_PLUS and step == 0:
+            return None if any(t in distance for t in game.succ[state]) else False
+        if in_target:
+            return kind is not ObjectiveKind.SAFETY
+        if state not in distance:
+            return kind is ObjectiveKind.SAFETY
+        if kind is ObjectiveKind.REACH_WITHIN and distance[state] > obj.steps - step:
+            return False
+        return None
+
+    def draw(rng, dist):
+        items = list(dist.items())
+        if len(items) == 1:
+            return items[0][0]
+        u = rng.random()
+        acc = 0.0
+        for key, w in items:
+            acc += float(w)
+            if u < acc:
+                return key
+        return items[-1][0]
+
+    for i in range(cfg.samples):
+        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+        state = start
+        mode_sigma = sigma.initial if sigma else None
+        mode_pi = pi.initial if pi else None
+        visited = []
+        last_hit = -1
+        for step in range(cfg.horizon + 1):
+            visited.append(state)
+            if state in obj.target:
+                last_hit = step
+            verdict = verdict_at(state, step)
+            if verdict is not None or step == cfg.horizon:
+                break
+            owner = game.owner[state]
+            if owner is Owner.RANDOM:
+                nxt = draw(rng, dict(game.distribution(state)))
+            else:
+                who, mode = (sigma, mode_sigma) if owner is Owner.MAX else (pi, mode_pi)
+                if who is None:
+                    player = "maximizer" if owner is Owner.MAX else "minimizer"
+                    raise ValueError(f"owner mismatch: no {player} strategy, needed at {state}")
+                nxt = draw(rng, who.choose[(mode, state)])
+            if sigma and sigma.update.get((mode_sigma, state)):
+                mode_sigma = draw(rng, sigma.update[(mode_sigma, state)])
+            if pi and pi.update.get((mode_pi, state)):
+                mode_pi = draw(rng, pi.update[(mode_pi, state)])
+            state = nxt
+        if verdict is None:
+            revisited = last_hit >= cfg.horizon - cfg.buchi_window + 1
+            score = {ObjectiveKind.BUCHI: revisited, ObjectiveKind.COBUCHI: not revisited,
+                     ObjectiveKind.SAFETY: True}.get(kind, False)
+        else:
+            score = verdict
+        yield visited, verdict, score
+
+
+def reference_sample_plays(game, start, objective, cfg, sigma=None, pi=None) -> Estimate:
+    """The estimate of :func:`reference_plays`: the reference the lockstep
+    sampler must match bit for bit."""
+    wins = decided = 0
+    for _, verdict, score in reference_plays(game, start, objective, cfg, sigma, pi):
+        wins += score
+        decided += verdict is not None
+    mean = wins / cfg.samples
+    half_width = 1.96 * (mean * (1.0 - mean) / cfg.samples) ** 0.5
+    return Estimate(mean, half_width, decided / cfg.samples)

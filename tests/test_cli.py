@@ -200,6 +200,13 @@ def test_solve_bounded_reach_objective(ladder_file, capsys):
     assert out["q1"] == "0"
 
 
+def test_malformed_step_bound_is_an_input_error(ladder_file, capsys):
+    assert main(["solve", ladder_file, "--objective", "reach<=x", "--target", "goal"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: objective 'reach<=x': N in reach<=N must be ASCII digits\n"
+    assert captured.out == ""
+
+
 def test_unknown_flag_is_an_input_error(capsys):
     assert main(["solve", "--no-such-flag"]) == 1
 

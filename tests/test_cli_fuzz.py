@@ -1,7 +1,14 @@
-"""Seeded CLI fuzz: mutated game and strategy files and flag values drawn
-from a fixed pool end in exit code 0, 1 or 2, never in an exception."""
+"""CLI fuzz: mutated game and strategy files and flag values end in exit
+code 0, 1 or 2, never in an exception.  A seeded run draws from a fixed pool;
+a derandomized hypothesis run widens the pool and steers the edits."""
 
+import contextlib
+import io
 import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgsolve.cli import main
 
@@ -34,23 +41,23 @@ TRANSDUCER = ("strategy max transducer\ninitial m0\nmode m0\nmode m1\n"
               "choose m0 s1 s2 1\nchoose m1 s1 s2 1\n")
 
 
-def _base_files(tmp_path, capsys) -> dict[str, str]:
+def _base_files(tmp_path) -> dict[str, str]:
     texts = {}
-    for name, argv in GALLERY.items():
-        path = tmp_path / f"{name}.game"
-        assert main(["gallery"] + argv + ["--emit", str(path)]) == 0
-        texts[name] = path.read_text()
-    for name, (game, *argv) in STRATEGIES.items():
-        path = tmp_path / f"{name}.strat"
-        assert main(["strategy", str(tmp_path / f"{game}.game")] + argv
-                    + ["--emit", str(path)]) == 0
-        texts[name] = path.read_text()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, argv in GALLERY.items():
+            path = tmp_path / f"{name}.game"
+            assert main(["gallery"] + argv + ["--emit", str(path)]) == 0
+            texts[name] = path.read_text()
+        for name, (game, *argv) in STRATEGIES.items():
+            path = tmp_path / f"{name}.strat"
+            assert main(["strategy", str(tmp_path / f"{game}.game")] + argv
+                        + ["--emit", str(path)]) == 0
+            texts[name] = path.read_text()
     texts["fig2-transducer"] = TRANSDUCER
-    capsys.readouterr()
     return texts
 
 
-def _mutate(rng: random.Random, text: str) -> str:
+def _mutate(rng: random.Random, text: str, pool=POOL) -> str:
     """Up to two edits: a token replaced, a line dropped, repeated, swapped or
     made up."""
     lines = text.splitlines()
@@ -60,7 +67,7 @@ def _mutate(rng: random.Random, text: str) -> str:
         how = rng.randrange(5)
         if how == 0:
             toks = lines[at].split() or [""]
-            toks[rng.randrange(len(toks))] = rng.choice(rng.choice((words, POOL)))
+            toks[rng.randrange(len(toks))] = rng.choice(rng.choice((words, pool)))
             lines[at] = " ".join(toks)
         elif how == 1 and len(lines) > 1:
             del lines[at]
@@ -70,20 +77,20 @@ def _mutate(rng: random.Random, text: str) -> str:
             other = rng.randrange(len(lines))
             lines[at], lines[other] = lines[other], lines[at]
         else:
-            made = [rng.choice(words + list(POOL)) for _ in range(rng.randint(1, 4))]
+            made = [rng.choice(words + list(pool)) for _ in range(rng.randint(1, 4))]
             lines.insert(at, " ".join([rng.choice(KEYWORDS)] + made))
     return "\n".join(lines) + "\n"
 
 
-def _argv(rng: random.Random, tmp_path, texts: dict[str, str]) -> list[str]:
+def _argv(rng: random.Random, tmp_path, texts: dict[str, str], pool=POOL) -> list[str]:
     def write(name: str) -> str:
         path = tmp_path / f"fuzz-{name}"
-        path.write_text(_mutate(rng, texts[name]))
+        path.write_text(_mutate(rng, texts[name], pool))
         return path, str(path)
 
     def pick(valid) -> str:
         """Mostly a well-formed value, sometimes one from the pool."""
-        return rng.choice(valid if rng.random() < 0.7 else POOL)
+        return rng.choice(valid if rng.random() < 0.7 else pool)
 
     def maybe(flag: str, valid) -> list[str]:
         return [flag, pick(valid)] if rng.random() < 0.5 else []
@@ -122,15 +129,46 @@ def _argv(rng: random.Random, tmp_path, texts: dict[str, str]) -> list[str]:
             + maybe("--cap", COUNTS) + emit)
 
 
+def _exit_code(run, argv, tmp_path) -> int:
+    try:
+        return main(argv)
+    except BaseException as exc:  # noqa: BLE001 - the failure names the input
+        inputs = {p.name: p.read_text() for p in tmp_path.glob("fuzz-*")}
+        raise AssertionError(f"run {run}: {argv} raised {exc!r}; files {inputs}") from exc
+
+
 def test_cli_fuzz_exits_0_1_or_2(tmp_path, capsys):
-    texts = _base_files(tmp_path, capsys)
+    texts = _base_files(tmp_path)
     rng = random.Random(20261018)
     for run in range(RUNS):
         argv = _argv(rng, tmp_path, texts)
-        try:
-            code = main(argv)
-        except BaseException as exc:  # noqa: BLE001 - the failure names the input
-            inputs = {p.name: p.read_text() for p in tmp_path.glob("fuzz-*")}
-            raise AssertionError(f"run {run}: {argv} raised {exc!r}; files {inputs}") from exc
+        code = _exit_code(run, argv, tmp_path)
         assert code in (0, 1, 2), (run, argv, code)
         capsys.readouterr()
+
+
+# Tokens outside the fixed pool: any text without digits (so no count gets
+# large enough to make a run slow), small integers and fractions with signs,
+# and the spellings ``int()`` takes beyond ASCII digits.
+_TOKENS = st.one_of(
+    st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=6),
+    st.integers(-3, 30).map(str),
+    st.tuples(st.integers(-3, 30), st.integers(-3, 30)).map("{0[0]}/{0[1]}".format),
+    st.sampled_from(("+3", "3_0", " 2", "\u0663", "reach<=+3", "reach<=3_0", "reach<=\u0663")),
+)
+
+
+@pytest.fixture(scope="module")
+def base_files(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    return tmp_path, _base_files(tmp_path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.randoms(use_true_random=False), st.lists(_TOKENS, min_size=1, max_size=6))
+def test_hypothesis_cli_fuzz_exits_0_1_or_2(base_files, rng, extra):
+    tmp_path, texts = base_files
+    argv = _argv(rng, tmp_path, texts, POOL + tuple(extra))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = _exit_code("hypothesis", argv, tmp_path)
+    assert code in (0, 1, 2), (argv, code)

@@ -101,6 +101,17 @@ def test_cli_import_leaves_numpy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_decided_leaves_numpy_unloaded():
+    # The verdict table that ``decided`` and the sampler share is plain Python.
+    probe = ("import sys; from sgsolve import Game, PlayPrefix, decided, reach; "
+             "g = Game.of([('a', 'max', ('t', 'a')), ('t', 'max', ('t',))]); "
+             "print(decided(reach('t').bind(g), PlayPrefix(('a', 't'))).value, "
+             "'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert done.stdout.split() == ["satisfied-forever", "False"]
+
+
 # Runs ``cli.main`` on the arguments after ``-c`` in a fresh interpreter,
 # then writes to stderr the sgsolve modules it loaded and whether numpy is.
 _PROBE = ("import sys; from sgsolve import cli; cli.main(sys.argv[1:]); print(repr(("

@@ -1,9 +1,12 @@
 """Objective semantics on play prefixes, dualization, CLI syntax."""
 
+import re
+
 import pytest
 from conftest import random_game
 
 from sgsolve import (
+    Game,
     Objective,
     ObjectiveKind,
     PlayPrefix,
@@ -75,6 +78,9 @@ def test_reach_plus_needs_a_step(fig2):
     obj = reach_plus("t").bind(fig2.game)
     assert decided(obj, PlayPrefix(("t",))) == Verdict.UNDECIDED
     assert decided(obj, PlayPrefix(("t", "t"))) == Verdict.SATISFIED_FOREVER
+    # A target none of whose successors can reach the target is lost at once.
+    g = Game.of([("t", "max", ("d",)), ("d", "max", ("d",))])
+    assert decided(reach_plus("t").bind(g), PlayPrefix(("t",))) == Verdict.VIOLATED_FOREVER
 
 
 def test_unbound_objective_and_bad_prefix(fig2):
@@ -85,6 +91,11 @@ def test_unbound_objective_and_bad_prefix(fig2):
         decided(obj, PlayPrefix(("i", "t")))  # not an edge
     with pytest.raises(ValueError):
         reach("nope").bind(fig2.game)
+    for make in (reach, safety, reach_plus, buchi, cobuchi):
+        with pytest.raises(ValueError, match="unknown state 'zzz'"):
+            decided(make("t").bind(fig2.game), PlayPrefix(("zzz",)))
+    with pytest.raises(ValueError, match="unknown state 'zzz'"):
+        decided(obj, PlayPrefix(("i", "s0", "zzz")))
 
 
 def test_dual_pairs_and_involution():
@@ -133,6 +144,12 @@ def test_parse_objective_syntax():
         parse_objective("zeno", "a")
     with pytest.raises(ValueError):
         parse_objective("reach", "")
+    assert parse_objective("reach<=007", "a").steps == 7
+    # int() would take a sign, underscores, spaces and non-ASCII digits.
+    for bad in ("reach<=+3", "reach<=3_0", "reach<=\u0663", "reach<= 3", "reach<=-1",
+                "reach<=x", "reach<="):
+        with pytest.raises(ValueError, match=re.escape(f"objective {bad!r}")):
+            parse_objective(bad, "a")
 
 
 def test_bounding_sinks_per_kind():

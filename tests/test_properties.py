@@ -6,11 +6,13 @@ stays deterministic and quick; a failure prints its smallest game.
 
 from fractions import Fraction
 
+from conftest import reference_plays
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from sgsolve import (Game, almost_sure_reach, bellman_step, gallery, md_enumeration_oracle, reach,
-                     rvi, value_reach_within)
+from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Verdict,
+                     almost_sure_reach, bellman_step, buchi, cobuchi, decided, gallery,
+                     md_enumeration_oracle, reach, reach_plus, rvi, safety, value_reach_within)
 from sgsolve.exact import solve_reach_exact
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -86,3 +88,42 @@ def test_bounded_reach_equals_repeated_bellman_steps(case):
     for steps in range(13):
         assert list(value_reach_within(game, targets, steps).values.items()) == list(v.items())
         v = bellman_step(game, targets, v)
+
+
+def _uniform_walker(game: Game, owner: Owner) -> TransducerStrategy:
+    """A one-mode strategy that moves to each successor with equal weight."""
+    choose = {("m", s): {t: Fraction(1, len(game.succ[s])) for t in game.succ[s]}
+              for s in game.states if game.owner[s] is owner}
+    return TransducerStrategy(owner, ("m",), "m", {}, choose)
+
+
+_OF_CODE = (Verdict.UNDECIDED, Verdict.VIOLATED_FOREVER, Verdict.SATISFIED_FOREVER)
+_OF_VERDICT = {None: Verdict.UNDECIDED, False: Verdict.VIOLATED_FOREVER,
+               True: Verdict.SATISFIED_FOREVER}
+
+
+@PROPERTY
+@given(games(max_states=8, owned_width=3),
+       st.sampled_from((reach, safety, reach_plus, buchi, cobuchi, "reach<=")),
+       st.integers(0, 5), st.integers(0, 2**63 - 1), st.data())
+def test_prefix_verdicts_are_the_table_and_the_reference_samplers(case, make, steps, seed, data):
+    game, targets = case
+    obj = (reach(*targets, steps=steps) if make == "reach<=" else make(*targets)).bind(game)
+    start = data.draw(st.sampled_from(game.states))
+    cfg = SimConfig(samples=6, horizon=data.draw(st.integers(1, 10)), seed=seed)
+    walks = reference_plays(game, start, obj, cfg, _uniform_walker(game, Owner.MAX),
+                            _uniform_walker(game, Owner.MIN))
+    decided_plays = 0
+    for visited, verdict, _ in walks:
+        decided_plays += verdict is not None
+        first = 0
+        for k, state in enumerate(visited, 1):
+            got = decided(obj, PlayPrefix(tuple(visited[:k])))
+            # The first decided code of the shared table along the prefix...
+            first = first or obj.verdicts.code(state, k - 1)
+            assert got == _OF_CODE[first]
+            # ...and the reference sampler's own rule, which decides a play
+            # at its last visited state or leaves it open at the horizon.
+            assert got == _OF_VERDICT[verdict if k == len(visited) else None]
+    # Steer the search towards games where plays get decided.
+    target(float(decided_plays))

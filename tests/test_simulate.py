@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_game, ruin_probability
+from conftest import random_game, reference_sample_plays, ruin_probability
 
 from sgsolve import (
-    Estimate,
     Game,
     Owner,
+    PlayPrefix,
     SimConfig,
     TransducerStrategy,
+    Verdict,
     buchi,
     cobuchi,
+    decided,
     optimal_max_md,
     optimal_min_md,
     reach,
@@ -23,95 +25,10 @@ from sgsolve import (
 )
 from sgsolve import gallery, simulate, value_reach_within
 from sgsolve.exact import reach_plus_values, solve_reach_exact
-from sgsolve.objectives import ObjectiveKind
-from sgsolve.simulate import _as_transducer, _philox
+from sgsolve.simulate import _philox
 from sgsolve.strategies import MDStrategy
 
 HALF = Fraction(1, 2)
-
-
-def reference_sample_plays(game, start, objective, cfg, sigma=None, pi=None) -> Estimate:
-    """The sampler as one Python loop per play, on numpy's own Philox
-    streams drawn one at a time: the reference the lockstep sampler must
-    match bit for bit."""
-    import numpy as np
-
-    sigma = _as_transducer(sigma, Owner.MAX)
-    pi = _as_transducer(pi, Owner.MIN)
-    obj = objective if objective.game is game else objective.bind(game)
-    kind = obj.kind
-
-    def draw(rng, dist):
-        items = list(dist.items())
-        if len(items) == 1:
-            return items[0][0]
-        u = rng.random()
-        acc = 0.0
-        for key, w in items:
-            acc += float(w)
-            if u < acc:
-                return key
-        return items[-1][0]
-
-    wins = decided = 0
-    for i in range(cfg.samples):
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
-        state = start
-        mode_sigma = sigma.initial if sigma else None
-        mode_pi = pi.initial if pi else None
-        verdict = None
-        last_hit = -1
-        for step in range(cfg.horizon + 1):
-            in_target = state in obj.target
-            if in_target:
-                last_hit = step
-            if kind in (ObjectiveKind.REACH, ObjectiveKind.SAFETY) and in_target:
-                verdict = kind is ObjectiveKind.REACH
-                break
-            if kind is ObjectiveKind.REACH_PLUS and in_target and step >= 1:
-                verdict = True
-                break
-            if kind is ObjectiveKind.REACH_WITHIN and (in_target or step >= obj.steps):
-                verdict = in_target
-                break
-            if game.is_absorbing(state):
-                if kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_WITHIN,
-                            ObjectiveKind.REACH_PLUS):
-                    verdict = in_target
-                elif kind is ObjectiveKind.SAFETY:
-                    verdict = True
-                elif kind is ObjectiveKind.BUCHI:
-                    verdict = in_target
-                else:
-                    verdict = not in_target
-                break
-            if step == cfg.horizon:
-                break
-            owner = game.owner[state]
-            if owner is Owner.RANDOM:
-                nxt = draw(rng, dict(game.distribution(state)))
-            else:
-                who, mode = (sigma, mode_sigma) if owner is Owner.MAX else (pi, mode_pi)
-                if who is None:
-                    player = "maximizer" if owner is Owner.MAX else "minimizer"
-                    raise ValueError(f"owner mismatch: no {player} strategy, needed at {state}")
-                nxt = draw(rng, who.choose[(mode, state)])
-            if sigma and sigma.update.get((mode_sigma, state)):
-                mode_sigma = draw(rng, sigma.update[(mode_sigma, state)])
-            if pi and pi.update.get((mode_pi, state)):
-                mode_pi = draw(rng, pi.update[(mode_pi, state)])
-            state = nxt
-        if verdict is None:
-            revisited = last_hit >= cfg.horizon - cfg.buchi_window + 1
-            score = {ObjectiveKind.BUCHI: revisited, ObjectiveKind.COBUCHI: not revisited,
-                     ObjectiveKind.SAFETY: True}.get(kind, False)
-        else:
-            decided += 1
-            score = verdict
-        wins += score
-    mean = wins / cfg.samples
-    half_width = 1.96 * (mean * (1.0 - mean) / cfg.samples) ** 0.5
-    return Estimate(mean, half_width, decided / cfg.samples)
 
 
 def test_deterministic_game_gives_zero_one_mean():
@@ -377,3 +294,33 @@ def test_reachplus_play_starting_in_an_absorbing_target_is_won():
     est = sample_plays(_ABSORBING, "t", reach_plus("t"), SimConfig(10, 20, 1))
     assert reach_plus_values(_ABSORBING, solve_reach_exact(_ABSORBING, {"t"}))["t"] == 1
     assert est.mean == 1.0 and est.decided_fraction == 1.0
+
+
+# a moves to the absorbing target t or into the random cycle b <-> c, from
+# which t is out of reach.
+_CYCLE = Game.of([("a", "rand", ("t", "b"), (HALF, HALF)), ("b", "rand", ("c",), (1,)),
+                  ("c", "rand", ("b",), (1,)), ("t", "rand", ("t",), (1,))])
+
+
+@pytest.mark.parametrize("make, mean", [(reach, 0.509), (safety, 0.491)])
+def test_a_play_that_cannot_reach_the_target_is_decided(make, mean):
+    obj = make("t").bind(_CYCLE)
+    lost = Verdict.VIOLATED_FOREVER if make is reach else Verdict.SATISFIED_FOREVER
+    assert decided(obj, PlayPrefix(("a", "b"))) == lost
+    est = _same(_CYCLE, "a", obj, SimConfig(1000, 20, 0))
+    # The mean is the one scoring at the horizon gives; only the decided
+    # share moves, up from 0.509.
+    assert est.mean == mean and est.decided_fraction == 1.0
+
+
+def test_bounded_reach_play_out_of_range_is_lost_before_step_n():
+    # From b the target is four steps away, so a play moving a -> b has lost
+    # reach<=4 at step 1, and is decided within a horizon of 2.
+    g = Game.of([("a", "rand", ("t", "b"), (HALF, HALF)), ("b", "rand", ("c",), (1,)),
+                 ("c", "rand", ("d",), (1,)), ("d", "rand", ("e",), (1,)),
+                 ("e", "rand", ("t",), (1,)), ("t", "rand", ("t",), (1,))])
+    obj = reach("t", steps=4).bind(g)
+    assert decided(obj, PlayPrefix(("a", "b"))) == Verdict.VIOLATED_FOREVER
+    assert decided(reach("t", steps=5).bind(g), PlayPrefix(("a", "b"))) == Verdict.UNDECIDED
+    est = _same(g, "a", obj, SimConfig(1000, 2, 0))
+    assert est.mean == 0.509 and est.decided_fraction == 1.0
