@@ -17,10 +17,15 @@ contract:
 * A draw ``u`` picks the first entry whose cumulative weight, summed in row
   order, is above ``u``, and the last entry if none is.
 
-Plays are advanced together, a fixed number at a time, in numpy arrays.
-Since each play owns its stream, the result depends on neither that number
-nor the order of the plays: it is bit-identical across runs and could be
-merged from parallel workers in sample-index order.
+Plays are advanced in numpy arrays, with two widths.  All plays of a run
+step together in one lockstep set, up to a cap that memory bounds (about
+110 bytes a live play); a run with more plays uses several sets, one after
+another.  Philox refills are computed in slices of at most a few thousand
+plays, a width that the cache bounds: the kernel slows down once its
+temporaries outgrow it.  Since each play owns its stream, the result
+depends on neither width nor the order of the plays: it is bit-identical
+across runs and could be merged from parallel workers in sample-index
+order.
 
 A play is decided at the first step whose verdict code, in the objective's
 verdict table, is decided: the rule is stated once, in the ``objectives``
@@ -37,11 +42,16 @@ from dataclasses import dataclass
 
 from .model import Game, Owner
 from .objectives import Objective, ObjectiveKind
-from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
+from .strategies import MDStrategy, TransducerStrategy, _is_distribution, md_to_transducer
 
-# Plays advanced together.  Bounds peak memory; the result does not depend
-# on it, because every play owns its stream.
-_PLAYS = 4096
+# Plays advanced together, at most.  A live play holds about 110 bytes (its
+# draw window of 9 doubles and 5 index entries), so this bounds the set at
+# about 3.5 MB.  A set that holds every play of a run steps through the
+# horizon once, however few plays stay undecided until it.
+_PLAYS = 1 << 15
+# Stale plays whose Philox blocks are computed in one kernel call, at most:
+# the kernel's temporaries then stay near 1 MB, in cache.
+_SLICE = 4096
 # Philox blocks of four draws each that a play keeps ahead.  At least 2: a
 # refilled window starts up to 3 draws in, and a step takes up to 3 draws.
 _WINDOW = 2
@@ -60,6 +70,10 @@ class SimConfig:
     buchi_window: int = 1
 
     def __post_init__(self):
+        for name in ("samples", "horizon", "seed", "buchi_window"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, not {value!r}")
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if not self.horizon >= self.buchi_window >= 1:
@@ -182,8 +196,10 @@ def sample_plays(
 
     A strategy may be omitted, or lack rows, wherever no play needs it: a
     play that reaches a state where it needs a missing row raises
-    ``ValueError``.  MD strategies are accepted and lifted to one-mode
-    transducers.
+    ``ValueError``.  A row that is not a distribution over its state's
+    successors, or an update row not over the strategy's modes, raises
+    ``ValueError`` up front.  MD strategies are accepted and lifted to
+    one-mode transducers.
     """
     import numpy as np
 
@@ -205,21 +221,19 @@ def sample_plays(
         lost_from = np.array([min(table.lost_from[s], cfg.horizon + 1) for s in states])
 
     # Mode ids per player; a missing strategy has the one mode None.
-    mode_ids = [
-        {m: j for j, m in enumerate(dict.fromkeys(
-            (*t.modes, t.initial, *(m for row in t.update.values() for m in row))))}
-        if t else {None: 0}
-        for t in pair
-    ]
+    mode_ids = [{m: j for j, m in enumerate(dict.fromkeys((*t.modes, t.initial)))}
+                if t else {None: 0} for t in pair]
     initial = [ids[t.initial] if t else 0 for t, ids in zip(pair, mode_ids)]
 
-    def rows(dist, index):
-        if dist is None:
+    def rows(dist, index, support, bad):
+        """``dist`` as ``(id, weight)`` pairs, ``None`` for a missing row;
+        raises ``ValueError(bad)`` unless it is a distribution over
+        ``support``."""
+        if not dist:
             return None
-        try:
-            return [(index[x], w) for x, w in dist.items()]
-        except KeyError as exc:
-            raise ValueError(f"strategy row names unknown {exc.args[0]!r}") from None
+        if not _is_distribution(dist, support):
+            raise ValueError(bad)
+        return [(index[x], w) for x, w in dist.items()]
 
     # Move rows: one per random state and one per mode at an owned state, at
     # ``first[state] + mode``.  A play that needs a missing one fails.
@@ -237,12 +251,13 @@ def sample_plays(
         stride[p, i] = 1
         t = pair[p]
         for m in mode_ids[p]:
-            row = t.choose.get((m, s)) if t else None
+            row = t and rows(t.choose.get((m, s)), sid, game.succ[s],
+                             f"bad successor row for mode {m} at {s}")
             if not row:
                 lacking[len(moves)] = (
                     f"no successor row for mode {m} at {s}" if t else
                     f"owner mismatch: no {('maximizer', 'minimizer')[p]} strategy, needed at {s}")
-            moves.append(rows(row, sid))
+            moves.append(row)
     fails = np.zeros(len(moves), dtype=bool)
     fails[list(lacking)] = True
     moves = _Rows(np, moves)
@@ -251,8 +266,9 @@ def sample_plays(
     dynamic = []
     for p, (t, ids) in enumerate(zip(pair, mode_ids)):
         if t and t.update:
-            dynamic.append((p, _Rows(np, [rows(t.update.get((m, s)), ids) or [(j, 1)]
-                                          for m, j in ids.items() for s in states])))
+            dynamic.append((p, _Rows(np, [
+                rows(t.update.get((m, s)), ids, t.modes, f"bad update row for mode {m} at {s}")
+                or [(j, 1)] for m, j in ids.items() for s in states])))
         else:
             first += stride[p] * initial[p]
 
@@ -316,13 +332,14 @@ def sample_plays(
             urows = [mode * n + st for mode in modes]
             takes = [moves.draws[row]] + [upd.draws[r] for (_, upd), r in zip(dynamic, urows)]
             stale = np.flatnonzero(at + sum(takes) > span)
-            if len(stale):
-                block[stale] += at[stale] // 4
-                at[stale] %= 4
-                counter = block[stale, None] + np.arange(1, _WINDOW + 1)
-                key = lo + slot[stale, None]
+            block[stale] += at[stale] // 4
+            at[stale] %= 4
+            for part in range(0, len(stale), _SLICE):
+                some = stale[part:part + _SLICE]
+                counter = block[some, None] + np.arange(1, _WINDOW + 1)
+                key = lo + slot[some, None]
                 words = _philox(np, counter.astype(np.uint64), cfg.seed, key.astype(np.uint64))
-                window[slot[stale], :span] = words.reshape(len(stale), span)
+                window[slot[some], :span] = words.reshape(len(some), span)
             draws = []
             for take in takes:
                 draws.append(window[slot, at])

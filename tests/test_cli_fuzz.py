@@ -30,15 +30,24 @@ GALLERY = {
     "ladder": ["ladder", "--k", "2"],
     "ruin": ["ruin", "--cap", "5"],
 }
+# Strategy files: the games each was made for (it is computed on the first;
+# the others have the same states) and the ``strategy`` flags.
 STRATEGIES = {
-    "fig2-max": ["fig2b", "--objective", "buchi", "--player", "max"],
-    "fig2-min": ["fig2", "--player", "min"],
-    "ladder-max": ["ladder", "--objective", "buchi", "--player", "max"],
+    "fig2-max": (("fig2b", "fig2"), ["--objective", "buchi", "--player", "max"]),
+    "fig2-min": (("fig2", "fig2b"), ["--player", "min"]),
+    "ladder-max": (("ladder",), ["--objective", "buchi", "--player", "max"]),
 }
-TRANSDUCER = ("strategy max transducer\ninitial m0\nmode m0\nmode m1\n"
+TRANSDUCER = (("fig2", "fig2b"),
+              "strategy max transducer\ninitial m0\nmode m0\nmode m1\n"
               "update m0 s0 m1 1/2\nupdate m0 s0 m0 1/2\n"
               "choose m0 s0 s1 1/3\nchoose m0 s0 r0 2/3\nchoose m1 s0 r0 1\n"
-              "choose m0 s1 s2 1\nchoose m1 s1 s2 1\n")
+              "choose m0 s1 s2 1\nchoose m1 s1 s2 1\nchoose m0 s2 s3 1\nchoose m1 s2 r2 1\n"
+              "choose m0 s3 sink 1\nchoose m1 s3 sink 1\nchoose m0 t t 1\nchoose m1 t t 1\n"
+              "choose m0 sink sink 1\nchoose m1 sink sink 1\n")
+MADE_FOR = {name: games for name, (games, _) in STRATEGIES.items()}
+MADE_FOR["fig2-transducer"] = TRANSDUCER[0]
+# Games a simulation can run on with the strategies made for them.
+PAIRED = ("fig2", "fig2b", "ladder", "ruin")
 
 
 def _base_files(tmp_path) -> dict[str, str]:
@@ -48,21 +57,21 @@ def _base_files(tmp_path) -> dict[str, str]:
             path = tmp_path / f"{name}.game"
             assert main(["gallery"] + argv + ["--emit", str(path)]) == 0
             texts[name] = path.read_text()
-        for name, (game, *argv) in STRATEGIES.items():
+        for name, ((game, *_), argv) in STRATEGIES.items():
             path = tmp_path / f"{name}.strat"
             assert main(["strategy", str(tmp_path / f"{game}.game")] + argv
                         + ["--emit", str(path)]) == 0
             texts[name] = path.read_text()
-    texts["fig2-transducer"] = TRANSDUCER
+    texts["fig2-transducer"] = TRANSDUCER[1]
     return texts
 
 
-def _mutate(rng: random.Random, text: str, pool=POOL) -> str:
-    """Up to two edits: a token replaced, a line dropped, repeated, swapped or
-    made up."""
+def _mutate(rng: random.Random, text: str, pool=POOL, edits=(0, 1, 1, 2)) -> str:
+    """A number of edits drawn from ``edits``, each a token replaced, or a
+    line dropped, repeated, swapped or made up."""
     lines = text.splitlines()
     words = text.split()
-    for _ in range(rng.choice((0, 1, 1, 2))):
+    for _ in range(rng.choice(edits)):
         at = rng.randrange(len(lines))
         how = rng.randrange(5)
         if how == 0:
@@ -83,25 +92,32 @@ def _mutate(rng: random.Random, text: str, pool=POOL) -> str:
 
 
 def _argv(rng: random.Random, tmp_path, texts: dict[str, str], pool=POOL) -> list[str]:
+    command = rng.choice(("validate", "solve", "winning-set", "strategy", "transform",
+                          "simulate", "decide", "gallery"))
+    # A simulation mostly gets a game together with the strategies made for
+    # it, and fewer edits and odd flag values, so that most such runs reach
+    # the sampler.
+    paired = command == "simulate" and rng.random() < 0.8
+    edits, odd = ((0, 0, 0, 1), 0.1) if paired else ((0, 1, 1, 2), 0.3)
+
     def write(name: str) -> str:
         path = tmp_path / f"fuzz-{name}"
-        path.write_text(_mutate(rng, texts[name], pool))
+        path.write_text(_mutate(rng, texts[name], pool, edits))
         return path, str(path)
 
     def pick(valid) -> str:
         """Mostly a well-formed value, sometimes one from the pool."""
-        return rng.choice(valid if rng.random() < 0.7 else pool)
+        return rng.choice(pool if rng.random() < odd else valid)
 
     def maybe(flag: str, valid) -> list[str]:
         return [flag, pick(valid)] if rng.random() < 0.5 else []
 
-    path, game = write(rng.choice(list(GALLERY)))
+    name = rng.choice(PAIRED if paired else list(GALLERY))
+    path, game = write(name)
     states = [line.split()[1] for line in path.read_text().splitlines()
               if line.startswith("state ") and len(line.split()) > 1] or ["x"]
     common = maybe("--objective", OBJECTIVES) + maybe("--target", states)
     emit = ["--emit", str(tmp_path / "out")]
-    command = rng.choice(("validate", "solve", "winning-set", "strategy", "transform",
-                          "simulate", "decide", "gallery"))
     if command == "validate":
         return ["validate", game]
     if command == "solve":
@@ -115,12 +131,18 @@ def _argv(rng: random.Random, tmp_path, texts: dict[str, str], pool=POOL) -> lis
     if command == "transform":
         return ["transform", game, "--rvi"] + common + emit
     if command == "simulate":
-        strategies = [name for name in texts if name not in GALLERY]
-        return (["simulate", game, "--samples", pick(COUNTS), "--horizon", pick(COUNTS)]
+        argv = (["simulate", game, "--samples", pick(COUNTS), "--horizon", pick(COUNTS)]
                 + common + maybe("--seed", COUNTS) + maybe("--buchi-window", COUNTS)
-                + maybe("--from", states)
-                + (["--sigma", write(rng.choice(strategies))[1]] if rng.random() < 0.7 else [])
-                + (["--pi", write(rng.choice(strategies))[1]] if rng.random() < 0.3 else []))
+                + maybe("--from", states))
+        for flag, player, share in (("--sigma", "max", 0.7), ("--pi", "min", 0.3)):
+            if paired:
+                made = [s for s in MADE_FOR if name in MADE_FOR[s]
+                        and texts[s].split()[1] == player]
+                if made:
+                    argv += [flag, write(rng.choice(made))[1]]
+            elif rng.random() < share:
+                argv += [flag, write(rng.choice(list(MADE_FOR)))[1]]
+        return argv
     if command == "decide":
         return (["decide", game, "--threshold", pick(RATIONALS), "--from", pick(states)]
                 + common + ["--strict"] * rng.randint(0, 1))
@@ -140,11 +162,16 @@ def _exit_code(run, argv, tmp_path) -> int:
 def test_cli_fuzz_exits_0_1_or_2(tmp_path, capsys):
     texts = _base_files(tmp_path)
     rng = random.Random(20261018)
+    simulated = []
     for run in range(RUNS):
         argv = _argv(rng, tmp_path, texts)
         code = _exit_code(run, argv, tmp_path)
         assert code in (0, 1, 2), (run, argv, code)
         capsys.readouterr()
+        if argv[0] == "simulate":
+            simulated.append(code == 0)
+    # The fuzz reaches the sampler, not only the input checks before it.
+    assert sum(simulated) >= len(simulated) / 4, (sum(simulated), len(simulated))
 
 
 # Tokens outside the fixed pool: any text without digits (so no count gets

@@ -29,6 +29,7 @@ from sgsolve.simulate import _philox
 from sgsolve.strategies import MDStrategy
 
 HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 def test_deterministic_game_gives_zero_one_mean():
@@ -120,6 +121,11 @@ def test_config_invariants():
         SimConfig(samples=1, horizon=1, seed=1, buchi_window=2)
     with pytest.raises(ValueError):
         SimConfig(samples=1, horizon=1, seed=1, buchi_window=0)
+    for field, value in (("samples", 2.5), ("horizon", 10.0), ("seed", 1.5),
+                         ("buchi_window", 1.0), ("samples", True)):
+        fields = {**dict(samples=2, horizon=10, seed=1, buchi_window=1), field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            SimConfig(**fields)
 
 
 def test_config_rejects_seeds_that_numpy_cannot_key_exactly():
@@ -240,15 +246,33 @@ def test_estimates_do_not_depend_on_the_play_block(monkeypatch):
     sigma = _random_transducer(rng, fig2.game, Owner.MAX)
     pi = _random_transducer(rng, fig2.game, Owner.MIN)
     obj = buchi(*fig2.buchi)
-    cfg = SimConfig(samples=2 * simulate._PLAYS + 37, horizon=12, seed=11, buchi_window=3)
+    # 150 plays cross several lockstep sets and Philox slices of each width.
+    cfg = SimConfig(samples=150, horizon=12, seed=11, buchi_window=3)
     whole = _same(fig2.game, "i", obj, cfg, sigma, pi)
     for plays in (1, 7, 64):
-        monkeypatch.setattr(simulate, "_PLAYS", plays)
-        small = SimConfig(samples=150, horizon=12, seed=11, buchi_window=3)
-        assert sample_plays(fig2.game, "i", obj, small, sigma, pi) == \
-            reference_sample_plays(fig2.game, "i", obj, small, sigma, pi)
-    monkeypatch.undo()
-    assert sample_plays(fig2.game, "i", obj, cfg, sigma, pi) == whole
+        for width in (1, 3):
+            monkeypatch.setattr(simulate, "_PLAYS", plays)
+            monkeypatch.setattr(simulate, "_SLICE", width)
+            assert sample_plays(fig2.game, "i", obj, cfg, sigma, pi) == whole
+
+
+def test_peak_memory_follows_the_lockstep_width_not_the_sample_count(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(simulate, "_PLAYS", 1024)
+    monkeypatch.setattr(simulate, "_SLICE", 256)
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 30)
+    obj = reach(*built.targets).bind(built.game)
+    sample_plays(built.game, "w1", obj, SimConfig(64, 50, 1))
+    peaks = []
+    for samples in (1024, 8192):
+        tracemalloc.start()
+        try:
+            sample_plays(built.game, "w1", obj, SimConfig(samples, 50, 1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_unreachable_owner_needs_no_strategy():
@@ -277,6 +301,29 @@ def test_a_missing_row_fails_only_where_a_play_needs_it():
     assert sample_plays(g, "a", reach("t"), cfg, sigma=partial).mean == 1.0
     with pytest.raises(ValueError, match="no successor row for mode m0 at m"):
         sample_plays(g, "a", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {"k": "t"}))
+
+
+# a is the maximizer's; b loops, c leads to the absorbing target t.
+_FORK = Game.of([("a", "max", ("b", "c")), ("b", "rand", ("b",), (1,)),
+                 ("c", "rand", ("t",), (1,)), ("t", "rand", ("t",), (1,))])
+
+
+def test_a_row_that_is_not_a_distribution_over_its_support_is_rejected():
+    cfg = SimConfig(samples=10, horizon=5, seed=0)
+    # A move along the non-edge a -> t would win every play.
+    with pytest.raises(ValueError, match="^bad successor row for mode m0 at a$"):
+        sample_plays(_FORK, "a", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {"a": "t"}))
+    choose = {("m0", "a"): {"c": ONE}}
+    for bad in ({"c": HALF}, {"b": HALF, "t": HALF}):
+        sigma = TransducerStrategy(Owner.MAX, ("m0",), "m0", choose={("m0", "a"): bad})
+        with pytest.raises(ValueError, match="^bad successor row for mode m0 at a$"):
+            sample_plays(_FORK, "a", reach("t"), cfg, sigma=sigma)
+    for bad in ({"m1": ONE}, {"m0": HALF}):
+        sigma = TransducerStrategy(Owner.MAX, ("m0",), "m0", {("m0", "b"): bad}, choose)
+        with pytest.raises(ValueError, match="^bad update row for mode m0 at b$"):
+            sample_plays(_FORK, "a", reach("t"), cfg, sigma=sigma)
+    sigma = TransducerStrategy(Owner.MAX, ("m0",), "m0", {("m0", "b"): {"m0": ONE}}, choose)
+    assert sample_plays(_FORK, "a", reach("t"), cfg, sigma=sigma).mean == 1.0
 
 
 # a steps into the absorbing non-target d; t is an absorbing target.
