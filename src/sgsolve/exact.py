@@ -2,13 +2,15 @@
 
 Reach probabilities of a fixed strategy pair are absorption probabilities of
 a finite Markov chain.  The chain's unknowns are split into strongly
-connected blocks and solved one block at a time, successors first, by sparse
-elimination over ``Fraction`` with the values already known outside the
-block on the right-hand side (topological solving, as in Storm: Dehnert et
-al., CAV 2017); a one-state block needs no elimination, only a division by
-one minus its self-loop weight.  Optimal values come from strategy
-iteration over maximizer policies, each evaluated by an exact minimizer best
-response.
+connected blocks and solved one block at a time, successors first, with the
+values already known outside the block on the right-hand side (topological
+solving, as in Storm: Dehnert et al., CAV 2017).  Each block row is scaled
+by the lcm of its denominators to integers and the block is eliminated
+fraction-free on Python ints (Bareiss, Math. Comp. 1968), so each unknown
+costs one ``Fraction``, built at the end; a one-state block needs no
+elimination, only a division by one minus its self-loop weight.  Optimal
+values come from strategy iteration over maximizer policies, each evaluated
+by an exact minimizer best response.
 
 The minimizer best response needs one guard: inside the region where the
 minimizer can avoid the target outright (the complement of the positive
@@ -38,6 +40,7 @@ before, so its unique solution there is unchanged.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .graphs import attractor, strongly_connected_components
 from .model import Game, Owner, SgsolveError, check_targets
@@ -60,36 +63,63 @@ class ConvergenceError(SgsolveError, RuntimeError):
 def gauss_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a square sparse rational system.
 
-    Row ``i`` maps column indices to coefficients; a missing column is
-    zero.  Elimination below the diagonal (pivoting on != 0), then
-    back-substitution; neither argument is modified.
+    Row ``i`` maps column indices to ``int`` or ``Fraction`` coefficients; a
+    missing column is zero.  Each row is cleared to integers and eliminated
+    below the diagonal fraction-free (pivoting on != 0): a row ``r`` with
+    entry ``f`` under pivot ``p`` becomes ``(p/g) r - (f/g) prow`` for
+    ``g = gcd(p, f)``, then loses its content.  Back-substitution runs on
+    ``(numerator, denominator)`` pairs, so each unknown costs one
+    ``Fraction``.  Neither argument is modified.
     """
     n = len(rows)
-    a = [dict(row) for row in rows]
-    b = list(rhs)
+    a, b = [], []
+    for row, c in zip(rows, rhs):
+        scale = lcm(c.denominator, *(x.denominator for x in row.values()))
+        a.append({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+        b.append(c.numerator * (scale // c.denominator))
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r].get(col)), None)
         if pivot is None:
             raise ValueError("singular system")
         a[col], a[pivot] = a[pivot], a[col]
         b[col], b[pivot] = b[pivot], b[col]
-        prow = a[col]
+        prow, bp = a[col], b[col]
         p = prow[col]
         for r in range(col + 1, n):
             f = a[r].pop(col, None)
             if not f:
                 continue
-            f /= p
+            g = gcd(p, f)
+            ps, fs = p // g, f // g
             row = a[r]
+            if ps != 1:
+                for j in row:
+                    row[j] *= ps
             for j, x in prow.items():
                 if j != col:
-                    row[j] = row.get(j, ZERO) - f * x
-            b[r] -= f * b[col]
-    x = [ZERO] * n
+                    row[j] = row.get(j, 0) - fs * x
+            c = ps * b[r] - fs * bp
+            g = gcd(c, *row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                c //= g
+            b[r] = c
+    x: list[tuple[int, int]] = [(0, 1)] * n
     for i in reversed(range(n)):
         row = a[i]
-        x[i] = (b[i] - sum((c * x[j] for j, c in row.items() if j != i), ZERO)) / row[i]
-    return x
+        # The row's sum of known terms, num / den over the lcm of their denominators.
+        num, den = 0, 1
+        for j, c in row.items():
+            xn, xd = x[j]
+            if j != i and c and xn:
+                scale = lcm(den, xd)
+                num = num * (scale // den) + c * xn * (scale // xd)
+                den = scale
+        num, den = b[i] * den - num, row[i] * den
+        g = gcd(num, den)
+        x[i] = num // g, den // g
+    return [Fraction(xn, xd) for xn, xd in x]
 
 
 def _choice_successors(game: Game, choice: dict[str, str], s: str) -> tuple[tuple[str, Fraction], ...]:
@@ -143,19 +173,24 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
         index = {s: i for i, s in enumerate(block)}
         rows, rhs = [], []
         for s in block:
-            row = {index[s]: ONE}
-            b = ZERO
+            inside, known = [], []
             for t, w in moves[s]:
                 j = index.get(t)
                 if j is None:
                     # Solved in an earlier block, a target, or unable to reach one.
-                    b += w * values[t]
+                    if values[t]:
+                        known.append(w * values[t])
                 else:
-                    row[j] = row.get(j, ZERO) - w
+                    inside.append((j, w))
+            # The row times the lcm of its denominators, on integers.
+            scale = lcm(*(w.denominator for _, w in inside), *(v.denominator for v in known))
+            row = {index[s]: scale}
+            for j, w in inside:
+                row[j] = row.get(j, 0) - w.numerator * (scale // w.denominator)
             rows.append(row)
-            rhs.append(b)
+            rhs.append(sum(v.numerator * (scale // v.denominator) for v in known))
         # A single state's row is its one equation: (1 - self-loop) x = b.
-        solved = [rhs[0] / rows[0][0]] if len(block) == 1 else gauss_solve(rows, rhs)
+        solved = [Fraction(rhs[0], rows[0][0])] if len(block) == 1 else gauss_solve(rows, rhs)
         for s, v in zip(block, solved):
             values[s] = v
     return values
@@ -258,7 +293,11 @@ def bellman_combine(game: Game, values, s: str) -> Fraction:
         return max(values[t] for t in game.succ[s])
     if o is Owner.MIN:
         return min(values[t] for t in game.succ[s])
-    return sum((w * values[t] for t, w in game.distribution(s)), ZERO)
+    # The average over the lcm of the terms' denominators: one Fraction.
+    terms = [(w.numerator * values[t].numerator, w.denominator * values[t].denominator)
+             for t, w in game.distribution(s)]
+    scale = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (scale // d) for n, d in terms), scale)
 
 
 def reach_plus_values(game: Game, values) -> dict[str, Fraction]:

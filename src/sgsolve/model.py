@@ -20,6 +20,7 @@ from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 
 class Owner(Enum):
@@ -221,8 +222,11 @@ def validate(game: Game) -> list[Violation]:
             for w in weights:
                 if w <= 0:
                     out.append(Violation("nonpositive-weight", s, f"weight {w} is not positive"))
-            total = sum(weights, Fraction(0))
-            if succs and total != 1:
+            # The sum on integers over the lcm of the denominators; the
+            # Fraction total is built only for the message.
+            scale = lcm(*(w.denominator for w in weights))
+            if succs and sum(w.numerator * (scale // w.denominator) for w in weights) != scale:
+                total = sum(weights, Fraction(0))
                 out.append(Violation("weight-sum", s, f"weights sum to {total}, expected 1"))
     return out
 

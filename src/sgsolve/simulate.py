@@ -128,14 +128,24 @@ def _mulhilo(np, m: int, x):
 def _philox(np, counter, seed: int, play):
     """Philox4x64-10 at counters ``(counter, 0, 0, 0)`` under keys
     ``(seed, play)``, elementwise over uint64 arrays: the four output words of
-    each, mapped to doubles in [0, 1) along a new last axis."""
-    c0, c2 = counter, np.zeros_like(counter)
-    c1, c3 = c2, c2
-    k0, k1 = seed, play
-    for r in range(10):
-        if r:
-            k0 = (k0 + _BUMPS[0]) & _MASK64
-            k1 = k1 + np.uint64(_BUMPS[1])
+    each, mapped to doubles in [0, 1) along a new last axis.
+
+    Rounds 0 and 1 run on the words known before the call: round 0's second
+    product is of the zero word and leaves the seed key alone in word 0, so
+    round 1's first product is one Python int product.
+    """
+    c2, c3 = _mulhilo(np, _MULTIPLIERS[0], counter)
+    c2 ^= play
+    k0, k1 = (seed + _BUMPS[0]) & _MASK64, play + np.uint64(_BUMPS[1])
+    product = _MULTIPLIERS[0] * seed
+    c3 ^= np.uint64(product >> 64)
+    c3 ^= k1
+    c0, c1 = _mulhilo(np, _MULTIPLIERS[1], c2)
+    c0 ^= np.uint64(k0)
+    c2, c3 = c3, np.uint64(product & _MASK64)
+    for _ in range(2, 10):
+        k0 = (k0 + _BUMPS[0]) & _MASK64
+        k1 = k1 + np.uint64(_BUMPS[1])
         hi0, lo0 = _mulhilo(np, _MULTIPLIERS[0], c0)
         hi1, lo1 = _mulhilo(np, _MULTIPLIERS[1], c2)
         hi1 ^= c1

@@ -21,6 +21,8 @@ from fractions import Fraction
 
 from .model import Game, Owner, SgsolveError, _as_fraction
 
+_KINDS = {o.value: o for o in Owner}
+
 
 class GameFormatError(SgsolveError, ValueError):
     """A hard parse error, with the 1-based line number it occurred on."""
@@ -53,6 +55,8 @@ def parse_game(text: str) -> ParsedGame:
     state_lines: dict[str, int] = {}
     edges: list[tuple[int, str, str, Fraction | None]] = []
     targets: list[tuple[int, str]] = []
+    # Each distinct weight text is read once.
+    weights: dict[str, Fraction] = {}
 
     for lineno, toks in _tokens(text):
         kw = toks[0]
@@ -62,19 +66,20 @@ def parse_game(text: str) -> ParsedGame:
             sid, kind = toks[1], toks[2]
             if sid in owner:
                 raise GameFormatError(lineno, f"duplicate declaration of state {sid!r}")
-            try:
-                owner[sid] = Owner(kind)
-            except ValueError:
-                raise GameFormatError(lineno, f"unknown state kind {kind!r}") from None
+            if kind not in _KINDS:
+                raise GameFormatError(lineno, f"unknown state kind {kind!r}")
+            owner[sid] = _KINDS[kind]
             state_lines[sid] = lineno
         elif kw == "edge":
             if len(toks) == 3:
                 edges.append((lineno, toks[1], toks[2], None))
             elif len(toks) == 4:
-                try:
-                    weight = _as_fraction(toks[3])
-                except ValueError:
-                    raise GameFormatError(lineno, f"malformed rational weight {toks[3]!r}") from None
+                weight = weights.get(toks[3])
+                if weight is None:
+                    try:
+                        weight = weights[toks[3]] = _as_fraction(toks[3])
+                    except ValueError:
+                        raise GameFormatError(lineno, f"malformed rational weight {toks[3]!r}") from None
                 edges.append((lineno, toks[1], toks[2], weight))
             else:
                 raise GameFormatError(lineno, "expected: edge <src> <dst> [<p/q>]")

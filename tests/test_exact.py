@@ -14,6 +14,7 @@ from sgsolve import exact
 from sgsolve.exact import (ConvergenceError, can_reach, chain_reach_values, gauss_solve,
                            min_best_response, solve_reach_exact)
 from sgsolve.graphs import strongly_connected_components
+from sgsolve.strategies import optimal_max_md, optimal_min_md
 
 
 def _dense_reach(game: Game, choice: dict[str, str], targets) -> dict[str, Fraction]:
@@ -86,6 +87,26 @@ def test_block_solve_matches_a_dense_reference_on_random_chains():
     assert checked == 640
     # One-state blocks skip elimination; both kinds are covered.
     assert singles[True] > 0 and singles[False] > 0
+
+
+@pytest.mark.parametrize("seed", [24, 25, 31, 3])
+def test_solve_on_large_games_matches_a_dense_reference_under_the_optimal_pair(seed, monkeypatch):
+    # n = 120 to 144.  Weights have denominators of at most 12, so a scaled
+    # row of in-block weights alone has entries of at most 11 bits; wider
+    # entries come from values an earlier block solved.
+    game, targets = random_game(seed, n=120 + 8 * (seed % 6), max_targets=3)
+    widths = []
+    solve = exact.gauss_solve
+
+    def spy(rows, rhs):
+        widths.append(max(abs(x).bit_length() for row in rows for x in row.values()))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(exact, "gauss_solve", spy)
+    values = solve_reach_exact(game, targets)
+    assert max(widths) > 16
+    choice = {**optimal_max_md(game, targets).choice, **optimal_min_md(game, targets).choice}
+    assert list(values.items()) == list(_dense_reach(game, choice, targets).items())
 
 
 def test_single_state_block_with_a_random_self_loop():

@@ -6,6 +6,7 @@ stays deterministic and quick; a failure prints its smallest game.
 
 from fractions import Fraction
 
+import pytest
 from conftest import reference_plays
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Verdict,
                      almost_sure_reach, bellman_step, buchi, cobuchi, decided, gallery,
                      md_enumeration_oracle, reach, reach_plus, rvi, safety, value_reach_within)
-from sgsolve.exact import solve_reach_exact
+from sgsolve.exact import bellman_combine, gauss_solve, solve_reach_exact
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -127,3 +128,77 @@ def test_prefix_verdicts_are_the_table_and_the_reference_samplers(case, make, st
             assert got == _OF_VERDICT[verdict if k == len(visited) else None]
     # Steer the search towards games where plays get decided.
     target(float(decided_plays))
+
+
+# Exact rationals with small and with more than 64-bit denominators.
+_RATIONALS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(2**64, 2**72)),
+)
+
+
+@st.composite
+def nonsingular_systems(draw) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """A sparse system whose rows are those of a strictly diagonally dominant
+    matrix in a drawn order, so that zero diagonals force row swaps."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for i in range(n):
+        row = {j: draw(_RATIONALS) for j in range(n) if j != i and draw(st.booleans())}
+        margin = draw(st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**70)))
+        row[i] = draw(st.sampled_from((1, -1))) * (sum(abs(x) for x in row.values()) + margin)
+        if row[i].denominator == 1 and draw(st.booleans()):
+            row[i] = int(row[i])
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    return rows, [draw(_RATIONALS) for _ in range(n)]
+
+
+def _dense_solve(rows, rhs) -> list[Fraction]:
+    """Dense Gauss-Jordan over ``Fraction``."""
+    n = len(rows)
+    a = [[Fraction(row.get(j, 0)) for j in range(n)] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n] for row in a]
+
+
+@PROPERTY
+@given(nonsingular_systems(), st.data())
+def test_gauss_solve_equals_dense_gauss_jordan_and_rejects_singular_systems(system, data):
+    rows, rhs = system
+    kept = [dict(row) for row in rows], list(rhs)
+    got = gauss_solve(rows, rhs)
+    assert all(type(x) is Fraction for x in got)
+    assert got == _dense_solve(rows, rhs)
+    assert (rows, rhs) == kept
+    if len(rows) > 1:
+        # A row replaced by a multiple of another leaves the system singular.
+        k, i = data.draw(st.permutations(range(len(rows))))[:2]
+        c = data.draw(_RATIONALS.filter(bool))
+        singular = list(rows)
+        singular[k] = {j: c * x for j, x in rows[i].items()}
+        with pytest.raises(ValueError, match="singular system"):
+            gauss_solve(singular, rhs)
+
+
+@PROPERTY
+@given(games(max_states=8, owned_width=2), st.data())
+def test_random_average_equals_the_fraction_sum(case, data):
+    game, _ = case
+    # Zero values are common, so some rows have only zero successors.
+    values = {s: data.draw(st.one_of(st.just(Fraction(0)), _RATIONALS.map(Fraction)))
+              for s in game.states}
+    for s in game.states:
+        if game.owner[s] is Owner.RANDOM:
+            got = bellman_combine(game, values, s)
+            assert type(got) is Fraction
+            assert got == sum((w * values[t] for t, w in game.distribution(s)), Fraction(0))
+            assert bellman_combine(game, dict.fromkeys(game.states, Fraction(0)), s) == 0
