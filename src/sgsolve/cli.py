@@ -194,8 +194,9 @@ def _cmd_winning_set(args) -> int:
 
 def _cmd_strategy(args) -> int:
     from .objectives import ObjectiveKind
-    from .strategies import (buchi_md_pair, format_strategy, optimal_max_md_no_decrease,
+    from .strategies import (_buchi_max_md, _buchi_min_md, format_strategy, optimal_max_md_no_decrease,
                              optimal_min_md, reachplus_max_md, reachplus_min_md)
+    from .winning import buchi_peel
 
     parsed = _load(args.file)
     obj = _objective(args, parsed)
@@ -213,8 +214,8 @@ def _cmd_strategy(args) -> int:
             else reachplus_min_md(game, obj.target)
         )
     elif obj.kind is ObjectiveKind.BUCHI:
-        sigma, pi = buchi_md_pair(game, obj.target)
-        strat = sigma if args.player == "max" else pi
+        half = _buchi_max_md if args.player == "max" else _buchi_min_md
+        strat = half(game, buchi_peel(game, obj.target), set(obj.target))
     else:
         raise ValueError(f"no strategy construction for {obj.kind.value}")
     text = format_strategy(strat)

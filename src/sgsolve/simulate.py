@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .model import Game, Owner
 from .objectives import Objective, ObjectiveKind
-from .strategies import MDStrategy, TransducerStrategy, _is_distribution, md_to_transducer
+from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
 
 # Plays advanced together, at most.  A live play holds about 110 bytes (its
 # draw window of 9 doubles and 5 index entries), so this bounds the set at
@@ -206,14 +206,15 @@ def sample_plays(
 
     A strategy may be omitted, or lack rows, wherever no play needs it: a
     play that reaches a state where it needs a missing row raises
-    ``ValueError``.  A row that is not a distribution over its state's
-    successors, or an update row not over the strategy's modes, raises
-    ``ValueError`` up front.  MD strategies are accepted and lifted to
-    one-mode transducers.
+    ``ValueError``.  A row that fails :meth:`TransducerStrategy.check_rows`,
+    a stray one included, raises ``ValueError`` up front.  MD strategies are
+    accepted and lifted to one-mode transducers.
     """
     import numpy as np
 
     pair = (_as_transducer(sigma, Owner.MAX), _as_transducer(pi, Owner.MIN))
+    for t in filter(None, pair):
+        t.check_rows(game)
     obj = objective if objective.game is game else objective.bind(game)
     if start not in game.owner:
         raise ValueError(f"unknown state {start!r}")
@@ -231,19 +232,13 @@ def sample_plays(
         lost_from = np.array([min(table.lost_from[s], cfg.horizon + 1) for s in states])
 
     # Mode ids per player; a missing strategy has the one mode None.
-    mode_ids = [{m: j for j, m in enumerate(dict.fromkeys((*t.modes, t.initial)))}
+    mode_ids = [{m: j for j, m in enumerate(dict.fromkeys(t.modes))}
                 if t else {None: 0} for t in pair]
     initial = [ids[t.initial] if t else 0 for t, ids in zip(pair, mode_ids)]
 
-    def rows(dist, index, support, bad):
-        """``dist`` as ``(id, weight)`` pairs, ``None`` for a missing row;
-        raises ``ValueError(bad)`` unless it is a distribution over
-        ``support``."""
-        if not dist:
-            return None
-        if not _is_distribution(dist, support):
-            raise ValueError(bad)
-        return [(index[x], w) for x, w in dist.items()]
+    def rows(dist, index):
+        """``dist`` as ``(id, weight)`` pairs, ``None`` for a missing row."""
+        return dist and [(index[x], w) for x, w in dist.items()]
 
     # Move rows: one per random state and one per mode at an owned state, at
     # ``first[state] + mode``.  A play that needs a missing one fails.
@@ -261,8 +256,7 @@ def sample_plays(
         stride[p, i] = 1
         t = pair[p]
         for m in mode_ids[p]:
-            row = t and rows(t.choose.get((m, s)), sid, game.succ[s],
-                             f"bad successor row for mode {m} at {s}")
+            row = t and rows(t.choose.get((m, s)), sid)
             if not row:
                 lacking[len(moves)] = (
                     f"no successor row for mode {m} at {s}" if t else
@@ -277,8 +271,7 @@ def sample_plays(
     for p, (t, ids) in enumerate(zip(pair, mode_ids)):
         if t and t.update:
             dynamic.append((p, _Rows(np, [
-                rows(t.update.get((m, s)), ids, t.modes, f"bad update row for mode {m} at {s}")
-                or [(j, 1)] for m, j in ids.items() for s in states])))
+                rows(t.update.get((m, s)), ids) or [(j, 1)] for m, j in ids.items() for s in states])))
         else:
             first += stride[p] * initial[p]
 

@@ -33,6 +33,9 @@ class MDStrategy:
     choice: dict[str, str]
 
     def check_total(self, game: Game) -> None:
+        for s in self.choice:
+            if game.owner.get(s) is not self.owner:
+                raise ValueError(f"choice at {s}, which is not a {self.owner.value} state")
         for s in game.states:
             if game.owner[s] is self.owner:
                 if s not in self.choice:
@@ -58,11 +61,18 @@ class TransducerStrategy:
     choose: dict[tuple[str, str], dict[str, Fraction]] = field(default_factory=dict)
 
     def check(self, game: Game) -> None:
+        """:meth:`check_rows`, and a successor row for every mode at every owned state."""
+        self.check_rows(game)
+        for mode in self.modes:
+            for s in game.states:
+                if game.owner[s] is self.owner and (mode, s) not in self.choose:
+                    raise ValueError(f"no successor row for mode {mode} at {s}")
+
+    def check_rows(self, game: Game) -> None:
         """Raise ``ValueError`` unless every row is a distribution (positive
         weights summing to one) over modes or over the state's successors,
         update rows sit at states of the game and successor rows at states
-        the owner controls, and every mode has a successor row at every
-        owned state."""
+        the owner controls.  Rows may be missing."""
         modes = set(self.modes)
         if self.initial not in modes:
             raise ValueError("initial mode is not a mode")
@@ -77,10 +87,6 @@ class TransducerStrategy:
                                  f"which is not a {self.owner.value} state")
             if mode not in modes or not _is_distribution(dist, game.succ[s]):
                 raise ValueError(f"bad successor row for mode {mode} at {s}")
-        for mode in self.modes:
-            for s in game.states:
-                if game.owner[s] is self.owner and (mode, s) not in self.choose:
-                    raise ValueError(f"no successor row for mode {mode} at {s}")
 
 
 def _is_distribution(dist: dict[str, Fraction], support) -> bool:
@@ -280,58 +286,55 @@ def reachplus_max_md(game: Game, targets) -> MDStrategy:
     return MDStrategy(Owner.MAX, choice)
 
 
-def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
-    """The MD pair certifying the almost-sure Buchi partition.
-
-    The maximizer side is the revisit-optimal construction on the final
-    surviving subgame, extended first-in-list off it; it never leaves the
-    winning region.  The minimizer side replays the choices recorded during
-    peeling: a step into the previous closure level at closure states, and
-    at removal seeds the first successor minimizing the exact reach value of
-    the live Buchi set in that round's patched subgame (removed states count
-    as zero).  A seed's revisit value is below one, so that successor is
-    never a live Buchi state, which on Buchi states is the required
-    off-target escape.  One exact solve per round with a minimizer seed.
-    """
-    buchi_set = set(buchi_set)
-    peel = winning.buchi_peel(game, buchi_set)
-    index = peel.partition.index
+def _buchi_max_md(game: Game, peel: winning.BuchiPeel, buchi_set: set[str]) -> MDStrategy:
+    """The maximizer's half of :func:`buchi_md_pair`.  Every value in the
+    region is one, so the attractor layer is the progress rank."""
     alive = peel.partition.max_wins
+    layer: dict[str, int] = {}
+    attractor(game, alive & buchi_set, (Owner.MAX, Owner.RANDOM), alive=alive, layer=layer)
+    if len(layer) != len(alive):
+        raise InvariantError("a state of the maximizer's winning region has no progress layer")
+    mine = [s for s in game.states if game.owner[s] is Owner.MAX]
+    choice = {s: game.succ[s][0] for s in mine if s not in alive}
+    choice.update((s, min((t for t in game.succ[s] if t in layer), key=layer.__getitem__))
+                  for s in mine if s in alive)
+    return MDStrategy(Owner.MAX, choice)
 
-    sigma_choice: dict[str, str] = {}
-    pi_choice = dict(peel.min_pick)
-    seeds = [s for s, t in pi_choice.items() if t is None]
+
+def _buchi_min_md(game: Game, peel: winning.BuchiPeel, buchi_set: set[str]) -> MDStrategy:
+    """The minimizer's half of :func:`buchi_md_pair`."""
+    index = peel.partition.index
+    choice = dict(peel.min_pick)
+    seeds = [s for s, t in choice.items() if t is None]
     for k in sorted({index[s] for s in seeds}):
         live = {s for s in game.states if index[s] is None or index[s] >= k}
         vals = solve_reach_exact(sink_subgame(game, live), live & buchi_set)
         for s in seeds:
             if index[s] == k:
-                pi_choice[s] = min(game.succ[s], key=lambda t: vals[t] if t in live else ZERO)
+                choice[s] = min(game.succ[s], key=lambda t: vals[t] if t in live else ZERO)
     for s in game.states:
-        if game.owner[s] is Owner.MAX and s not in alive:
-            sigma_choice[s] = game.succ[s][0]
-        if game.owner[s] is Owner.MIN and s not in pi_choice:
-            pi_choice[s] = game.succ[s][0]
+        if game.owner[s] is Owner.MIN and s not in choice:
+            choice[s] = game.succ[s][0]
+    return MDStrategy(Owner.MIN, choice)
 
-    if alive:
-        owner = {s: game.owner[s] for s in game.states if s in alive}
-        succ: dict[str, tuple[str, ...]] = {}
-        for s in owner:
-            if game.owner[s] is Owner.MAX:
-                kept = tuple(t for t in game.succ[s] if t in alive)
-                if not kept:
-                    raise InvariantError(f"surviving maximizer state {s} has no surviving move")
-                succ[s] = kept
-            else:
-                if not all(t in alive for t in game.succ[s]):
-                    raise InvariantError(f"a move at {s} leaves the maximizer's winning region")
-                succ[s] = game.succ[s]
-        prob = {s: game.prob[s] for s in owner if game.owner[s] is Owner.RANDOM}
-        subgame = Game(owner, succ, prob)
-        inner = reachplus_max_md(subgame, alive & buchi_set)
-        sigma_choice.update(inner.choice)
 
-    return MDStrategy(Owner.MAX, sigma_choice), MDStrategy(Owner.MIN, pi_choice)
+def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
+    """The MD pair certifying the almost-sure Buchi partition, from one peel.
+
+    The maximizer side comes from the peel's region alone: in it, the first
+    successor of least attractor layer of the live Buchi states, so it never
+    leaves; off it, the first successor.  The minimizer side replays the
+    choices recorded during peeling: a step into the previous closure level
+    at closure states, and at removal seeds the first successor minimizing
+    the exact reach value of the live Buchi set in that round's patched
+    subgame (removed states count as zero).  A seed's revisit value is below
+    one, so that successor is never a live Buchi state, which on Buchi states
+    is the required off-target escape.  One exact solve per round with a
+    minimizer seed.
+    """
+    buchi_set = set(buchi_set)
+    peel = winning.buchi_peel(game, buchi_set)
+    return _buchi_max_md(game, peel, buchi_set), _buchi_min_md(game, peel, buchi_set)
 
 
 @dataclass(frozen=True)

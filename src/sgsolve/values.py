@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from . import winning
 from .exact import ConvergenceError, bellman_combine, can_reach, solve_reach_exact
@@ -104,11 +103,13 @@ def value_safety(game: Game, targets, mode: str = "exact", tol=None) -> ValueVec
 
 
 def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
-    """Exact values of reaching the target within ``steps`` steps."""
+    """Exact values of reaching the target within ``steps`` steps, computed
+    up to step ``steps`` or to the fixpoint, whichever comes first."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    for v in islice(_bounded_reach(game, targets), steps + 1):
-        pass
+    for k, v in enumerate(_bounded_reach(game, targets)):
+        if k == steps:
+            break
     return ValueVector(v)
 
 

@@ -10,11 +10,12 @@ import pytest
 from conftest import random_game
 
 import sgsolve.cli
+import sgsolve.exact
 import sgsolve.strategies
 import sgsolve.transforms
 import sgsolve.values
-from sgsolve import (InvariantError, almost_sure_buchi, almost_sure_safety, format_game, gallery,
-                     parse_game)
+from sgsolve import (InvariantError, almost_sure_buchi, almost_sure_safety, buchi_md_pair,
+                     format_game, format_strategy, gallery, parse_game)
 from sgsolve.cli import main
 
 
@@ -353,6 +354,28 @@ def test_simulate_rejects_foreign_transducer_rows(tmp_path, capsys, row, message
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("row, message", [
+    ("", None),
+    ("choose nosuch w1\n", "choice at nosuch, which is not a min state"),
+    ("choose s0 s1\n", "choice at s0, which is not a min state"),
+], ids=["total", "choice-at-unknown-state", "choice-at-foreign-state"])
+def test_simulate_rejects_stray_md_rows(tmp_path, capsys, row, message):
+    game = tmp_path / "fig2.game"
+    assert main(["gallery", "fig2", "--depth", "6", "--emit", str(game)]) == 0
+    pi = tmp_path / "pi.strat"
+    assert main(["strategy", str(game), "--player", "min", "--emit", str(pi)]) == 0
+    pi.write_text(pi.read_text() + row)
+    code = main(["simulate", str(game), "--from", "sp0", "--samples", "10", "--horizon", "5",
+                 "--pi", str(pi)])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.err == ""
+    else:
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("seed, ok", [
     ("-1", False), (str(2**63), False), (str(2**64), False), (str(2**63 - 1), True),
 ])
@@ -527,3 +550,50 @@ def test_one_parser_serves_every_call_of_a_process(ladder_file, capsys, monkeypa
         got = capsys.readouterr()
         assert (code, got.out, got.err) == (proc.returncode, proc.stdout, proc.stderr)
     assert sgsolve.cli._build_parser() is sgsolve.cli._build_parser()
+
+
+def _buchi_file(tmp_path, argv):
+    path = tmp_path / f"{'-'.join(argv)}.game"
+    assert main(["gallery", *argv, "--label", "buchi", "--emit", str(path)]) == 0
+    return str(path)
+
+
+_BUCHI_GAMES = [["fig2", "--depth", "8"], ["fig2", "--depth", "30"], ["fig2u", "--depth", "8"],
+                ["ladder", "--k", "3"]]
+
+
+@pytest.mark.parametrize("player", ["max", "min"])
+def test_buchi_strategy_prints_its_half_of_the_library_pair(tmp_path, capsys, player):
+    for argv in _BUCHI_GAMES:
+        path = _buchi_file(tmp_path, argv)
+        assert main(["strategy", path, "--objective", "buchi", "--player", player]) == 0
+        with open(path, encoding="utf-8") as handle:
+            parsed = parse_game(handle.read())
+        half = buchi_md_pair(parsed.game, parsed.targets)[player == "min"]
+        assert capsys.readouterr().out == format_strategy(half)
+
+
+def test_buchi_max_strategy_runs_no_exact_solve(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exact solve")
+
+    monkeypatch.setattr(sgsolve.exact, "solve_reach_exact", refuse)
+    monkeypatch.setattr(sgsolve.strategies, "solve_reach_exact", refuse)
+    for argv in _BUCHI_GAMES:
+        path = _buchi_file(tmp_path, argv)
+        assert main(["strategy", path, "--objective", "buchi", "--player", "max"]) == 0
+    # The probe bites: the minimizer's escape at fig2's seeds is an exact solve.
+    with pytest.raises(AssertionError, match="exact solve"):
+        main(["strategy", _buchi_file(tmp_path, _BUCHI_GAMES[0]), "--objective", "buchi",
+              "--player", "min"])
+
+
+def test_a_huge_step_bound_on_an_acyclic_game_prints_the_reach_values(tmp_path, capsys):
+    path = tmp_path / "fig2.game"
+    assert main(["gallery", "fig2", "--depth", "6", "--emit", str(path)]) == 0
+    outs = []
+    for objective in ("reach", f"reach<={2**63 - 1}", "reach<=1000000"):
+        assert main(["solve", str(path), "--objective", objective]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0].err == "" and outs[0].out
+    assert outs[1] == outs[0] and outs[2] == outs[0]

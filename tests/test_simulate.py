@@ -326,6 +326,19 @@ def test_a_row_that_is_not_a_distribution_over_its_support_is_rejected():
     assert sample_plays(_FORK, "a", reach("t"), cfg, sigma=sigma).mean == 1.0
 
 
+
+def test_a_stray_row_is_rejected_before_any_play():
+    cfg = SimConfig(samples=10, horizon=5, seed=0)
+    # No play from c ever reaches a or b, so only the up-front check sees them.
+    for stray, message in (({"b": "b"}, "successor row for mode m0 at b, which is not a max state"),
+                           ({"x": "b"}, "successor row for mode m0 at x, which is not a max state")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_plays(_FORK, "c", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, stray))
+    sigma = TransducerStrategy(Owner.MAX, ("m0",), "m0", {("m0", "x"): {"m0": ONE}})
+    with pytest.raises(ValueError, match="^update row for mode m0 at x, which is not a state$"):
+        sample_plays(_FORK, "c", reach("t"), cfg, sigma=sigma)
+    assert sample_plays(_FORK, "c", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {})).mean == 1.0
+
 # a steps into the absorbing non-target d; t is an absorbing target.
 _ABSORBING = Game.of([("a", "rand", ("d",), (1,)), ("d", "rand", ("d",), (1,)),
                       ("t", "rand", ("t",), (1,))])

@@ -220,6 +220,38 @@ def test_buchi_pair_with_empty_accepting_set_is_total():
     assert almost_sure_buchi(g, set()).max_wins == frozenset()
 
 
+
+def _subgame_buchi_sigma(game, buchi_set):
+    """The maximizer's Buchi choices built the long way: the revisit-optimal
+    construction, with its exact solves, on the surviving subgame, and the
+    first successor off it."""
+    alive = almost_sure_buchi(game, buchi_set).max_wins
+    choice = {s: game.succ[s][0] for s in game.states
+              if game.owner[s] is Owner.MAX and s not in alive}
+    if alive:
+        owner = {s: game.owner[s] for s in game.states if s in alive}
+        succ = {s: tuple(t for t in game.succ[s] if t in alive) if o is Owner.MAX
+                else game.succ[s] for s, o in owner.items()}
+        prob = {s: game.prob[s] for s, o in owner.items() if o is Owner.RANDOM}
+        choice.update(reachplus_max_md(Game(owner, succ, prob), alive & set(buchi_set)).choice)
+    return choice
+
+
+def test_buchi_maximizer_matches_the_revisit_optimal_subgame_construction():
+    cases = [random_game(seed, n=4 + seed % 12) for seed in range(1000)]
+    built = [gallery.build_fig2(d) for d in (4, 8, 30)]
+    built += [gallery.build_ladder(k) for k in (1, 3, 64)] + [gallery.build_fig2_with_u(8)]
+    cases += [(b.game, labels) for b in built for labels in (b.buchi, b.targets)]
+    chosen = 0
+    for g, t in cases:
+        sigma, _ = buchi_md_pair(g, t)
+        # Same choices, in the same order.
+        assert list(sigma.choice.items()) == list(_subgame_buchi_sigma(g, t).items())
+        alive = almost_sure_buchi(g, t).max_wins
+        chosen += any(sum(u in alive for u in g.succ[s]) > 1 for s in sigma.choice if s in alive)
+    # Enough cases where the region leaves the maximizer a real choice.
+    assert chosen > 100
+
 def test_buchi_pair_certificates_on_random_games():
     for seed in range(30):
         g, t = random_game(seed, n=6)
@@ -385,6 +417,26 @@ def test_strategy_validation_errors():
         MDStrategy(Owner.MAX, {"a": "b", "b": "b"}).check_total(g)  # a->b not an edge
     with pytest.raises(ValueError):
         parse_strategy("choose a b\n")
+
+
+@pytest.mark.parametrize("stray", ["nosuch", "m"])
+def test_md_choice_where_the_owner_does_not_move_is_rejected(stray):
+    g = Game.of([("a", "max", ("a", "m")), ("m", "min", ("a",))])
+    MDStrategy(Owner.MAX, {"a": "m"}).check_total(g)
+    with pytest.raises(ValueError, match=f"^choice at {stray}, which is not a max state$"):
+        MDStrategy(Owner.MAX, {"a": "m", stray: "a"}).check_total(g)
+
+
+def test_transducer_row_checks_allow_missing_rows_and_totality_needs_them():
+    g = Game.of([("a", "max", ("a", "b")), ("b", "max", ("a",))])
+    partial = TransducerStrategy(Owner.MAX, ("m0",), "m0", choose={("m0", "a"): {"b": Fraction(1)}})
+    partial.check_rows(g)
+    with pytest.raises(ValueError, match="^no successor row for mode m0 at b$"):
+        partial.check(g)
+    stray = TransducerStrategy(Owner.MAX, ("m0",), "m0", {("m0", "x"): {"m0": Fraction(1)}})
+    for check in (stray.check_rows, stray.check):
+        with pytest.raises(ValueError, match="^update row for mode m0 at x, which is not a state$"):
+            check(g)
 
 
 @pytest.mark.parametrize("text, message", [
