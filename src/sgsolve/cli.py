@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 when the threshold decision is out of scope, and
-1 on every error: bad input (a parse failure, an invalid game, a bad flag or
-rational; rational flags take ``p`` or ``p/q``) or a failed computation (any
-``model.SgsolveError``, such as ``ConvergenceError`` or a broken invariant),
-printed as ``error:`` lines on stderr and never as a traceback.  All solver
-output is deterministic; rationals print as p/q in lowest terms and floats
-with 12 significant digits.  Each command imports only the layers it runs,
-so ``--help`` and a flag error load nothing of the package beyond this module.
+Exit codes: 0 on success and 1 on every error: bad input (a parse failure,
+an invalid game, a bad flag or rational; rational flags take ``p`` or
+``p/q``) or a failed computation (any ``model.SgsolveError``, such as
+``ConvergenceError`` or a broken invariant), printed as ``error:`` lines on
+stderr and never as a traceback.  All solver output is deterministic;
+rationals print as p/q in lowest terms and floats with 12 significant
+digits.  Each command imports only the layers it runs, so ``--help`` and a
+flag error load nothing of the package beyond this module.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _cmd_winning_set(args) -> int:
 
 def _cmd_strategy(args) -> int:
     from .objectives import ObjectiveKind
-    from .strategies import (_buchi_max_md, _buchi_min_md, format_strategy, optimal_max_md_no_decrease,
+    from .strategies import (_buchi_max_md, _buchi_min_md, format_strategy, optimal_max_md,
                              optimal_min_md, reachplus_max_md, reachplus_min_md)
     from .winning import buchi_peel
 
@@ -203,7 +203,7 @@ def _cmd_strategy(args) -> int:
     game = parsed.game
     if obj.kind is ObjectiveKind.REACH:
         strat = (
-            optimal_max_md_no_decrease(game, obj.target)
+            optimal_max_md(game, obj.target)
             if args.player == "max"
             else optimal_min_md(game, obj.target)
         )
@@ -236,7 +236,7 @@ def _cmd_transform(args) -> int:
     if obj.kind not in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
         raise ValueError(f"--rvi preserves reach and reachplus values, not {args.objective}")
     out = rvi(parsed.game, solve_reach_exact(parsed.game, obj.target))
-    text = format_game(out, sorted(parsed.targets))
+    text = format_game(out, sorted(obj.target))
     _write(text, args.emit)
     return 0
 
@@ -299,9 +299,8 @@ def _cmd_decide(args) -> int:
     )
     print(f"winner {verdict.winner}")
     print(f"reason {verdict.reason}")
-    if verdict.strategy is not None:
-        sys.stdout.write(format_strategy(verdict.strategy))
-    return 2 if verdict.winner == "out-of-scope" else 0
+    sys.stdout.write(format_strategy(verdict.strategy))
+    return 0
 
 
 @functools.cache

@@ -1,13 +1,16 @@
 """Strategy representations and memoryless deterministic constructions.
 
-The maximizer constructions all follow one recipe: keep only value-preserving
-choices and break ties by a progress rank so that value-preserving cycles
-that never cash out are avoided.  The rank is a layered backward closure from
-the states where the value resolves (targets, zero states, and random states
-whose support straddles value levels), computed over value-preserving edges
-with an existential step for maximizer and random states and a universal step
-for minimizer states.  Every construction is validated in the test suite by
-fixing the strategy and re-solving the residual one-player game exactly.
+Every finite reach-type question uses one construction per player.  The
+minimizer takes the first successor of least reach value.  The maximizer
+keeps only value-preserving choices and breaks ties by a progress rank so
+that value-preserving cycles that never cash out are avoided.  The rank is a
+layered backward closure from the states where the value resolves (targets,
+zero states, and random states whose support straddles value levels),
+computed over value-preserving edges with an existential step for maximizer
+and random states and a universal step for minimizer states.  Both are
+optimal from every state of a finite game, value-decreasing moves or not.
+Every construction is validated in the test suite by fixing the strategy and
+re-solving the residual one-player game exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import winning
-from .exact import reach_plus_values, solve_reach_exact
+from .exact import solve_reach_exact
 from .graphs import attractor
 from .model import Game, InvariantError, Owner, SgsolveError, _as_fraction, sink_subgame
 from .textio import _tokens
@@ -238,51 +241,30 @@ def optimal_max_md_no_decrease(game: Game, targets) -> MDStrategy:
 def reachplus_min_md(game: Game, targets) -> MDStrategy:
     """Optimal minimizing MD strategy for "visit the target after >= 1 step".
 
-    Off the target this is the plain optimal minimizing choice; a target
-    state with revisit value below one steps to an off-target successor of
-    exactly that value, which always exists.
+    This is :func:`optimal_min_md`.  At a target state its first successor of
+    least reach value attains the revisit value, and when that value is
+    below one the successor lies off the target, as the objective requires.
     """
-    targets = set(targets)
-    values = solve_reach_exact(game, targets)
-    vplus = reach_plus_values(game, values)
-    choice = _min_choice(game, values)
-    for s in choice:
-        if s not in targets:
-            continue
-        if vplus[s] == 1:
-            choice[s] = game.succ[s][0]
-        else:
-            choice[s] = next(
-                t for t in game.succ[s] if t not in targets and values[t] == vplus[s]
-            )
-    return MDStrategy(Owner.MIN, choice)
+    return optimal_min_md(game, targets)
 
 
 def reachplus_max_md(game: Game, targets) -> MDStrategy:
     """Optimal maximizing MD strategy for "visit the target after >= 1 step".
 
-    Requires that the maximizer has no transitions decreasing the revisit
-    value.  Off the target this is the uniform plain-reach construction; a
-    target state steps into the target again or to a revisit-value-preserving
-    successor, preferring the smaller progress rank.
+    Off the target this is the uniform plain-reach construction; a target
+    state steps to a successor of greatest reach value, preferring the
+    smaller progress rank.  That successor's reach value is the target
+    state's revisit value, and the plain-reach choices attain it from there.
     """
     targets = set(targets)
     values = solve_reach_exact(game, targets)
-    vplus = reach_plus_values(game, values)
-    offenders = _wasteful_moves(game, vplus, targets)
-    if offenders:
-        raise ValueDecreaseError(offenders)
     rank = _progress_ranks(game, values, targets)
     choice = _uniform_max_choice(game, values, targets, rank)
     for s in choice:
-        if s not in targets:
-            continue
-        candidates = [
-            t for t in game.succ[s] if t in targets or vplus[t] == vplus[s]
-        ]
-        if not candidates:
-            raise InvariantError(f"no revisit-preserving successor at {s}")
-        choice[s] = min(candidates, key=rank.__getitem__)
+        if s in targets:
+            best = max(values[t] for t in game.succ[s])
+            choice[s] = min((t for t in game.succ[s] if values[t] == best),
+                            key=rank.__getitem__)
     return MDStrategy(Owner.MAX, choice)
 
 
@@ -339,30 +321,25 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
 
 @dataclass(frozen=True)
 class ThresholdVerdict:
-    """Outcome of the threshold decision: the winner, a witnessing MD
-    strategy when one is produced, and the case tag that decided."""
+    """Outcome of the threshold decision: the winner, its witnessing MD
+    strategy and the case tag that decided."""
 
-    winner: str  # "max" | "min" | "out-of-scope"
-    strategy: MDStrategy | None
+    winner: str  # "max" | "min"
+    strategy: MDStrategy
     reason: str
 
 
 def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -> ThresholdVerdict:
     """Decide who wins the threshold reachability objective from ``start``.
 
-    Below the value the minimizer wins with an optimal minimizing strategy;
-    above it the maximizer wins with the uniformly optimal strategy.  At the
-    value: strict thresholds go to the minimizer; otherwise the maximizer
-    wins when it has no value-decreasing transitions, when the minimizer has
-    no value-increasing transitions (decided on the residual game with the
-    decreasing transitions removed), or when the threshold is one.  The one
-    remaining configuration is reported as out of scope: determinacy still
-    holds but no MD certificate is constructed here.
-
-    One exact solve serves every case.  The residual game has the same values
-    and the same value-preserving maximizer edges as the input (a uniformly
-    optimal MD maximizer strategy uses only value-preserving edges, so it
-    stays available), hence the same uniformly optimal strategy.
+    Below the value, and at it when the threshold is strict, the minimizer
+    wins with an optimal minimizing strategy; otherwise the maximizer wins
+    with the uniformly optimal one.  Both attain the value from every state,
+    since a finite reachability game has optimal MD strategies (Condon 1992).
+    The reason names the first of the paper's sufficient conditions for
+    countable games that applies at the value (``threshold-vacuous``,
+    ``case-1``, ``case-2``, ``case-3``), or ``none-applicable`` when none
+    does and the finite-game argument decides.  One exact solve serves all.
     """
     c = _as_fraction(threshold)
     if not 0 <= c <= 1:
@@ -375,12 +352,8 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
         strategy = MDStrategy(Owner.MIN, _min_choice(game, values))
         return ThresholdVerdict("min", strategy, "value<c" if v0 < c else "case-4")
     if v0 == c == 0:
-        any_move = MDStrategy(
-            Owner.MAX,
-            {s: game.succ[s][0] for s in game.states if game.owner[s] is Owner.MAX},
-        )
-        return ThresholdVerdict("max", any_move, "threshold-vacuous")
-    if v0 > c:
+        reason = "threshold-vacuous"
+    elif v0 > c:
         reason = "value>c-finite-horizon"
     elif not _wasteful_moves(game, values, targets):
         reason = "case-1"
@@ -390,7 +363,7 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
     elif c == 1:
         reason = "case-3"
     else:
-        return ThresholdVerdict("out-of-scope", None, "none-applicable")
+        reason = "none-applicable"
     strategy = MDStrategy(Owner.MAX, _uniform_max_choice(game, values, targets))
     return ThresholdVerdict("max", strategy, reason)
 
@@ -438,8 +411,12 @@ def parse_strategy(text: str) -> MDStrategy | TransducerStrategy:
     rows: dict[str, dict[tuple[str, str], dict[str, Fraction]]] = {"update": {}, "choose": {}}
     for no, toks in lines[1:]:
         if toks[0] == "initial" and len(toks) == 2:
+            if initial is not None:
+                raise ValueError(f"line {no}: repeated initial row")
             initial = toks[1]
         elif toks[0] == "mode" and len(toks) == 2:
+            if toks[1] in modes:
+                raise ValueError(f"line {no}: repeated mode row for {toks[1]}")
             modes.append(toks[1])
         elif toks[0] in rows and len(toks) == 5:
             kw, mode, s, to, weight = toks

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,8 @@ def test_decide_threshold_one_on_ladder(ladder_file, capsys):
 
 
 def test_decide_out_of_scope_exit_code(tmp_path, capsys):
+    # None of the paper's countable-game cases applies at a; the finite game
+    # still goes to the maximizer, whose a->x attains the value 1/2.
     path = tmp_path / "oos.game"
     path.write_text(
         "state a max\nstate m min\nstate x rand\nstate t max\nstate z max\n"
@@ -100,10 +103,14 @@ def test_decide_out_of_scope_exit_code(tmp_path, capsys):
         "edge x t 1/2\nedge x z 1/2\nedge t t\nedge z z\ntarget t\n"
     )
     code = main(["decide", str(path), "--target", "t", "--threshold", "1/2", "--from", "a"])
-    assert code == 2
-    out = capsys.readouterr().out
-    assert "winner out-of-scope" in out
-    assert "none-applicable" in out
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["winner max", "reason none-applicable", "strategy max md"]
+    assert "choose a x" in out
+    game = parse_game(path.read_text()).game
+    sigma = sgsolve.strategies.parse_strategy("\n".join(out[2:]))
+    residual = sgsolve.strategies.apply_md(game, sigma)
+    assert sgsolve.exact.solve_reach_exact(residual, {"t"})["a"] == Fraction(1, 2)
 
 
 def test_winning_set_machine_lines(ladder_file, capsys):
@@ -169,6 +176,55 @@ def test_transform_rvi_keeps_reach_and_reachplus_values(tmp_path, capsys, object
         assert main(["solve", str(game), "--objective", objective]) == 0
         values.append(capsys.readouterr().out)
     assert values[0] == values[1]
+
+
+def test_transform_rvi_writes_the_objectives_targets(tmp_path, capsys):
+    # For target u the minimizer's a->b raises the value at a, so rvi drops
+    # it; with the file's target t kept, the output would give a 1/2 for t
+    # where the input gives 0.
+    path = tmp_path / "two.game"
+    path.write_text(
+        "state a min\nstate x rand\nstate b max\nstate t max\nstate u max\nstate z max\n"
+        "edge a x\nedge a b\nedge x t 1/2\nedge x u 1/2\nedge b u\nedge b z\n"
+        "edge t t\nedge u u\nedge z z\ntarget t\n"
+    )
+    out = tmp_path / "rvi.game"
+    assert main(["transform", str(path), "--rvi", "--target", "u", "--emit", str(out)]) == 0
+    reduced = parse_game(out.read_text())
+    assert reduced.game.succ["a"] == ("x",)
+    assert reduced.targets == {"u"}
+    capsys.readouterr()
+    values = []
+    for argv in (["solve", str(out)], ["solve", str(path), "--target", "u"]):
+        assert main(argv) == 0
+        values.append(capsys.readouterr().out)
+    assert values[0] == values[1]
+    assert "a 1/2" in values[0].splitlines()
+
+
+@pytest.mark.parametrize("gallery_args", [
+    f"{kind} --label {label}"
+    for kind in ("fig2 --depth 30", "fig2u --depth 8", "ladder --k 3")
+    for label in ("target", "buchi")
+] + ["ruin --cap 10 --label target"])
+def test_strategy_max_re_solves_to_the_values_on_the_gallery(tmp_path, capsys, gallery_args):
+    path = tmp_path / "gallery.game"
+    assert main(["gallery", *gallery_args.split(), "--emit", str(path)]) == 0
+    parsed = parse_game(path.read_text())
+    game, targets = parsed.game, parsed.targets
+    values = sgsolve.exact.solve_reach_exact(game, targets)
+    for objective in ("reach", "reachplus"):
+        sigma_file = tmp_path / f"{objective}.strat"
+        assert main(["strategy", str(path), "--objective", objective, "--player", "max",
+                     "--emit", str(sigma_file)]) == 0
+        sigma = sgsolve.strategies.parse_strategy(sigma_file.read_text())
+        residual = sgsolve.strategies.apply_md(game, sigma)
+        resolved = sgsolve.exact.solve_reach_exact(residual, targets)
+        if objective == "reach":
+            assert resolved == values
+        else:
+            plus = sgsolve.exact.reach_plus_values
+            assert plus(residual, resolved) == plus(game, values)
 
 
 def test_simulate_smoke_is_deterministic(fig2_file, capsys):
@@ -463,6 +519,9 @@ _MALFORMED = "malformed rational '{}': expected p or p/q with q >= 1"
      {"sigma": "strategy max transducer\ninitial m0\nmode m0\n"
                "choose m0 home goal 1/2\nchoose m0 home goal 1/2\n"},
      "line 5: repeated choose row for mode m0 at home to goal"),
+    (["simulate", "{ladder}", "--samples", "10", "--horizon", "5", "--sigma", "{sigma}"],
+     {"sigma": "strategy max transducer\ninitial m0\nmode m0\nmode m0\n"},
+     "line 4: repeated mode row for m0"),
     (["decide", "{ladder}", "--threshold", "1/0", "--from", "home"], {},
      "--threshold: " + _MALFORMED.format("1/0")),
     (["solve", "{ladder}", "--mode", "iterate", "--tol", "1/0"], {},
@@ -472,7 +531,8 @@ _MALFORMED = "malformed rational '{}': expected p or p/q with q >= 1"
     (["gallery", "ruin", "--p", "1/0"], {}, "--p: " + _MALFORMED.format("1/0")),
     (["gallery", "ruin", "--p", "0.5"], {}, "--p: " + _MALFORMED.format("0.5")),
 ], ids=["game-weight", "transducer-choose", "transducer-update", "repeated-md-choose",
-        "repeated-transducer-choose", "threshold", "tol", "decimal-tol", "p", "decimal-p"])
+        "repeated-transducer-choose", "repeated-transducer-mode", "threshold", "tol",
+        "decimal-tol", "p", "decimal-p"])
 def test_malformed_rationals_and_repeated_rows_exit_1(tmp_path, capsys, argv, files, message):
     paths = {"ladder": tmp_path / "ladder.game"}
     assert main(["gallery", "ladder", "--k", "2", "--emit", str(paths["ladder"])]) == 0

@@ -166,7 +166,7 @@ def test_cli_fuzz_exits_0_1_or_2(tmp_path, capsys):
     for run in range(RUNS):
         argv = _argv(rng, tmp_path, texts)
         code = _exit_code(run, argv, tmp_path)
-        assert code in (0, 1, 2), (run, argv, code)
+        assert code in (0, 1), (run, argv, code)
         capsys.readouterr()
         if argv[0] == "simulate":
             simulated.append(code == 0)
@@ -198,4 +198,4 @@ def test_hypothesis_cli_fuzz_exits_0_1_or_2(base_files, rng, extra):
     argv = _argv(rng, tmp_path, texts, POOL + tuple(extra))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = _exit_code("hypothesis", argv, tmp_path)
-    assert code in (0, 1, 2), (argv, code)
+    assert code in (0, 1), (argv, code)

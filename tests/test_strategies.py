@@ -164,7 +164,6 @@ def test_reachplus_min_exits_the_accepting_ladder():
 
 
 def test_reachplus_re_solve_certificates():
-    applicable = 0
     for seed in range(40):
         g, t = random_game(seed)
         values = solve_reach_exact(g, t)
@@ -172,15 +171,75 @@ def test_reachplus_re_solve_certificates():
         residual = apply_md(g, reachplus_min_md(g, t))
         resolved = solve_reach_exact(residual, t)
         assert reach_plus_values(residual, resolved) == vplus
-        try:
-            strategy = reachplus_max_md(g, t)
-        except ValueDecreaseError:
-            continue
-        applicable += 1
-        residual = apply_md(g, strategy)
+        residual = apply_md(g, reachplus_max_md(g, t))
         resolved = solve_reach_exact(residual, t)
         assert reach_plus_values(residual, resolved) == vplus
-    assert applicable > 10
+
+
+def _certificate_cases():
+    """600 seeded random games and the gallery games, each gallery game with
+    its target and its Buchi labels."""
+    cases = [random_game(seed, n=4 + seed % 12) for seed in range(600)]
+    built = [gallery.build_fig2(d) for d in (4, 8, 30)]
+    built += [gallery.build_ladder(k) for k in (1, 3, 16)] + [gallery.build_fig2_with_u(8)]
+    return cases + [(b.game, labels) for b in built for labels in (b.buchi, b.targets)]
+
+
+def _reference_reachplus_min_choice(game, targets):
+    """The minimizer's revisit choices with an explicit target-state rule: an
+    off-target successor of exactly the revisit value when it is below one,
+    else the first successor."""
+    values = solve_reach_exact(game, targets)
+    vplus = reach_plus_values(game, values)
+    choice = optimal_min_md(game, targets).choice
+    for s in choice:
+        if s in targets:
+            choice[s] = game.succ[s][0] if vplus[s] == 1 else next(
+                t for t in game.succ[s] if t not in targets and values[t] == vplus[s])
+    return choice
+
+
+def _reference_reachplus_max_choice(game, targets):
+    """The maximizer's revisit choices as built under the precondition that
+    no maximizer move decreases the revisit value (``ValueDecreaseError``
+    otherwise): a target state steps into the target or to a successor of
+    its own revisit value, of least progress rank."""
+    from sgsolve.strategies import _progress_ranks, _uniform_max_choice, _wasteful_moves
+
+    targets = set(targets)
+    values = solve_reach_exact(game, targets)
+    vplus = reach_plus_values(game, values)
+    offenders = _wasteful_moves(game, vplus, targets)
+    if offenders:
+        raise ValueDecreaseError(offenders)
+    rank = _progress_ranks(game, values, targets)
+    choice = _uniform_max_choice(game, values, targets, rank)
+    for s in choice:
+        if s in targets:
+            choice[s] = min((t for t in game.succ[s] if t in targets or vplus[t] == vplus[s]),
+                            key=rank.__getitem__)
+    return choice
+
+
+def test_reachplus_constructions_match_the_references_and_re_solve():
+    refused = 0
+    for g, t in _certificate_cases():
+        vplus = reach_plus_values(g, solve_reach_exact(g, t))
+        pi = reachplus_min_md(g, t)
+        # Same choices, in the same order.
+        assert list(pi.choice.items()) == list(_reference_reachplus_min_choice(g, t).items())
+        sigma = reachplus_max_md(g, t)
+        try:
+            reference = _reference_reachplus_max_choice(g, t)
+        except ValueDecreaseError:
+            refused += 1
+        else:
+            assert list(sigma.choice.items()) == list(reference.items())
+        for strategy in (pi, sigma):
+            residual = apply_md(g, strategy)
+            assert reach_plus_values(residual, solve_reach_exact(residual, t)) == vplus
+    # Enough cases where only the construction without the precondition answers.
+    assert refused > 100
 
 
 def test_buchi_pair_on_all_accepting_cycle():
@@ -346,15 +405,15 @@ def test_threshold_out_of_scope_corner():
         ("z", "max", ("z",)),
     ])
     # val(a) = 1/2 with a decreasing maximizer edge a->z and an increasing
-    # minimizer edge m->x: none of the four cases applies.
+    # minimizer edge m->x: none of the paper's four cases applies, and the
+    # finite game's optimal strategy a->x attains 1/2.
     verdict = threshold_decide(g, {"t"}, HALF, False, "a")
-    assert verdict.winner == "out-of-scope"
-    assert verdict.reason == "none-applicable"
-    assert verdict.strategy is None
-    # Strictness or an extreme threshold always stays in scope.
-    assert threshold_decide(g, {"t"}, HALF, True, "a").winner != "out-of-scope"
-    assert threshold_decide(g, {"t"}, Fraction(1), False, "t").winner != "out-of-scope"
-    assert threshold_decide(g, {"t"}, Fraction(0), False, "z").winner != "out-of-scope"
+    assert (verdict.winner, verdict.reason) == ("max", "none-applicable")
+    assert verdict.strategy.choice["a"] == "x"
+    assert solve_reach_exact(apply_md(g, verdict.strategy), {"t"})["a"] == HALF
+    assert threshold_decide(g, {"t"}, HALF, True, "a").winner == "min"
+    assert threshold_decide(g, {"t"}, Fraction(1), False, "t").winner == "max"
+    assert threshold_decide(g, {"t"}, Fraction(0), False, "z").winner == "max"
     with pytest.raises(ValueError):
         threshold_decide(g, {"t"}, Fraction(3, 2), False, "a")
 
@@ -376,6 +435,28 @@ def test_threshold_verdicts_hold_up_on_random_games():
                 assert achieved > c if strict else achieved >= c
             else:
                 assert achieved <= c if strict else achieved < c
+
+
+def test_every_verdict_at_the_value_re_solves():
+    # At the value a strict threshold goes to the minimizer and a non-strict
+    # one to the maximizer, and fixing the exported strategy leaves exactly
+    # the value at the start state.
+    none_applicable = 0
+    for g, t in _certificate_cases():
+        values = solve_reach_exact(g, t)
+        resolved = {}
+        for s in g.states:
+            for strict in (False, True):
+                verdict = threshold_decide(g, t, values[s], strict, s)
+                assert verdict.winner == ("min" if strict else "max")
+                assert verdict.strategy.owner is Owner(verdict.winner)
+                key = (verdict.winner, tuple(verdict.strategy.choice.items()))
+                if key not in resolved:
+                    resolved[key] = solve_reach_exact(apply_md(g, verdict.strategy), t)
+                assert resolved[key][s] == values[s]
+                none_applicable += verdict.reason == "none-applicable"
+    # Enough answers that none of the paper's countable-game cases decides.
+    assert none_applicable > 100
 
 
 def test_transducer_round_trip_and_dirac_shape():
@@ -444,6 +525,10 @@ def test_transducer_row_checks_allow_missing_rows_and_totality_needs_them():
      "line 4: repeated choose row at a"),
     ("strategy max transducer\ninitial m\nmode m\nupdate m a m 1\nupdate m a m 1\n",
      "line 5: repeated update row for mode m at a to m"),
+    ("strategy max transducer\ninitial m\nmode m\ninitial n\nmode n\n",
+     "line 4: repeated initial row"),
+    ("strategy max transducer\ninitial m0\nmode m0\nmode m1\nmode m0\n",
+     "line 5: repeated mode row for m0"),
     ("strategy max transducer\ninitial m\nmode m\n# weight\nchoose m a b 1/0\n",
      "line 5: malformed rational '1/0': expected p or p/q with q >= 1"),
     ("strategy max transducer\ninitial m\nmode m\nchoose m a b 0.5\n",
