@@ -214,8 +214,12 @@ def _cmd_strategy(args) -> int:
             else reachplus_min_md(game, obj.target)
         )
     elif obj.kind is ObjectiveKind.BUCHI:
-        half = _buchi_max_md if args.player == "max" else _buchi_min_md
-        strat = half(game, buchi_peel(game, obj.target), set(obj.target))
+        peel = buchi_peel(game, obj.target)
+        strat = (
+            _buchi_max_md(game, peel, set(obj.target))
+            if args.player == "max"
+            else _buchi_min_md(game, peel)
+        )
     else:
         raise ValueError(f"no strategy construction for {obj.kind.value}")
     text = format_strategy(strat)

@@ -21,11 +21,10 @@ from fractions import Fraction
 from . import winning
 from .exact import solve_reach_exact
 from .graphs import attractor
-from .model import Game, InvariantError, Owner, SgsolveError, _as_fraction, sink_subgame
+from .model import Game, InvariantError, Owner, SgsolveError, _as_fraction
 from .textio import _tokens
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -283,20 +282,11 @@ def _buchi_max_md(game: Game, peel: winning.BuchiPeel, buchi_set: set[str]) -> M
     return MDStrategy(Owner.MAX, choice)
 
 
-def _buchi_min_md(game: Game, peel: winning.BuchiPeel, buchi_set: set[str]) -> MDStrategy:
+def _buchi_min_md(game: Game, peel: winning.BuchiPeel) -> MDStrategy:
     """The minimizer's half of :func:`buchi_md_pair`."""
-    index = peel.partition.index
     choice = dict(peel.min_pick)
-    seeds = [s for s, t in choice.items() if t is None]
-    for k in sorted({index[s] for s in seeds}):
-        live = {s for s in game.states if index[s] is None or index[s] >= k}
-        vals = solve_reach_exact(sink_subgame(game, live), live & buchi_set)
-        for s in seeds:
-            if index[s] == k:
-                choice[s] = min(game.succ[s], key=lambda t: vals[t] if t in live else ZERO)
-    for s in game.states:
-        if game.owner[s] is Owner.MIN and s not in choice:
-            choice[s] = game.succ[s][0]
+    choice.update({s: game.succ[s][0] for s in game.states
+                   if game.owner[s] is Owner.MIN and s not in peel.min_pick})
     return MDStrategy(Owner.MIN, choice)
 
 
@@ -307,16 +297,14 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
     successor of least attractor layer of the live Buchi states, so it never
     leaves; off it, the first successor.  The minimizer side replays the
     choices recorded during peeling: a step into the previous closure level
-    at closure states, and at removal seeds the first successor minimizing
-    the exact reach value of the live Buchi set in that round's patched
-    subgame (removed states count as zero).  A seed's revisit value is below
-    one, so that successor is never a live Buchi state, which on Buchi states
-    is the required off-target escape.  One exact solve per round with a
-    minimizer seed.
+    at closure states, and at removal seeds an escape down the round's
+    reach-peel layers (:func:`winning.buchi_peel` proves it losing for the
+    maximizer); elsewhere, the first successor.  Graph closures only, no
+    exact solve.
     """
     buchi_set = set(buchi_set)
     peel = winning.buchi_peel(game, buchi_set)
-    return _buchi_max_md(game, peel, buchi_set), _buchi_min_md(game, peel, buchi_set)
+    return _buchi_max_md(game, peel, buchi_set), _buchi_min_md(game, peel)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ games every fixpoint below converges in finitely many rounds.
 Almost-sure reachability peels the game it is given with a confined
 attractor: each round keeps the least set that can make progress towards
 the target while random states never leak outside the surviving region and
-the minimizer cannot steer outside it.  States from which the target is
-unreachable even with maximal cooperation are discarded up front with
-index 0.  Removal cascades one dependency layer per round, which is what the
-escalation gallery family exercises.  ``winning-set`` passes the game without
-the minimizer's value-increasing transitions (``transforms.rvi``), which can
-move indices but never the partition.
+the minimizer cannot steer outside it.  States outside the positive
+attractor of the target, where the minimizer can keep the play off the
+target forever, are discarded up front with index 0.  Removal cascades one
+dependency layer per round, which is what the escalation gallery family
+exercises.  ``winning-set`` passes the game without the minimizer's
+value-increasing transitions (``transforms.rvi``), which can move indices
+but never the partition.
 
 Almost-sure Buchi peels on the game graph alone.  A state's value of
 "visit the live Buchi set again after at least one step" is one exactly when
@@ -26,8 +27,8 @@ removal, which is closed backward under minimizer and random transitions;
 maximizer states stranded by it are losing too.  This is the attractor
 characterisation of almost-sure Buchi (de Alfaro, Henzinger and Kupferman,
 FOCS 1998; Chatterjee, Jurdzinski and Henzinger, CSL 2003).  No rational
-arithmetic is involved: exact values are needed only for the minimizer's
-escape choice at seed states, which ``strategies.buchi_md_pair`` computes.
+arithmetic is involved, not even for the minimizer's escape at seed states:
+the round's reach-peel layers order the escapes.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ class WinningPartition:
     min_wins: frozenset[str]
     rounds: int
     index: dict[str, int | None]
+
+
+def _partition(game: Game, max_wins, rounds: int, index) -> WinningPartition:
+    """``max_wins`` against the other states, counting at least one round."""
+    max_wins = frozenset(max_wins)
+    min_wins = frozenset(s for s in game.states if s not in max_wins)
+    return WinningPartition(max_wins, min_wins, max(rounds, 1), index)
 
 
 def positive_reach_set(game: Game, targets) -> frozenset[str]:
@@ -84,10 +92,11 @@ def _reach_peel(game: Game, targets: set[str], alive: set[str],
     (edges leaving ``alive`` count as losing), and the number of peeling
     rounds that removed a state.
 
-    Starts from the states of ``alive`` that can reach the target at all and
+    Starts from the positive attractor of the target inside ``alive`` and
     shrinks to the confined attractor until stable.  ``index`` receives 0
-    for the states that cannot reach the target and ``k`` for the states
-    dropped in round ``k``.
+    for the states outside the positive attractor, where the minimizer can
+    keep the play off the target forever, and ``k`` for the states dropped
+    in round ``k``.
     """
     region = _attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=alive)
     index.update((s, 0) for s in alive if s not in region)
@@ -104,22 +113,18 @@ def _reach_peel(game: Game, targets: set[str], alive: set[str],
 def almost_sure_reach(game: Game, targets) -> WinningPartition:
     """Partition for surely-almost-sure reachability, peeled on the game given.
 
-    Setup discards, with index 0, the states that cannot reach the target at
-    all.  Each subsequent round shrinks the surviving region to its confined
-    attractor; states dropped in round ``k`` get index ``k``.  The fixpoint
-    region is exactly the set of states with value one, and the complement
-    is min-winning via any optimal minimizing choice.
+    Setup discards, with index 0, the states outside the positive attractor
+    of the target: from them the minimizer keeps the play off the target
+    forever, though a path to it may exist.  Each later round shrinks the
+    surviving region to its confined attractor; states dropped in round
+    ``k`` get index ``k``.  The fixpoint region is exactly the set of states
+    with value one, and the complement is min-winning via any optimal
+    minimizing choice.
     """
     targets = check_targets(game, targets)
     index: dict[str, int | None] = dict.fromkeys(game.states)
     region, rounds = _reach_peel(game, targets, set(game.states), index)
-    max_wins = frozenset(region)
-    return WinningPartition(
-        max_wins=max_wins,
-        min_wins=frozenset(s for s in game.states if s not in max_wins),
-        rounds=max(rounds, 1),
-        index=index,
-    )
+    return _partition(game, region, rounds, index)
 
 
 def almost_sure_safety(game: Game, targets) -> WinningPartition:
@@ -136,50 +141,59 @@ def almost_sure_safety(game: Game, targets) -> WinningPartition:
     index: dict[str, int | None] = {
         s: (layer[s] if s in attr else None) for s in game.states
     }
-    return WinningPartition(
-        max_wins=frozenset(s for s in game.states if s not in attr),
-        min_wins=frozenset(attr),
-        rounds=1,
-        index=index,
-    )
+    return _partition(game, (s for s in game.states if s not in attr), 1, index)
 
 
 @dataclass(frozen=True)
 class BuchiPeel:
     """Internals of the Buchi peeling, consumed by strategy synthesis.
 
-    ``min_pick`` holds, in removal order, the choice recorded at each removed
-    minimizer state: a step into the previous closure level, or ``None`` at a
-    seed.  A seed's escape needs exact values of the round's patched
-    subgame, whose surviving states are those with partition index ``None``
-    or at least the seed's own index; ``strategies.buchi_md_pair`` solves it.
+    ``min_pick`` holds, in removal order, the choice recorded at each
+    minimizer state of a removal closure; see :func:`buchi_peel`.
     """
 
     partition: WinningPartition
-    min_pick: dict[str, str | None]
+    min_pick: dict[str, str]
 
 
 def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
     """Iterated removal of states that cannot force revisits forever.
 
-    Round by round: compute the almost-sure reach region of the live Buchi
-    states inside the surviving states; the states from which one step does
-    not surely land in it (no successor inside for the maximizer, some
-    successor outside for the minimizer and random states) are exactly those
-    whose revisit value is below one, and they seed the removal.  The
-    removal is closed backward under minimizer and random transitions level
-    by level; maximizer states stranded without successors by the removal
-    are losing too and removed with the same round index.  At closure states
-    the minimizer's step into the previous level is recorded; its escape at
-    seeds is left to ``strategies.buchi_md_pair``.
+    Round by round: compute R, the almost-sure reach region of the live
+    Buchi states inside the surviving states.  The states from which one
+    step does not surely land in R (no successor inside for the maximizer,
+    some successor outside for the others) are exactly those whose revisit
+    value is below one, and they seed the removal.  It is closed backward
+    under minimizer and random transitions level by level; maximizer states
+    stranded by it lose too, with the same round index.  A minimizer state
+    of the closure steps into the previous level, and a minimizer seed to
+    its first successor of least escape key: -1 if removed in an earlier
+    round, the round's reach-peel index if live outside R, and above every
+    index in R.
+
+    Why the escapes win: fix these choices as pi and suppose the maximizer
+    wins a removed state almost surely.  Let W be its almost-sure region in
+    the MDP that pi leaves (pi, random moves and a winning maximizer stay in
+    W) and k the first round that removed a state of W, so W is alive at
+    round k.  Every live state outside R is a seed, as a state stepping
+    surely into R survives every reach-peel round.  By induction W misses
+    each reach-peel layer L_j: as W misses the lower ones, a random state of
+    W in L_j was confined and, like a maximizer state of L_j, has no
+    successor higher, and a minimizer seed in L_j has escape key at most j.
+    So plays from W in L_j stay there, off the Buchi set.  Thus W lies in
+    R, where pi leaves R at minimizer seeds and every other seed has a
+    successor outside R: W holds no seed, and level by level nothing else
+    that round k removed, contradicting the choice of k.
     """
     buchi_set = check_targets(game, buchi_set)
     alive = set(game.states)
     index: dict[str, int | None] = dict.fromkeys(game.states)
-    min_pick: dict[str, str | None] = {}
+    min_pick: dict[str, str] = {}
     rounds = 0
     while alive:
-        region, _ = _reach_peel(game, buchi_set, alive, {})
+        escape: dict[str, int | None] = dict.fromkeys(game.states, -1)
+        region, top = _reach_peel(game, buchi_set, alive, escape)
+        escape.update(dict.fromkeys(region, top + 1))
         # One step surely lands in the region: some successor for the
         # maximizer, every successor for the minimizer and random states.
         seed = [
@@ -199,7 +213,7 @@ def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
             index[s] = rounds
             if game.owner[s] is Owner.MIN:
                 stage = layer[s]
-                min_pick[s] = (None if stage == 0 else
+                min_pick[s] = (min(game.succ[s], key=escape.__getitem__) if stage == 0 else
                                next(t for t in game.succ[s] if layer.get(t) == stage - 1))
         alive -= removed
         # Maximizer states stranded by the removal lose with this round's index.
@@ -210,14 +224,7 @@ def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
         index.update(dict.fromkeys(stranded, rounds))
         alive -= stranded
 
-    max_wins = frozenset(alive)
-    partition = WinningPartition(
-        max_wins=max_wins,
-        min_wins=frozenset(s for s in game.states if s not in max_wins),
-        rounds=max(rounds, 1),
-        index=index,
-    )
-    return BuchiPeel(partition, min_pick)
+    return BuchiPeel(_partition(game, alive, rounds, index), min_pick)
 
 
 def almost_sure_buchi(game: Game, buchi_set) -> WinningPartition:

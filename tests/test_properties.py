@@ -12,8 +12,9 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Verdict,
-                     almost_sure_reach, bellman_step, buchi, cobuchi, decided, gallery,
-                     md_enumeration_oracle, reach, reach_plus, rvi, safety, value_reach_within)
+                     almost_sure_buchi, almost_sure_reach, apply_md, bellman_step, buchi,
+                     buchi_md_pair, cobuchi, decided, gallery, md_enumeration_oracle,
+                     mdp_buchi_exact, reach, reach_plus, rvi, safety, value_reach_within)
 from sgsolve.exact import bellman_combine, gauss_solve, solve_reach_exact
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -71,6 +72,22 @@ def test_pruning_moves_peel_indices_never_the_partition(case):
     plain = almost_sure_reach(game, targets)
     pruned = almost_sure_reach(pruned_game, targets)
     assert plain.max_wins == pruned.max_wins == value_one
+
+
+@PROPERTY
+@given(games(max_states=12, owned_width=3))
+def test_buchi_pair_certifies_the_almost_sure_buchi_partition(case):
+    game, buchi_set = case
+    part = almost_sure_buchi(game, buchi_set)
+    # Steer the search towards many edges among the minimizer's winning
+    # states, where the minimizer's escape choices matter.
+    target(float(sum(len(set(game.succ[s]) & part.min_wins)
+                     for s in part.min_wins if game.owner[s] is not Owner.MAX)))
+    sigma, pi = buchi_md_pair(game, buchi_set)
+    under_pi = mdp_buchi_exact(apply_md(game, pi), buchi_set)
+    assert all(under_pi[s] < 1 for s in part.min_wins)
+    under_sigma = mdp_buchi_exact(apply_md(game, sigma), buchi_set)
+    assert all(under_sigma[s] == 1 for s in part.max_wins)
 
 
 _GALLERY = [(built.game, frozenset(built.targets)) for built in (

@@ -311,9 +311,22 @@ def test_buchi_maximizer_matches_the_revisit_optimal_subgame_construction():
     # Enough cases where the region leaves the maximizer a real choice.
     assert chosen > 100
 
+
+def _buchi_pair_cases():
+    """3,000 seeded random games of 4 to 17 states with branching 2 to 4,
+    and the gallery games, each with its Buchi labels and its target."""
+    for seed in range(3000):
+        width = 2 + seed // 14 % 3
+        yield random_game(seed, n=4 + seed % 14, max_branch=width, owned_branch=width)
+    built = [gallery.build_fig2(d) for d in (4, 8, 10, 30)]
+    built += [gallery.build_ladder(k) for k in (1, 3, 16, 64)] + [gallery.build_fig2_with_u(8)]
+    for b in built:
+        yield b.game, b.buchi
+        yield b.game, b.targets
+
+
 def test_buchi_pair_certificates_on_random_games():
-    for seed in range(30):
-        g, t = random_game(seed, n=6)
+    for g, t in _buchi_pair_cases():
         part = almost_sure_buchi(g, t)
         sigma, pi = buchi_md_pair(g, t)
         sigma.check_total(g)
@@ -325,6 +338,38 @@ def test_buchi_pair_certificates_on_random_games():
         for s in part.max_wins:
             if g.owner[s] is Owner.MAX:
                 assert sigma.choice[s] in part.max_wins
+
+
+def test_buchi_pair_runs_no_exact_solve(monkeypatch):
+    import sgsolve.exact
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact solve called")
+
+    # Every exact solve evaluates minimizer best responses.
+    monkeypatch.setattr(sgsolve.exact, "min_best_response", refuse)
+    cases = [(b.game, b.buchi) for b in (gallery.build_fig2(8), gallery.build_ladder(3))]
+    cases += [random_game(seed, n=4 + seed % 14) for seed in range(200)]
+    for g, t in cases:
+        sigma, pi = buchi_md_pair(g, t)
+        sigma.check_total(g)
+        pi.check_total(g)
+
+
+def test_buchi_minimizer_seed_escapes_down_the_reach_peel_layers():
+    # m escapes to c, which never reaches t.  The naive escape, the first
+    # successor outside the region {t}, is a, from where t is reached
+    # almost surely however often the play returns to m.
+    g = Game.of([
+        ("m", "min", ("a", "c")),
+        ("a", "rand", ("t", "m"), (HALF, HALF)),
+        ("c", "max", ("c",)),
+        ("t", "max", ("t",)),
+    ])
+    _, pi = buchi_md_pair(g, {"t"})
+    assert pi.choice["m"] == "c"
+    assert mdp_buchi_exact(apply_md(g, pi), {"t"})["m"] < 1
+    assert mdp_buchi_exact(apply_md(g, MDStrategy(Owner.MIN, {"m": "a"})), {"t"})["m"] == 1
 
 
 def test_threshold_below_value_minimizer_wins():
@@ -426,9 +471,6 @@ def test_threshold_verdicts_hold_up_on_random_games():
         for c, strict in ((values[start], False), (values[start], True),
                           (HALF, False), (Fraction(1), False)):
             verdict = threshold_decide(g, t, c, strict, start)
-            if verdict.winner == "out-of-scope":
-                assert not strict and 0 < c < 1
-                continue
             residual = apply_md(g, verdict.strategy)
             achieved = solve_reach_exact(residual, t)[start]
             if verdict.winner == "max":
