@@ -5,9 +5,9 @@ an invalid game, a bad flag or rational; rational flags take ``p`` or
 ``p/q``) or a failed computation (any ``model.SgsolveError``, such as
 ``ConvergenceError`` or a broken invariant), printed as ``error:`` lines on
 stderr and never as a traceback.  All solver output is deterministic;
-rationals print as p/q in lowest terms and floats with 12 significant
-digits.  Each command imports only the layers it runs, so ``--help`` and a
-flag error load nothing of the package beyond this module.
+rationals print as p/q in lowest terms, at any size, and floats with 12
+significant digits.  Each command imports only the layers it runs, so
+``--help`` and a flag error load nothing of the package beyond this module.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ def _fmt(v) -> str:
     return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
-def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str, out) -> None:
+def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
+    out = sys.stdout
     if fmt == "json-lines":
         import json
 
@@ -154,9 +155,19 @@ def _cmd_solve(args) -> int:
         tol = _rational("--tol", args.tol) if args.tol else None
         vec = SOLVERS[kind](game, obj.target, mode=args.mode, tol=tol)
     rows = [(s, vec.values[s]) for s in game.states]
-    _emit(rows, ("state", "value"), args.format, sys.stdout)
-    if vec.error_bound is not None:
-        _trailer("error-bound", float(vec.error_bound), args.format, "# ")
+    # Rationals print at any size: the interpreter's limit on int-to-string
+    # conversion is lifted while they are written and restored for the files
+    # parsed after (Python 3.10 has no such limit).
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(rows, ("state", "value"), args.format)
+        if vec.error_bound is not None:
+            _trailer("error-bound", float(vec.error_bound), args.format, "# ")
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
     return 0
 
 
@@ -187,7 +198,7 @@ def _cmd_winning_set(args) -> int:
         side = "max" if s in part.max_wins else "min"
         idx = part.index.get(s)
         rows.append(("state", s, side, "index", "bot" if idx is None else idx))
-    _emit(rows, ("kw", "state", "side", "kw2", "index"), args.format, sys.stdout)
+    _emit(rows, ("kw", "state", "side", "kw2", "index"), args.format)
     _trailer("rounds", part.rounds, args.format)
     return 0
 
@@ -265,7 +276,7 @@ def _cmd_simulate(args) -> int:
         ("half-width-95", est.half_width_95),
         ("decided-fraction", est.decided_fraction),
     ]
-    _emit(rows, ("stat", "value"), args.format, sys.stdout)
+    _emit(rows, ("stat", "value"), args.format)
     return 0
 
 
@@ -317,28 +328,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, objective=True):
+    def add_common(p, formats=False):
         p.add_argument("file", help="game file")
-        if objective:
-            p.add_argument("--objective", default="reach",
-                           help="reach|safety|buchi|cobuchi|reachplus|reach<=N")
-            p.add_argument("--target", default="",
-                           help="comma-separated target ids (default: file targets)")
-        p.add_argument("--format", choices=("lines", "table", "json-lines"),
-                       default="lines")
+        p.add_argument("--objective", default="reach",
+                       help="reach|safety|buchi|cobuchi|reachplus|reach<=N")
+        p.add_argument("--target", default="",
+                       help="comma-separated target ids (default: file targets)")
+        if formats:
+            p.add_argument("--format", choices=("lines", "table", "json-lines"),
+                           default="lines")
 
     p = sub.add_parser("validate", help="check the game invariants")
     p.add_argument("file")
     p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("solve", help="per-state objective values")
-    add_common(p)
+    add_common(p, formats=True)
     p.add_argument("--mode", choices=("exact", "iterate"), default="exact")
     p.add_argument("--tol", default="", help="tolerance for --mode iterate, e.g. 1/1000000")
     p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("winning-set", help="almost-sure winning partition")
-    add_common(p)
+    add_common(p, formats=True)
     p.set_defaults(run=_cmd_winning_set)
 
     p = sub.add_parser("strategy", help="synthesize and export an MD strategy")
@@ -355,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimate under a strategy pair")
-    add_common(p)
+    add_common(p, formats=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -5,10 +5,10 @@ a finite Markov chain.  The chain's unknowns are split into strongly
 connected blocks and solved one block at a time, successors first, with the
 values already known outside the block on the right-hand side (topological
 solving, as in Storm: Dehnert et al., CAV 2017).  Each block row is scaled
-by the lcm of its denominators to integers and the block is eliminated
-fraction-free on Python ints (Bareiss, Math. Comp. 1968), so each unknown
-costs one ``Fraction``, built at the end; a one-state block needs no
-elimination, only a division by one minus its self-loop weight.  Optimal
+by the lcm of its denominators to integers, and the solver eliminates these
+integer rows fraction-free (Bareiss, Math. Comp. 1968), so each unknown
+costs one ``Fraction``, built at the end; a one-state block takes one
+division by its scaled one-minus-self-loop weight.  Optimal
 values come from strategy iteration over maximizer policies, each evaluated
 by an exact minimizer best response.
 
@@ -60,23 +60,24 @@ class ConvergenceError(SgsolveError, RuntimeError):
     """Strategy iteration failed to improve monotonically or to stop."""
 
 
-def gauss_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square sparse rational system.
+def gauss_solve(rows: list[dict[int, int]], rhs: list[int]) -> list[Fraction]:
+    """Solve a square sparse system with integer coefficients.
 
-    Row ``i`` maps column indices to ``int`` or ``Fraction`` coefficients; a
-    missing column is zero.  Each row is cleared to integers and eliminated
-    below the diagonal fraction-free (pivoting on != 0): a row ``r`` with
-    entry ``f`` under pivot ``p`` becomes ``(p/g) r - (f/g) prow`` for
-    ``g = gcd(p, f)``, then loses its content.  Back-substitution runs on
-    ``(numerator, denominator)`` pairs, so each unknown costs one
-    ``Fraction``.  Neither argument is modified.
+    Row ``i`` maps column indices to ``int`` coefficients; a missing column
+    is zero.  The rows are eliminated below the diagonal fraction-free
+    (pivoting on != 0): a row ``r`` with entry ``f`` under pivot ``p``
+    becomes ``(p/g) r - (f/g) prow`` for ``g = gcd(p, f)``, then loses its
+    content.  Back-substitution runs on ``(numerator, denominator)`` pairs,
+    so each unknown costs one ``Fraction``; a system of one unknown is one
+    division.  Neither argument is modified.
     """
     n = len(rows)
-    a, b = [], []
-    for row, c in zip(rows, rhs):
-        scale = lcm(c.denominator, *(x.denominator for x in row.values()))
-        a.append({j: x.numerator * (scale // x.denominator) for j, x in row.items()})
-        b.append(c.numerator * (scale // c.denominator))
+    if n == 1:
+        p = rows[0].get(0)
+        if not p:
+            raise ValueError("singular system")
+        return [Fraction(rhs[0], p)]
+    a, b = [dict(row) for row in rows], list(rhs)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r].get(col)), None)
         if pivot is None:
@@ -106,6 +107,7 @@ def gauss_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fr
                 c //= g
             b[r] = c
     x: list[tuple[int, int]] = [(0, 1)] * n
+    out: list[Fraction] = [ZERO] * n
     for i in reversed(range(n)):
         row = a[i]
         # The row's sum of known terms, num / den over the lcm of their denominators.
@@ -116,16 +118,9 @@ def gauss_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fr
                 scale = lcm(den, xd)
                 num = num * (scale // den) + c * xn * (scale // xd)
                 den = scale
-        num, den = b[i] * den - num, row[i] * den
-        g = gcd(num, den)
-        x[i] = num // g, den // g
-    return [Fraction(xn, xd) for xn, xd in x]
-
-
-def _choice_successors(game: Game, choice: dict[str, str], s: str) -> tuple[tuple[str, Fraction], ...]:
-    if game.owner[s] is Owner.RANDOM:
-        return game.distribution(s)
-    return ((choice[s], ONE),)
+        out[i] = v = Fraction(b[i] * den - num, row[i] * den)
+        x[i] = v.numerator, v.denominator
+    return out
 
 
 def can_reach(game: Game, targets: set[str], choice: dict[str, str] | None = None) -> set[str]:
@@ -164,7 +159,8 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
             values[t] = ONE
     unknowns = [s for s in game.states if s in affected and s in relevant and s not in targets]
     position = {s: i for i, s in enumerate(unknowns)}
-    moves = {s: _choice_successors(game, choice, s) for s in unknowns}
+    moves = {s: game.distribution(s) if game.owner[s] is Owner.RANDOM else ((choice[s], ONE),)
+             for s in unknowns}
     blocks = strongly_connected_components(unknowns, lambda s: [t for t, _ in moves[s]])
     for block in blocks:
         # Tarjan lists members by name; declaration order keeps path-like
@@ -189,11 +185,27 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
                 row[j] = row.get(j, 0) - w.numerator * (scale // w.denominator)
             rows.append(row)
             rhs.append(sum(v.numerator * (scale // v.denominator) for v in known))
-        # A single state's row is its one equation: (1 - self-loop) x = b.
-        solved = [Fraction(rhs[0], rows[0][0])] if len(block) == 1 else gauss_solve(rows, rhs)
-        for s, v in zip(block, solved):
+        for s, v in zip(block, gauss_solve(rows, rhs)):
             values[s] = v
     return values
+
+
+def _switch(game: Game, best_of, values: dict[str, Fraction], policy: dict[str, str],
+            skip: set[str]) -> bool:
+    """One improvement step: point each state of ``policy`` outside ``skip``
+    at its first successor of best value (``best_of`` is ``max`` or
+    ``min``) when that value differs from the state's; report whether any
+    did.  ``values`` are the chain values of the policy, so an owned
+    non-target state's value is its successor's, and a best successor of
+    another value is strictly better."""
+    improved = False
+    for s in policy:
+        if s not in skip:
+            best = best_of(game.succ[s], key=values.__getitem__)
+            if values[best] != values[s]:
+                policy[s] = best
+                improved = True
+    return improved
 
 
 def positive_attractor(game: Game, targets: set[str],
@@ -235,20 +247,13 @@ def min_best_response(game: Game, targets: set[str], sigma: dict[str, str],
                 start = next(t for t in game.succ[s] if t not in attractor)
             frozen.add(s)
         pi[s] = start
+    skip = frozen | targets
     for _ in range(_MAX_ROUNDS):
         choice = dict(sigma)
         choice.update(pi)
         values = chain_reach_values(game, choice, targets, previous)
         previous = choice, values
-        improved = False
-        for s in game.states:
-            if game.owner[s] is not Owner.MIN or s in frozen or s in targets:
-                continue
-            best = min(game.succ[s], key=values.__getitem__)
-            if values[best] < values[s]:
-                pi[s] = best
-                improved = True
-        if not improved:
+        if not _switch(game, min, values, pi, skip):
             return previous
     raise ConvergenceError("minimizer policy iteration did not converge")
 
@@ -273,15 +278,7 @@ def solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
         if previous is not None:
             if any(values[s] < previous[1][s] for s in game.states):
                 raise ConvergenceError("improvement cycle")
-        improved = False
-        for s in game.states:
-            if game.owner[s] is not Owner.MAX or s in targets:
-                continue
-            best = max(game.succ[s], key=values.__getitem__)
-            if values[best] > values[s]:
-                sigma[s] = best
-                improved = True
-        if not improved:
+        if not _switch(game, max, values, sigma, targets):
             return values
     raise ConvergenceError("maximizer strategy iteration did not converge")
 

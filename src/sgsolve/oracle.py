@@ -1,9 +1,12 @@
 """Independent brute-force and one-player exact oracles.
 
-These deliberately avoid the solver machinery used elsewhere: values come
-from enumerating all memoryless deterministic strategy pairs and solving each
-induced finite Markov chain (linear solve for reachability, bottom-component
-analysis for the tail objectives), so they can referee the optimized paths.
+Values come from enumerating all memoryless deterministic strategy pairs and
+solving each induced finite Markov chain with ``exact.chain_reach_values``
+(after a bottom-component analysis for the tail objectives), so they referee
+strategy iteration, the peels and the constructions but not the chain solve
+itself; the dense references in ``tests/test_exact.py`` referee that.
+``mdp_buchi_exact`` solves a one-player Buchi game as reachability of
+its end components with ``solve_reach_exact``.
 """
 
 from __future__ import annotations

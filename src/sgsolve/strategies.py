@@ -160,11 +160,6 @@ def optimal_min_md(game: Game, targets) -> MDStrategy:
     return MDStrategy(Owner.MIN, _min_choice(game, solve_reach_exact(game, set(targets))))
 
 
-class NoProgressError(SgsolveError, RuntimeError):
-    """A state of positive value has no progress rank, so the values given
-    are not the game's values."""
-
-
 def _progress_ranks(game: Game, values, targets: set[str]) -> dict[str, int]:
     """Layers of forced progress within value levels.
 
@@ -175,7 +170,8 @@ def _progress_ranks(game: Game, values, targets: set[str]) -> dict[str, int]:
     edges), entered through one edge at maximizer and random states and
     through all at minimizer states.  Every state gets a rank: an unranked
     flat region would deny the maximizer any optimal strategy, which cannot
-    happen in a finite game.
+    happen in a finite game, so ``InvariantError`` there means the values
+    given are not the game's.
     """
     base: list[str] = []
     succ: dict[str, tuple[str, ...]] = {}
@@ -192,7 +188,7 @@ def _progress_ranks(game: Game, values, targets: set[str]) -> dict[str, int]:
     attractor(Game(game.owner, succ, game.prob), base, (Owner.MAX, Owner.RANDOM), layer=rank)
     for s in game.states:
         if s not in rank:
-            raise NoProgressError(f"no progress layer at {s}")
+            raise InvariantError(f"no progress layer at {s}")
     return rank
 
 

@@ -23,7 +23,7 @@ pessimistic and an optimistic truncation of the same depth.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import winning
@@ -197,10 +197,12 @@ def interval_values(
         raise ValueError(f"interval bounds are defined for {sorted(k.value for k in SOLVERS)}")
     lower_mode, upper_mode = bounding_sinks(kind)
     solver = SOLVERS[kind]
+    # The sink mode only labels the sink, so one expansion serves both bounds.
+    trunc = truncate(base, depth, lower_mode)
 
     def solve(sink_mode: SinkMode) -> ValueVector:
-        trunc = truncate(base, depth, sink_mode)
-        return solver(trunc.game, trunc.label_set(label), mode=mode, tol=tol)
+        targets = replace(trunc, mode=sink_mode).label_set(label)
+        return solver(trunc.game, targets, mode=mode, tol=tol)
 
     return IntervalValues(
         lower=solve(lower_mode),
@@ -255,8 +257,8 @@ class _FloatCore:
         self.rand_terms = [(weights[:, j].copy(), rand_cols[:, j].copy()) for j in range(terms)]
         # Every reachable minimizer state, targets included: its lower-optimal
         # edges are the ones the end-component decomposition depends on.
-        _, self.guards = rows([s for s in game.states
-                               if game.owner[s] is Owner.MIN and s in reachable])
+        self.guarded = [s for s in game.states if game.owner[s] is Owner.MIN and s in reachable]
+        _, self.guards = rows(self.guarded)
 
     def sweep(self, v) -> None:
         """One Bellman sweep of both bounds, in place.  Every new entry is
@@ -334,20 +336,17 @@ def _deflate(core: _FloatCore, lower, upper, found):
     import numpy as np
 
     near = lower[core.guards]
-    key = (near == near.min(axis=1, keepdims=True)).tobytes()
+    best = near == near.min(axis=1, keepdims=True)
+    key = best.tobytes()
     if found is None or found[0] != key:
         game, index = core.game, core.index
-        low = dict(zip(game.states, lower.tolist()))
-
-        def allowed(s: str):
-            if game.owner[s] is Owner.MIN:
-                best = min(low[t] for t in game.succ[s])
-                return [t for t in game.succ[s] if low[t] == best]
-            return game.succ[s]
-
+        # A row's padding repeats its first successor, so zip stops before it.
+        narrowed = {s: [t for t, keep in zip(game.succ[s], row) if keep]
+                    for s, row in zip(core.guarded, best.tolist())}
         caps = []
         reachable = [s for s in game.states if s in core.reachable]
-        for comp in maximal_end_components(game, reachable, allowed):
+        for comp in maximal_end_components(game, reachable,
+                                           lambda s: narrowed.get(s, game.succ[s])):
             members = set(comp)
             if members & core.targets:
                 continue

@@ -310,6 +310,39 @@ def test_json_lines_trailers_are_json(ladder_file, capsys):
     assert list(rows[-1]) == ["error-bound"]
 
 
+def test_format_is_an_option_of_the_commands_that_write_rows(ladder_file, capsys):
+    parser = sgsolve.cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    formatted = {name for name, sub in commands.choices.items()
+                 if any("--format" in a.option_strings for a in sub._actions)}
+    assert formatted == {"solve", "winning-set", "simulate"}
+    decide = ["decide", ladder_file, "--target", "goal", "--threshold", "1/2", "--from", "q1"]
+    assert main(decide) == 0
+    capsys.readouterr()
+    assert main(decide + ["--format", "json-lines"]) == 1
+    assert capsys.readouterr().out == ""
+    assert main(["simulate", ladder_file, "--target", "goal", "--samples", "10",
+                 "--horizon", "5", "--format", "json-lines"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["stat"] for row in rows] == ["mean", "half-width-95", "decided-fraction"]
+
+
+def test_solve_prints_rationals_past_the_int_string_limit(tmp_path, capsys):
+    path = tmp_path / "slow.game"
+    path.write_text("state a rand\nstate t max\nedge a t 1/7919\nedge a a 7918/7919\n"
+                    "edge t t\ntarget t\n")
+    limit = sys.get_int_max_str_digits()
+    assert main(["solve", str(path), "--objective", "reach<=1200"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert len(out["a"]) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(out["a"]) == 1 - Fraction(7918, 7919) ** 1200
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_tol_in_exact_mode_is_an_input_error(ladder_file, capsys):
     assert main(["solve", ladder_file, "--target", "goal", "--tol", "1/10"]) == 1
     captured = capsys.readouterr()

@@ -1,5 +1,5 @@
 """CLI fuzz: mutated game and strategy files and flag values end in exit
-code 0, 1 or 2, never in an exception.  A seeded run draws from a fixed pool;
+code 0 or 1, never in an exception.  A seeded run draws from a fixed pool;
 a derandomized hypothesis run widens the pool and steers the edits."""
 
 import contextlib

@@ -194,19 +194,25 @@ def test_fig2_at_depth_160_matches_the_exit_values():
 
 
 def test_gauss_solve_pivots_past_a_zero_diagonal():
-    rows = [{1: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}]
-    rhs = [Fraction(4), Fraction(3)]
+    rows = [{1: 2}, {0: 1, 1: 1}]
+    rhs = [4, 3]
     assert gauss_solve(rows, rhs) == [Fraction(1), Fraction(2)]
     assert rows == [{1: 2}, {0: 1, 1: 1}] and rhs == [4, 3]
 
 
+def test_gauss_solve_divides_out_one_unknown():
+    assert gauss_solve([{0: 3}], [2]) == [Fraction(2, 3)]
+
+
 @pytest.mark.parametrize("rows", [
-    [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}],
-    [{0: Fraction(1)}, {}],
+    [{0: 1, 1: 1}, {0: 2, 1: 2}],
+    [{0: 1}, {}],
+    [{}],
+    [{0: 0}],
 ])
 def test_gauss_solve_rejects_a_singular_system(rows):
     with pytest.raises(ValueError, match="singular system"):
-        gauss_solve(rows, [Fraction(1), Fraction(2)])
+        gauss_solve(rows, [1, 2][:len(rows)])
 
 
 @pytest.mark.parametrize("owner, moves, value, message", [

@@ -176,5 +176,5 @@ def test_every_exception_class_derives_from_the_package_base():
                 if issubclass(cls, BaseException):
                     found[node.name] = cls
     assert {"GameFormatError", "TruncationError", "InvariantError", "ConvergenceError",
-            "NoProgressError", "ValueDecreaseError"} <= set(found)
+            "ValueDecreaseError"} <= set(found)
     assert [name for name, cls in found.items() if not issubclass(cls, sgsolve.SgsolveError)] == []

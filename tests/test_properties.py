@@ -5,6 +5,7 @@ stays deterministic and quick; a failure prints its smallest game.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from conftest import reference_plays
@@ -191,19 +192,25 @@ def _dense_solve(rows, rhs) -> list[Fraction]:
 @given(nonsingular_systems(), st.data())
 def test_gauss_solve_equals_dense_gauss_jordan_and_rejects_singular_systems(system, data):
     rows, rhs = system
-    kept = [dict(row) for row in rows], list(rhs)
-    got = gauss_solve(rows, rhs)
+    # Each equation times the lcm of its denominators, as chain solves pass it.
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        scale = lcm(Fraction(b).denominator, *(Fraction(x).denominator for x in row.values()))
+        int_rows.append({j: int(x * scale) for j, x in row.items()})
+        int_rhs.append(int(b * scale))
+    kept = [dict(row) for row in int_rows], list(int_rhs)
+    got = gauss_solve(int_rows, int_rhs)
     assert all(type(x) is Fraction for x in got)
     assert got == _dense_solve(rows, rhs)
-    assert (rows, rhs) == kept
+    assert (int_rows, int_rhs) == kept
     if len(rows) > 1:
         # A row replaced by a multiple of another leaves the system singular.
         k, i = data.draw(st.permutations(range(len(rows))))[:2]
-        c = data.draw(_RATIONALS.filter(bool))
-        singular = list(rows)
-        singular[k] = {j: c * x for j, x in rows[i].items()}
+        c = data.draw(st.integers(-2**70, 2**70).filter(bool))
+        singular = list(int_rows)
+        singular[k] = {j: c * x for j, x in int_rows[i].items()}
         with pytest.raises(ValueError, match="singular system"):
-            gauss_solve(singular, rhs)
+            gauss_solve(singular, int_rhs)
 
 
 @PROPERTY

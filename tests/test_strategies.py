@@ -8,6 +8,7 @@ from conftest import random_game
 
 from sgsolve import (
     Game,
+    InvariantError,
     Owner,
     ValueDecreaseError,
     almost_sure_buchi,
@@ -105,11 +106,11 @@ def test_unique_preserving_successor_is_forced():
 def test_progress_ranks_reject_values_that_are_not_the_games():
     # A self-loop at positive value never cashes out; the named error holds
     # under python -O too.
-    from sgsolve.strategies import NoProgressError, _progress_ranks
+    from sgsolve.strategies import _progress_ranks
 
     g = Game.of([("a", "max", ("a", "t")), ("t", "max", ("t",))])
     assert _progress_ranks(g, {"a": Fraction(1), "t": Fraction(1)}, {"t"}) == {"t": 0, "a": 1}
-    with pytest.raises(NoProgressError, match="no progress layer at a"):
+    with pytest.raises(InvariantError, match="no progress layer at a"):
         _progress_ranks(g, {"a": HALF, "t": Fraction(1)}, {"t"})
 
 

@@ -8,6 +8,7 @@ from conftest import random_game, ruin_probability
 
 from sgsolve import (
     Game,
+    LazyGame,
     ObjectiveKind,
     Owner,
     SinkMode,
@@ -402,6 +403,22 @@ def test_interval_fig2_buchi_brackets_one_half():
     lo, hi = iv.at_initial()
     assert lo <= HALF <= hi
     assert hi - lo <= Fraction(1, 2**10)
+
+
+def test_interval_values_expand_each_state_once():
+    # One truncation serves both bounds: the sink mode only labels the sink.
+    base = gallery.fig2_lazy()
+    calls = []
+
+    def expand(sid):
+        calls.append(sid)
+        return base.expand(sid)
+
+    lazy = LazyGame(base.initial, expand, base.branching_bound)
+    iv = interval_values(lazy, ObjectiveKind.BUCHI, 12, label="buchi")
+    assert len(calls) == len(set(calls)) > 12
+    assert iv.at_initial() == interval_values(base, ObjectiveKind.BUCHI, 12,
+                                              label="buchi").at_initial()
 
 
 def test_interval_monotone_in_depth_fig2_buchi():
