@@ -26,10 +26,21 @@ fixpoint), and they are realized against the actual minimizer, hence at most
 it.  Tie-breaks keep the incumbent choice and prefer earlier successors, so
 results are deterministic.
 
-Evaluations are incremental.  Each best response starts from the previous
-one's minimizer choices (re-pinned for the new maximizer policy), which is
-sound from any start: under every minimizer policy each state of the
-positive attractor keeps a path to the target, so those states are
+Both players start from a float guess, as in Storm's rational search
+(Dehnert et al., CAV 2017): Gauss-Seidel sweeps of value iteration in plain
+Python, from the lower bound, give each owned state its greedy move.  Any
+start is sound.  The two stop rules above speak only of the policies at
+which iteration stops, not of where it began, and strict improvement over
+finitely many policies stops from anywhere.  No float reaches an output:
+the floats pick the starting moves and nothing else, every value returned
+is a chain solve over rationals, and the game value is unique, so values,
+and every strategy, partition and verdict built from them, are the same
+from any start.  A good start only saves rounds.
+
+Evaluations are incremental.  Each later best response starts from the
+previous one's minimizer choices (re-pinned for the new maximizer policy),
+which is sound from any start: under every minimizer policy each state of
+the positive attractor keeps a path to the target, so those states are
 transient, the induced chain has a unique solution, and strictly improving
 switches descend to the same pinned fixpoint.  Each chain solve, in turn,
 re-solves only the states that can reach a switched choice along the new
@@ -51,6 +62,9 @@ ONE = Fraction(1)
 # Generous global guard: improvement is strictly monotone, so hitting this
 # bound means a broken improvement step rather than a hard instance.
 _MAX_ROUNDS = 100_000
+
+# Sweeps of the float guess at most; most guesses settle well before.
+_GUESS_SWEEPS = 100
 
 # An induced Markov chain: the owned states' moves and their reach values.
 Chain = tuple[dict[str, str], dict[str, Fraction]]
@@ -216,7 +230,7 @@ def positive_attractor(game: Game, targets: set[str],
 
 
 def min_best_response(game: Game, targets: set[str], sigma: dict[str, str],
-                      previous: Chain | None = None) -> Chain:
+                      start: dict[str, str], previous: Chain | None = None) -> Chain:
     """The chain of the exact minimizer best response to a fixed maximizer
     policy, as its ``(choice, values)`` pair.
 
@@ -224,15 +238,15 @@ def min_best_response(game: Game, targets: set[str], sigma: dict[str, str],
     the minimizer is pinned to a move that stays there; outside it, strictly
     improving one-step switches iterate to the unique pinned fixpoint.
 
-    ``previous`` is the chain of an earlier call on the same game and
-    targets.  Its minimizer choices are the starting policy wherever they
-    are not re-pinned, and each evaluation re-solves only what changed since
-    the one before.  Any start works: under every minimizer policy each
-    state of the positive attractor keeps a path to the target (a maximizer
-    state along ``sigma``, a random state through some successor, a
-    minimizer state through all of them), so those states are transient,
-    the chain has one solution, and improvement runs down to the same
-    fixpoint from wherever it starts.
+    ``start`` gives each minimizer state its starting move wherever it is
+    not re-pinned (other keys are ignored).  ``previous`` is the chain of an
+    earlier call on the same game and targets; each evaluation re-solves
+    only what changed since the one before.  Any start works: under every
+    minimizer policy each state of the positive attractor keeps a path to
+    the target (a maximizer state along ``sigma``, a random state through
+    some successor, a minimizer state through all of them), so those states
+    are transient, the chain has one solution, and improvement runs down to
+    the same fixpoint from wherever it starts.
     """
     attractor = positive_attractor(game, targets, sigma)
     pi: dict[str, str] = {}
@@ -240,13 +254,13 @@ def min_best_response(game: Game, targets: set[str], sigma: dict[str, str],
     for s in game.states:
         if game.owner[s] is not Owner.MIN:
             continue
-        start = game.succ[s][0] if previous is None else previous[0][s]
+        move = start[s]
         if s not in attractor:
             # Some successor stays out of the attractor, else s would be in it.
-            if start in attractor:
-                start = next(t for t in game.succ[s] if t not in attractor)
+            if move in attractor:
+                move = next(t for t in game.succ[s] if t not in attractor)
             frozen.add(s)
-        pi[s] = start
+        pi[s] = move
     skip = frozen | targets
     for _ in range(_MAX_ROUNDS):
         choice = dict(sigma)
@@ -258,6 +272,54 @@ def min_best_response(game: Game, targets: set[str], sigma: dict[str, str],
     raise ConvergenceError("minimizer policy iteration did not converge")
 
 
+def _float_guess(game: Game, targets: set[str]) -> dict[str, str]:
+    """A starting move for every owned state, from float value iteration.
+
+    Gauss-Seidel sweeps in declaration order start from the lower bound:
+    targets at 1.0, every other state at 0.0.  In each sweep a maximizer
+    state takes its first successor of greatest value and a minimizer state
+    its first of least value; the sweeps stop once a sweep leaves every
+    choice as it was, or after ``_GUESS_SWEEPS``.  With no owned non-target
+    state of two successors there is nothing to guess.  The floats only
+    choose where strategy iteration starts; no value is read from them.
+    """
+    start = {s: game.succ[s][0] for s in game.states if game.owner[s] is not Owner.RANDOM}
+    if all(len(game.succ[s]) == 1 or s in targets for s in start):
+        return start
+    states = game.states
+    index = {s: i for i, s in enumerate(states)}
+    v = [1.0 if s in targets else 0.0 for s in states]
+    rows, picked = [], []
+    for s in states:
+        if s in targets:
+            continue
+        succ = [index[t] for t in game.succ[s]]
+        if game.owner[s] is Owner.RANDOM:
+            rows.append((index[s], None, list(zip(succ, map(float, game.prob[s])))))
+        else:
+            rows.append((index[s], max if game.owner[s] is Owner.MAX else min, succ))
+            picked.append(s)
+    key = v.__getitem__
+    pair = None
+    for _ in range(_GUESS_SWEEPS):
+        chosen = []
+        for i, best_of, succ in rows:
+            if best_of is None:
+                x = 0.0
+                for j, w in succ:
+                    x += w * v[j]
+                v[i] = x
+            else:
+                j = best_of(succ, key=key)
+                v[i] = v[j]
+                chosen.append(j)
+        if chosen == pair:
+            break
+        pair = chosen
+    start.update(zip(picked, map(states.__getitem__, pair)))
+    return start
+
+
 def solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
     """Exact reach values, by state.
 
@@ -265,16 +327,23 @@ def solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
     to a strictly better successor under the current evaluation, re-evaluate,
     stop when no switch is left.  The evaluation sequence is strictly
     increasing, so the loop terminates, and a switch-free policy realizes a
-    Bellman fixpoint that is squeezed onto the game value.  Each best
-    response starts from the previous round's chain.
+    Bellman fixpoint that is squeezed onto the game value.  Both players
+    start from the moves of :func:`_float_guess`, and each later best
+    response from the previous round's chain.
     """
     targets = check_targets(game, targets)
-    sigma = {s: game.succ[s][0] for s in game.states if game.owner[s] is Owner.MAX}
+    return _strategy_iteration(game, targets, _float_guess(game, targets))
+
+
+def _strategy_iteration(game: Game, targets: set[str],
+                        start: dict[str, str]) -> dict[str, Fraction]:
+    """:func:`solve_reach_exact` from the owned states' moves in ``start``."""
+    sigma = {s: start[s] for s in game.states if game.owner[s] is Owner.MAX}
     chain: Chain | None = None
     for _ in range(_MAX_ROUNDS):
         previous = chain
-        chain = min_best_response(game, targets, sigma, previous)
-        values = chain[1]
+        chain = min_best_response(game, targets, sigma, start, previous)
+        start, values = chain
         if previous is not None:
             if any(values[s] < previous[1][s] for s in game.states):
                 raise ConvergenceError("improvement cycle")

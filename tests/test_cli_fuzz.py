@@ -159,7 +159,7 @@ def _exit_code(run, argv, tmp_path) -> int:
         raise AssertionError(f"run {run}: {argv} raised {exc!r}; files {inputs}") from exc
 
 
-def test_cli_fuzz_exits_0_1_or_2(tmp_path, capsys):
+def test_cli_fuzz_exits_0_or_1(tmp_path, capsys):
     texts = _base_files(tmp_path)
     rng = random.Random(20261018)
     simulated = []
@@ -193,7 +193,7 @@ def base_files(tmp_path_factory):
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(st.randoms(use_true_random=False), st.lists(_TOKENS, min_size=1, max_size=6))
-def test_hypothesis_cli_fuzz_exits_0_1_or_2(base_files, rng, extra):
+def test_hypothesis_cli_fuzz_exits_0_or_1(base_files, rng, extra):
     tmp_path, texts = base_files
     argv = _argv(rng, tmp_path, texts, POOL + tuple(extra))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from conftest import random_game, ruin_probability
 
-from sgsolve import Game, Owner, gallery
+from sgsolve import Game, Owner, gallery, swap_roles
 from sgsolve import exact
 from sgsolve.exact import (ConvergenceError, can_reach, chain_reach_values, gauss_solve,
                            min_best_response, solve_reach_exact)
@@ -155,18 +155,23 @@ def test_block_reuse_matches_a_dense_reference_after_switched_choices():
     assert checked > 1000
 
 
+def _first_successors(game: Game) -> dict[str, str]:
+    """Every owned state's first listed move."""
+    return {s: game.succ[s][0] for s in game.states if game.owner[s] is not Owner.RANDOM}
+
+
 def test_best_response_does_not_depend_on_its_start():
     # Any earlier chain, whatever its minimizer choices (inside the positive
-    # attractor or not), leads to the values of a cold start.
+    # attractor or not), leads to the values of a cold first-successor start.
     rng = random.Random(7)
     for seed in range(200):
         game, targets = random_game(seed, n=4 + seed % 18, owned_branch=3, max_targets=2)
         targets = set(targets)
         owned = [s for s in game.states if game.owner[s] is not Owner.RANDOM]
         sigma = {s: rng.choice(game.succ[s]) for s in owned if game.owner[s] is Owner.MAX}
-        cold = min_best_response(game, targets, sigma)
+        cold = min_best_response(game, targets, sigma, _first_successors(game))
         start = {s: rng.choice(game.succ[s]) for s in owned}
-        warm = min_best_response(game, targets, sigma,
+        warm = min_best_response(game, targets, sigma, start,
                                  (start, chain_reach_values(game, start, targets)))
         assert warm[1] == cold[1]
         assert chain_reach_values(game, warm[0], targets) == cold[1]
@@ -216,19 +221,63 @@ def test_gauss_solve_rejects_a_singular_system(rows):
 
 
 @pytest.mark.parametrize("owner, moves, value, message", [
-    ("max", ("coin", "goal"), Fraction(1), "maximizer strategy iteration did not converge"),
-    ("min", ("goal", "coin"), Fraction(1, 2), "minimizer policy iteration did not converge"),
+    ("max", ("p0", "coin"), Fraction(1), "maximizer strategy iteration did not converge"),
+    ("min", ("p0", "coin"), Fraction(1, 2), "minimizer policy iteration did not converge"),
 ])
 def test_round_cap_raises_a_named_error(monkeypatch, owner, moves, value, message):
-    # The first listed move is the worse one for its owner, so the
-    # iteration needs a second round.
+    # A sure path of ten random steps to the goal, declared far end first, so
+    # that each float sweep moves the goal's value one step back along it.
+    # The coin's 1/2 shows after one sweep, the path's 1 only after ten: the
+    # guess stops on the worse move for its owner, so the iteration needs a
+    # second round.
+    path = [(f"p{i}", "rand", (f"p{i + 1}",), (1,)) for i in range(9)]
     game = Game.of([
         ("a", owner, moves),
+        *path,
+        ("p9", "rand", ("goal",), (1,)),
         ("coin", "rand", ("goal", "dead"), (Fraction(1, 2), Fraction(1, 2))),
         ("goal", "max", ("goal",)),
         ("dead", "max", ("dead",)),
     ])
-    assert solve_reach_exact(game, {"goal"})["a"] == value
+    values = solve_reach_exact(game, {"goal"})
+    assert values["a"] == value
+    assert values[exact._float_guess(game, {"goal"})["a"]] != value
     monkeypatch.setattr(exact, "_MAX_ROUNDS", 1)
     with pytest.raises(ConvergenceError, match=message):
         solve_reach_exact(game, {"goal"})
+
+
+def _start_cases():
+    """880 seeded random games, then ruin, fig2, fig2u and ladder with
+    their target and Büchi sets, each also role-swapped."""
+    for seed in range(880):
+        yield random_game(seed, n=3 + seed % 24, owned_branch=2 + seed % 3, max_targets=3)
+    built = [gallery.build_gamblers_ruin(p, cap)
+             for p in (Fraction(1, 2), Fraction(3, 5), Fraction(1, 3)) for cap in (3, 17, 50)]
+    built += [gallery.build_fig2(depth) for depth in (2, 5, 9, 20)]
+    built += [gallery.build_fig2_with_u(depth) for depth in (4, 8)]
+    built += [gallery.build_ladder(k) for k in (1, 2, 5, 12)]
+    for b in built:
+        for targets in (b.targets, b.buchi):
+            if targets:
+                yield b.game, targets
+                yield swap_roles(b.game), targets
+
+
+def test_values_do_not_depend_on_where_strategy_iteration_starts():
+    # The float guess only picks the start; strategy iteration from the first
+    # successors, or from random moves, must stop at the same values.
+    rng = random.Random(21)
+    count = guessed = 0
+    for game, targets in _start_cases():
+        targets = set(targets)
+        values = solve_reach_exact(game, targets)
+        first = _first_successors(game)
+        assert exact._strategy_iteration(game, targets, first) == values
+        start = {s: rng.choice(game.succ[s]) for s in first}
+        assert exact._strategy_iteration(game, targets, start) == values
+        count += 1
+        guessed += exact._float_guess(game, targets) != first
+    assert count >= 900
+    # The guess moves off the first successors on most of them.
+    assert guessed > count / 2

@@ -148,11 +148,23 @@ def test_gallery_loads_no_solver():
     assert not loaded & {"exact", "values", "winning", "strategies", "simulate", "oracle"}
 
 
-def test_exact_solve_loads_no_strategy_simulation_oracle_or_numpy(ruin_file):
-    loaded, numpy = _loaded_by("solve", ruin_file)
-    assert "values" in loaded
-    assert not loaded & {"simulate", "strategies", "oracle", "gallery"}
-    assert not numpy
+@pytest.fixture(scope="module")
+def fig2_file(tmp_path_factory):
+    from sgsolve.cli import main
+
+    path = tmp_path_factory.mktemp("games") / "fig2.game"
+    assert main(["gallery", "fig2", "--depth", "8", "--emit", str(path)]) == 0
+    return str(path)
+
+
+def test_exact_solve_loads_no_strategy_simulation_oracle_or_numpy(ruin_file, fig2_file):
+    # Ruin has no owned choice, so its solve skips the float guess; fig2's
+    # owned states have two moves, so its solve runs the guess.
+    for path in (ruin_file, fig2_file):
+        loaded, numpy = _loaded_by("solve", path)
+        assert "values" in loaded
+        assert not loaded & {"simulate", "strategies", "oracle", "gallery"}
+        assert not numpy
 
 
 def test_package_holds_no_assert():

@@ -16,6 +16,7 @@ from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Ver
                      almost_sure_buchi, almost_sure_reach, apply_md, bellman_step, buchi,
                      buchi_md_pair, cobuchi, decided, gallery, md_enumeration_oracle,
                      mdp_buchi_exact, reach, reach_plus, rvi, safety, value_reach_within)
+from sgsolve import exact
 from sgsolve.exact import bellman_combine, gauss_solve, solve_reach_exact
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -59,6 +60,21 @@ def test_exact_reach_values_equal_the_enumeration_oracle(case):
     # Steer the search towards games with values strictly inside (0, 1).
     target(float(sum(0 < v < 1 for v in values.values())))
     assert values == md_enumeration_oracle(game, reach(*targets)).values
+
+
+@PROPERTY
+@given(games(max_states=12, owned_width=3), st.randoms(use_true_random=False))
+def test_exact_values_do_not_depend_on_the_start(case, rng):
+    # The float guess only picks where strategy iteration starts.
+    game, targets = case
+    targets = set(targets)
+    values = solve_reach_exact(game, targets)
+    first = {s: game.succ[s][0] for s in game.states if game.owner[s] is not Owner.RANDOM}
+    start = {s: rng.choice(game.succ[s]) for s in first}
+    # Steer the search towards games whose guess moves off the first successors.
+    target(float(sum(first[s] != t for s, t in exact._float_guess(game, targets).items())))
+    assert exact._strategy_iteration(game, targets, first) == values
+    assert exact._strategy_iteration(game, targets, start) == values
 
 
 @PROPERTY
