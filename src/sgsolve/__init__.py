@@ -27,7 +27,7 @@ _EXPORTS = {
     "strategies": "MDStrategy ThresholdVerdict TransducerStrategy ValueDecreaseError apply_md "
                   "buchi_md_pair format_strategy md_to_transducer optimal_max_md "
                   "optimal_max_md_no_decrease optimal_min_md parse_strategy reachplus_max_md "
-                  "reachplus_min_md threshold_decide transducer_to_md",
+                  "reachplus_min_md threshold_decide",
     "oracle": "chain_buchi_values md_enumeration_oracle mdp_buchi_exact",
     "simulate": "Estimate SimConfig sample_plays",
     "textio": "GameFormatError ParsedGame format_game parse_game",

@@ -206,23 +206,17 @@ def _cmd_winning_set(args) -> int:
 def _cmd_strategy(args) -> int:
     from .objectives import ObjectiveKind
     from .strategies import (_buchi_max_md, _buchi_min_md, format_strategy, optimal_max_md,
-                             optimal_min_md, reachplus_max_md, reachplus_min_md)
+                             optimal_min_md)
     from .winning import buchi_peel
 
     parsed = _load(args.file)
     obj = _objective(args, parsed)
     game = parsed.game
-    if obj.kind is ObjectiveKind.REACH:
+    if obj.kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
         strat = (
             optimal_max_md(game, obj.target)
             if args.player == "max"
             else optimal_min_md(game, obj.target)
-        )
-    elif obj.kind is ObjectiveKind.REACH_PLUS:
-        strat = (
-            reachplus_max_md(game, obj.target)
-            if args.player == "max"
-            else reachplus_min_md(game, obj.target)
         )
     elif obj.kind is ObjectiveKind.BUCHI:
         peel = buchi_peel(game, obj.target)

@@ -77,12 +77,12 @@ def fig2_lazy() -> LazyGame:
 
 def build_fig2(depth: int, mode: SinkMode = SinkMode.PESSIMISTIC) -> GalleryGame:
     """A depth-bounded truncation of the two-sided ladder game."""
-    trunc = truncate(fig2_lazy(), depth, mode)
+    trunc = truncate(fig2_lazy(), depth)
     return GalleryGame(
         game=trunc.game,
         initial="i",
-        targets=trunc.label_set("target"),
-        buchi=trunc.label_set("buchi"),
+        targets=trunc.label_set("target", mode),
+        buchi=trunc.label_set("buchi", mode),
         truncation=trunc,
     )
 

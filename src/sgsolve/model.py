@@ -290,25 +290,25 @@ class Truncation:
     ``game`` contains every state reachable from ``base.initial`` within
     ``depth`` steps plus ``sink``; ``frontier`` holds the ids of the states
     that were replaced by the sink.  ``labels`` maps each label seen during
-    expansion to its member set (including the sink in optimistic mode).
+    expansion to its member set; the sink is in none of them.
     """
 
     base: LazyGame
     depth: int
-    mode: SinkMode
     game: Game
     sink: str
     frontier: frozenset[str]
     labels: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def label_set(self, label: str) -> frozenset[str]:
+    def label_set(self, label: str, sink: SinkMode) -> frozenset[str]:
+        """The members of ``label``, with the sink in optimistic mode."""
         members = self.labels.get(label, frozenset())
-        if self.mode is SinkMode.OPTIMISTIC:
+        if sink is SinkMode.OPTIMISTIC:
             return members | {self.sink}
         return members
 
 
-def truncate(base: LazyGame, depth: int, mode: SinkMode) -> Truncation:
+def truncate(base: LazyGame, depth: int) -> Truncation:
     """Expand ``base`` breadth-first to ``depth`` steps and close it off.
 
     Every edge that leaves the expanded set is redirected to a single
@@ -353,7 +353,6 @@ def truncate(base: LazyGame, depth: int, mode: SinkMode) -> Truncation:
     return Truncation(
         base=base,
         depth=depth,
-        mode=mode,
         game=game,
         sink=next(reversed(game.owner)),
         frontier=frozenset(t for st in info.values() for t in st.successors if t not in info),

@@ -2,15 +2,19 @@
 
 Every finite reach-type question uses one construction per player.  The
 minimizer takes the first successor of least reach value.  The maximizer
-keeps only value-preserving choices and breaks ties by a progress rank so
-that value-preserving cycles that never cash out are avoided.  The rank is a
-layered backward closure from the states where the value resolves (targets,
-zero states, and random states whose support straddles value levels),
-computed over value-preserving edges with an existential step for maximizer
-and random states and a universal step for minimizer states.  Both are
-optimal from every state of a finite game, value-decreasing moves or not.
-Every construction is validated in the test suite by fixing the strategy and
-re-solving the residual one-player game exactly.
+takes the first successor of greatest value and, among those, least progress
+rank, so that value-preserving cycles that never cash out are avoided.  Off
+the target that successor keeps the state's value; at a target it attains
+the revisit value, so the same choices serve "reach after one step".  The
+rank is a layered backward closure from the states where the value resolves
+(targets, zero states, and random states whose support straddles value
+levels), computed over value-preserving edges with an existential step for
+maximizer and random states and a universal step for minimizer states.  Both
+are optimal from every state of a finite game, value-decreasing moves or
+not.  The maximizer's almost-sure Buchi half is the same rule on the
+indicator values of its winning region, with the region's Buchi states as
+targets.  Every construction is validated in the test suite by fixing the
+strategy and re-solving the residual one-player game exactly.
 """
 
 from __future__ import annotations
@@ -105,18 +109,6 @@ def md_to_transducer(strategy: MDStrategy) -> TransducerStrategy:
     )
 
 
-def transducer_to_md(strategy: TransducerStrategy) -> MDStrategy:
-    """Inverse of :func:`md_to_transducer`; requires one mode and Dirac rows."""
-    if len(strategy.modes) != 1:
-        raise ValueError("not memoryless")
-    choice = {}
-    for (_, s), dist in strategy.choose.items():
-        if len(dist) != 1 or next(iter(dist.values())) != 1:
-            raise ValueError("not deterministic")
-        choice[s] = next(iter(dist))
-    return MDStrategy(strategy.owner, choice)
-
-
 def apply_md(game: Game, strategy: MDStrategy) -> Game:
     """Fix one player's moves, leaving a game where only the other plays."""
     strategy.check_total(game)
@@ -192,21 +184,12 @@ def _progress_ranks(game: Game, values, targets: set[str]) -> dict[str, int]:
     return rank
 
 
-def _uniform_max_choice(game: Game, values, targets: set[str],
-                        rank: dict[str, int] | None = None) -> dict[str, str]:
-    """Value-preserving maximizer choices, tie-broken by progress rank."""
-    if rank is None:
-        rank = _progress_ranks(game, values, targets)
-    choice = {}
-    for s in game.states:
-        if game.owner[s] is not Owner.MAX:
-            continue
-        if s in targets or values[s] == 0:
-            choice[s] = game.succ[s][0]
-        else:
-            choice[s] = min((t for t in game.succ[s] if values[t] == values[s]),
-                            key=rank.__getitem__)
-    return choice
+def _uniform_max_choice(game: Game, values, targets: set[str]) -> dict[str, str]:
+    """The first successor of greatest value and, among those, least
+    progress rank, at every maximizer state."""
+    rank = _progress_ranks(game, values, targets)
+    return {s: min(game.succ[s], key=lambda t: (-values[t], rank[t]))
+            for s in game.states if game.owner[s] is Owner.MAX}
 
 
 def optimal_max_md(game: Game, targets) -> MDStrategy:
@@ -246,36 +229,20 @@ def reachplus_min_md(game: Game, targets) -> MDStrategy:
 def reachplus_max_md(game: Game, targets) -> MDStrategy:
     """Optimal maximizing MD strategy for "visit the target after >= 1 step".
 
-    Off the target this is the uniform plain-reach construction; a target
-    state steps to a successor of greatest reach value, preferring the
-    smaller progress rank.  That successor's reach value is the target
-    state's revisit value, and the plain-reach choices attain it from there.
+    This is :func:`optimal_max_md`.  At a target state its successor of
+    greatest reach value attains the revisit value, and the plain-reach
+    choices attain it from there.
     """
-    targets = set(targets)
-    values = solve_reach_exact(game, targets)
-    rank = _progress_ranks(game, values, targets)
-    choice = _uniform_max_choice(game, values, targets, rank)
-    for s in choice:
-        if s in targets:
-            best = max(values[t] for t in game.succ[s])
-            choice[s] = min((t for t in game.succ[s] if values[t] == best),
-                            key=rank.__getitem__)
-    return MDStrategy(Owner.MAX, choice)
+    return optimal_max_md(game, targets)
 
 
 def _buchi_max_md(game: Game, peel: winning.BuchiPeel, buchi_set: set[str]) -> MDStrategy:
-    """The maximizer's half of :func:`buchi_md_pair`.  Every value in the
-    region is one, so the attractor layer is the progress rank."""
-    alive = peel.partition.max_wins
-    layer: dict[str, int] = {}
-    attractor(game, alive & buchi_set, (Owner.MAX, Owner.RANDOM), alive=alive, layer=layer)
-    if len(layer) != len(alive):
-        raise InvariantError("a state of the maximizer's winning region has no progress layer")
-    mine = [s for s in game.states if game.owner[s] is Owner.MAX]
-    choice = {s: game.succ[s][0] for s in mine if s not in alive}
-    choice.update((s, min((t for t in game.succ[s] if t in layer), key=layer.__getitem__))
-                  for s in mine if s in alive)
-    return MDStrategy(Owner.MAX, choice)
+    """The maximizer's half of :func:`buchi_md_pair`: the uniform rule on
+    the indicator values of the peel's region, with its Buchi states as
+    targets."""
+    region = peel.partition.max_wins
+    values = {s: 1 if s in region else 0 for s in game.states}
+    return MDStrategy(Owner.MAX, _uniform_max_choice(game, values, region & buchi_set))
 
 
 def _buchi_min_md(game: Game, peel: winning.BuchiPeel) -> MDStrategy:
@@ -290,10 +257,10 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
     """The MD pair certifying the almost-sure Buchi partition, from one peel.
 
     The maximizer side comes from the peel's region alone: in it, the first
-    successor of least attractor layer of the live Buchi states, so it never
-    leaves; off it, the first successor.  The minimizer side replays the
-    choices recorded during peeling: a step into the previous closure level
-    at closure states, and at removal seeds an escape down the round's
+    successor inside of least progress rank towards its Buchi states, so it
+    never leaves; off it, the first successor.  The minimizer side replays
+    the choices recorded during peeling: a step into the previous closure
+    level at closure states, and at removal seeds an escape down the round's
     reach-peel layers (:func:`winning.buchi_peel` proves it losing for the
     maximizer); elsewhere, the first successor.  Graph closures only, no
     exact solve.
@@ -328,6 +295,8 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
     c = _as_fraction(threshold)
     if not 0 <= c <= 1:
         raise ValueError("threshold must be within [0, 1]")
+    if start not in game.owner:
+        raise ValueError(f"unknown state {start!r}")
     targets = set(targets)
     values = solve_reach_exact(game, targets)
     v0 = values[start]

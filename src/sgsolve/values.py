@@ -23,7 +23,7 @@ pessimistic and an optimistic truncation of the same depth.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import winning
@@ -116,6 +116,8 @@ def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
 def epsilon_horizon(game: Game, targets, state: str, eps) -> int:
     """Least horizon whose bounded-reach value at ``state`` exceeds the
     unbounded value minus ``eps``.  Exists on every finite game."""
+    if state not in game.owner:
+        raise ValueError(f"unknown state {state!r}")
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -198,11 +200,10 @@ def interval_values(
     lower_mode, upper_mode = bounding_sinks(kind)
     solver = SOLVERS[kind]
     # The sink mode only labels the sink, so one expansion serves both bounds.
-    trunc = truncate(base, depth, lower_mode)
+    trunc = truncate(base, depth)
 
     def solve(sink_mode: SinkMode) -> ValueVector:
-        targets = replace(trunc, mode=sink_mode).label_set(label)
-        return solver(trunc.game, targets, mode=mode, tol=tol)
+        return solver(trunc.game, trunc.label_set(label, sink_mode), mode=mode, tol=tol)
 
     return IntervalValues(
         lower=solve(lower_mode),

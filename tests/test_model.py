@@ -78,14 +78,14 @@ def _two_step_lazy():
 
 
 def test_truncate_depth_zero_keeps_initial_and_sink():
-    trunc = truncate(_two_step_lazy(), 0, SinkMode.PESSIMISTIC)
+    trunc = truncate(_two_step_lazy(), 0)
     assert set(trunc.game.states) == {"a", trunc.sink}
     assert trunc.game.succ["a"] == (trunc.sink,)
     assert trunc.frontier == {"b", "c"}
 
 
 def test_truncate_gambler_depth_five_layers():
-    trunc = truncate(gallery.gamblers_ruin_lazy(Fraction(3, 5)), 5, SinkMode.PESSIMISTIC)
+    trunc = truncate(gallery.gamblers_ruin_lazy(Fraction(3, 5)), 5)
     # BFS from wealth 1: w0..w6 are within five steps, w7 is replaced.
     expected = {f"w{i}" for i in range(7)} | {trunc.sink}
     assert set(trunc.game.states) == expected
@@ -94,7 +94,7 @@ def test_truncate_gambler_depth_five_layers():
 
 
 def test_truncate_merges_parallel_sink_edges():
-    trunc = truncate(gallery.gamblers_ruin_lazy(Fraction(3, 5)), 5, SinkMode.PESSIMISTIC)
+    trunc = truncate(gallery.gamblers_ruin_lazy(Fraction(3, 5)), 5)
     for s in trunc.game.states:
         succs = trunc.game.succ[s]
         assert len(succs) == len(set(succs))
@@ -103,8 +103,8 @@ def test_truncate_merges_parallel_sink_edges():
 
 def test_truncate_embedding_monotone_in_depth():
     for d in (3, 5, 8):
-        small = truncate(gallery.fig2_lazy(), d, SinkMode.PESSIMISTIC)
-        big = truncate(gallery.fig2_lazy(), d + 2, SinkMode.PESSIMISTIC)
+        small = truncate(gallery.fig2_lazy(), d)
+        big = truncate(gallery.fig2_lazy(), d + 2)
         small_states = set(small.game.states) - {small.sink}
         big_states = set(big.game.states) - {big.sink}
         assert small_states <= big_states
@@ -116,7 +116,7 @@ def test_truncate_embedding_monotone_in_depth():
 
 def test_truncate_state_count_bound_and_linear_growth():
     for depth in range(4, 12):
-        trunc = truncate(gallery.fig2_lazy(), depth, SinkMode.PESSIMISTIC)
+        trunc = truncate(gallery.fig2_lazy(), depth)
         bound = 1 + sum(2**k for k in range(depth + 1))
         assert len(trunc.game.states) <= bound
         # Two ladders and two chains: linear, not exponential.
@@ -128,13 +128,13 @@ def test_truncate_divergence_error():
         return StateInfo(Owner.MAX, ("a", "b", "c"))
 
     with pytest.raises(TruncationError):
-        truncate(LazyGame("a", expand, branching_bound=2), 3, SinkMode.PESSIMISTIC)
+        truncate(LazyGame("a", expand, branching_bound=2), 3)
 
     def empty(s):
         return StateInfo(Owner.MAX, ())
 
     with pytest.raises(TruncationError):
-        truncate(LazyGame("a", empty), 1, SinkMode.PESSIMISTIC)
+        truncate(LazyGame("a", empty), 1)
 
 
 def test_expand_is_deterministic_on_gallery_generators():
@@ -144,12 +144,11 @@ def test_expand_is_deterministic_on_gallery_generators():
 
 
 def test_optimistic_sink_joins_every_label_set():
-    pess = truncate(gallery.fig2_lazy(), 5, SinkMode.PESSIMISTIC)
-    opt = truncate(gallery.fig2_lazy(), 5, SinkMode.OPTIMISTIC)
-    assert pess.sink not in pess.label_set("target")
-    assert pess.sink not in pess.label_set("buchi")
-    assert opt.sink in opt.label_set("target")
-    assert opt.sink in opt.label_set("buchi")
+    trunc = truncate(gallery.fig2_lazy(), 5)
+    for label in ("target", "buchi"):
+        assert trunc.sink not in trunc.label_set(label, SinkMode.PESSIMISTIC)
+        assert (trunc.label_set(label, SinkMode.OPTIMISTIC)
+                == trunc.label_set(label, SinkMode.PESSIMISTIC) | {trunc.sink})
 
 
 @pytest.mark.parametrize("text, value", [

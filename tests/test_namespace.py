@@ -27,13 +27,13 @@ PUBLIC = sorted(SUBMODULES + [
     "optimal_max_md_no_decrease", "optimal_min_md", "parse_game", "parse_objective",
     "parse_strategy", "positive_reach_set", "reach", "reach_plus", "reachplus_max_md",
     "reachplus_min_md", "rvi", "safety", "sample_plays", "swap_roles", "threshold_decide",
-    "transducer_to_md", "truncate", "validate", "value_buchi", "value_cobuchi", "value_reach",
+    "truncate", "validate", "value_buchi", "value_cobuchi", "value_reach",
     "value_reach_within", "value_safety",
 ])
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 80
+    assert len(PUBLIC) == 79
     assert sorted(sgsolve.__all__) == PUBLIC
 
 
@@ -60,7 +60,7 @@ def test_star_import_works_from_a_fresh_interpreter():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(sgsolve.__file__).parents[1])),
                           check=True)
-    assert done.stdout.split() == ["[]", "80", "sgsolve.values"]
+    assert done.stdout.split() == ["[]", "79", "sgsolve.values"]
 
 
 def test_dir_lists_every_name():

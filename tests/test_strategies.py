@@ -24,7 +24,6 @@ from sgsolve import (
     reachplus_max_md,
     reachplus_min_md,
     threshold_decide,
-    transducer_to_md,
 )
 from sgsolve import gallery
 from sgsolve.exact import reach_plus_values, solve_reach_exact
@@ -155,6 +154,16 @@ def test_reachplus_on_absorbing_target_loop():
     assert reachplus_max_md(g2, {"t"}).choice["t"] == "t"
 
 
+def test_optimal_max_steps_from_a_target_to_its_best_successor():
+    # The first successor z is absorbing off the target; a leads back to t.
+    g = Game.of([
+        ("t", "max", ("z", "a")),
+        ("z", "max", ("z",)),
+        ("a", "rand", ("t",), (1,)),
+    ])
+    assert optimal_max_md(g, {"t"}).choice == {"t": "a", "z": "z"}
+
+
 def test_reachplus_min_exits_the_accepting_ladder():
     fig2 = gallery.build_fig2(9)
     strategy = reachplus_min_md(fig2.game, fig2.buchi)
@@ -214,7 +223,7 @@ def _reference_reachplus_max_choice(game, targets):
     if offenders:
         raise ValueDecreaseError(offenders)
     rank = _progress_ranks(game, values, targets)
-    choice = _uniform_max_choice(game, values, targets, rank)
+    choice = _uniform_max_choice(game, values, targets)
     for s in choice:
         if s in targets:
             choice[s] = min((t for t in game.succ[s] if t in targets or vplus[t] == vplus[s]),
@@ -282,9 +291,9 @@ def test_buchi_pair_with_empty_accepting_set_is_total():
 
 
 def _subgame_buchi_sigma(game, buchi_set):
-    """The maximizer's Buchi choices built the long way: the revisit-optimal
-    construction, with its exact solves, on the surviving subgame, and the
-    first successor off it."""
+    """The maximizer's Buchi choices built the long way, in state order: the
+    revisit-optimal construction, with its exact solves, on the surviving
+    subgame, and the first successor off it."""
     alive = almost_sure_buchi(game, buchi_set).max_wins
     choice = {s: game.succ[s][0] for s in game.states
               if game.owner[s] is Owner.MAX and s not in alive}
@@ -294,7 +303,7 @@ def _subgame_buchi_sigma(game, buchi_set):
                 else game.succ[s] for s, o in owner.items()}
         prob = {s: game.prob[s] for s, o in owner.items() if o is Owner.RANDOM}
         choice.update(reachplus_max_md(Game(owner, succ, prob), alive & set(buchi_set)).choice)
-    return choice
+    return {s: choice[s] for s in game.states if s in choice}
 
 
 def test_buchi_maximizer_matches_the_revisit_optimal_subgame_construction():
@@ -305,7 +314,7 @@ def test_buchi_maximizer_matches_the_revisit_optimal_subgame_construction():
     chosen = 0
     for g, t in cases:
         sigma, _ = buchi_md_pair(g, t)
-        # Same choices, in the same order.
+        # Same choices, in state order.
         assert list(sigma.choice.items()) == list(_subgame_buchi_sigma(g, t).items())
         alive = almost_sure_buchi(g, t).max_wins
         chosen += any(sum(u in alive for u in g.succ[s]) > 1 for s in sigma.choice if s in alive)
@@ -464,6 +473,12 @@ def test_threshold_out_of_scope_corner():
         threshold_decide(g, {"t"}, Fraction(3, 2), False, "a")
 
 
+def test_threshold_rejects_an_unknown_start():
+    g = Game.of([("a", "max", ("t",)), ("t", "max", ("t",))])
+    with pytest.raises(ValueError, match="unknown state 'zzz'"):
+        threshold_decide(g, {"t"}, HALF, False, "zzz")
+
+
 def test_threshold_verdicts_hold_up_on_random_games():
     for seed in range(25):
         g, t = random_game(seed, n=6)
@@ -508,7 +523,6 @@ def test_transducer_round_trip_and_dirac_shape():
     lifted = md_to_transducer(strategy)
     assert len(lifted.modes) == 1
     assert all(len(d) == 1 and next(iter(d.values())) == 1 for d in lifted.choose.values())
-    assert transducer_to_md(lifted).choice == strategy.choice
 
 
 def test_strategy_file_round_trip_md():

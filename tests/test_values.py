@@ -321,6 +321,12 @@ def test_epsilon_horizon_basics():
         epsilon_horizon(g, t, "s0", 0)
 
 
+def test_epsilon_horizon_rejects_an_unknown_state():
+    g = Game.of([("a", "max", ("t",)), ("t", "max", ("t",))])
+    with pytest.raises(ValueError, match="unknown state 'zzz'"):
+        epsilon_horizon(g, {"t"}, "zzz", Fraction(1, 100))
+
+
 def test_epsilon_horizon_is_least():
     fig2 = gallery.build_fig2(14)
     g, t = fig2.game, fig2.targets
