@@ -8,6 +8,12 @@ stderr and never as a traceback.  All solver output is deterministic;
 rationals print as p/q in lowest terms, at any size, and floats with 12
 significant digits.  Each command imports only the layers it runs, so
 ``--help`` and a flag error load nothing of the package beyond this module.
+
+Every command, ``validate`` included, rejects an invalid game through
+:func:`_load`, one ``error: line N: ...`` line per violation.  The checks on
+the other inputs live in the library and run once there: state arguments
+(``--from``) in ``model.check_state``, target sets in ``model.check_targets``
+and strategy files in the strategy's own ``check``.
 """
 
 from __future__ import annotations
@@ -57,28 +63,18 @@ def _write(text: str, path: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse(path: str):
+def _load(path: str):
+    """Parse a game file and reject a game that breaks the invariants, each
+    violation led by the line that declares its state."""
+    from .model import validate
     from .textio import parse_game
 
     with open(path, encoding="utf-8") as handle:
-        return parse_game(handle.read())
-
-
-def _violations(parsed) -> list[str]:
-    """The game's violations, each led by the line that declares its state."""
-    from .model import validate
-
-    out = []
+        parsed = parse_game(handle.read())
+    violations = []
     for v in validate(parsed.game):
         line = parsed.state_lines.get(v.state)
-        out.append(f"line {line}: {v}" if line is not None else str(v))
-    return out
-
-
-def _load(path: str):
-    """Parse a game file and reject a game that breaks the invariants."""
-    parsed = _parse(path)
-    violations = _violations(parsed)
+        violations.append(f"line {line}: {v}" if line is not None else str(v))
     if violations:
         raise ValueError("\n".join(violations))
     return parsed
@@ -86,14 +82,11 @@ def _load(path: str):
 
 def _strategy(path: str, game):
     """Parse a strategy file and check it against the game."""
-    from .strategies import MDStrategy, parse_strategy
+    from .strategies import parse_strategy
 
     with open(path, encoding="utf-8") as handle:
         strategy = parse_strategy(handle.read())
-    if isinstance(strategy, MDStrategy):
-        strategy.check_total(game)
-    else:
-        strategy.check(game)
+    strategy.check(game)
     return strategy
 
 
@@ -107,12 +100,6 @@ def _rational(flag: str, text: str):
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _state(game, name: str) -> str:
-    if name not in game.owner:
-        raise ValueError(f"unknown state {name!r}")
-    return name
-
-
 def _objective(args, parsed):
     from .objectives import parse_objective
 
@@ -123,13 +110,9 @@ def _objective(args, parsed):
 
 
 def _cmd_validate(args) -> int:
-    violations = _violations(_parse(args.file))
-    if not violations:
-        print("ok")
-        return 0
-    for v in violations:
-        print(v, file=sys.stderr)
-    return 1
+    _load(args.file)
+    print("ok")
+    return 0
 
 
 def _cmd_solve(args) -> int:
@@ -263,7 +246,7 @@ def _cmd_simulate(args) -> int:
     )
     sigma = _strategy(args.sigma, parsed.game) if args.sigma else None
     pi = _strategy(args.pi, parsed.game) if args.pi else None
-    start = _state(parsed.game, args.from_state) if args.from_state else parsed.game.states[0]
+    start = args.from_state or parsed.game.states[0]
     est = sample_plays(parsed.game, start, obj, cfg, sigma=sigma, pi=pi)
     rows = [
         ("mean", est.mean),
@@ -302,10 +285,8 @@ def _cmd_decide(args) -> int:
     obj = _objective(args, parsed)
     if obj.kind is not ObjectiveKind.REACH:
         raise ValueError("the threshold decision handles reachability objectives")
-    start = _state(parsed.game, args.from_state)
-    verdict = threshold_decide(
-        parsed.game, obj.target, _rational("--threshold", args.threshold), args.strict, start,
-    )
+    verdict = threshold_decide(parsed.game, obj.target, _rational("--threshold", args.threshold),
+                               args.strict, args.from_state)
     print(f"winner {verdict.winner}")
     print(f"reason {verdict.reason}")
     sys.stdout.write(format_strategy(verdict.strategy))

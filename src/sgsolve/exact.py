@@ -151,7 +151,8 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
     target in the induced chain get probability exactly 0; the remaining
     states form a linear system with a unique solution, solved one strongly
     connected block at a time in the order Tarjan emits them (successors
-    first), each block in declaration order.
+    first), each block in declaration order, which keeps path-like chains
+    such as ruin banded so that elimination fills nothing in.
 
     ``previous`` is an earlier chain of the same game and targets, as its
     ``(choice, values)`` pair.  Only the states that can reach a switched
@@ -172,14 +173,10 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
         if t in game.owner:
             values[t] = ONE
     unknowns = [s for s in game.states if s in affected and s in relevant and s not in targets]
-    position = {s: i for i, s in enumerate(unknowns)}
     moves = {s: game.distribution(s) if game.owner[s] is Owner.RANDOM else ((choice[s], ONE),)
              for s in unknowns}
     blocks = strongly_connected_components(unknowns, lambda s: [t for t, _ in moves[s]])
     for block in blocks:
-        # Tarjan lists members by name; declaration order keeps path-like
-        # chains such as ruin banded, so elimination fills nothing in.
-        block.sort(key=position.__getitem__)
         index = {s: i for i, s in enumerate(block)}
         rows, rhs = [], []
         for s in block:

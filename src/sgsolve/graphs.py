@@ -73,8 +73,10 @@ def attractor(
 
 
 def strongly_connected_components(nodes: list[str], succ: Callable[[str], Iterable[str]]) -> list[list[str]]:
-    """Tarjan's algorithm, iterative; components in deterministic order."""
-    node_set = set(nodes)
+    """Tarjan's algorithm, iterative: components in the order Tarjan emits
+    them (successors first), each listing its members in the order of
+    ``nodes``."""
+    position = {s: i for i, s in enumerate(nodes)}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -85,7 +87,7 @@ def strongly_connected_components(nodes: list[str], succ: Callable[[str], Iterab
     for root in nodes:
         if root in index:
             continue
-        work = [(root, iter([t for t in succ(root) if t in node_set]))]
+        work = [(root, iter([t for t in succ(root) if t in position]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -99,7 +101,7 @@ def strongly_connected_components(nodes: list[str], succ: Callable[[str], Iterab
                     counter += 1
                     stack.append(t)
                     on_stack.add(t)
-                    work.append((t, iter([u for u in succ(t) if u in node_set])))
+                    work.append((t, iter([u for u in succ(t) if u in position])))
                     advanced = True
                     break
                 if t in on_stack:
@@ -118,7 +120,7 @@ def strongly_connected_components(nodes: list[str], succ: Callable[[str], Iterab
                     comp.append(w)
                     if w == node:
                         break
-                components.append(sorted(comp))
+                components.append(sorted(comp, key=position.__getitem__))
     return components
 
 
@@ -170,7 +172,7 @@ def maximal_end_components(
         stuck = [s for s in candidate if not game.succ[s]]
         out = attractor(game, [*leaving, *stuck], (Owner.RANDOM,), alive=members | leaving)
         comps = strongly_connected_components([s for s in candidate if s not in out],
-                                              game.successors)
+                                              game.succ.__getitem__)
         if len(comps) == 1:
             result.append(comps[0])
         else:

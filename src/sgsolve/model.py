@@ -70,9 +70,6 @@ class Game:
     def states(self) -> tuple[str, ...]:
         return tuple(self.owner)
 
-    def successors(self, s: str) -> tuple[str, ...]:
-        return self.succ[s]
-
     def distribution(self, s: str) -> tuple[tuple[str, Fraction], ...]:
         """Successor/weight pairs of a random state."""
         return tuple(zip(self.succ[s], self.prob[s]))
@@ -123,6 +120,12 @@ class Game:
             elif len(row) >= 4 and row[3] is not None:
                 raise ValueError(f"owned state {sid!r} must not carry weights")
         return cls(owner, succ, prob)
+
+
+def check_state(game: Game, state: str) -> None:
+    """Raise ``ValueError`` unless ``state`` is a state of ``game``."""
+    if state not in game.owner:
+        raise ValueError(f"unknown state {state!r}")
 
 
 def check_targets(game: Game, targets) -> set[str]:

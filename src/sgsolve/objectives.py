@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 
 from .graphs import attractor
-from .model import Game, Owner, SinkMode, check_targets
+from .model import Game, Owner, SinkMode, check_state, check_targets
 
 
 class ObjectiveKind(Enum):
@@ -130,19 +130,6 @@ def reach_plus(*target: str) -> Objective:
     return Objective(ObjectiveKind.REACH_PLUS, frozenset(target))
 
 
-def dual(obj: Objective) -> Objective:
-    """Reach <-> safety and Buchi <-> co-Buchi over the same target set."""
-    pairs = {
-        ObjectiveKind.REACH: ObjectiveKind.SAFETY,
-        ObjectiveKind.SAFETY: ObjectiveKind.REACH,
-        ObjectiveKind.BUCHI: ObjectiveKind.COBUCHI,
-        ObjectiveKind.COBUCHI: ObjectiveKind.BUCHI,
-    }
-    if obj.kind not in pairs:
-        raise ValueError(f"{obj.kind.value} has no dual here")
-    return replace(obj, kind=pairs[obj.kind])
-
-
 @dataclass(frozen=True)
 class PlayPrefix:
     """A finite non-empty state sequence consistent with a game's edges."""
@@ -155,8 +142,7 @@ class PlayPrefix:
 
     def check_consistent(self, game: Game) -> None:
         for s in self.states:
-            if s not in game.owner:
-                raise ValueError(f"unknown state {s!r} in the play prefix")
+            check_state(game, s)
         for s, t in zip(self.states, self.states[1:]):
             if t not in game.succ[s]:
                 raise ValueError(f"{s!r} -> {t!r} is not an edge")

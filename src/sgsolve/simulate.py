@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Game, Owner
+from .model import Game, Owner, check_state
 from .objectives import Objective, ObjectiveKind
 from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
 
@@ -216,8 +216,7 @@ def sample_plays(
     for t in filter(None, pair):
         t.check_rows(game)
     obj = objective if objective.game is game else objective.bind(game)
-    if start not in game.owner:
-        raise ValueError(f"unknown state {start!r}")
+    check_state(game, start)
     kind = obj.kind
     states = game.states
     n = len(states)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import winning
 from .exact import solve_reach_exact
 from .graphs import attractor
-from .model import Game, InvariantError, Owner, SgsolveError, _as_fraction
+from .model import Game, InvariantError, Owner, SgsolveError, _as_fraction, check_state
 from .textio import _tokens
 
 ONE = Fraction(1)
@@ -38,7 +38,9 @@ class MDStrategy:
     owner: Owner
     choice: dict[str, str]
 
-    def check_total(self, game: Game) -> None:
+    def check(self, game: Game) -> None:
+        """Raise ``ValueError`` unless there is exactly one choice, along an
+        edge, at every state the owner controls, and none elsewhere."""
         for s in self.choice:
             if game.owner.get(s) is not self.owner:
                 raise ValueError(f"choice at {s}, which is not a {self.owner.value} state")
@@ -111,7 +113,7 @@ def md_to_transducer(strategy: MDStrategy) -> TransducerStrategy:
 
 def apply_md(game: Game, strategy: MDStrategy) -> Game:
     """Fix one player's moves, leaving a game where only the other plays."""
-    strategy.check_total(game)
+    strategy.check(game)
     succ = {
         s: ((strategy.choice[s],) if game.owner[s] is strategy.owner else game.succ[s])
         for s in game.states
@@ -295,8 +297,7 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
     c = _as_fraction(threshold)
     if not 0 <= c <= 1:
         raise ValueError("threshold must be within [0, 1]")
-    if start not in game.owner:
-        raise ValueError(f"unknown state {start!r}")
+    check_state(game, start)
     targets = set(targets)
     values = solve_reach_exact(game, targets)
     v0 = values[start]

@@ -29,7 +29,8 @@ from fractions import Fraction
 from . import winning
 from .exact import ConvergenceError, bellman_combine, can_reach, solve_reach_exact
 from .graphs import maximal_end_components
-from .model import Game, LazyGame, Owner, SinkMode, _as_fraction, check_targets, swap_roles, truncate
+from .model import (Game, LazyGame, Owner, SinkMode, _as_fraction, check_state, check_targets,
+                    swap_roles, truncate)
 from .objectives import ObjectiveKind, bounding_sinks
 
 _DEFLATE_EVERY = 8
@@ -105,6 +106,7 @@ def value_safety(game: Game, targets, mode: str = "exact", tol=None) -> ValueVec
 def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
     """Exact values of reaching the target within ``steps`` steps, computed
     up to step ``steps`` or to the fixpoint, whichever comes first."""
+    targets = check_targets(game, targets)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     for k, v in enumerate(_bounded_reach(game, targets)):
@@ -116,8 +118,7 @@ def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
 def epsilon_horizon(game: Game, targets, state: str, eps) -> int:
     """Least horizon whose bounded-reach value at ``state`` exceeds the
     unbounded value minus ``eps``.  Exists on every finite game."""
-    if state not in game.owner:
-        raise ValueError(f"unknown state {state!r}")
+    check_state(game, state)
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

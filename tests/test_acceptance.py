@@ -191,8 +191,8 @@ def test_criterion_7_md_strategy_certificates():
     for g, t in buchi_instances:
         part = almost_sure_buchi(g, t)
         sigma, pi = buchi_md_pair(g, t)
-        sigma.check_total(g)
-        pi.check_total(g)
+        sigma.check(g)
+        pi.check(g)
         under_sigma = mdp_buchi_exact(apply_md(g, sigma), t)
         assert all(under_sigma[s] == 1 for s in part.max_wins)
         under_pi = mdp_buchi_exact(apply_md(g, pi), t)

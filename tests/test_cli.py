@@ -371,7 +371,17 @@ def test_unknown_target_in_iterate_mode_is_an_input_error(tmp_path, capsys, obje
     assert captured.out == ""
 
 
+def test_unknown_target_in_bounded_reach_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "r4.game"
+    assert main(["gallery", "ruin", "--cap", "4", "--emit", str(path)]) == 0
+    assert main(["solve", str(path), "--objective", "reach<=3", "--target", "nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: target states not in game: ['nosuch']\n"
+    assert captured.out == ""
+
+
 _COMMANDS = {
+    "validate": [],
     "solve": [],
     "winning-set": [],
     "strategy": ["--player", "min"],

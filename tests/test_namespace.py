@@ -21,7 +21,7 @@ PUBLIC = sorted(SUBMODULES + [
     "TransducerStrategy", "Truncation", "TruncationError", "ValueDecreaseError", "ValueVector",
     "Verdict", "Violation", "WinningPartition", "almost_sure_buchi", "almost_sure_reach",
     "almost_sure_safety", "apply_md", "bellman_step", "bounding_sinks", "buchi",
-    "buchi_md_pair", "chain_buchi_values", "classify_transitions", "cobuchi", "decided", "dual",
+    "buchi_md_pair", "chain_buchi_values", "classify_transitions", "cobuchi", "decided",
     "epsilon_horizon", "format_game", "format_strategy", "interval_values",
     "md_enumeration_oracle", "md_to_transducer", "mdp_buchi_exact", "optimal_max_md",
     "optimal_max_md_no_decrease", "optimal_min_md", "parse_game", "parse_objective",
@@ -33,7 +33,7 @@ PUBLIC = sorted(SUBMODULES + [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 79
+    assert len(PUBLIC) == 78
     assert sorted(sgsolve.__all__) == PUBLIC
 
 
@@ -60,7 +60,7 @@ def test_star_import_works_from_a_fresh_interpreter():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(sgsolve.__file__).parents[1])),
                           check=True)
-    assert done.stdout.split() == ["[]", "79", "sgsolve.values"]
+    assert done.stdout.split() == ["[]", "78", "sgsolve.values"]
 
 
 def test_dir_lists_every_name():

@@ -1,4 +1,4 @@
-"""Objective semantics on play prefixes, dualization, CLI syntax."""
+"""Objective semantics on play prefixes, CLI syntax."""
 
 import re
 
@@ -14,7 +14,6 @@ from sgsolve import (
     Verdict,
     bounding_sinks,
     decided,
-    dual,
     parse_objective,
     reach,
     safety,
@@ -96,18 +95,6 @@ def test_unbound_objective_and_bad_prefix(fig2):
             decided(make("t").bind(fig2.game), PlayPrefix(("zzz",)))
     with pytest.raises(ValueError, match="unknown state 'zzz'"):
         decided(obj, PlayPrefix(("i", "s0", "zzz")))
-
-
-def test_dual_pairs_and_involution():
-    assert dual(reach("t")).kind == ObjectiveKind.SAFETY
-    assert dual(safety("t")).kind == ObjectiveKind.REACH
-    assert dual(buchi("t")).kind == ObjectiveKind.COBUCHI
-    assert dual(dual(reach("t"))) == reach("t")
-    assert dual(dual(buchi("t"))) == buchi("t")
-    with pytest.raises(ValueError):
-        dual(reach_plus("t"))
-    with pytest.raises(ValueError):
-        dual(Objective(ObjectiveKind.REACH_WITHIN, frozenset({"t"}), 3))
 
 
 def test_verdicts_are_monotone_along_prefixes():

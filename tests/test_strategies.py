@@ -284,8 +284,8 @@ def test_buchi_pair_ladder_moves_straight_to_goal():
 def test_buchi_pair_with_empty_accepting_set_is_total():
     g = Game.of([("a", "min", ("b", "a")), ("b", "max", ("a", "b"))])
     sigma, pi = buchi_md_pair(g, set())
-    sigma.check_total(g)
-    pi.check_total(g)
+    sigma.check(g)
+    pi.check(g)
     assert almost_sure_buchi(g, set()).max_wins == frozenset()
 
 
@@ -339,8 +339,8 @@ def test_buchi_pair_certificates_on_random_games():
     for g, t in _buchi_pair_cases():
         part = almost_sure_buchi(g, t)
         sigma, pi = buchi_md_pair(g, t)
-        sigma.check_total(g)
-        pi.check_total(g)
+        sigma.check(g)
+        pi.check(g)
         under_pi = mdp_buchi_exact(apply_md(g, pi), t)
         assert all(under_pi[s] < 1 for s in part.min_wins)
         under_sigma = mdp_buchi_exact(apply_md(g, sigma), t)
@@ -362,8 +362,8 @@ def test_buchi_pair_runs_no_exact_solve(monkeypatch):
     cases += [random_game(seed, n=4 + seed % 14) for seed in range(200)]
     for g, t in cases:
         sigma, pi = buchi_md_pair(g, t)
-        sigma.check_total(g)
-        pi.check_total(g)
+        sigma.check(g)
+        pi.check(g)
 
 
 def test_buchi_minimizer_seed_escapes_down_the_reach_peel_layers():
@@ -550,9 +550,9 @@ def test_strategy_file_round_trip_transducer():
 def test_strategy_validation_errors():
     g = Game.of([("a", "max", ("a",)), ("b", "max", ("a", "b"))])
     with pytest.raises(ValueError):
-        MDStrategy(Owner.MAX, {"a": "a"}).check_total(g)  # missing b
+        MDStrategy(Owner.MAX, {"a": "a"}).check(g)  # missing b
     with pytest.raises(ValueError):
-        MDStrategy(Owner.MAX, {"a": "b", "b": "b"}).check_total(g)  # a->b not an edge
+        MDStrategy(Owner.MAX, {"a": "b", "b": "b"}).check(g)  # a->b not an edge
     with pytest.raises(ValueError):
         parse_strategy("choose a b\n")
 
@@ -560,9 +560,9 @@ def test_strategy_validation_errors():
 @pytest.mark.parametrize("stray", ["nosuch", "m"])
 def test_md_choice_where_the_owner_does_not_move_is_rejected(stray):
     g = Game.of([("a", "max", ("a", "m")), ("m", "min", ("a",))])
-    MDStrategy(Owner.MAX, {"a": "m"}).check_total(g)
+    MDStrategy(Owner.MAX, {"a": "m"}).check(g)
     with pytest.raises(ValueError, match=f"^choice at {stray}, which is not a max state$"):
-        MDStrategy(Owner.MAX, {"a": "m", stray: "a"}).check_total(g)
+        MDStrategy(Owner.MAX, {"a": "m", stray: "a"}).check(g)
 
 
 def test_transducer_row_checks_allow_missing_rows_and_totality_needs_them():

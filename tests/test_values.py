@@ -327,6 +327,12 @@ def test_epsilon_horizon_rejects_an_unknown_state():
         epsilon_horizon(g, {"t"}, "zzz", Fraction(1, 100))
 
 
+def test_reach_within_rejects_an_unknown_target():
+    g = Game.of([("a", "max", ("t",)), ("t", "max", ("t",))])
+    with pytest.raises(ValueError, match=r"target states not in game: \['zzz'\]"):
+        value_reach_within(g, {"zzz"}, 3)
+
+
 def test_epsilon_horizon_is_least():
     fig2 = gallery.build_fig2(14)
     g, t = fig2.game, fig2.targets
