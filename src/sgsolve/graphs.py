@@ -157,6 +157,10 @@ def maximal_end_components(
     (the states that can be forced out of it: a random state with one
     successor outside, an owned one with all of them outside), and what is
     left is split into strongly connected parts that become new candidates.
+    A part that is one state without a self-loop is dropped at the split: it
+    has no internal move, so it lies in no end component.  A part that is
+    the whole of what is left is final (every state left has an internal
+    move, and a random one its whole support).
     """
     if allowed is not None:
         game = Game(game.owner, {
@@ -176,5 +180,5 @@ def maximal_end_components(
         if len(comps) == 1:
             result.append(comps[0])
         else:
-            work.extend(comps)
+            work.extend(c for c in comps if len(c) > 1 or c[0] in game.succ[c[0]])
     return sorted(result)

@@ -199,19 +199,19 @@ def validate(game: Game) -> list[Violation]:
     and duplicate successor entries.
     """
     out: list[Violation] = []
-    ids = set(game.owner)
-    for s in game.states:
+    owner = game.owner
+    for s, kind in owner.items():
         succs = game.succ.get(s, ())
         if not succs:
             out.append(Violation("dead-end", s, "state has no successor"))
         seen = set()
         for t in succs:
-            if t not in ids:
+            if t not in owner:
                 out.append(Violation("dangling-id", s, f"successor {t!r} is not a state"))
             if t in seen:
                 out.append(Violation("duplicate-edge", s, f"successor {t!r} listed twice"))
             seen.add(t)
-        if game.owner[s] is Owner.RANDOM:
+        if kind is Owner.RANDOM:
             weights = game.prob.get(s, ())
             if len(weights) != len(succs):
                 out.append(
@@ -223,7 +223,8 @@ def validate(game: Game) -> list[Violation]:
                 )
                 continue
             for w in weights:
-                if w <= 0:
+                # A rational's sign is its numerator's.
+                if w.numerator <= 0:
                     out.append(Violation("nonpositive-weight", s, f"weight {w} is not positive"))
             # The sum on integers over the lcm of the denominators; the
             # Fraction total is built only for the message.

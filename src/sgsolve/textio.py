@@ -60,17 +60,8 @@ def parse_game(text: str) -> ParsedGame:
 
     for lineno, toks in _tokens(text):
         kw = toks[0]
-        if kw == "state":
-            if len(toks) != 3:
-                raise GameFormatError(lineno, "expected: state <id> max|min|rand")
-            sid, kind = toks[1], toks[2]
-            if sid in owner:
-                raise GameFormatError(lineno, f"duplicate declaration of state {sid!r}")
-            if kind not in _KINDS:
-                raise GameFormatError(lineno, f"unknown state kind {kind!r}")
-            owner[sid] = _KINDS[kind]
-            state_lines[sid] = lineno
-        elif kw == "edge":
+        # Most lines are edges, so they are tested first.
+        if kw == "edge":
             if len(toks) == 3:
                 edges.append((lineno, toks[1], toks[2], None))
             elif len(toks) == 4:
@@ -83,6 +74,16 @@ def parse_game(text: str) -> ParsedGame:
                 edges.append((lineno, toks[1], toks[2], weight))
             else:
                 raise GameFormatError(lineno, "expected: edge <src> <dst> [<p/q>]")
+        elif kw == "state":
+            if len(toks) != 3:
+                raise GameFormatError(lineno, "expected: state <id> max|min|rand")
+            sid, kind = toks[1], toks[2]
+            if sid in owner:
+                raise GameFormatError(lineno, f"duplicate declaration of state {sid!r}")
+            if kind not in _KINDS:
+                raise GameFormatError(lineno, f"unknown state kind {kind!r}")
+            owner[sid] = _KINDS[kind]
+            state_lines[sid] = lineno
         elif kw == "target":
             if len(toks) != 2:
                 raise GameFormatError(lineno, "expected: target <id>")
@@ -93,17 +94,21 @@ def parse_game(text: str) -> ParsedGame:
     succ: dict[str, list[str]] = {s: [] for s in owner}
     prob: dict[str, list[Fraction]] = {s: [] for s, o in owner.items() if o is Owner.RANDOM}
     for lineno, src, dst, weight in edges:
-        if src not in owner:
+        out = succ.get(src)
+        if out is None:
             raise GameFormatError(lineno, f"edge from undeclared state {src!r}")
         if dst not in owner:
             raise GameFormatError(lineno, f"edge to undeclared state {dst!r}")
-        if owner[src] is Owner.RANDOM:
-            if weight is None:
-                raise GameFormatError(lineno, f"edge from random state {src!r} needs a weight")
-            prob[src].append(weight)
-        elif weight is not None:
-            raise GameFormatError(lineno, f"edge from owned state {src!r} must not carry a weight")
-        succ[src].append(dst)
+        # Only random states have a weight list.
+        ws = prob.get(src)
+        if ws is None:
+            if weight is not None:
+                raise GameFormatError(lineno, f"edge from owned state {src!r} must not carry a weight")
+        elif weight is None:
+            raise GameFormatError(lineno, f"edge from random state {src!r} needs a weight")
+        else:
+            ws.append(weight)
+        out.append(dst)
 
     for lineno, sid in targets:
         if sid not in owner:

@@ -7,12 +7,16 @@ reach the target at all (everything else is exactly zero), and end components
 without target states are periodically deflated to their best maximizer exit
 so the upper sequence cannot stall above the value.  The sweeps run on numpy
 arrays over an indexed copy of the game, with both sequences in one flat
-vector (lower half, then upper half) that each sweep updates in place; the
-end-component decomposition is recomputed only when the minimizer's
-lower-optimal edges change.  The reported error bound is the final gap.  It
-is sound in supremum norm in real arithmetic; the sweeps round to nearest,
-so the returned floats can miss it by a few ulps.  Sound floats need
-directed rounding, the lower half rounded down and the upper half up.
+vector (lower half, then upper half) that each sweep updates in place.  Each
+owner's successors are stored as one column per successor position, and a
+sweep folds the gathered columns: ``np.maximum`` and ``np.minimum`` for owned
+states, weighted adds in successor order for random states, so every float
+is the one a plain loop over each successor list gives.  The end-component
+decomposition is recomputed only when the minimizer's lower-optimal edges
+change.  The reported error bound is the final gap.  It is sound in
+supremum norm in real arithmetic; the sweeps round to nearest, so the
+returned floats can miss it by a few ulps.  Sound floats need directed
+rounding, the lower half rounded down and the upper half up.
 Bounded-reach values are exact Bellman steps from the target indicator, each
 recomputing only the predecessors of the states the step before changed.
 
@@ -22,6 +26,7 @@ pessimistic and an optimistic truncation of the same depth.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,11 +225,15 @@ class _FloatCore:
     States are numbered in declaration order, and both bounds live in one
     flat vector of length ``2n``: the lower bound at ``[0, n)`` and the upper
     bound at ``[n, 2n)``.  The live states (not a target, able to reach one)
-    are split by owner; each owner has one successor-column matrix, a row per
-    state and bound, padded to the widest row: maximizer and minimizer rows
-    with their first successor, random rows with weight ``0.0``.  The upper
-    rows are the lower ones shifted by ``n``, so one gather, reduce and
-    scatter per owner sweeps both bounds.  Directed rounding fits the same
+    are split by owner.  Each owner group keeps one successor column per
+    successor position, an entry per state and bound, padded to the group's
+    widest row: maximizer and minimizer rows repeat their first successor,
+    random rows add it with weight ``0.0``.  A sweep gathers each column and
+    folds the columns into the group's new entries: with ``np.maximum`` or
+    ``np.minimum``, which never round, so the padding and the fold give
+    exactly a row's max or min; with weighted adds in successor order for
+    random rows.  The upper entries are the lower ones shifted by ``n``, so
+    one fold per owner sweeps both bounds.  Directed rounding fits the same
     layout: the lower half would round down and the upper half up.
     """
 
@@ -235,42 +244,49 @@ class _FloatCore:
         self.index = index = {s: i for i, s in enumerate(game.states)}
         n = len(game.states)
 
-        def rows(group: list[str]):
-            width = max((len(game.succ[s]) for s in group), default=1)
-            cols = np.empty((len(group), width), dtype=np.intp)
-            for row, s in enumerate(group):
-                succ = [index[t] for t in game.succ[s]]
-                cols[row] = succ + succ[:1] * (width - len(succ))
-            return np.array([index[s] for s in group], dtype=np.intp), cols
+        def columns(rows: list[list], pad, dtype=np.intp):
+            """``rows`` padded to the widest by ``pad(row)``, one array row
+            per position, from one list and one ``np.array`` call (the
+            reshape keeps an empty group two-dimensional)."""
+            width = max(map(len, rows), default=1)
+            padded = [row + pad(row) * (width - len(row)) for row in rows]
+            return np.array(padded, dtype=dtype).reshape(len(rows), width).T
 
-        def both(at, cols):
-            return np.concatenate((at, at + n)), np.concatenate((cols, cols + n))
+        def successors(group: list[str]):
+            return columns([[index[t] for t in game.succ[s]] for s in group], lambda row: row[:1])
+
+        def both(group: list[str]):
+            """Row positions and successor columns of ``group``, both bounds."""
+            at = np.array([index[s] for s in group], dtype=np.intp)
+            cols = successors(group)
+            return np.concatenate((at, at + n)), np.concatenate((cols, cols + n), axis=1)
 
         live = {o: [s for s in game.states
                     if game.owner[s] is o and s in reachable and s not in targets]
                 for o in Owner}
-        self.max_at, self.max_cols = both(*rows(live[Owner.MAX]))
-        self.min_at, self.min_cols = both(*rows(live[Owner.MIN]))
-        self.rand_at, rand_cols = both(*rows(live[Owner.RANDOM]))
-        weights = np.zeros(rand_cols.shape)
-        for row, s in enumerate(live[Owner.RANDOM] * 2):
-            weights[row, :len(game.prob[s])] = [float(w) for w in game.prob[s]]
-        terms = rand_cols.shape[1] if len(self.rand_at) else 0
-        self.rand_terms = [(weights[:, j].copy(), rand_cols[:, j].copy()) for j in range(terms)]
+        self.folds = [(fold, *both(live[o]))
+                      for fold, o in ((np.maximum, Owner.MAX), (np.minimum, Owner.MIN))
+                      if live[o]]
+        rand = live[Owner.RANDOM]
+        self.rand_at, rand_cols = both(rand)
+        weights = columns([[float(w) for w in game.prob[s]] for s in rand], lambda row: [0.0], float)
+        weights = np.concatenate((weights, weights), axis=1)
+        self.rand_terms = list(zip(weights, rand_cols)) if rand else []
         # Every reachable minimizer state, targets included: its lower-optimal
         # edges are the ones the end-component decomposition depends on.
         self.guarded = [s for s in game.states if game.owner[s] is Owner.MIN and s in reachable]
-        _, self.guards = rows(self.guarded)
+        self.guards = successors(self.guarded)
 
     def sweep(self, v) -> None:
         """One Bellman sweep of both bounds, in place.  Every new entry is
         computed from the old ``v`` before any is written (a Jacobi sweep);
         targets and states that cannot reach one keep their entries."""
         new = []
-        if len(self.max_at):
-            new.append((self.max_at, v[self.max_cols].max(axis=1)))
-        if len(self.min_at):
-            new.append((self.min_at, v[self.min_cols].min(axis=1)))
+        for fold, at, (first, *rest) in self.folds:
+            acc = v[first]
+            for cols in rest:
+                fold(acc, v[cols], out=acc)
+            new.append((at, acc))
         if self.rand_terms:
             # Added column by column in successor order, the order of a
             # Python ``sum`` over the successor list, so every float is the
@@ -337,14 +353,15 @@ def _deflate(core: _FloatCore, lower, upper, found):
     """
     import numpy as np
 
+    # One row per successor position, folded like the sweep's minimizer rows.
     near = lower[core.guards]
-    best = near == near.min(axis=1, keepdims=True)
+    best = near == functools.reduce(np.minimum, near)
     key = best.tobytes()
     if found is None or found[0] != key:
         game, index = core.game, core.index
         # A row's padding repeats its first successor, so zip stops before it.
         narrowed = {s: [t for t, keep in zip(game.succ[s], row) if keep]
-                    for s, row in zip(core.guarded, best.tolist())}
+                    for s, row in zip(core.guarded, best.T.tolist())}
         caps = []
         reachable = [s for s in game.states if s in core.reachable]
         for comp in maximal_end_components(game, reachable,

@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 from conftest import random_game
 
-from sgsolve import Game, Owner
+from sgsolve import Game, Owner, graphs
 from sgsolve.graphs import maximal_end_components
+
+HALF = Fraction(1, 2)
 
 
 def _is_end_component(game: Game, members: set[str], edges) -> bool:
@@ -62,3 +65,50 @@ def test_maximal_end_components_match_subset_enumeration():
                 assert got == want, (seed, states, allowed)
                 nontrivial += any(len(c) > 1 for c in want)
     assert nontrivial >= 50
+
+
+def test_lone_random_state_with_a_self_loop_and_an_exit_is_no_end_component():
+    # ``r`` is a strongly connected part of its own that has a self-loop, so
+    # it survives the split as a candidate; its other successor leaves, so it
+    # is still dropped.
+    game = Game.of([
+        ("a", "max", ("b", "r")),
+        ("b", "min", ("a",)),
+        ("r", "rand", ("r", "z"), (HALF, HALF)),
+        ("z", "max", ("z", "a")),
+    ])
+    for states in (game.states, ("r", "z"), ("a", "b", "r")):
+        want = _brute_force_mecs(game, states)
+        assert maximal_end_components(game, states) == want
+        assert ["r"] not in want
+    assert maximal_end_components(game, game.states) == [["a", "b", "r", "z"]]
+    assert maximal_end_components(game, ("a", "b", "r")) == [["a", "b"]]
+
+
+def test_lone_states_without_a_self_loop_cost_no_round(monkeypatch):
+    # One attractor run per candidate.  A strongly connected part that is
+    # one state without a self-loop has no internal move, so the split drops
+    # it instead of making it a candidate.
+    game, _ = random_game(12, n=60)
+    rounds = nontrivial = lone = 0
+    attractor, scc = graphs.attractor, graphs.strongly_connected_components
+
+    def counted_attractor(*args, **kwargs):
+        nonlocal rounds
+        rounds += 1
+        return attractor(*args, **kwargs)
+
+    def counted_scc(nodes, succ):
+        nonlocal nontrivial, lone
+        comps = scc(nodes, succ)
+        if len(comps) > 1:
+            kept = sum(len(c) > 1 or c[0] in succ(c[0]) for c in comps)
+            nontrivial += kept
+            lone += len(comps) - kept
+        return comps
+
+    monkeypatch.setattr(graphs, "attractor", counted_attractor)
+    monkeypatch.setattr(graphs, "strongly_connected_components", counted_scc)
+    maximal_end_components(game, game.states)
+    assert lone >= 20
+    assert rounds <= nontrivial + 1

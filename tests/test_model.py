@@ -58,6 +58,26 @@ def test_nonpositive_weight_and_shape():
     assert kinds == ["nonpositive-weight", "weight-shape", "weight-sum"]
 
 
+def test_violations_are_listed_per_state_in_a_fixed_order():
+    g = Game(
+        owner={"a": Owner.RANDOM, "b": Owner.MAX, "c": Owner.MIN, "d": Owner.RANDOM,
+               "t": Owner.MAX},
+        succ={"a": ("t", "ghost", "t", "b"), "b": (), "c": ("c", "t", "c"), "d": ("t",),
+              "t": ("t",)},
+        prob={"a": (Fraction(0), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 3)), "d": ()},
+    )
+    assert [str(v) for v in validate(g)] == [
+        "dangling-id at a: successor 'ghost' is not a state",
+        "duplicate-edge at a: successor 't' listed twice",
+        "nonpositive-weight at a: weight 0 is not positive",
+        "nonpositive-weight at a: weight -1/2 is not positive",
+        "weight-sum at a: weights sum to 1/3, expected 1",
+        "dead-end at b: state has no successor",
+        "duplicate-edge at c: successor 'c' listed twice",
+        "weight-shape at d: 0 weights for 1 successors",
+    ]
+
+
 def test_gallery_truncation_validates():
     built = gallery.build_fig2(10)
     assert validate(built.game) == []

@@ -1,6 +1,7 @@
 """The text game-file format: strict parsing, round trips, line numbers."""
 
 import pytest
+from conftest import random_game
 
 from sgsolve import GameFormatError, format_game, parse_game
 from sgsolve import gallery
@@ -44,6 +45,11 @@ def test_comments_and_blank_lines():
         ("state a max\nstate b max\nedge a b 1/2\n", 3, "must not carry"),
         ("state a weird\n", 1, "unknown state kind"),
         ("state a max\ntarget b\n", 2, "undeclared"),
+        # Errors of the line-by-line pass come before unresolved edges.
+        ("state a max\nedge a b\nfoo a\n", 3, "unknown keyword"),
+        ("edge a b\nstate a max\nstate a min\n", 3, "duplicate"),
+        # The comment cut comes before the split into tokens.
+        ("state a#x max\n", 1, "expected: state <id> max|min|rand"),
     ],
 )
 def test_strict_parse_errors_carry_line_numbers(text, line, needle):
@@ -58,3 +64,32 @@ def test_duplicate_edges_are_left_to_validation():
     from sgsolve import validate
 
     assert [v.kind for v in validate(parsed.game)] == ["duplicate-edge"]
+
+
+def test_edges_may_come_before_their_states():
+    parsed = parse_game("edge a t 1/3\nedge a a 2/3\nedge t t\nstate a rand\nstate t max\n")
+    assert parsed.game.succ == {"a": ("t", "a"), "t": ("t",)}
+    assert [str(w) for w in parsed.game.prob["a"]] == ["1/3", "2/3"]
+    assert parsed.state_lines == {"a": 4, "t": 5}
+
+
+def test_a_comment_may_touch_the_last_token():
+    parsed = parse_game("state a max#x\nedge a a# loop\n")
+    assert parsed.game.succ == {"a": ("a",)}
+
+
+def test_crlf_line_endings_parse():
+    text = "state a rand\nstate t max\nedge a t 1/2\nedge a a 1/2\nedge t t\ntarget t\n"
+    crlf = parse_game(text.replace("\n", "\r\n"))
+    assert crlf == parse_game(text)
+    assert crlf.state_lines == {"a": 1, "t": 2}
+
+
+def test_round_trip_random_games():
+    for seed in range(240):
+        game, targets = random_game(seed, n=3 + seed % 13, max_branch=1 + seed % 5,
+                                    owned_branch=1 + seed % 3, max_targets=3)
+        parsed = parse_game(format_game(game, sorted(targets)))
+        assert parsed.game == game
+        assert parsed.game.states == game.states
+        assert parsed.targets == targets

@@ -225,10 +225,13 @@ def _identity_inputs():
 
 def test_iterate_mode_is_bit_identical_to_the_dict_reference():
     wide = 0
+    uneven = {Owner.MAX: 0, Owner.MIN: 0}
     owner_sets = set()
     for game, targets, tol in _identity_inputs():
         live = can_reach(game, targets) - set(targets)
         wide += any(len(game.succ[s]) >= 8 and game.owner[s] is Owner.RANDOM for s in live)
+        for owner in uneven:
+            uneven[owner] += len({len(game.succ[s]) for s in live if game.owner[s] is owner}) > 1
         owner_sets.add(frozenset(game.owner[s] for s in live))
         lower, gap = _reference_iterate(game, set(targets), tol)
         reach = value_reach(game, targets, mode="iterate", tol=tol)
@@ -238,6 +241,9 @@ def test_iterate_mode_is_bit_identical_to_the_dict_reference():
         assert safety.values == {s: 1.0 - v for s, v in lower.items()}
         assert safety.error_bound == gap
     assert wide >= 5
+    # Owned rows of unequal widths in one group: the sweep folds columns
+    # padded with each row's first successor.
+    assert min(uneven.values()) >= 20
     # Every owner group is skipped somewhere: no live state at all, only
     # random ones, and none random.
     assert {frozenset(), frozenset({Owner.RANDOM})} <= owner_sets
