@@ -149,9 +149,10 @@ def maximal_end_components(
     """Maximal end components within ``states``.
 
     ``allowed`` restricts the usable edges of owned states (random supports
-    are never restricted).  A component is a set where random states keep
-    their whole support inside, every state has at least one internal move,
-    and the internal moves connect it strongly.
+    are never restricted) and is asked for only at the owned states in
+    ``states``.  A component is a set where random states keep their whole
+    support inside, every state has at least one internal move, and the
+    internal moves connect it strongly.
 
     Each candidate is shrunk by one attractor run over the allowed-edge graph
     (the states that can be forced out of it: a random state with one
@@ -162,13 +163,15 @@ def maximal_end_components(
     the whole of what is left is final (every state left has an internal
     move, and a random one its whole support).
     """
+    states = sorted(states)
     if allowed is not None:
-        game = Game(game.owner, {
-            s: game.succ[s] if o is Owner.RANDOM else tuple(allowed(s))
-            for s, o in game.owner.items()
-        }, game.prob)
+        # Only the rows of ``states`` are read: a shrink step's attractor
+        # adds only states of its candidate.
+        game = Game(game.owner, {**game.succ, **{
+            s: tuple(allowed(s)) for s in states if game.owner[s] is not Owner.RANDOM
+        }}, game.prob)
     result: list[list[str]] = []
-    work: list[list[str]] = [sorted(states)]
+    work: list[list[str]] = [states]
     while work:
         candidate = work.pop()
         members = set(candidate)

@@ -19,13 +19,20 @@ contract:
 
 Plays are advanced in numpy arrays, with two widths.  All plays of a run
 step together in one lockstep set, up to a cap that memory bounds (about
-110 bytes a live play); a run with more plays uses several sets, one after
+100 bytes a live play); a run with more plays uses several sets, one after
 another.  Philox refills are computed in slices of at most a few thousand
 plays, a width that the cache bounds: the kernel slows down once its
-temporaries outgrow it.  Since each play owns its stream, the result
-depends on neither width nor the order of the plays: it is bit-identical
-across runs and could be merged from parallel workers in sample-index
-order.
+temporaries outgrow it, and a narrower slice pays the kernel's fixed cost
+per call (a few hundred numpy operations) more often.  Since each play
+owns its stream, the result depends on neither width nor the order of the
+plays: it is bit-identical across runs and could be merged from parallel
+workers in sample-index order.
+
+A play keeps the last two Philox blocks it computed, in a window of eight
+draws where draw ``k`` sits in column ``k % 8``.  When a step needs a draw
+past the last block, the play computes the next block only, over the older
+of the two.  A step takes at most three draws, so they fit in the block
+before and that one: a play computes exactly the blocks its draws fall in.
 
 A play is decided at the first step whose verdict code, in the objective's
 verdict table, is decided: the rule is stated once, in the ``objectives``
@@ -44,17 +51,14 @@ from .model import Game, Owner, check_state
 from .objectives import Objective, ObjectiveKind
 from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
 
-# Plays advanced together, at most.  A live play holds about 110 bytes (its
-# draw window of 9 doubles and 5 index entries), so this bounds the set at
-# about 3.5 MB.  A set that holds every play of a run steps through the
+# Plays advanced together, at most.  A live play holds about 100 bytes (its
+# draw window of 8 doubles and 4 index entries), so this bounds the set at
+# about 3.3 MB.  A set that holds every play of a run steps through the
 # horizon once, however few plays stay undecided until it.
 _PLAYS = 1 << 15
 # Stale plays whose Philox blocks are computed in one kernel call, at most:
 # the kernel's temporaries then stay near 1 MB, in cache.
-_SLICE = 4096
-# Philox blocks of four draws each that a play keeps ahead.  At least 2: a
-# refilled window starts up to 3 draws in, and a step takes up to 3 draws.
-_WINDOW = 2
+_SLICE = 8192
 
 # Philox4x64-10 round multipliers and Weyl key increments.
 _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -276,18 +280,16 @@ def sample_plays(
 
     wins = undecided = 0
     window_start = cfg.horizon - cfg.buchi_window + 1
-    span = 4 * _WINDOW
     for lo in range(0, cfg.samples, _PLAYS):
         count = min(_PLAYS, cfg.samples - lo)
         slot = np.arange(count)
         st = np.full(count, sid[start], dtype=np.int64)
         modes = [np.full(count, initial[p], dtype=np.int64) for p, _ in dynamic]
-        # Each play reads its draws from a window of Philox blocks: draw
-        # ``4 * block + at`` sits in column ``at``.  The extra column is read
-        # only by plays that take no draw.
-        block = np.full(count, -_WINDOW, dtype=np.int64)
-        at = np.full(count, span, dtype=np.int64)
-        window = np.zeros((count, span + 1))
+        # ``drawn`` counts the draws a play has read, and the blocks they fall
+        # in are the ones it has computed; ``quads`` views the window by block.
+        drawn = np.zeros(count, dtype=np.int64)
+        window = np.zeros((count, 8))
+        flat, quads = window.ravel(), window.reshape(-1, 4)
         seen = np.zeros(count, dtype=bool)
         failed = None
         for step in range(cfg.horizon + 1):
@@ -323,29 +325,30 @@ def sample_plays(
                         failed = (slot[j], lacking[row[j]])
                     done[lost] = True
             if done.any():
-                keep = ~done
-                slot, st, block, at, seen, row = (
-                    a[keep] for a in (slot, st, block, at, seen, row))
-                modes = [mode[keep] for mode in modes]
+                keep = np.flatnonzero(~done)
+                slot, st, drawn, seen, row = (
+                    a.take(keep) for a in (slot, st, drawn, seen, row))
+                modes = [mode.take(keep) for mode in modes]
                 if not len(st):
                     break
 
             # This step's draws, in stream order: the move, then each mode update.
             urows = [mode * n + st for mode in modes]
             takes = [moves.draws[row]] + [upd.draws[r] for (_, upd), r in zip(dynamic, urows)]
-            stale = np.flatnonzero(at + sum(takes) > span)
-            block[stale] += at[stale] // 4
-            at[stale] %= 4
+            # A play whose last block holds fewer unread draws than the step
+            # takes computes the next block, ``k``, at counter ``k + 1``.
+            stale = np.flatnonzero(sum(takes) > (-drawn & 3))
             for part in range(0, len(stale), _SLICE):
                 some = stale[part:part + _SLICE]
-                counter = block[some, None] + np.arange(1, _WINDOW + 1)
-                key = lo + slot[some, None]
-                words = _philox(np, counter.astype(np.uint64), cfg.seed, key.astype(np.uint64))
-                window[slot[some], :span] = words.reshape(len(some), span)
+                k = (drawn[some] + 3) >> 2
+                words = _philox(np, (k + 1).astype(np.uint64), cfg.seed,
+                                (lo + slot[some]).astype(np.uint64))
+                quads[2 * slot[some] + (k & 1)] = words
             draws = []
+            base = 8 * slot
             for take in takes:
-                draws.append(window[slot, at])
-                at = at + take
+                draws.append(flat[base + (drawn & 7)])
+                drawn = drawn + take
             st = moves.pick(np, row, draws[0])
             modes = [upd.pick(np, r, u) for (_, upd), r, u in zip(dynamic, urows, draws[1:])]
 

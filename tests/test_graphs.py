@@ -67,6 +67,24 @@ def test_maximal_end_components_match_subset_enumeration():
     assert nontrivial >= 50
 
 
+def test_allowed_is_asked_only_for_owned_states_in_states():
+    asked = []
+    for seed in range(40):
+        game, _ = random_game(seed, n=9, owned_branch=3)
+        rng = random.Random(seed)
+        some = [s for s in game.states if rng.random() < 0.5]
+        narrowed = {s: [t for t in game.succ[s] if rng.random() < 0.6] for s in game.states}
+
+        def allowed(s):
+            asked.append(s)
+            return narrowed[s]
+
+        del asked[:]
+        got = maximal_end_components(game, some, allowed)
+        assert got == _brute_force_mecs(game, some, narrowed.__getitem__)
+        assert sorted(asked) == sorted(s for s in some if game.owner[s] is not Owner.RANDOM)
+
+
 def test_lone_random_state_with_a_self_loop_and_an_exit_is_no_end_component():
     # ``r`` is a strongly connected part of its own that has a self-loop, so
     # it survives the split as a candidate; its other successor leaves, so it

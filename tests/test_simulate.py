@@ -1,10 +1,11 @@
 """Monte-Carlo sampling: reproducibility, consistency, window scoring."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import random_game, reference_sample_plays, ruin_probability
+from conftest import random_game, reference_plays, reference_sample_plays, ruin_probability
 
 from sgsolve import (
     Game,
@@ -25,7 +26,7 @@ from sgsolve import (
 )
 from sgsolve import gallery, simulate, value_reach_within
 from sgsolve.exact import reach_plus_values, solve_reach_exact
-from sgsolve.simulate import _philox
+from sgsolve.simulate import _PLAYS, _SLICE, _philox
 from sgsolve.strategies import MDStrategy
 
 HALF = Fraction(1, 2)
@@ -196,10 +197,14 @@ def _same(game, start, obj, cfg, sigma=None, pi=None):
     return expected
 
 
-def test_lockstep_sampler_matches_the_reference_on_random_games():
+def test_lockstep_sampler_matches_the_reference_on_random_games(monkeypatch):
     estimates = 0
     for seed in range(300):
         rng = random.Random(seed)
+        # Lockstep sets and Philox slices of one and a few plays, and the
+        # default widths, each with and without transducers.
+        monkeypatch.setattr(simulate, "_PLAYS", (1, 7, _PLAYS)[seed // 2 % 3])
+        monkeypatch.setattr(simulate, "_SLICE", (1, 3, _SLICE)[seed // 6 % 3])
         game, targets = random_game(seed, n=rng.randint(2, 9), max_branch=3,
                                     owned_branch=rng.choice((1, 2, 3)))
         make = _random_transducer if seed % 2 else _random_md
@@ -254,6 +259,63 @@ def test_estimates_do_not_depend_on_the_play_block(monkeypatch):
             monkeypatch.setattr(simulate, "_PLAYS", plays)
             monkeypatch.setattr(simulate, "_SLICE", width)
             assert sample_plays(fig2.game, "i", obj, cfg, sigma, pi) == whole
+
+
+def _count_blocks(monkeypatch):
+    """Philox blocks computed per play index, counted around the kernel."""
+    computed = Counter()
+
+    def counted(np, counter, seed, play):
+        computed.update(np.broadcast_to(play, counter.shape).ravel().tolist())
+        return _philox(np, counter, seed, play)
+
+    monkeypatch.setattr(simulate, "_philox", counted)
+    return computed
+
+
+def test_a_play_that_reads_one_draw_computes_one_block(monkeypatch):
+    computed = _count_blocks(monkeypatch)
+    g = Game.of([("a", "rand", ("t", "z"), (HALF, HALF)),
+                 ("t", "rand", ("t",), (1,)), ("z", "rand", ("z",), (1,))])
+    cfg = SimConfig(samples=500, horizon=10, seed=3)
+    assert sample_plays(g, "a", reach("t"), cfg) == reference_sample_plays(g, "a", reach("t"), cfg)
+    assert computed == Counter(range(cfg.samples))
+
+
+def test_each_play_computes_the_blocks_its_draws_fall_in(monkeypatch):
+    computed = _count_blocks(monkeypatch)
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 8)
+    obj = reach(*built.targets)
+    cfg = SimConfig(samples=400, horizon=60, seed=8)
+    sample_plays(built.game, "w4", obj, cfg)
+    # Every step of a play, but its last, leaves a two-way random state: one draw.
+    for i, (visited, _, _) in enumerate(reference_plays(built.game, "w4", obj, cfg)):
+        assert computed[i] == -(-(len(visited) - 1) // 4), (i, len(visited), computed[i])
+
+
+# ``a`` and ``b`` flip a coin each step, and both players flip one for their
+# mode at every state: every step takes three draws, so steps straddle blocks.
+_THREE_DRAWS = Game.of([("a", "rand", ("a", "b"), (HALF, HALF)),
+                        ("b", "rand", ("b", "a"), (HALF, HALF))])
+
+
+def _coin_modes(owner):
+    flip = {"m0": HALF, "m1": HALF}
+    return TransducerStrategy(owner, ("m0", "m1"), "m0",
+                              {(m, s): flip for m in ("m0", "m1") for s in ("a", "b")})
+
+
+@pytest.mark.parametrize("plays", (1, 7, _PLAYS))
+@pytest.mark.parametrize("width", (1, 3, _SLICE))
+def test_steps_of_three_draws_compute_only_the_blocks_they_read(monkeypatch, plays, width):
+    monkeypatch.setattr(simulate, "_PLAYS", plays)
+    monkeypatch.setattr(simulate, "_SLICE", width)
+    computed = _count_blocks(monkeypatch)
+    cfg = SimConfig(samples=40, horizon=6, seed=21, buchi_window=2)
+    sigma, pi = _coin_modes(Owner.MAX), _coin_modes(Owner.MIN)
+    assert _same(_THREE_DRAWS, "a", buchi("b"), cfg, sigma, pi) is not None
+    # 6 steps of 3 draws: draws 0 to 17, in blocks 1 to 5.
+    assert computed == Counter({i: 5 for i in range(cfg.samples)})
 
 
 def test_peak_memory_follows_the_lockstep_width_not_the_sample_count(monkeypatch):
