@@ -36,7 +36,7 @@ class SgsolveError(Exception):
     a ``ValueError`` (bad input) or ``RuntimeError`` (failed computation) base."""
 
 
-_RATIONAL = re.compile(r"[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def _as_fraction(w) -> Fraction:
@@ -46,9 +46,12 @@ def _as_fraction(w) -> Fraction:
     if isinstance(w, (Fraction, int)):
         return Fraction(w)
     if isinstance(w, str):
-        if not _RATIONAL.fullmatch(w):
+        match = _RATIONAL.fullmatch(w)
+        if not match:
             raise ValueError(f"malformed rational {w!r}: expected p or p/q with q >= 1")
-        return Fraction(w)
+        # From the matched digits: ``Fraction(w)`` would parse the text again.
+        p, q = match.groups()
+        return Fraction(int(p), int(q or 1))
     raise TypeError(f"not an exact rational weight: {w!r}")
 
 

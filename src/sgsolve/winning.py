@@ -13,7 +13,13 @@ the minimizer cannot steer outside it.  States outside the positive
 attractor of the target, where the minimizer can keep the play off the
 target forever, are discarded up front with index 0.  Removal cascades one
 dependency layer per round, which is what the escalation gallery family
-exercises.  ``winning-set`` passes the game without the minimizer's
+exercises.  The confined states (the region less its random non-target
+states with a successor outside it) are found once; after a round, the
+dropped states and their random non-target predecessors leave that set.  A
+kept state's successors left the region only if they were dropped, so this
+is the set a rebuild from the smaller region would give, read from the
+dropped states' predecessor lists instead of every surviving successor row.
+``winning-set`` passes the game without the minimizer's
 value-increasing transitions (``transforms.rvi``), which can move indices
 but never the partition.
 
@@ -69,21 +75,17 @@ def positive_reach_set(game: Game, targets) -> frozenset[str]:
     return frozenset(_attractor(game, targets, (Owner.MAX, Owner.RANDOM)))
 
 
-def _confined_attractor(game: Game, targets: set[str], alive: set[str]) -> set[str]:
+def _confined_attractor(game: Game, targets: set[str], confined: set[str]) -> set[str]:
     """Progress-towards-target set with random confinement.
 
-    Least set containing the live targets and closed backward so that
-    maximizer states have a successor inside, minimizer states have all
-    successors inside, and random states have all successors in ``alive``
-    plus one inside.
+    ``confined`` is the surviving region less its random non-target states
+    with a successor outside the region.  Returns the least set containing
+    the live targets and closed backward inside ``confined``: maximizer and
+    random states need a successor inside, minimizer states all successors.
+    So a random state of the result has all its successors in the region and
+    one inside.
     """
-    live = {s for s in targets if s in alive}
-    confined = live | {
-        s
-        for s in alive
-        if game.owner[s] is not Owner.RANDOM or all(t in alive for t in game.succ[s])
-    }
-    return _attractor(game, live, (Owner.MAX, Owner.RANDOM), alive=confined)
+    return _attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=confined)
 
 
 def _reach_peel(game: Game, targets: set[str], alive: set[str],
@@ -97,16 +99,40 @@ def _reach_peel(game: Game, targets: set[str], alive: set[str],
     for the states outside the positive attractor, where the minimizer can
     keep the play off the target forever, and ``k`` for the states dropped
     in round ``k``.
+
+    The confined set is built once, from the positive attractor, and kept
+    up to date: the states a round drops leave it, and so does each random
+    non-target predecessor of a dropped state, which now has a successor
+    outside the region.  This equals the set rebuilt from the smaller
+    region: the successors a kept state had in the region and lost are
+    dropped ones, so a random non-target state is confined afterwards
+    exactly when it was before and has no dropped successor, and every
+    other kept state is confined both times.
     """
     region = _attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=alive)
     index.update((s, 0) for s in alive if s not in region)
+    preds = game.predecessors
+    confined = {
+        s
+        for s in region
+        if s in targets or game.owner[s] is not Owner.RANDOM
+        or all(t in region for t in game.succ[s])
+    }
     rounds = 0
     while True:
-        kept = _confined_attractor(game, targets, region)
+        kept = _confined_attractor(game, targets, confined)
         if len(kept) == len(region):
             return region, rounds
         rounds += 1
-        index.update((s, rounds) for s in region if s not in kept)
+        dropped = region - kept
+        index.update(dict.fromkeys(dropped, rounds))
+        confined -= dropped
+        confined.difference_update(
+            p
+            for s in dropped
+            for p in preds[s]
+            if game.owner[p] is Owner.RANDOM and p not in targets
+        )
         region = kept
 
 

@@ -1,6 +1,7 @@
 """Shared test helpers: a seeded random-game generator, independent
-closed-form oracles and a one-play-at-a-time reference sampler (kept free of
-the solver machinery they referee)."""
+closed-form oracles, a one-play-at-a-time reference sampler and a peel that
+rebuilds its confined set every round (kept free of the solver machinery
+they referee)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from collections import deque
 from fractions import Fraction
 
 from sgsolve import Estimate, Game, Owner
+from sgsolve.graphs import attractor
 from sgsolve.objectives import ObjectiveKind
 from sgsolve.simulate import _as_transducer
 
@@ -153,3 +155,74 @@ def reference_sample_plays(game, start, objective, cfg, sigma=None, pi=None) -> 
     mean = wins / cfg.samples
     half_width = 1.96 * (mean * (1.0 - mean) / cfg.samples) ** 0.5
     return Estimate(mean, half_width, decided / cfg.samples)
+
+
+def reference_reach_peel(game, targets, alive, index):
+    """The almost-sure reach peel with the confined set rebuilt from the
+    region in every round: the region and the rounds that removed a state;
+    ``index`` receives 0 outside the positive attractor and ``k`` for the
+    states dropped in round ``k``."""
+    region = attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=alive)
+    index.update((s, 0) for s in alive if s not in region)
+    rounds = 0
+    while True:
+        live = {s for s in targets if s in region}
+        confined = live | {
+            s
+            for s in region
+            if game.owner[s] is not Owner.RANDOM or all(t in region for t in game.succ[s])
+        }
+        kept = attractor(game, live, (Owner.MAX, Owner.RANDOM), alive=confined)
+        if len(kept) == len(region):
+            return region, rounds
+        rounds += 1
+        index.update((s, rounds) for s in region if s not in kept)
+        region = kept
+
+
+def reference_almost_sure_reach(game, targets):
+    """Region, rounds (at least one) and index of the rebuilding reach peel."""
+    index = dict.fromkeys(game.states)
+    region, rounds = reference_reach_peel(game, set(targets), set(game.states), index)
+    return region, max(rounds, 1), index
+
+
+def reference_buchi_peel(game, buchi_set):
+    """Winning region, rounds (at least one), index and the minimizer's
+    picks as a list in removal order, of the Buchi peel run over
+    :func:`reference_reach_peel`."""
+    buchi_set = set(buchi_set)
+    alive = set(game.states)
+    index = dict.fromkeys(game.states)
+    min_pick = []
+    rounds = 0
+    while alive:
+        escape = dict.fromkeys(game.states, -1)
+        region, top = reference_reach_peel(game, buchi_set, alive, escape)
+        escape.update(dict.fromkeys(region, top + 1))
+        seed = [
+            s
+            for s in game.states
+            if s in alive
+            and not (any if game.owner[s] is Owner.MAX else all)(t in region for t in game.succ[s])
+        ]
+        if not seed:
+            break
+        rounds += 1
+        layer = {}
+        closure = set(seed).union(s for s in alive if game.owner[s] is not Owner.MAX)
+        removed = attractor(game, seed, (Owner.MIN, Owner.RANDOM), alive=closure, layer=layer)
+        for s in sorted((s for s in game.states if s in removed), key=layer.__getitem__):
+            index[s] = rounds
+            if game.owner[s] is Owner.MIN:
+                stage = layer[s]
+                min_pick.append((s, min(game.succ[s], key=escape.__getitem__) if stage == 0 else
+                                 next(t for t in game.succ[s] if layer.get(t) == stage - 1)))
+        alive -= removed
+        lost = set(game.states) - alive
+        stranded = attractor(
+            game, lost, (), alive=lost.union(s for s in alive if game.owner[s] is Owner.MAX)
+        ) - lost
+        index.update(dict.fromkeys(stranded, rounds))
+        alive -= stranded
+    return alive, max(rounds, 1), index, min_pick

@@ -178,6 +178,25 @@ def test_rational_reader_takes_p_and_p_over_q(text, value):
     assert _as_fraction(text) == value
 
 
+@pytest.mark.parametrize("text", [
+    "0", "00", "0/7", "7", "2/4", "01/10", "10/0100", "6/3", "3/6", "123456789012345678901234567890/7",
+    # Past Python's limit on int-from-string conversion: both raise the
+    # same ValueError.
+    "1" * 5000 + "/3", "3/" + "1" * 5000,
+])
+def test_rational_reader_returns_or_raises_what_fraction_does(text):
+    try:
+        expected = Fraction(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _as_fraction(text)
+        assert str(got.value) == str(exc)
+    else:
+        value = _as_fraction(text)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
 @pytest.mark.parametrize("text", ["1/0", "3/00", "abc", "", "1e-9", "0.5", "-1/2", "+1", " 1",
                                   "1/", "/2", "1/2/3", "\u0661/2"])
 def test_rational_reader_rejects_anything_else(text):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import reference_plays
+from conftest import reference_almost_sure_reach, reference_buchi_peel, reference_plays
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
@@ -18,6 +18,7 @@ from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Ver
                      mdp_buchi_exact, reach, reach_plus, rvi, safety, value_reach_within)
 from sgsolve import exact
 from sgsolve.exact import bellman_combine, gauss_solve, solve_reach_exact
+from sgsolve.winning import buchi_peel
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -89,6 +90,19 @@ def test_pruning_moves_peel_indices_never_the_partition(case):
     plain = almost_sure_reach(game, targets)
     pruned = almost_sure_reach(pruned_game, targets)
     assert plain.max_wins == pruned.max_wins == value_one
+
+
+@PROPERTY
+@given(games(max_states=12, owned_width=3))
+def test_peels_equal_the_referee_that_rebuilds_the_confined_set(case):
+    game, targets = case
+    part = almost_sure_reach(game, targets)
+    # Steer the search towards games that peel for many rounds.
+    target(float(part.rounds))
+    assert (part.max_wins, part.rounds, part.index) == reference_almost_sure_reach(game, targets)
+    peel = buchi_peel(game, targets)
+    assert (peel.partition.max_wins, peel.partition.rounds, peel.partition.index,
+            list(peel.min_pick.items())) == reference_buchi_peel(game, targets)
 
 
 @PROPERTY

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import random_game
+from conftest import random_game, reference_almost_sure_reach, reference_buchi_peel
 
 from sgsolve import (
     Game,
@@ -24,6 +24,7 @@ from sgsolve import (
 from sgsolve import gallery
 from sgsolve.cli import main
 from sgsolve.exact import bellman_combine, solve_reach_exact
+from sgsolve.model import SinkMode, truncate
 from sgsolve.winning import _patched_subgame, buchi_peel
 
 HALF = Fraction(1, 2)
@@ -73,6 +74,63 @@ def test_almost_sure_reach_ladder_rounds_and_region():
             assert part.index[f"q{j}"] == j + 1
             assert part.index[f"x{j}"] == j + 1
         assert part.index["home"] is None
+
+
+def _referee_cases():
+    """Seeded random games, ladders and fig2 windows in both sink modes,
+    each with a reach target set and a Buchi set."""
+    for seed in range(600):
+        game, targets = random_game(seed, n=4 + seed % 37, max_branch=1 + seed % 4,
+                                    owned_branch=1 + seed % 3, max_targets=1 + seed % 4)
+        yield game, targets, targets
+    for k in range(1, 9):
+        b = gallery.build_ladder(k)
+        yield b.game, b.targets, b.buchi
+    for depth in range(1, 13):
+        trunc = truncate(gallery.fig2_lazy(), depth)
+        for mode in SinkMode:
+            yield trunc.game, trunc.label_set("target", mode), trunc.label_set("buchi", mode)
+
+
+def test_peels_match_the_referee_that_rebuilds_the_confined_set():
+    cases = 0
+    for game, targets, buchi_set in _referee_cases():
+        part = almost_sure_reach(game, targets)
+        assert (part.max_wins, part.rounds, part.index) == reference_almost_sure_reach(game, targets)
+        peel = buchi_peel(game, buchi_set)
+        assert (peel.partition.max_wins, peel.partition.rounds, peel.partition.index,
+                list(peel.min_pick.items())) == reference_buchi_peel(game, buchi_set)
+        cases += 1
+    assert cases == 600 + 8 + 24
+
+
+class _CountingRows(dict):
+    """A successor dict that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, s):
+        self.reads += 1
+        return super().__getitem__(s)
+
+
+def test_peels_read_each_successor_row_a_bounded_number_of_times():
+    # The predecessor index is built first and not counted: it reads each
+    # row once whatever the peel does.
+    built = gallery.build_ladder(64)
+    rows = _CountingRows(built.game.succ)
+    game = Game(built.game.owner, rows, built.game.prob)
+    game.predecessors
+    assert len(game.states) == 132
+    rows.reads = 0
+    assert almost_sure_reach(game, built.targets).rounds == 65
+    reach_reads, rows.reads = rows.reads, 0
+    assert almost_sure_buchi(game, built.buchi).max_wins == {"goal", "home"}
+    buchi_reads = rows.reads
+    # Rebuilding the confined set every round reads 2,145 rows for the reach
+    # peel and 2,280 for the Buchi peel.
+    assert reach_reads <= 132
+    assert buchi_reads <= 264
 
 
 def test_almost_sure_reach_all_targets_one_round():
