@@ -8,9 +8,10 @@ solving, as in Storm: Dehnert et al., CAV 2017).  Each block row is scaled
 by the lcm of its denominators to integers, and the solver eliminates these
 integer rows fraction-free (Bareiss, Math. Comp. 1968), so each unknown
 costs one ``Fraction``, built at the end; a one-state block takes one
-division by its scaled one-minus-self-loop weight.  Optimal
-values come from strategy iteration over maximizer policies, each evaluated
-by an exact minimizer best response.
+division by its scaled one-minus-self-loop weight.  The right-hand sides
+are integers too: each known term is an int pair, not a ``Fraction``
+product.  Optimal values come from strategy iteration over maximizer
+policies, each evaluated by an exact minimizer best response.
 
 The minimizer best response needs one guard: inside the region where the
 minimizer can avoid the target outright (the complement of the positive
@@ -185,17 +186,17 @@ def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
                 j = index.get(t)
                 if j is None:
                     # Solved in an earlier block, a target, or unable to reach one.
-                    if values[t]:
-                        known.append(w * values[t])
+                    if v := values[t]:
+                        known.append((w.numerator * v.numerator, w.denominator * v.denominator))
                 else:
                     inside.append((j, w))
             # The row times the lcm of its denominators, on integers.
-            scale = lcm(*(w.denominator for _, w in inside), *(v.denominator for v in known))
+            scale = lcm(*(w.denominator for _, w in inside), *(d for _, d in known))
             row = {index[s]: scale}
             for j, w in inside:
                 row[j] = row.get(j, 0) - w.numerator * (scale // w.denominator)
             rows.append(row)
-            rhs.append(sum(v.numerator * (scale // v.denominator) for v in known))
+            rhs.append(sum(n * (scale // d) for n, d in known))
         for s, v in zip(block, gauss_solve(rows, rhs)):
             values[s] = v
     return values
@@ -341,26 +342,44 @@ def _strategy_iteration(game: Game, targets: set[str],
         previous = chain
         chain = min_best_response(game, targets, sigma, start, previous)
         start, values = chain
-        if previous is not None:
-            if any(values[s] < previous[1][s] for s in game.states):
-                raise ConvergenceError("improvement cycle")
+        # A value that is the previous chain's own object was not re-solved.
+        if previous is not None and any(v is not previous[1][s] and v < previous[1][s]
+                                        for s, v in values.items()):
+            raise ConvergenceError("improvement cycle")
         if not _switch(game, max, values, sigma, targets):
             return values
     raise ConvergenceError("maximizer strategy iteration did not converge")
 
 
-def bellman_combine(game: Game, values, s: str) -> Fraction:
-    """One Bellman application at ``s`` without the target override."""
+def bellman_pair(game: Game, pairs, s: str) -> tuple[int, int]:
+    """One Bellman application at ``s`` without the target override, on the
+    reduced ``(numerator, denominator)`` int pairs that ``pairs`` maps each
+    successor to: the first greatest or least pair by cross-multiplication,
+    or the non-zero terms summed over the lcm of their denominators, reduced."""
+    succ = game.succ[s]
     o = game.owner[s]
-    if o is Owner.MAX:
-        return max(values[t] for t in game.succ[s])
-    if o is Owner.MIN:
-        return min(values[t] for t in game.succ[s])
-    # The average over the lcm of the terms' denominators: one Fraction.
-    terms = [(w.numerator * values[t].numerator, w.denominator * values[t].denominator)
-             for t, w in game.distribution(s)]
-    scale = lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (scale // d) for n, d in terms), scale)
+    if o is Owner.RANDOM:
+        num, den = 0, 1
+        for w, t in zip(game.prob[s], succ):
+            n, d = pairs[t]
+            if n:
+                d *= w.denominator
+                scale = lcm(den, d)
+                num, den = num * (scale // den) + w.numerator * n * (scale // d), scale
+        g = gcd(num, den)
+        return num // g, den // g
+    bn, bd = pairs[succ[0]]
+    for t in succ[1:]:
+        n, d = pairs[t]
+        if (n * bd > bn * d) if o is Owner.MAX else (n * bd < bn * d):
+            bn, bd = n, d
+    return bn, bd
+
+
+def bellman_combine(game: Game, values, s: str) -> Fraction:
+    """:func:`bellman_pair` on rational ``values``, as one ``Fraction``."""
+    pairs = {t: (values[t].numerator, values[t].denominator) for t in game.succ[s]}
+    return Fraction(*bellman_pair(game, pairs, s))
 
 
 def reach_plus_values(game: Game, values) -> dict[str, Fraction]:

@@ -18,7 +18,8 @@ supremum norm in real arithmetic; the sweeps round to nearest, so the
 returned floats can miss it by a few ulps.  Sound floats need directed
 rounding, the lower half rounded down and the upper half up.
 Bounded-reach values are exact Bellman steps from the target indicator, each
-recomputing only the predecessors of the states the step before changed.
+recomputing only the predecessors of the states the step before changed, on
+reduced int pairs: no step builds a ``Fraction``, each output value one.
 
 Values of countable games are certified by interval pairs computed on a
 pessimistic and an optimistic truncation of the same depth.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import winning
-from .exact import ConvergenceError, bellman_combine, can_reach, solve_reach_exact
+from .exact import ConvergenceError, bellman_combine, bellman_pair, can_reach, solve_reach_exact
 from .graphs import maximal_end_components
 from .model import (Game, LazyGame, Owner, SinkMode, _as_fraction, check_state, check_targets,
                     swap_roles, truncate)
@@ -110,47 +111,52 @@ def value_safety(game: Game, targets, mode: str = "exact", tol=None) -> ValueVec
 
 def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
     """Exact values of reaching the target within ``steps`` steps, computed
-    up to step ``steps`` or to the fixpoint, whichever comes first."""
+    up to step ``steps`` or to the fixpoint, whichever comes first.
+
+    On a game with a random cycle no fixpoint comes: all ``steps`` steps run
+    and the numbers widen with each, so a huge ``steps`` does not finish."""
     targets = check_targets(game, targets)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     for k, v in enumerate(_bounded_reach(game, targets)):
         if k == steps:
             break
-    return ValueVector(v)
+    return ValueVector({s: Fraction(n, d) for s, (n, d) in v.items()})
 
 
 def epsilon_horizon(game: Game, targets, state: str, eps) -> int:
     """Least horizon whose bounded-reach value at ``state`` exceeds the
     unbounded value minus ``eps``.  Exists on every finite game."""
+    targets = check_targets(game, targets)
     check_state(game, state)
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if eps >= 1:
+    if eps > 1:
         return 0
     goal = solve_reach_exact(game, targets)[state] - eps
     # The sequence ends only at a fixpoint, which is the value itself.
-    return next(h for h, v in enumerate(_bounded_reach(game, targets)) if v[state] > goal)
+    return next(h for h, v in enumerate(_bounded_reach(game, targets))
+                if v[state][0] * goal.denominator > goal.numerator * v[state][1])
 
 
-def _bounded_reach(game: Game, targets) -> Iterator[dict[str, Fraction]]:
+def _bounded_reach(game: Game, targets: set[str]) -> Iterator[dict[str, tuple[int, int]]]:
     """The bounded-reach vectors ``v_0, v_1, ...`` (``v_k`` is what ``k``
     applications of :func:`bellman_step` make of the target indicator), as
-    one dict updated in place; ends once a step changes nothing.
+    one dict of reduced int pairs (equal exactly when their values are)
+    updated in place; ends once a step changes nothing.
 
     A state's value can change at step ``k + 1`` only if a successor's
     changed at step ``k`` (at step 1: only if a successor is a target), so
     each step recomputes just the predecessors of the last changes.
     """
-    targets = set(targets)
-    v = {s: Fraction(1 if s in targets else 0) for s in game.states}
+    v = {s: (int(s in targets), 1) for s in game.states}
     preds = game.predecessors
-    changed = [t for t in targets if t in v]
+    changed = list(targets)
     while changed:
         yield v
         frontier = {p for t in changed for p in preds[t] if p not in targets}
-        step = {s: bellman_combine(game, v, s) for s in frontier}
+        step = {s: bellman_pair(game, v, s) for s in frontier}
         changed = [s for s, x in step.items() if x != v[s]]
         v.update(step)
     yield v

@@ -220,18 +220,14 @@ def test_gauss_solve_rejects_a_singular_system(rows):
         gauss_solve(rows, [1, 2][:len(rows)])
 
 
-@pytest.mark.parametrize("owner, moves, value, message", [
-    ("max", ("p0", "coin"), Fraction(1), "maximizer strategy iteration did not converge"),
-    ("min", ("p0", "coin"), Fraction(1, 2), "minimizer policy iteration did not converge"),
-])
-def test_round_cap_raises_a_named_error(monkeypatch, owner, moves, value, message):
-    # A sure path of ten random steps to the goal, declared far end first, so
-    # that each float sweep moves the goal's value one step back along it.
-    # The coin's 1/2 shows after one sweep, the path's 1 only after ten: the
-    # guess stops on the worse move for its owner, so the iteration needs a
-    # second round.
+def _two_round_game(owner: str, moves) -> Game:
+    """A sure path of ten random steps to the goal, declared far end first,
+    so that each float sweep moves the goal's value one step back along it.
+    The coin's 1/2 shows after one sweep, the path's 1 only after ten: the
+    guess stops on the worse move for the owner of ``a``, so the iteration
+    needs a second round."""
     path = [(f"p{i}", "rand", (f"p{i + 1}",), (1,)) for i in range(9)]
-    game = Game.of([
+    return Game.of([
         ("a", owner, moves),
         *path,
         ("p9", "rand", ("goal",), (1,)),
@@ -239,11 +235,36 @@ def test_round_cap_raises_a_named_error(monkeypatch, owner, moves, value, messag
         ("goal", "max", ("goal",)),
         ("dead", "max", ("dead",)),
     ])
+
+
+@pytest.mark.parametrize("owner, moves, value, message", [
+    ("max", ("p0", "coin"), Fraction(1), "maximizer strategy iteration did not converge"),
+    ("min", ("p0", "coin"), Fraction(1, 2), "minimizer policy iteration did not converge"),
+])
+def test_round_cap_raises_a_named_error(monkeypatch, owner, moves, value, message):
+    game = _two_round_game(owner, moves)
     values = solve_reach_exact(game, {"goal"})
     assert values["a"] == value
     assert values[exact._float_guess(game, {"goal"})["a"]] != value
     monkeypatch.setattr(exact, "_MAX_ROUNDS", 1)
     with pytest.raises(ConvergenceError, match=message):
+        solve_reach_exact(game, {"goal"})
+
+
+def test_a_lower_re_solved_value_is_an_improvement_cycle(monkeypatch):
+    game = _two_round_game("max", ("p0", "coin"))
+    evaluate, rounds = exact.min_best_response, []
+
+    def lowered(*args):
+        choice, values = evaluate(*args)
+        rounds.append(args)
+        if len(rounds) == 2:
+            # A new object below the first round's value: the check compares it.
+            values = {**values, "coin": values["coin"] - Fraction(1, 4)}
+        return choice, values
+
+    monkeypatch.setattr(exact, "min_best_response", lowered)
+    with pytest.raises(ConvergenceError, match="improvement cycle"):
         solve_reach_exact(game, {"goal"})
 
 

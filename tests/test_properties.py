@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Verdict,
                      almost_sure_buchi, almost_sure_reach, apply_md, bellman_step, buchi,
-                     buchi_md_pair, cobuchi, decided, gallery, md_enumeration_oracle,
-                     mdp_buchi_exact, reach, reach_plus, rvi, safety, value_reach_within)
+                     buchi_md_pair, cobuchi, decided, epsilon_horizon, gallery,
+                     md_enumeration_oracle, mdp_buchi_exact, reach, reach_plus, rvi, safety,
+                     value_reach_within)
 from sgsolve import exact
 from sgsolve.exact import bellman_combine, gauss_solve, solve_reach_exact
 from sgsolve.winning import buchi_peel
@@ -137,6 +138,19 @@ def test_bounded_reach_equals_repeated_bellman_steps(case):
     for steps in range(13):
         assert list(value_reach_within(game, targets, steps).values.items()) == list(v.items())
         v = bellman_step(game, targets, v)
+
+
+@PROPERTY
+@given(st.one_of(games(max_states=12, owned_width=3), st.sampled_from(_GALLERY)), st.data())
+def test_epsilon_horizon_is_least(case, data):
+    game, targets = case
+    state = data.draw(st.sampled_from(game.states))
+    eps = Fraction(1, data.draw(st.integers(1, 64)))
+    h = epsilon_horizon(game, targets, state, eps)
+    goal = solve_reach_exact(game, targets)[state] - eps
+    assert value_reach_within(game, targets, h)[state] > goal
+    if h:
+        assert value_reach_within(game, targets, h - 1)[state] <= goal
 
 
 def _uniform_walker(game: Game, owner: Owner) -> TransducerStrategy:

@@ -23,7 +23,7 @@ from sgsolve import (
     value_safety,
 )
 from sgsolve import gallery, values
-from sgsolve.exact import ConvergenceError, can_reach, solve_reach_exact
+from sgsolve.exact import ConvergenceError, bellman_pair, can_reach, solve_reach_exact
 from sgsolve.graphs import maximal_end_components
 
 HALF = Fraction(1, 2)
@@ -286,6 +286,31 @@ def test_iterate_sweep_cap_raises_a_named_error(monkeypatch):
         value_reach(built.game, built.targets, mode="iterate", tol=1e-9)
 
 
+def test_epsilon_horizon_is_the_first_bellman_step_above_the_goal():
+    inputs = [(*random_game(seed, n=4 + seed % 9, owned_branch=b, max_targets=3), seed)
+              for b in (2, 3) for seed in range(150)]
+    for p in (Fraction(3, 5), HALF, Fraction(2, 5)):
+        for cap in (3, 5, 8, 13, 20):
+            built = gallery.build_gamblers_ruin(p, cap)
+            inputs.append((built.game, built.targets, cap // 2))
+    for depth in (5, 10, 20, 30):
+        for built in (gallery.build_fig2(depth), gallery.build_fig2_with_u(depth)):
+            inputs.append((built.game, built.targets, 0))
+    for k in (1, 4, 11):
+        built = gallery.build_ladder(k)
+        inputs.append((built.game, built.targets, 0))
+    epsilons = (Fraction(1), HALF, Fraction(1, 10), Fraction(1, 1000))
+    for game, targets, pick in inputs:
+        state = game.states[pick % len(game.states)]
+        value = solve_reach_exact(game, targets)[state]
+        v, h, least = {s: Fraction(int(s in targets)) for s in game.states}, 0, []
+        for eps in epsilons:
+            while not v[state] > value - eps:
+                v, h = bellman_step(game, targets, v), h + 1
+            least.append(h)
+        assert [epsilon_horizon(game, targets, state, eps) for eps in epsilons] == least
+
+
 def test_reach_within_zero_is_indicator():
     g, t = random_game(7)
     v = value_reach_within(g, t, 0)
@@ -349,6 +374,114 @@ def test_epsilon_horizon_is_least():
     assert value_reach_within(g, t, n - 1)["s0"] <= goal
     # Deep enough to use the fifth exit of the ladder.
     assert n == 11
+
+
+def test_epsilon_horizon_at_eps_one():
+    # v_0(a) = 0 is not above 1 - 1, so the least horizon is 1.
+    g = Game.of([("a", "max", ("t",)), ("t", "max", ("t",))])
+    assert epsilon_horizon(g, {"t"}, "a", 1) == 1
+    # Below value 1 the goal is negative, and v_0 already exceeds it.
+    g = Game.of([
+        ("a", "rand", ("t", "z"), (HALF, HALF)),
+        ("t", "max", ("t",)),
+        ("z", "max", ("z",)),
+    ])
+    assert epsilon_horizon(g, {"t"}, "a", 1) == 0
+
+
+def _primes_after(n: int, count: int) -> list[int]:
+    out = []
+    while len(out) < count:
+        n += 1
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            out.append(n)
+    return out
+
+
+def _many_primes_game() -> tuple[Game, set[str]]:
+    """A fair walk c0..c29 between the target t (above c29) and an absorbing
+    z (below c0), and 20 states s_j entering c0 with probability 1/p_j and
+    staying otherwise, p_j the 20 primes after 10^6: the denominators of a
+    bounded-reach step share few factors."""
+    rows = [(f"c{i}", "rand", (f"c{i + 1}" if i < 29 else "t", f"c{i - 1}" if i else "z"),
+             (HALF, HALF)) for i in range(30)]
+    rows += [("t", "max", ("t",)), ("z", "max", ("z",))]
+    rows += [(f"s{j}", "rand", ("c0", f"s{j}"), (Fraction(1, p), 1 - Fraction(1, p)))
+             for j, p in enumerate(_primes_after(10**6, 20))]
+    return Game.of(rows), {"t"}
+
+
+def _bounded_reach_inputs():
+    for owned_branch in (2, 3):
+        for seed in range(300):
+            yield random_game(seed, n=4 + seed % 9, owned_branch=owned_branch, max_targets=3)
+    for p in (Fraction(3, 5), HALF, Fraction(2, 5)):
+        for cap in (*range(3, 11), 13, 17, 25, 33, 50):
+            built = gallery.build_gamblers_ruin(p, cap)
+            yield built.game, built.targets
+    for depth in (5, 6, 7, 8, 10, 14, 20, 30):
+        for built in (gallery.build_fig2(depth), gallery.build_fig2_with_u(depth)):
+            yield built.game, built.targets
+    for k in range(1, 12):
+        built = gallery.build_ladder(k)
+        yield built.game, built.targets
+    yield _many_primes_game()
+
+
+def _plain_step(game, targets, v) -> dict:
+    """A Bellman step written apart from the package, in ``Fraction`` sums."""
+    out = {}
+    for s in game.states:
+        succ = [v[t] for t in game.succ[s]]
+        if s in targets:
+            out[s] = Fraction(1)
+        elif game.owner[s] is Owner.RANDOM:
+            out[s] = sum((w * x for w, x in zip(game.prob[s], succ)), Fraction(0))
+        else:
+            out[s] = (max if game.owner[s] is Owner.MAX else min)(succ)
+    return out
+
+
+def _bellman_steps(game, targets, steps: int) -> list[dict]:
+    """``v_0 .. v_steps`` by repeated :func:`bellman_step`, the first 12
+    checked against :func:`_plain_step`, cut short one step past a fixpoint."""
+    out = [{s: Fraction(int(s in targets)) for s in game.states}]
+    while len(out) <= steps and (len(out) < 2 or out[-1] != out[-2]):
+        out.append(bellman_step(game, targets, out[-1]))
+        assert len(out) > 13 or out[-1] == _plain_step(game, targets, out[-2])
+    return out
+
+
+def test_bounded_reach_is_repeated_bellman_steps_to_step_40_and_past_the_fixpoint(monkeypatch):
+    checked = fixpoints = 0
+    budget = [float("inf")]
+
+    def counted(*args):
+        budget[0] -= 1
+        assert budget[0] >= 0, "a step past the fixpoint"
+        return bellman_pair(*args)
+
+    monkeypatch.setattr(values, "bellman_pair", counted)
+    for i, (game, targets) in enumerate(_bounded_reach_inputs()):
+        expected = _bellman_steps(game, targets, 40)
+        horizons = range(len(expected))
+        if i < 600 and len(expected) == 41:
+            # Each call is a fresh run from v_0, so on the random games with
+            # no fixpoint by step 40 every fourth horizon past 12 is checked.
+            horizons = (*range(13), *range(16, 41, 4))
+        for n in horizons:
+            got = value_reach_within(game, targets, n).values
+            assert list(got.items()) == list(expected[n].items())
+            assert all(type(x) is Fraction for x in got.values())
+            checked += 1
+        if expected[-1] == expected[-2]:
+            # Each step up to the one that changes nothing, and no further.
+            budget[0] = (len(expected) - 1) * len(game.states)
+            got = value_reach_within(game, targets, 10**9).values
+            assert list(got.items()) == list(expected[-1].items())
+            budget[0] = float("inf")
+            fixpoints += 1
+    assert checked > 8_000 and fixpoints > 350
 
 
 def test_value_buchi_all_states_accepting():
