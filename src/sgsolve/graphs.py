@@ -7,8 +7,9 @@ decomposition are all instances of it, run over the predecessor index each
 game builds once.
 
 End components are computed for an "MDP view" of a game: owned states may
-use any allowed edge, random states must keep their whole support inside the
-component.  The decomposition alternates one attractor run, which removes
+use any of their edges, random states must keep their whole support inside
+the component; a caller that narrows owned states' edges passes a game with
+narrowed rows.  The decomposition alternates one attractor run, which removes
 the states that can be forced out of a candidate, with a strongly connected
 split of what is left (de Alfaro 1997; Chatterjee and Henzinger, ICALP
 2011).  End components give the sound upper bounds of interval iteration and
@@ -141,35 +142,24 @@ def bottom_components(game: Game, choice: dict[str, str]) -> list[list[str]]:
     return bottoms
 
 
-def maximal_end_components(
-    game: Game,
-    states: Iterable[str],
-    allowed: Callable[[str], Iterable[str]] | None = None,
-) -> list[list[str]]:
+def maximal_end_components(game: Game, states: Iterable[str]) -> list[list[str]]:
     """Maximal end components within ``states``.
 
-    ``allowed`` restricts the usable edges of owned states (random supports
-    are never restricted) and is asked for only at the owned states in
-    ``states``.  A component is a set where random states keep their whole
-    support inside, every state has at least one internal move, and the
-    internal moves connect it strongly.
+    A component is a set where random states keep their whole support
+    inside, every state has at least one internal move, and the internal
+    moves connect it strongly.  The result depends only on the rows of
+    ``states``: a shrink step's attractor adds only states of its candidate.
 
-    Each candidate is shrunk by one attractor run over the allowed-edge graph
-    (the states that can be forced out of it: a random state with one
-    successor outside, an owned one with all of them outside), and what is
-    left is split into strongly connected parts that become new candidates.
-    A part that is one state without a self-loop is dropped at the split: it
-    has no internal move, so it lies in no end component.  A part that is
-    the whole of what is left is final (every state left has an internal
-    move, and a random one its whole support).
+    Each candidate is shrunk by one attractor run (the states that can be
+    forced out of it: a random state with one successor outside, an owned
+    one with all of them outside), and what is left is split into strongly
+    connected parts that become new candidates.  A part that is one state
+    without a self-loop is dropped at the split: it has no internal move, so
+    it lies in no end component.  A part that is the whole of what is left
+    is final (every state left has an internal move, and a random one its
+    whole support).
     """
     states = sorted(states)
-    if allowed is not None:
-        # Only the rows of ``states`` are read: a shrink step's attractor
-        # adds only states of its candidate.
-        game = Game(game.owner, {**game.succ, **{
-            s: tuple(allowed(s)) for s in states if game.owner[s] is not Owner.RANDOM
-        }}, game.prob)
     result: list[list[str]] = []
     work: list[list[str]] = [states]
     while work:

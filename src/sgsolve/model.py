@@ -14,6 +14,7 @@ callback must be pure and reentrant.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
 from collections.abc import Callable, Container, Iterable, Sequence
@@ -320,8 +321,10 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
 
     Every edge that leaves the expanded set is redirected to a single
     absorbing sink; parallel redirected edges are merged (weights summed for
-    random states) to keep successor lists duplicate-free.
+    random states) to keep successor lists duplicate-free.  ``depth`` must
+    be an integer: a float raises ``TypeError``.
     """
+    depth = operator.index(depth)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     info: dict[str, StateInfo] = {}

@@ -18,6 +18,7 @@ attractor run whose layers are the graph distances to the target.  At step
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -65,6 +66,7 @@ class Objective:
 
     ``steps`` is the horizon of a bounded-reach objective; position 0 is the
     initial state, so a play starting in the target satisfies a 0-step bound.
+    It must be an integer: a float raises ``TypeError``.
     """
 
     kind: ObjectiveKind
@@ -75,7 +77,7 @@ class Objective:
     def __post_init__(self):
         if (self.kind is ObjectiveKind.REACH_WITHIN) != (self.steps is not None):
             raise ValueError("steps is required exactly for bounded reach")
-        if self.steps is not None and self.steps < 0:
+        if self.steps is not None and operator.index(self.steps) < 0:
             raise ValueError("steps must be non-negative")
 
     def bind(self, game: Game) -> "Objective":

@@ -21,13 +21,14 @@ Bounded-reach values are exact Bellman steps from the target indicator, each
 recomputing only the predecessors of the states the step before changed, on
 reduced int pairs: no step builds a ``Fraction``, each output value one.
 
-Values of countable games are certified by interval pairs computed on a
-pessimistic and an optimistic truncation of the same depth.
+Values of countable games are certified by exact interval pairs computed on
+a pessimistic and an optimistic truncation of the same depth.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +50,11 @@ class ValueVector:
 
     ``error_bound`` is ``None`` for exact rational vectors; otherwise it is a
     supremum-norm bound on the distance to the true value vector, sound in
-    real arithmetic (the floats may miss it by a few ulps).
+    real arithmetic (the floats may miss it by a few ulps).  An iterate
+    vector is one-sided: :func:`value_reach` and :func:`value_buchi` return
+    the lower iterate, which approaches the value from below, and
+    :func:`value_safety` and :func:`value_cobuchi` one minus it, which
+    approaches from above.
     """
 
     values: dict[str, Fraction] | dict[str, float]
@@ -114,8 +119,10 @@ def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
     up to step ``steps`` or to the fixpoint, whichever comes first.
 
     On a game with a random cycle no fixpoint comes: all ``steps`` steps run
-    and the numbers widen with each, so a huge ``steps`` does not finish."""
+    and the numbers widen with each, so a huge ``steps`` does not finish.
+    ``steps`` must be an integer: a float raises ``TypeError``."""
     targets = check_targets(game, targets)
+    steps = operator.index(steps)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     for k, v in enumerate(_bounded_reach(game, targets)):
@@ -193,19 +200,15 @@ SOLVERS = {
 }
 
 
-def interval_values(
-    base: LazyGame,
-    kind: ObjectiveKind,
-    depth: int,
-    label: str = "target",
-    mode: str = "exact",
-    tol=None,
-) -> IntervalValues:
+def interval_values(base: LazyGame, kind: ObjectiveKind, depth: int,
+                    label: str = "target") -> IntervalValues:
     """Certified value bounds for a lazy game at one truncation depth.
 
     The target set is read from the per-state ``label`` flags produced by the
-    generator.  Soundness: the true value at the initial state lies between
-    the two bounds by sink monotonicity.
+    generator.  Both bounds are exact solves of the pessimistic and the
+    optimistic window, so the value at the initial state lies between them
+    by sink monotonicity (one-sided iterates would put one bound on the wrong
+    side); a window with no frontier gives the value on both sides.
     """
     if kind not in SOLVERS:
         raise ValueError(f"interval bounds are defined for {sorted(k.value for k in SOLVERS)}")
@@ -215,7 +218,7 @@ def interval_values(
     trunc = truncate(base, depth)
 
     def solve(sink_mode: SinkMode) -> ValueVector:
-        return solver(trunc.game, trunc.label_set(label, sink_mode), mode=mode, tol=tol)
+        return solver(trunc.game, trunc.label_set(label, sink_mode))
 
     return IntervalValues(
         lower=solve(lower_mode),
@@ -366,12 +369,11 @@ def _deflate(core: _FloatCore, lower, upper, found):
     if found is None or found[0] != key:
         game, index = core.game, core.index
         # A row's padding repeats its first successor, so zip stops before it.
-        narrowed = {s: [t for t, keep in zip(game.succ[s], row) if keep]
+        narrowed = {s: tuple(t for t, keep in zip(game.succ[s], row) if keep)
                     for s, row in zip(core.guarded, best.T.tolist())}
         caps = []
-        reachable = [s for s in game.states if s in core.reachable]
-        for comp in maximal_end_components(game, reachable,
-                                           lambda s: narrowed.get(s, game.succ[s])):
+        for comp in maximal_end_components(Game(game.owner, {**game.succ, **narrowed}, game.prob),
+                                           core.reachable):
             members = set(comp)
             if members & core.targets:
                 continue

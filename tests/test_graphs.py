@@ -12,14 +12,14 @@ from sgsolve.graphs import maximal_end_components
 HALF = Fraction(1, 2)
 
 
-def _is_end_component(game: Game, members: set[str], edges) -> bool:
+def _is_end_component(game: Game, members: set[str]) -> bool:
     """Random states keep their support inside, every state has an internal
     move, and the internal moves connect ``members`` strongly."""
     inner = {}
     for s in members:
         if game.owner[s] is Owner.RANDOM and any(t not in members for t in game.succ[s]):
             return False
-        inner[s] = [t for t in edges(s) if t in members]
+        inner[s] = [t for t in game.succ[s] if t in members]
         if not inner[s]:
             return False
     back = {s: [p for p in members if s in inner[p]] for s in members}
@@ -35,16 +35,11 @@ def _is_end_component(game: Game, members: set[str], edges) -> bool:
     return True
 
 
-def _brute_force_mecs(game: Game, states, allowed=None) -> list[list[str]]:
-    def edges(s):
-        if allowed is None or game.owner[s] is Owner.RANDOM:
-            return game.succ[s]
-        return allowed(s)
-
+def _brute_force_mecs(game: Game, states) -> list[list[str]]:
     states = sorted(states)
     found = [set(c) for r in range(1, len(states) + 1)
              for c in itertools.combinations(states, r)
-             if _is_end_component(game, set(c), edges)]
+             if _is_end_component(game, set(c))]
     return sorted(sorted(c) for c in found if not any(c < d for d in found))
 
 
@@ -54,35 +49,18 @@ def test_maximal_end_components_match_subset_enumeration():
         game, _ = random_game(seed, n=2 + seed % 9, owned_branch=1 + seed % 3)
         rng = random.Random(seed)
         some = [s for s in game.states if rng.random() < 0.8]
-        narrowed = {s: [t for t in game.succ[s] if rng.random() < 0.6] for s in game.states}
+        # Owned rows narrowed (possibly to nothing), random supports kept:
+        # how a caller restricts the owned players' edges.
+        rows = {s: tuple(t for t in game.succ[s] if rng.random() < 0.6) for s in game.states}
+        narrowed = Game(game.owner, {**game.succ, **{
+            s: row for s, row in rows.items() if game.owner[s] is not Owner.RANDOM}}, game.prob)
         for states in (game.states, some):
-            for allowed in (None, narrowed.__getitem__):
-                want = _brute_force_mecs(game, states, allowed)
-                if allowed is None:
-                    got = maximal_end_components(game, states)
-                else:
-                    got = maximal_end_components(game, states, allowed)
-                assert got == want, (seed, states, allowed)
+            for g in (game, narrowed):
+                want = _brute_force_mecs(g, states)
+                got = maximal_end_components(g, states)
+                assert got == want, (seed, states, g is narrowed)
                 nontrivial += any(len(c) > 1 for c in want)
     assert nontrivial >= 50
-
-
-def test_allowed_is_asked_only_for_owned_states_in_states():
-    asked = []
-    for seed in range(40):
-        game, _ = random_game(seed, n=9, owned_branch=3)
-        rng = random.Random(seed)
-        some = [s for s in game.states if rng.random() < 0.5]
-        narrowed = {s: [t for t in game.succ[s] if rng.random() < 0.6] for s in game.states}
-
-        def allowed(s):
-            asked.append(s)
-            return narrowed[s]
-
-        del asked[:]
-        got = maximal_end_components(game, some, allowed)
-        assert got == _brute_force_mecs(game, some, narrowed.__getitem__)
-        assert sorted(asked) == sorted(s for s in some if game.owner[s] is not Owner.RANDOM)
 
 
 def test_lone_random_state_with_a_self_loop_and_an_exit_is_no_end_component():

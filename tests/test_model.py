@@ -214,3 +214,18 @@ def test_target_check_names_the_stray_states():
     assert check_targets(g, ("s",)) == {"s"}
     with pytest.raises(ValueError, match=r"target states not in game: \['x', 'y'\]"):
         check_targets(g, ("y", "s", "x"))
+
+
+def test_truncate_takes_an_integer_depth_only():
+    import numpy as np
+
+    # A finite game, so that a float depth cannot make the expansion run on.
+    def expand(s):
+        if s == "a":
+            return StateInfo(Owner.RANDOM, ("t", "a"), (HALF, HALF))
+        return StateInfo(Owner.MAX, ("t",))
+
+    lazy = LazyGame("a", expand)
+    with pytest.raises(TypeError):
+        truncate(lazy, 2.5)
+    assert truncate(lazy, np.int64(2)).game == truncate(lazy, 2).game

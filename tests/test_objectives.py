@@ -144,3 +144,16 @@ def test_bounding_sinks_per_kind():
     assert bounding_sinks(ObjectiveKind.BUCHI) == (SinkMode.PESSIMISTIC, SinkMode.OPTIMISTIC)
     assert bounding_sinks(ObjectiveKind.SAFETY) == (SinkMode.OPTIMISTIC, SinkMode.PESSIMISTIC)
     assert bounding_sinks(ObjectiveKind.COBUCHI) == (SinkMode.OPTIMISTIC, SinkMode.PESSIMISTIC)
+
+
+def test_reach_within_takes_integer_steps_only():
+    import numpy as np
+
+    with pytest.raises(TypeError):
+        Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), 2.5)
+    with pytest.raises(TypeError):
+        reach("goal", steps=2.5)
+    g = gallery.build_ladder(2).game
+    prefix = PlayPrefix(("home", "q2", "q1", "c"))
+    bounded = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), np.int64(2)).bind(g)
+    assert decided(bounded, prefix) == Verdict.VIOLATED_FOREVER

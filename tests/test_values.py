@@ -12,6 +12,7 @@ from sgsolve import (
     ObjectiveKind,
     Owner,
     SinkMode,
+    StateInfo,
     bellman_step,
     epsilon_horizon,
     interval_values,
@@ -151,14 +152,13 @@ def _reference_iterate(game, targets, tol):
         return out
 
     def deflate(lower, upper):
-        def allowed(s):
+        succ = dict(game.succ)
+        for s in game.states:
             if game.owner[s] is Owner.MIN:
                 best = min(lower[t] for t in game.succ[s])
-                return [t for t in game.succ[s] if lower[t] == best]
-            return game.succ[s]
-
+                succ[s] = tuple(t for t in game.succ[s] if lower[t] == best)
         live = [s for s in game.states if s in reachable]
-        for comp in maximal_end_components(game, live, allowed):
+        for comp in maximal_end_components(Game(game.owner, succ, game.prob), live):
             if set(comp) & targets:
                 continue
             cap = 0.0
@@ -356,6 +356,21 @@ def test_epsilon_horizon_rejects_an_unknown_state():
     g = Game.of([("a", "max", ("t",)), ("t", "max", ("t",))])
     with pytest.raises(ValueError, match="unknown state 'zzz'"):
         epsilon_horizon(g, {"t"}, "zzz", Fraction(1, 100))
+
+
+def test_reach_within_takes_integer_steps_only():
+    import numpy as np
+
+    g = Game.of([
+        ("a", "max", ("b", "z")),
+        ("b", "rand", ("t", "z"), (HALF, HALF)),
+        ("t", "max", ("t",)),
+        ("z", "max", ("z",)),
+    ])
+    with pytest.raises(TypeError):
+        value_reach_within(g, {"t"}, 1.5)
+    assert (value_reach_within(g, {"t"}, np.int64(1)).values
+            == value_reach_within(g, {"t"}, 1).values)
 
 
 def test_reach_within_rejects_an_unknown_target():
@@ -609,14 +624,44 @@ def test_interval_cobuchi_brackets_the_value():
         assert lo <= HALF <= hi
 
 
-def test_interval_iterate_mode():
-    iv = interval_values(
-        gallery.fig2_lazy(), ObjectiveKind.BUCHI, 8, label="buchi",
-        mode="iterate", tol=1e-7,
-    )
-    lo, hi = iv.at_initial()
-    assert lo <= 0.5 <= hi
-    assert iv.lower.error_bound is not None
+def _lazy(game: Game, targets) -> LazyGame:
+    """``game`` seen from its first state, its targets as the ``target`` label."""
+    def expand(s):
+        return StateInfo(game.owner[s], game.succ[s], game.prob.get(s),
+                         frozenset({"target"}) if s in targets else frozenset())
+
+    return LazyGame(game.states[0], expand)
+
+
+def test_intervals_bracket_the_value_and_close_once_the_window_holds_the_game():
+    # Below n the window may have a frontier; from n on it holds every state
+    # reachable from the first, so both sinks are out of reach.
+    gaps = 0
+    for seed in range(200):
+        game, targets = random_game(seed, n=2 + seed % 7)
+        lazy, start, n = _lazy(game, targets), game.states[0], len(game.states)
+        for kind, solver in values.SOLVERS.items():
+            value = solver(game, targets)[start]
+            for depth in range(n + 2):
+                lo, hi = interval_values(lazy, kind, depth).at_initial()
+                if depth >= n:
+                    assert lo == hi == value, (seed, kind, depth)
+                else:
+                    assert lo <= value <= hi, (seed, kind, depth)
+                    gaps += lo < hi
+    assert gaps >= 500
+
+
+def test_intervals_of_a_game_held_by_every_window_are_exact():
+    # The true reach value is 1, which a lower iterate never attains.
+    lazy = _lazy(Game.of([
+        ("a", "rand", ("t", "a"), (HALF, HALF)),
+        ("t", "max", ("t",)),
+    ]), {"t"})
+    for depth in range(1, 8):
+        for kind, value in ((ObjectiveKind.REACH, 1), (ObjectiveKind.BUCHI, 1),
+                            (ObjectiveKind.SAFETY, 0), (ObjectiveKind.COBUCHI, 0)):
+            assert interval_values(lazy, kind, depth).at_initial() == (value, value)
 
 
 def test_interval_rejects_unbounded_kinds():

@@ -346,7 +346,6 @@ def test_buchi_peel_seeds_are_the_states_with_exact_revisit_value_below_one():
 
 def test_buchi_partition_needs_no_exact_solve(monkeypatch):
     import sgsolve.exact
-    from sgsolve import ObjectiveKind, interval_values
 
     def refuse(*args, **kwargs):
         raise AssertionError("exact solve called")
@@ -358,5 +357,3 @@ def test_buchi_partition_needs_no_exact_solve(monkeypatch):
     g, t = random_game(3, n=12)
     almost_sure_buchi(g, t)
     value_buchi(g, t, mode="iterate", tol=Fraction(1, 10**6))
-    interval_values(gallery.fig2_lazy(), ObjectiveKind.BUCHI, 6, label="buchi",
-                    mode="iterate", tol=Fraction(1, 10**6))
