@@ -126,17 +126,19 @@ def _cmd_solve(args) -> int:
     obj = _objective(args, parsed)
     game = parsed.game
     kind = obj.kind
+    if args.mode == "iterate" and kind not in SOLVERS:
+        name = "reach<=N" if kind is ObjectiveKind.REACH_WITHIN else "reachplus"
+        raise ValueError(f"{name} values are exact only")
+    if args.mode == "iterate" and not args.tol:
+        raise ValueError("iterate mode needs a positive tolerance")
     if kind is ObjectiveKind.REACH_WITHIN:
-        if args.mode != "exact":
-            raise ValueError("reach<=N values are exact only")
         vec = value_reach_within(game, obj.target, obj.steps)
     elif kind is ObjectiveKind.REACH_PLUS:
-        if args.mode != "exact":
-            raise ValueError("reachplus values are exact only")
         vec = ValueVector(reach_plus_values(game, solve_reach_exact(game, obj.target)))
     else:
+        # A tolerance is given exactly in iterate mode, and selects it.
         tol = _rational("--tol", args.tol) if args.tol else None
-        vec = SOLVERS[kind](game, obj.target, mode=args.mode, tol=tol)
+        vec = SOLVERS[kind](game, obj.target, tol)
     rows = [(s, vec.values[s]) for s in game.states]
     # Rationals print at any size: the interpreter's limit on int-to-string
     # conversion is lifted while they are written and restored for the files
@@ -246,6 +248,8 @@ def _cmd_simulate(args) -> int:
     )
     sigma = _strategy(args.sigma, parsed.game) if args.sigma else None
     pi = _strategy(args.pi, parsed.game) if args.pi else None
+    if not (args.from_state or parsed.game.owner):
+        raise ValueError("the game has no states to start from")
     start = args.from_state or parsed.game.states[0]
     est = sample_plays(parsed.game, start, obj, cfg, sigma=sigma, pi=pi)
     rows = [

@@ -14,7 +14,7 @@ callback must be pure and reentrant.
 
 from __future__ import annotations
 
-import operator
+import numbers
 import re
 from collections import deque
 from collections.abc import Callable, Container, Iterable, Sequence
@@ -54,6 +54,17 @@ def _as_fraction(w) -> Fraction:
         p, q = match.groups()
         return Fraction(int(p), int(q or 1))
     raise TypeError(f"not an exact rational weight: {w!r}")
+
+
+def _as_int(name: str, value) -> int:
+    """The one reader of integer arguments (depths, step bounds, sample
+    counts, seeds): an ``int`` or a numpy integer, returned as an ``int``.
+    A ``bool`` or a non-integer raises ``TypeError`` naming ``name``."""
+    # numpy registers its integer types as ``numbers.Integral``, so this
+    # needs no numpy import.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -295,13 +306,12 @@ class SinkMode(Enum):
 class Truncation:
     """A finite window of a lazy game with an absorbing sink at the frontier.
 
-    ``game`` contains every state reachable from ``base.initial`` within
-    ``depth`` steps plus ``sink``; ``frontier`` holds the ids of the states
-    that were replaced by the sink.  ``labels`` maps each label seen during
-    expansion to its member set; the sink is in none of them.
+    ``game`` contains every state reachable from the lazy game's initial
+    state within ``depth`` steps plus ``sink``; ``frontier`` holds the ids of
+    the states that were replaced by the sink.  ``labels`` maps each label
+    seen during expansion to its member set; the sink is in none of them.
     """
 
-    base: LazyGame
     depth: int
     game: Game
     sink: str
@@ -322,9 +332,9 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
     Every edge that leaves the expanded set is redirected to a single
     absorbing sink; parallel redirected edges are merged (weights summed for
     random states) to keep successor lists duplicate-free.  ``depth`` must
-    be an integer: a float raises ``TypeError``.
+    be an integer: a float or a ``bool`` raises ``TypeError``.
     """
-    depth = operator.index(depth)
+    depth = _as_int("depth", depth)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     info: dict[str, StateInfo] = {}
@@ -361,7 +371,6 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
         for lab in st.labels:
             labels.setdefault(lab, set()).add(s)
     return Truncation(
-        base=base,
         depth=depth,
         game=game,
         sink=next(reversed(game.owner)),

@@ -18,13 +18,12 @@ attractor run whose layers are the graph distances to the target.  At step
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
 from .graphs import attractor
-from .model import Game, Owner, SinkMode, check_state, check_targets
+from .model import Game, Owner, SinkMode, _as_int, check_state, check_targets
 
 
 class ObjectiveKind(Enum):
@@ -66,7 +65,8 @@ class Objective:
 
     ``steps`` is the horizon of a bounded-reach objective; position 0 is the
     initial state, so a play starting in the target satisfies a 0-step bound.
-    It must be an integer: a float raises ``TypeError``.
+    It must be an integer, and is stored as an ``int``: a float or a
+    ``bool`` raises ``TypeError``.
     """
 
     kind: ObjectiveKind
@@ -77,8 +77,10 @@ class Objective:
     def __post_init__(self):
         if (self.kind is ObjectiveKind.REACH_WITHIN) != (self.steps is not None):
             raise ValueError("steps is required exactly for bounded reach")
-        if self.steps is not None and operator.index(self.steps) < 0:
-            raise ValueError("steps must be non-negative")
+        if self.steps is not None:
+            object.__setattr__(self, "steps", _as_int("steps", self.steps))
+            if self.steps < 0:
+                raise ValueError("steps must be non-negative")
 
     def bind(self, game: Game) -> "Objective":
         check_targets(game, self.target)

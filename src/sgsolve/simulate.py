@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Game, Owner, check_state
+from .model import Game, Owner, _as_int, check_state
 from .objectives import Objective, ObjectiveKind
 from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
 
@@ -68,6 +68,8 @@ _MASK64 = 2**64 - 1
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The run settings of :func:`sample_plays`, each kept as an ``int``."""
+
     samples: int
     horizon: int
     seed: int
@@ -75,9 +77,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("samples", "horizon", "seed", "buchi_window"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, not {value!r}")
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if not self.horizon >= self.buchi_window >= 1:

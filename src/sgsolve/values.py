@@ -1,22 +1,24 @@
 """Quantitative state values for objectives on finite games.
 
-Exact mode returns rationals from strategy iteration.  Iterative mode runs a
-certified two-sided value iteration: the lower sequence climbs from the
-target indicator, the upper sequence descends from one on the states that can
-reach the target at all (everything else is exactly zero), and end components
-without target states are periodically deflated to their best maximizer exit
-so the upper sequence cannot stall above the value.  The sweeps run on numpy
-arrays over an indexed copy of the game, with both sequences in one flat
-vector (lower half, then upper half) that each sweep updates in place.  Each
-owner's successors are stored as one column per successor position, and a
-sweep folds the gathered columns: ``np.maximum`` and ``np.minimum`` for owned
-states, weighted adds in successor order for random states, so every float
-is the one a plain loop over each successor list gives.  The end-component
-decomposition is recomputed only when the minimizer's lower-optimal edges
-change.  The reported error bound is the final gap.  It is sound in
-supremum norm in real arithmetic; the sweeps round to nearest, so the
-returned floats can miss it by a few ulps.  Sound floats need directed
-rounding, the lower half rounded down and the upper half up.
+Without a tolerance the value solvers return exact rationals from strategy
+iteration.  A tolerance ``tol`` selects iterate mode, a certified two-sided
+value iteration that stops once the bounds are within ``tol``: the lower
+sequence climbs from the target indicator, the upper sequence descends from
+one on the states that can reach the target at all (everything else is
+exactly zero), and end components without target states are periodically
+deflated to their best maximizer exit so the upper sequence cannot stall
+above the value.  The sweeps run on numpy arrays over an indexed copy of
+the game, with both sequences in one flat vector (lower half, then upper
+half) that each sweep updates in place.  Each owner's successors are stored
+as one column per successor position, and a sweep folds the gathered
+columns: ``np.maximum`` and ``np.minimum`` for owned states, weighted adds
+in successor order for random states, so every float is the one a plain
+loop over each successor list gives.  The end-component decomposition is
+recomputed only when the minimizer's lower-optimal edges change.  The
+reported error bound is the final gap.  It is sound in supremum norm in
+real arithmetic; the sweeps round to nearest, so the returned floats can
+miss it by a few ulps.  Sound floats need directed rounding, the lower half
+rounded down and the upper half up.
 Bounded-reach values are exact Bellman steps from the target indicator, each
 recomputing only the predecessors of the states the step before changed, on
 reduced int pairs: no step builds a ``Fraction``, each output value one.
@@ -28,7 +30,6 @@ a pessimistic and an optimistic truncation of the same depth.
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +37,8 @@ from fractions import Fraction
 from . import winning
 from .exact import ConvergenceError, bellman_combine, bellman_pair, can_reach, solve_reach_exact
 from .graphs import maximal_end_components
-from .model import (Game, LazyGame, Owner, SinkMode, _as_fraction, check_state, check_targets,
-                    swap_roles, truncate)
+from .model import (Game, LazyGame, Owner, SinkMode, _as_fraction, _as_int, check_state,
+                    check_targets, swap_roles, truncate)
 from .objectives import ObjectiveKind, bounding_sinks
 
 _DEFLATE_EVERY = 8
@@ -48,13 +49,14 @@ _MAX_SWEEPS = 2_000_000
 class ValueVector:
     """Per-state values in [0, 1].
 
-    ``error_bound`` is ``None`` for exact rational vectors; otherwise it is a
-    supremum-norm bound on the distance to the true value vector, sound in
-    real arithmetic (the floats may miss it by a few ulps).  An iterate
-    vector is one-sided: :func:`value_reach` and :func:`value_buchi` return
-    the lower iterate, which approaches the value from below, and
-    :func:`value_safety` and :func:`value_cobuchi` one minus it, which
-    approaches from above.
+    ``error_bound`` is ``None`` for exact rational vectors, which a solver
+    returns when given no tolerance.  A tolerance selects iterate mode, whose
+    floats carry as ``error_bound`` a supremum-norm bound on the distance to
+    the true value vector, sound in real arithmetic (the floats may miss it
+    by a few ulps).  An iterate vector is one-sided: :func:`value_reach` and
+    :func:`value_buchi` return the lower iterate, which approaches the value
+    from below, and :func:`value_safety` and :func:`value_cobuchi` one minus
+    it, which approaches from above.
     """
 
     values: dict[str, Fraction] | dict[str, float]
@@ -93,25 +95,23 @@ def bellman_step(game: Game, targets, values) -> dict:
     }
 
 
-def value_reach(game: Game, targets, mode: str = "exact", tol=None) -> ValueVector:
+def value_reach(game: Game, targets, tol=None) -> ValueVector:
     """Reach values: the least fixpoint of the Bellman step above the target
-    indicator.  ``mode`` is ``"exact"`` or ``"iterate"`` (lower approximant
-    within ``tol``)."""
+    indicator.  Exact rationals when ``tol`` is ``None``; a tolerance
+    selects iterate mode, the lower approximant within ``tol``, which must
+    be positive."""
     targets = check_targets(game, targets)
-    if mode == "exact":
+    if tol is None:
         return ValueVector(solve_reach_exact(game, targets))
-    if mode == "iterate":
-        if tol is None or tol <= 0:
-            raise ValueError("iterate mode needs a positive tolerance")
-        lower, gap = _iterate_reach(game, targets, float(tol))
-        return ValueVector(lower, error_bound=gap)
-    raise ValueError(f"unknown mode {mode!r}")
+    if tol <= 0:
+        raise ValueError("iterate mode needs a positive tolerance")
+    return _iterate_reach(game, targets, float(tol))
 
 
-def value_safety(game: Game, targets, mode: str = "exact", tol=None) -> ValueVector:
+def value_safety(game: Game, targets, tol=None) -> ValueVector:
     """Safety values: one minus the opponent's reach value after swapping
     the players' roles.  The iterative form converges from above."""
-    return _complement(value_reach(swap_roles(game), targets, mode=mode, tol=tol))
+    return _complement(value_reach(swap_roles(game), targets, tol))
 
 
 def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
@@ -120,9 +120,9 @@ def value_reach_within(game: Game, targets, steps: int) -> ValueVector:
 
     On a game with a random cycle no fixpoint comes: all ``steps`` steps run
     and the numbers widen with each, so a huge ``steps`` does not finish.
-    ``steps`` must be an integer: a float raises ``TypeError``."""
+    ``steps`` must be an integer: a float or a ``bool`` raises ``TypeError``."""
     targets = check_targets(game, targets)
-    steps = operator.index(steps)
+    steps = _as_int("steps", steps)
     if steps < 0:
         raise ValueError("steps must be non-negative")
     for k, v in enumerate(_bounded_reach(game, targets)):
@@ -169,7 +169,7 @@ def _bounded_reach(game: Game, targets: set[str]) -> Iterator[dict[str, tuple[in
     yield v
 
 
-def value_buchi(game: Game, buchi_set, mode: str = "exact", tol=None) -> ValueVector:
+def value_buchi(game: Game, buchi_set, tol=None) -> ValueVector:
     """Buchi values on finite games.
 
     Computed as the reach value of the almost-sure Buchi winning region: on a
@@ -178,18 +178,18 @@ def value_buchi(game: Game, buchi_set, mode: str = "exact", tol=None) -> ValueVe
     enumeration oracle in the test suite; not assumed for countable games.
     """
     region = winning.almost_sure_buchi(game, buchi_set).max_wins
-    return value_reach(game, region, mode=mode, tol=tol)
+    return value_reach(game, region, tol)
 
 
-def value_cobuchi(game: Game, target, mode: str = "exact", tol=None) -> ValueVector:
+def value_cobuchi(game: Game, target, tol=None) -> ValueVector:
     """Co-Buchi values via duality with the role-swapped Buchi game."""
-    return _complement(value_buchi(swap_roles(game), target, mode=mode, tol=tol))
+    return _complement(value_buchi(swap_roles(game), target, tol))
 
 
 def _complement(inner: ValueVector) -> ValueVector:
-    """One minus every value, under the same error bound."""
-    one = Fraction(1) if inner.is_exact else 1.0
-    return ValueVector({s: one - v for s, v in inner.values.items()}, inner.error_bound)
+    """One minus every value, under the same error bound: ``1 - v`` is a
+    ``Fraction`` for an exact value and the float ``1.0 - v`` for an iterate."""
+    return ValueVector({s: 1 - v for s, v in inner.values.items()}, inner.error_bound)
 
 
 SOLVERS = {
@@ -312,7 +312,7 @@ class _FloatCore:
             v[at] = x
 
 
-def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str, float], float]:
+def _iterate_reach(game: Game, targets: set[str], tol: float) -> ValueVector:
     import numpy as np
 
     reachable = can_reach(game, targets)
@@ -330,7 +330,7 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> tuple[dict[str,
             found = _deflate(core, lower, upper, found)
         gap = float((upper - lower).max())
         if gap <= tol:
-            return dict(zip(game.states, lower.tolist())), gap
+            return ValueVector(dict(zip(game.states, lower.tolist())), error_bound=gap)
         if sweep_no % _DEFLATE_EVERY == 0:
             # A deflation period maps ``v`` to a function of ``v`` alone, so
             # a vector equal to the last period's is a fixpoint.  Snapshots

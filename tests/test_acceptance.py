@@ -124,7 +124,7 @@ def test_criterion_4_gamblers_ruin_closed_form():
     for p in (Fraction(3, 5), Fraction(1, 2), Fraction(11, 20)):
         built = gallery.build_gamblers_ruin(p, 30)
         exact = value_reach(built.game, built.targets)
-        approx = value_reach(built.game, built.targets, mode="iterate", tol=1e-10)
+        approx = value_reach(built.game, built.targets, tol=1e-10)
         for w in range(31):
             expected = ruin_probability(p, 30, w)
             assert exact[f"w{w}"] == expected

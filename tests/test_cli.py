@@ -286,6 +286,15 @@ def test_simulate_unknown_start_state_is_an_input_error(fig2_file, capsys):
     assert captured.out == ""
 
 
+def test_simulate_on_a_game_with_no_states_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.game"
+    path.write_text("# empty\n")
+    assert main(["simulate", str(path), "--target", "x", "--samples", "1", "--horizon", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the game has no states to start from\n"
+    assert captured.out == ""
+
+
 def test_decide_unknown_start_state_is_an_input_error(ladder_file, capsys):
     code = main([
         "decide", ladder_file, "--target", "goal", "--threshold", "1/2", "--from", "nosuch",
@@ -356,6 +365,19 @@ def test_bounded_reach_in_iterate_mode_is_an_input_error(ladder_file, capsys, to
     assert main(argv + tol) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: reach<=N values are exact only\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "iterate"], "iterate mode needs a positive tolerance"),
+    (["--mode", "iterate", "--tol", "0"], "iterate mode needs a positive tolerance"),
+    (["--objective", "reachplus", "--mode", "iterate"], "reachplus values are exact only"),
+], ids=["no-tol", "zero-tol", "reachplus"])
+def test_iterate_mode_needs_a_tolerance_and_a_value_objective(ladder_file, capsys, argv,
+                                                              message):
+    assert main(["solve", ladder_file, "--target", "goal"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

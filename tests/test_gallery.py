@@ -82,7 +82,7 @@ def test_gamblers_ruin_matches_closed_form_exactly():
         values = value_reach(built.game, built.targets)
         for w in range(31):
             assert values[f"w{w}"] == ruin_probability(p, 30, w)
-        approx = value_reach(built.game, built.targets, mode="iterate", tol=1e-10)
+        approx = value_reach(built.game, built.targets, tol=1e-10)
         for w in range(31):
             assert abs(approx.values[f"w{w}"] - float(values[f"w{w}"])) <= 1e-9
 

@@ -1,5 +1,6 @@
 """Game construction, validation, and lazy-game truncation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,16 @@ from sgsolve import (
     Game,
     LazyGame,
     Owner,
+    SimConfig,
     SinkMode,
     StateInfo,
     TruncationError,
+    reach,
+    sample_plays,
     swap_roles,
     truncate,
     validate,
+    value_reach_within,
 )
 from sgsolve import gallery
 from sgsolve.model import _as_fraction, check_targets
@@ -229,3 +234,37 @@ def test_truncate_takes_an_integer_depth_only():
     with pytest.raises(TypeError):
         truncate(lazy, 2.5)
     assert truncate(lazy, np.int64(2)).game == truncate(lazy, 2).game
+
+
+_CHAIN = Game.of([("a", "rand", ("t", "a"), (HALF, HALF)), ("t", "max", ("t",))])
+_LAZY = LazyGame("a", lambda s: StateInfo(_CHAIN.owner[s], _CHAIN.succ[s], _CHAIN.prob.get(s)))
+_CONFIG = dict(samples=50, horizon=10, seed=1, buchi_window=1)
+
+
+def _config(name, n):
+    return SimConfig(**{**_CONFIG, name: n})
+
+
+# Every site that reads an integer argument: the argument's name, and what
+# the site keeps of a value ``n`` passed there (its result, where it keeps
+# nothing).
+_INTEGER_SITES = {
+    "truncate": ("depth", lambda n: truncate(_LAZY, n).depth),
+    "value_reach_within": ("steps", lambda n: value_reach_within(_CHAIN, {"t"}, n).values),
+    "Objective": ("steps", lambda n: reach("t", steps=n).steps),
+    "sample_plays": ("seed", lambda n: sample_plays(_CHAIN, "a", reach("t"), _config("seed", n))),
+    **{f"SimConfig.{name}": (name, lambda n, name=name: getattr(_config(name, n), name))
+       for name in _CONFIG},
+}
+
+
+@pytest.mark.parametrize("name, read", _INTEGER_SITES.values(), ids=_INTEGER_SITES)
+def test_every_integer_argument_follows_one_rule(name, read):
+    import numpy as np
+
+    for bad in (2.5, True):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not {re.escape(repr(bad))}$"):
+            read(bad)
+    kept = read(np.int64(7))
+    assert kept == read(7)
+    assert type(kept) is type(read(7))

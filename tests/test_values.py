@@ -77,7 +77,7 @@ def test_value_reach_iterate_agrees_with_exact():
     for seed in range(100):
         g, t = random_game(seed, n=12)
         exact = value_reach(g, t).values
-        approx = value_reach(g, t, mode="iterate", tol=tol)
+        approx = value_reach(g, t, tol=tol)
         assert approx.error_bound is not None and approx.error_bound <= tol
         for s in g.states:
             assert abs(approx.values[s] - float(exact[s])) <= tol
@@ -87,11 +87,16 @@ def test_value_reach_iterate_agrees_with_exact():
 def test_value_reach_iterate_rejects_bad_tolerance():
     g, t = random_game(0)
     with pytest.raises(ValueError):
-        value_reach(g, t, mode="iterate")
-    with pytest.raises(ValueError):
-        value_reach(g, t, mode="iterate", tol=0)
-    with pytest.raises(ValueError):
-        value_reach(g, t, mode="other")
+        value_reach(g, t, tol=0)
+
+
+@pytest.mark.parametrize("solver", [value_reach, value_safety, value_buchi, value_cobuchi])
+def test_a_tolerance_alone_selects_iterate_mode(solver):
+    g, t = random_game(0)
+    with pytest.raises(TypeError):
+        solver(g, t, mode="exact")
+    assert solver(g, t).is_exact
+    assert not solver(g, t, tol=1e-6).is_exact
 
 
 def test_safety_duality_is_exact_on_random_games():
@@ -111,7 +116,7 @@ def test_safety_of_absorbing_non_target_state():
 def test_safety_iterate_converges_from_above():
     g, t = random_game(11, n=10)
     exact = value_safety(g, t).values
-    approx = value_safety(g, t, mode="iterate", tol=1e-7)
+    approx = value_safety(g, t, tol=1e-7)
     for s in g.states:
         assert approx.values[s] >= float(exact[s]) - 1e-12
         assert abs(approx.values[s] - float(exact[s])) <= 1e-7
@@ -122,7 +127,7 @@ def test_gamblers_ruin_safety_matches_closed_form():
     ruin = ruin_probability(Fraction(3, 5), 30, 1)
     exact = value_safety(built.game, built.targets)
     assert exact["w1"] == 1 - ruin
-    approx = value_safety(built.game, built.targets, mode="iterate", tol=1e-10)
+    approx = value_safety(built.game, built.targets, tol=1e-10)
     assert abs(approx.values["w1"] - float(1 - ruin)) <= 1e-9
 
 
@@ -234,10 +239,10 @@ def test_iterate_mode_is_bit_identical_to_the_dict_reference():
             uneven[owner] += len({len(game.succ[s]) for s in live if game.owner[s] is owner}) > 1
         owner_sets.add(frozenset(game.owner[s] for s in live))
         lower, gap = _reference_iterate(game, set(targets), tol)
-        reach = value_reach(game, targets, mode="iterate", tol=tol)
+        reach = value_reach(game, targets, tol=tol)
         assert reach.values == lower and reach.error_bound == gap
         lower, gap = _reference_iterate(swap_roles(game), set(targets), tol)
-        safety = value_safety(game, targets, mode="iterate", tol=tol)
+        safety = value_safety(game, targets, tol=tol)
         assert safety.values == {s: 1.0 - v for s, v in lower.items()}
         assert safety.error_bound == gap
     assert wide >= 5
@@ -262,7 +267,7 @@ def test_iterate_sweeps_both_bounds_in_one_call(monkeypatch):
 
     monkeypatch.setattr(values._FloatCore, "sweep", counted)
     built = gallery.build_gamblers_ruin(Fraction(3, 5), 100)
-    value_reach(built.game, built.targets, mode="iterate", tol=1e-9)
+    value_reach(built.game, built.targets, tol=1e-9)
     assert calls == 1603
 
 
@@ -275,7 +280,7 @@ def test_iterate_finds_end_components_once_when_minimizer_edges_stay(monkeypatch
 
     monkeypatch.setattr(values, "maximal_end_components", counted)
     built = gallery.build_gamblers_ruin(Fraction(3, 5), 100)
-    value_reach(built.game, built.targets, mode="iterate", tol=1e-9)
+    value_reach(built.game, built.targets, tol=1e-9)
     assert len(calls) == 1
 
 
@@ -283,7 +288,7 @@ def test_iterate_sweep_cap_raises_a_named_error(monkeypatch):
     built = gallery.build_gamblers_ruin(Fraction(3, 5), 5)
     monkeypatch.setattr(values, "_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError):
-        value_reach(built.game, built.targets, mode="iterate", tol=1e-9)
+        value_reach(built.game, built.targets, tol=1e-9)
 
 
 def test_epsilon_horizon_is_the_first_bellman_step_above_the_goal():

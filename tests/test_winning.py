@@ -356,4 +356,4 @@ def test_buchi_partition_needs_no_exact_solve(monkeypatch):
     assert "i" in almost_sure_buchi(fig2.game, fig2.buchi).min_wins
     g, t = random_game(3, n=12)
     almost_sure_buchi(g, t)
-    value_buchi(g, t, mode="iterate", tol=Fraction(1, 10**6))
+    value_buchi(g, t, tol=Fraction(1, 10**6))
