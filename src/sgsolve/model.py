@@ -43,8 +43,9 @@ _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 def _as_fraction(w) -> Fraction:
     """The one reader of exact rationals: a ``Fraction``, an ``int``, or text
     ``p`` or ``p/q`` in ASCII digits with ``q >= 1``.  Malformed text raises
-    ``ValueError``; anything else (a float, say) raises ``TypeError``."""
-    if isinstance(w, (Fraction, int)):
+    ``ValueError``; anything else (a float or a ``bool``, say) raises
+    ``TypeError``."""
+    if isinstance(w, (Fraction, int)) and not isinstance(w, bool):
         return Fraction(w)
     if isinstance(w, str):
         match = _RATIONAL.fullmatch(w)

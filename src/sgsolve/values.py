@@ -1,22 +1,27 @@
 """Quantitative state values for objectives on finite games.
 
 Without a tolerance the value solvers return exact rationals from strategy
-iteration.  A tolerance ``tol`` selects iterate mode, a certified two-sided
-value iteration that stops once the bounds are within ``tol``: the lower
-sequence climbs from the target indicator, the upper sequence descends from
-one on the states that can reach the target at all (everything else is
-exactly zero), and end components without target states are periodically
-deflated to their best maximizer exit so the upper sequence cannot stall
-above the value.  The sweeps run on numpy arrays over an indexed copy of
-the game, with both sequences in one flat vector (lower half, then upper
-half) that each sweep updates in place.  Each owner's successors are stored
-as one column per successor position, and a sweep folds the gathered
-columns: ``np.maximum`` and ``np.minimum`` for owned states, weighted adds
-in successor order for random states, so every float is the one a plain
-loop over each successor list gives.  The end-component decomposition is
-recomputed only when the minimizer's lower-optimal edges change.  The
-reported error bound is the final gap.  It is sound in supremum norm in
-real arithmetic; the sweeps round to nearest, so the returned floats can
+iteration.  A tolerance ``tol``, a real number (text or a ``bool`` raises
+``TypeError``), selects iterate mode, a certified two-sided value iteration
+that stops once the bounds are within ``tol``: the lower sequence climbs
+from the target indicator, the upper sequence descends from one on the
+states that can reach the target at all (everything else is exactly zero),
+and end components without target states are periodically deflated to
+their best maximizer exit so the upper sequence cannot stall above the
+value.  The sweeps run on numpy arrays over an indexed copy of the game,
+with both sequences in one flat vector (lower half, then upper half).  The
+iteration runs one deflation period at a time: eight sweeps into the rows
+of a buffer, each reading the row before, then a deflation of the last row
+and one stop test over all eight rows' gaps, which returns the first row
+within ``tol`` (the sweeps after it are thrown away).  Each owner's
+successors are stored as one column per successor position, and a sweep
+folds the gathered columns: ``np.maximum`` and ``np.minimum`` for owned
+states, weighted adds in successor order for random states, so every float
+is the one a plain loop over each successor list gives.  The end-component
+decomposition is recomputed only when the minimizer's lower-optimal edges
+change, and deflation is no longer called once it cannot change anything.
+The reported error bound is the final gap.  It is sound in supremum norm
+in real arithmetic; the sweeps round to nearest, so the returned floats can
 miss it by a few ulps.  Sound floats need directed rounding, the lower half
 rounded down and the upper half up.
 Bounded-reach values are exact Bellman steps from the target indicator, each
@@ -30,6 +35,7 @@ a pessimistic and an optimistic truncation of the same depth.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,10 +105,15 @@ def value_reach(game: Game, targets, tol=None) -> ValueVector:
     """Reach values: the least fixpoint of the Bellman step above the target
     indicator.  Exact rationals when ``tol`` is ``None``; a tolerance
     selects iterate mode, the lower approximant within ``tol``, which must
-    be positive."""
+    be positive.  A tolerance is a real number (an ``int``, a ``float``, a
+    ``Fraction`` or a numpy number); text or a ``bool`` raises
+    ``TypeError``."""
     targets = check_targets(game, targets)
     if tol is None:
         return ValueVector(solve_reach_exact(game, targets))
+    # numpy registers its integer and float types as ``numbers.Real``.
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise TypeError(f"tol must be a real number, not {tol!r}")
     if tol <= 0:
         raise ValueError("iterate mode needs a positive tolerance")
     return _iterate_reach(game, targets, float(tol))
@@ -278,7 +289,10 @@ class _FloatCore:
                       if live[o]]
         rand = live[Owner.RANDOM]
         self.rand_at, rand_cols = both(rand)
-        weights = columns([[float(w) for w in game.prob[s]] for s in rand], lambda row: [0.0], float)
+        # ``numerator / denominator`` is the double ``float(w)`` gives, without
+        # the detour through ``numbers.Rational.__float__``.
+        weights = columns([[w.numerator / w.denominator for w in game.prob[s]] for s in rand],
+                          lambda row: [0.0], float)
         weights = np.concatenate((weights, weights), axis=1)
         self.rand_terms = list(zip(weights, rand_cols)) if rand else []
         # Every reachable minimizer state, targets included: its lower-optimal
@@ -286,16 +300,16 @@ class _FloatCore:
         self.guarded = [s for s in game.states if game.owner[s] is Owner.MIN and s in reachable]
         self.guards = successors(self.guarded)
 
-    def sweep(self, v) -> None:
-        """One Bellman sweep of both bounds, in place.  Every new entry is
-        computed from the old ``v`` before any is written (a Jacobi sweep);
-        targets and states that cannot reach one keep their entries."""
-        new = []
+    def sweep(self, v, out) -> None:
+        """One Bellman sweep of both bounds from ``v`` into ``out``, a
+        separate vector (a Jacobi sweep).  Only the live entries of ``out``
+        are written: targets and states that cannot reach one keep theirs,
+        which never change, so ``out`` must already hold them."""
         for fold, at, (first, *rest) in self.folds:
             acc = v[first]
             for cols in rest:
                 fold(acc, v[cols], out=acc)
-            new.append((at, acc))
+            out[at] = acc
         if self.rand_terms:
             # Added column by column in successor order, the order of a
             # Python ``sum`` over the successor list, so every float is the
@@ -307,39 +321,60 @@ class _FloatCore:
             acc = w * v[cols]
             for w, cols in rest:
                 acc += w * v[cols]
-            new.append((self.rand_at, acc))
-        for at, x in new:
-            v[at] = x
+            out[self.rand_at] = acc
 
 
 def _iterate_reach(game: Game, targets: set[str], tol: float) -> ValueVector:
+    """Interval iteration, one deflation period at a time.
+
+    A period runs ``_DEFLATE_EVERY`` sweeps into the rows of a buffer, row
+    ``j`` holding the vector after the period's sweep ``j + 1``; each sweep
+    reads the row before it (row 0 reads the last row, which holds the
+    previous period's result).  The last row is deflated, and then all
+    rows' gaps are taken at once: the first row within ``tol`` is returned,
+    the vector and bound that a stop test after every sweep returns.  The
+    sweeps after it in its period are thrown away.  Once the minimizer's
+    edges cannot change the end components (no reachable minimizer state)
+    and no component is capped, deflation is not called again.
+    """
     import numpy as np
 
     reachable = can_reach(game, targets)
     core = _FloatCore(game, targets, reachable)
     n = len(game.states)
-    v = np.zeros(2 * n)
-    lower, upper = v[:n], v[n:]
-    lower[[core.index[s] for s in targets]] = 1.0
-    upper[[core.index[s] for s in reachable]] = 1.0
+    rows = np.zeros((_DEFLATE_EVERY, 2 * n))
+    # Every row starts as the initial vector: the sweeps never write the
+    # entries of targets and dead states.
+    rows[:, [core.index[s] for s in targets]] = 1.0
+    rows[:, [n + core.index[s] for s in reachable]] = 1.0
+    lowers, uppers = rows[:, :n], rows[:, n:]
+    last_row = rows[-1]
+    lower, upper = lowers[-1], uppers[-1]
+    sweeps = [(rows[j - 1], rows[j]) for j in range(_DEFLATE_EVERY)]
     found = last = None
+    deflating = True
     last_gap = float("inf")
-    for sweep_no in range(1, _MAX_SWEEPS + 1):
-        core.sweep(v)
-        if sweep_no % _DEFLATE_EVERY == 0:
+    for done in range(0, _MAX_SWEEPS, _DEFLATE_EVERY):
+        for v, out in sweeps:
+            core.sweep(v, out)
+        if deflating:
             found = _deflate(core, lower, upper, found)
-        gap = float((upper - lower).max())
-        if gap <= tol:
-            return ValueVector(dict(zip(game.states, lower.tolist())), error_bound=gap)
-        if sweep_no % _DEFLATE_EVERY == 0:
-            # A deflation period maps ``v`` to a function of ``v`` alone, so
-            # a vector equal to the last period's is a fixpoint.  Snapshots
-            # are taken only once the gap stops shrinking.
-            if last is not None and np.array_equal(v, last):
-                raise ConvergenceError(f"interval iteration cannot reach tolerance {tol:g}: "
-                                       f"the bounds stopped moving at gap {gap:g}")
-            last = v.copy() if gap >= last_gap else None
-            last_gap = gap
+            deflating = bool(core.guarded or found[1])
+        # Eight floats: a Python loop over them beats numpy's search.
+        gaps = (uppers - lowers).max(axis=1).tolist()
+        # Past the sweep cap a row does not count.
+        for j, gap in enumerate(gaps[:_MAX_SWEEPS - done]):
+            if gap <= tol:
+                return ValueVector(dict(zip(game.states, lowers[j].tolist())), error_bound=gap)
+        # A deflation period maps ``v`` to a function of ``v`` alone, so a
+        # vector equal to the last period's is a fixpoint.  Snapshots are
+        # taken only once the gap stops shrinking.
+        gap = gaps[-1]
+        if last is not None and np.array_equal(last_row, last):
+            raise ConvergenceError(f"interval iteration cannot reach tolerance {tol:g}: "
+                                   f"the bounds stopped moving at gap {gap:g}")
+        last = last_row.copy() if gap >= last_gap else None
+        last_gap = gap
     raise ConvergenceError("interval iteration did not converge")
 
 
@@ -353,7 +388,7 @@ def _deflate(core: _FloatCore, lower, upper, found):
     optimal for the current lower bound so the components found shrink onto
     the ones the minimizer would actually defend.
 
-    ``lower`` and ``upper`` are the two halves of the iteration vector, as
+    ``lower`` and ``upper`` are the two halves of a period's last row, as
     views; ``upper`` is capped in place.  ``found`` is what the previous
     call returned (``None`` on the first): the narrowed edges as a key, and
     the members and maximizer exits of each target-free component.  The

@@ -628,7 +628,7 @@ def test_an_unreachable_tolerance_exits_1_once_the_bounds_stop_moving(tmp_path, 
     sweeps = []
     sweep = sgsolve.values._FloatCore.sweep
     monkeypatch.setattr(sgsolve.values._FloatCore, "sweep",
-                        lambda core, v: sweeps.append(1) or sweep(core, v))
+                        lambda core, v, out: sweeps.append(1) or sweep(core, v, out))
     argv = ["solve", str(path), "--mode", "iterate", "--tol", "1/100000000000000000000"]
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -16,6 +16,7 @@ from sgsolve import (
     reach,
     sample_plays,
     swap_roles,
+    threshold_decide,
     truncate,
     validate,
     value_reach_within,
@@ -212,6 +213,20 @@ def test_rational_reader_rejects_anything_else(text):
 def test_rational_reader_takes_no_floats():
     with pytest.raises(TypeError):
         _as_fraction(0.5)
+
+
+def test_rational_reader_takes_no_bools():
+    # ``bool`` subclasses ``int``; the reader refuses it as ``_as_int`` does.
+    for flag in (True, False):
+        with pytest.raises(TypeError, match=f"^not an exact rational weight: {flag}$"):
+            _as_fraction(flag)
+    assert _as_fraction(1) == 1 and _as_fraction(0) == 0
+    with pytest.raises(TypeError):
+        Game.of([("a", "rand", ("t",), (True,)), ("t", "max", ("t",))])
+    game = Game.of([("a", "rand", ("t",), (1,)), ("t", "max", ("t",))])
+    with pytest.raises(TypeError):
+        threshold_decide(game, {"t"}, True, False, "a")
+    assert threshold_decide(game, {"t"}, 1, False, "a") is not None
 
 
 def test_target_check_names_the_stray_states():

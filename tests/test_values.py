@@ -1,6 +1,7 @@
 """Quantitative valuation: exact solves, iteration, horizons, intervals."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,21 @@ def test_value_reach_iterate_rejects_bad_tolerance():
 
 
 @pytest.mark.parametrize("solver", [value_reach, value_safety, value_buchi, value_cobuchi])
+def test_a_tolerance_is_a_real_number(solver):
+    import numpy as np
+
+    g, t = random_game(0)
+    for bad in ("1/10", True, False, np.True_):
+        with pytest.raises(TypeError, match=f"^tol must be a real number, not {re.escape(repr(bad))}$"):
+            solver(g, t, tol=bad)
+    half = solver(g, t, tol=0.5).values
+    for good in (Fraction(1, 2), np.float64(0.5), np.float32(0.5)):
+        assert solver(g, t, tol=good).values == half
+    for good in (1, np.int64(1)):
+        assert not solver(g, t, tol=good).is_exact
+
+
+@pytest.mark.parametrize("solver", [value_reach, value_safety, value_buchi, value_cobuchi])
 def test_a_tolerance_alone_selects_iterate_mode(solver):
     g, t = random_game(0)
     with pytest.raises(TypeError):
@@ -133,9 +149,10 @@ def test_gamblers_ruin_safety_matches_closed_form():
 
 def _reference_iterate(game, targets, tol):
     """Interval iteration over dicts of state names, deflating every 8 sweeps
-    with a fresh end-component decomposition: what iterate mode computes,
-    written as plainly as possible.  Random states add their terms left to
-    right in an explicit loop."""
+    with a fresh end-component decomposition and testing the gap after every
+    sweep: what iterate mode computes, written as plainly as possible.
+    Random states add their terms left to right in an explicit loop.
+    Returns the lower bound, the gap and the number of the stop sweep."""
     reachable = can_reach(game, targets)
 
     def sweep(v):
@@ -183,7 +200,7 @@ def _reference_iterate(game, targets, tol):
             deflate(lower, upper)
         gap = max(upper[s] - lower[s] for s in game.states)
         if gap <= tol:
-            return lower, gap
+            return lower, gap, sweep_no
 
 
 def _identity_inputs():
@@ -232,19 +249,25 @@ def test_iterate_mode_is_bit_identical_to_the_dict_reference():
     wide = 0
     uneven = {Owner.MAX: 0, Owner.MIN: 0}
     owner_sets = set()
+    stops = set()
     for game, targets, tol in _identity_inputs():
         live = can_reach(game, targets) - set(targets)
         wide += any(len(game.succ[s]) >= 8 and game.owner[s] is Owner.RANDOM for s in live)
         for owner in uneven:
             uneven[owner] += len({len(game.succ[s]) for s in live if game.owner[s] is owner}) > 1
         owner_sets.add(frozenset(game.owner[s] for s in live))
-        lower, gap = _reference_iterate(game, set(targets), tol)
+        lower, gap, stop = _reference_iterate(game, set(targets), tol)
         reach = value_reach(game, targets, tol=tol)
         assert reach.values == lower and reach.error_bound == gap
-        lower, gap = _reference_iterate(swap_roles(game), set(targets), tol)
+        stops.add(stop % 8)
+        lower, gap, stop = _reference_iterate(swap_roles(game), set(targets), tol)
         safety = value_safety(game, targets, tol=tol)
         assert safety.values == {s: 1.0 - v for s, v in lower.items()}
         assert safety.error_bound == gap
+        stops.add(stop % 8)
+    # Iterate mode tests the gaps of a whole deflation period at once: the
+    # inputs stop at every position in a period, its deflated end included.
+    assert stops == set(range(8))
     assert wide >= 5
     # Owned rows of unequal widths in one group: the sweep folds columns
     # padded with each row's first successor.
@@ -256,19 +279,42 @@ def test_iterate_mode_is_bit_identical_to_the_dict_reference():
 
 
 def test_iterate_sweeps_both_bounds_in_one_call(monkeypatch):
-    # One call per sweep: the lower and upper bound share a vector.
-    calls = 0
+    # One call per sweep: the lower and upper bound share a vector.  The
+    # bounds are within 1e-9 after sweep 1603; the rest of its deflation
+    # period runs too, and what comes back is still that sweep's vector.
+    lowers = []
     sweep = values._FloatCore.sweep
 
-    def counted(core, v):
-        nonlocal calls
-        calls += 1
-        return sweep(core, v)
+    def counted(core, v, out):
+        sweep(core, v, out)
+        lowers.append(out[:len(core.index)].tolist())
 
     monkeypatch.setattr(values._FloatCore, "sweep", counted)
     built = gallery.build_gamblers_ruin(Fraction(3, 5), 100)
+    reach = value_reach(built.game, built.targets, tol=1e-9)
+    assert len(lowers) == 1608
+    assert list(reach.values.values()) == lowers[1602]
+    assert list(reach.values.values()) != lowers[1601]
+
+
+def test_iterate_stops_deflating_once_deflation_cannot_change_anything(monkeypatch):
+    # On ruin only random states are live: no minimizer edge can move the
+    # end components, and none is target-free, so one call shows that every
+    # later one would change nothing.
+    calls = 0
+    deflate = values._deflate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return deflate(*args)
+
+    monkeypatch.setattr(values, "_deflate", counted)
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 100)
     value_reach(built.game, built.targets, tol=1e-9)
-    assert calls == 1603
+    assert calls == 1
+    value_safety(built.game, built.targets, tol=1e-9)
+    assert calls == 2
 
 
 def test_iterate_finds_end_components_once_when_minimizer_edges_stay(monkeypatch):
