@@ -13,6 +13,18 @@ are integers too: each known term is an int pair, not a ``Fraction``
 product.  Optimal values come from strategy iteration over maximizer
 policies, each evaluated by an exact minimizer best response.
 
+An acyclic game needs none of that.  The targets (value one) and the states
+with no path to them (value zero) are settled first, and then every state
+all of whose successors are settled: the game form of topological solving
+(Azeem et al., ATVA 2022).  When that settles every state, no cycle is left
+outside those values, the Bellman equations have one solution, and one exact
+Bellman step per state, in the order the states settled, computes it on
+reduced int pairs, one ``Fraction`` per state.  Windows of the Figure 2 game
+are of this kind.  The game value is unique, so these are the numbers
+strategy iteration would reach, and no value, strategy, partition or
+verdict built from them depends on which path ran.  The float guess,
+strategy iteration and the chain solves below run only when a cycle remains.
+
 The minimizer best response needs one guard: inside the region where the
 minimizer can avoid the target outright (the complement of the positive
 attractor) its policy is pinned to stay there, because one-step improvement
@@ -293,7 +305,8 @@ def _float_guess(game: Game, targets: set[str]) -> dict[str, str]:
             continue
         succ = [index[t] for t in game.succ[s]]
         if game.owner[s] is Owner.RANDOM:
-            rows.append((index[s], None, list(zip(succ, map(float, game.prob[s])))))
+            rows.append((index[s], None,
+                         [(j, w.numerator / w.denominator) for j, w in zip(succ, game.prob[s])]))
         else:
             rows.append((index[s], max if game.owner[s] is Owner.MAX else min, succ))
             picked.append(s)
@@ -321,16 +334,34 @@ def _float_guess(game: Game, targets: set[str]) -> dict[str, str]:
 def solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
     """Exact reach values, by state.
 
-    Maximizer strategy iteration with exact best-response evaluations: switch
-    to a strictly better successor under the current evaluation, re-evaluate,
-    stop when no switch is left.  The evaluation sequence is strictly
-    increasing, so the loop terminates, and a switch-free policy realizes a
-    Bellman fixpoint that is squeezed onto the game value.  Both players
-    start from the moves of :func:`_float_guess`, and each later best
-    response from the previous round's chain.
+    The targets (value 1) and the states with no path to them (value 0) are
+    settled first; a state is settled once all its successors are.  When
+    that settles every state, the game has no cycle outside those states,
+    its Bellman fixpoint is unique, and one exact Bellman step per state, in
+    the order the states settled, gives the values on reduced int pairs,
+    with no float guess, best response or chain solve.
+
+    Otherwise, maximizer strategy iteration with exact best-response
+    evaluations: switch to a strictly better successor under the current
+    evaluation, re-evaluate, stop when no switch is left.  The evaluation
+    sequence is strictly increasing, so the loop terminates, and a
+    switch-free policy realizes a Bellman fixpoint that is squeezed onto the
+    game value.  Both players start from the moves of :func:`_float_guess`,
+    and each later best response from the previous round's chain.
+
+    Either path returns the game value, which is unique, keyed in
+    declaration order, so the output does not depend on the path taken.
     """
     targets = check_targets(game, targets)
-    return _strategy_iteration(game, targets, _float_guess(game, targets))
+    base = targets | (game.owner.keys() - can_reach(game, targets))
+    # Entry order: base states first, then each state after all its successors.
+    order: dict[str, int] = {}
+    if len(attractor(game, base, (), layer=order)) < len(game.states):
+        return _strategy_iteration(game, targets, _float_guess(game, targets))
+    pairs: dict[str, tuple[int, int]] = {}
+    for s in order:
+        pairs[s] = (int(s in targets), 1) if s in base else bellman_pair(game, pairs, s)
+    return {s: Fraction(*pairs[s]) for s in game.states}
 
 
 def _strategy_iteration(game: Game, targets: set[str],

@@ -1,7 +1,7 @@
 """Quantitative state values for objectives on finite games.
 
-Without a tolerance the value solvers return exact rationals from strategy
-iteration.  A tolerance ``tol``, a real number (text or a ``bool`` raises
+Without a tolerance the value solvers return exact rationals from the exact
+solver.  A tolerance ``tol``, a real number (text or a ``bool`` raises
 ``TypeError``), selects iterate mode, a certified two-sided value iteration
 that stops once the bounds are within ``tol``: the lower sequence climbs
 from the target indicator, the upper sequence descends from one on the
@@ -105,8 +105,8 @@ def value_reach(game: Game, targets, tol=None) -> ValueVector:
     """Reach values: the least fixpoint of the Bellman step above the target
     indicator.  Exact rationals when ``tol`` is ``None``; a tolerance
     selects iterate mode, the lower approximant within ``tol``, which must
-    be positive.  A tolerance is a real number (an ``int``, a ``float``, a
-    ``Fraction`` or a numpy number); text or a ``bool`` raises
+    be positive (NaN is not).  A tolerance is a real number (an ``int``, a
+    ``float``, a ``Fraction`` or a numpy number); text or a ``bool`` raises
     ``TypeError``."""
     targets = check_targets(game, targets)
     if tol is None:
@@ -114,7 +114,8 @@ def value_reach(game: Game, targets, tol=None) -> ValueVector:
     # numpy registers its integer and float types as ``numbers.Real``.
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise TypeError(f"tol must be a real number, not {tol!r}")
-    if tol <= 0:
+    # Written so that NaN, which compares false with everything, is refused too.
+    if not tol > 0:
         raise ValueError("iterate mode needs a positive tolerance")
     return _iterate_reach(game, targets, float(tol))
 

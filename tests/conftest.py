@@ -1,7 +1,8 @@
-"""Shared test helpers: a seeded random-game generator, independent
-closed-form oracles, a one-play-at-a-time reference sampler and a peel that
-rebuilds its confined set every round (kept free of the solver machinery
-they referee)."""
+"""Shared test helpers: seeded random and acyclic game generators,
+independent closed-form oracles, a one-play-at-a-time reference sampler, a
+peel that rebuilds its confined set every round (kept free of the solver
+machinery they referee) and strategy iteration from the float guess on every
+game, which referees the exact solver's backward induction."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from sgsolve import Estimate, Game, Owner
+from sgsolve import Estimate, Game, Owner, exact
 from sgsolve.graphs import attractor
 from sgsolve.objectives import ObjectiveKind
 from sgsolve.simulate import _as_transducer
@@ -37,6 +38,47 @@ def random_game(seed: int, n: int = 8, max_branch: int = 3, owned_branch: int = 
             rows.append((s, owner, succs))
     targets = frozenset(rng.sample(ids, rng.randint(1, max_targets)))
     return Game.of(rows), targets
+
+
+def acyclic_game(seed: int, n: int = 8, max_branch: int = 3, owned_branch: int = 2,
+                 max_targets: int = 2) -> tuple[Game, frozenset[str]]:
+    """A seeded game whose live states ``s0 .. s{n-1}`` move only to states
+    declared after them: later live states, absorbing targets ``t*``, and
+    three states of value zero, the absorbing ``z0`` and the random
+    two-cycle ``z1``, ``z2``.  Some games also make one live state a target.
+    Every live state is settled once all later ones are, so
+    :func:`sgsolve.exact.solve_reach_exact` solves these by backward
+    induction (:func:`random_game` rarely gives an acyclic game).
+    """
+    rng = random.Random(seed)
+    live = [f"s{i}" for i in range(n)]
+    goals = [f"t{i}" for i in range(rng.randint(1, max_targets))]
+    zeros = ["z0", "z1", "z2"]
+    rows = []
+    for i, s in enumerate(live):
+        owner = rng.choice(("max", "min", "rand"))
+        width = max_branch if owner == "rand" else owned_branch
+        later = live[i + 1:] + goals + zeros
+        succs = rng.sample(later, rng.randint(1, min(width, len(later))))
+        if owner == "rand":
+            raw = [rng.randint(1, 4) for _ in succs]
+            total = sum(raw)
+            rows.append((s, owner, succs, [Fraction(x, total) for x in raw]))
+        else:
+            rows.append((s, owner, succs))
+    rows += [(t, "max", (t,)) for t in goals]
+    rows += [("z0", "min", ("z0",)), ("z1", "rand", ("z2",), (1,)), ("z2", "rand", ("z1",), (1,))]
+    targets = set(goals)
+    if rng.random() < 0.3:
+        targets.add(rng.choice(live))
+    return Game.of(rows), frozenset(targets)
+
+
+def reference_solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
+    """Exact reach values by strategy iteration from the float guess on every
+    game, acyclic or not: the path the solver keeps for games with a cycle."""
+    targets = set(targets)
+    return exact._strategy_iteration(game, targets, exact._float_guess(game, targets))
 
 
 def ruin_probability(p: Fraction, cap: int, wealth: int) -> Fraction:

@@ -7,9 +7,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import random_game, ruin_probability
+from conftest import acyclic_game, random_game, reference_solve_reach_exact, ruin_probability
 
-from sgsolve import Game, Owner, gallery, swap_roles
+from sgsolve import Game, Owner, SinkMode, gallery, swap_roles, value_reach, value_safety
 from sgsolve import exact
 from sgsolve.exact import (ConvergenceError, can_reach, chain_reach_values, gauss_solve,
                            min_best_response, solve_reach_exact)
@@ -225,10 +225,13 @@ def _two_round_game(owner: str, moves) -> Game:
     so that each float sweep moves the goal's value one step back along it.
     The coin's 1/2 shows after one sweep, the path's 1 only after ten: the
     guess stops on the worse move for the owner of ``a``, so the iteration
-    needs a second round."""
-    path = [(f"p{i}", "rand", (f"p{i + 1}",), (1,)) for i in range(9)]
+    needs a second round.  The path's first step stays put with probability
+    1/2: that cycle keeps the game off the backward-induction path, which
+    solves acyclic games without strategy iteration."""
+    path = [(f"p{i}", "rand", (f"p{i + 1}",), (1,)) for i in range(1, 9)]
     return Game.of([
         ("a", owner, moves),
+        ("p0", "rand", ("p1", "p0"), (Fraction(1, 2), Fraction(1, 2))),
         *path,
         ("p9", "rand", ("goal",), (1,)),
         ("coin", "rand", ("goal", "dead"), (Fraction(1, 2), Fraction(1, 2))),
@@ -302,3 +305,59 @@ def test_values_do_not_depend_on_where_strategy_iteration_starts():
     assert count >= 900
     # The guess moves off the first successors on most of them.
     assert guessed > count / 2
+
+
+def _fig2_windows():
+    """fig2 windows at depths 1 to 64 and fig2u windows at depths 4 to 64
+    (the least with ``u``'s successors), in both sink modes."""
+    for mode in SinkMode:
+        for depth in range(1, 65):
+            yield gallery.build_fig2(depth, mode)
+            if depth >= 4:
+                yield gallery.build_fig2_with_u(depth, mode)
+
+
+def _referee_cases():
+    """600 seeded acyclic and 600 seeded random games, the fig2 and fig2u
+    windows, ruin and ladder with their target and Büchi sets, each also
+    role-swapped."""
+    cases = [acyclic_game(seed, n=1 + seed % 20, owned_branch=2 + seed % 3, max_targets=3)
+             for seed in range(600)]
+    cases += [random_game(seed, n=3 + seed % 24, owned_branch=2 + seed % 3, max_targets=3)
+              for seed in range(600)]
+    built = [*_fig2_windows()]
+    built += [gallery.build_gamblers_ruin(p, cap)
+              for p in (Fraction(1, 2), Fraction(3, 5), Fraction(1, 3)) for cap in (3, 17, 50)]
+    built += [gallery.build_ladder(k) for k in (1, 2, 5, 12)]
+    cases += [(b.game, targets) for b in built for targets in (b.targets, b.buchi) if targets]
+    for game, targets in cases:
+        yield game, targets
+        yield swap_roles(game), targets
+
+
+def test_backward_induction_equals_strategy_iteration_from_the_float_guess():
+    count = 0
+    for game, targets in _referee_cases():
+        values = solve_reach_exact(game, targets)
+        reference = reference_solve_reach_exact(game, targets)
+        assert values == reference
+        assert list(values) == list(reference) == list(game.states)
+        count += 1
+    assert count >= 3400
+
+
+def test_fig2_windows_solve_without_strategy_iteration(monkeypatch):
+    windows = [*_fig2_windows()]
+    expected = [(reference_solve_reach_exact(b.game, b.targets),
+                 {s: 1 - v for s, v in reference_solve_reach_exact(swap_roles(b.game),
+                                                                   b.targets).items()})
+                for b in windows]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an acyclic game reached strategy iteration")
+
+    for name in ("_strategy_iteration", "_float_guess", "chain_reach_values"):
+        monkeypatch.setattr(exact, name, refuse)
+    for b, (reach_values, safety_values) in zip(windows, expected):
+        assert value_reach(b.game, b.targets).values == reach_values
+        assert value_safety(b.game, b.targets).values == safety_values

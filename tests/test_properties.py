@@ -8,7 +8,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import reference_almost_sure_reach, reference_buchi_peel, reference_plays
+from conftest import (acyclic_game, reference_almost_sure_reach, reference_buchi_peel,
+                      reference_plays, reference_solve_reach_exact)
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
@@ -61,6 +62,18 @@ def test_exact_reach_values_equal_the_enumeration_oracle(case):
     values = solve_reach_exact(game, targets)
     # Steer the search towards games with values strictly inside (0, 1).
     target(float(sum(0 < v < 1 for v in values.values())))
+    assert values == md_enumeration_oracle(game, reach(*targets)).values
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 8), st.integers(1, 2))
+def test_backward_induction_equals_the_oracle_and_strategy_iteration(seed, n, owned_width):
+    # Eight live states of two choices each make at most 256 MD pairs.
+    game, targets = acyclic_game(seed, n=n, owned_branch=owned_width, max_targets=2)
+    values = solve_reach_exact(game, targets)
+    # Steer the search towards games with values strictly inside (0, 1).
+    target(float(sum(0 < v < 1 for v in values.values())))
+    assert values == reference_solve_reach_exact(game, targets)
     assert values == md_enumeration_oracle(game, reach(*targets)).values
 
 

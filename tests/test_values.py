@@ -107,6 +107,20 @@ def test_a_tolerance_is_a_real_number(solver):
 
 
 @pytest.mark.parametrize("solver", [value_reach, value_safety, value_buchi, value_cobuchi])
+def test_a_nan_tolerance_is_refused_before_any_sweep(solver, monkeypatch):
+    import numpy as np
+
+    def refuse(*args):
+        raise AssertionError("a NaN tolerance reached interval iteration")
+
+    monkeypatch.setattr(values, "_iterate_reach", refuse)
+    built = gallery.build_gamblers_ruin(Fraction(1, 2), 5)
+    for bad in (float("nan"), np.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="^iterate mode needs a positive tolerance$"):
+            solver(built.game, built.targets, tol=bad)
+
+
+@pytest.mark.parametrize("solver", [value_reach, value_safety, value_buchi, value_cobuchi])
 def test_a_tolerance_alone_selects_iterate_mode(solver):
     g, t = random_game(0)
     with pytest.raises(TypeError):
