@@ -157,15 +157,10 @@ def _cmd_solve(args) -> int:
 
 
 def _partition_for(kind, game, target):
-    from .exact import solve_reach_exact
-    from .model import Owner
     from .objectives import ObjectiveKind
-    from .transforms import rvi
     from .winning import almost_sure_buchi, almost_sure_reach, almost_sure_safety
 
     if kind is ObjectiveKind.REACH:
-        if any(o is Owner.MIN for o in game.owner.values()):
-            game = rvi(game, solve_reach_exact(game, target))
         return almost_sure_reach(game, target)
     if kind is ObjectiveKind.BUCHI:
         return almost_sure_buchi(game, target)

@@ -24,7 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Game, LazyGame, Owner, SinkMode, StateInfo, Truncation, _as_fraction, truncate
+from .model import (Game, LazyGame, Owner, SinkMode, StateInfo, Truncation, _as_fraction, _as_int,
+                    truncate)
 
 HALF = Fraction(1, 2)
 
@@ -120,6 +121,7 @@ def build_ladder(k: int) -> GalleryGame:
     winning move, straight to the target; the peeling removes one level per
     round, k+1 rounds in total.
     """
+    k = _as_int("k", k)
     if k < 1:
         raise ValueError("need at least one level")
     rows: list[tuple] = [
@@ -146,6 +148,7 @@ def build_gamblers_ruin(p, cap: int) -> GalleryGame:
     p = _as_fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must be strictly between 0 and 1")
+    cap = _as_int("cap", cap)
     if cap < 2:
         raise ValueError("cap must be at least 2")
     rows: list[tuple] = [("w0", Owner.RANDOM, ("w0",), (Fraction(1),))]

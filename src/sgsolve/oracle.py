@@ -16,7 +16,7 @@ from itertools import product
 
 from .exact import bellman_combine, chain_reach_values, solve_reach_exact
 from .graphs import bottom_components, maximal_end_components
-from .model import Game, InvariantError, Owner, swap_roles
+from .model import Game, InvariantError, Owner, check_targets, swap_roles
 from .objectives import Objective, ObjectiveKind
 from .values import ValueVector
 
@@ -29,6 +29,7 @@ def chain_buchi_values(game: Game, choice: dict[str, str], buchi_set: set[str]) 
     """Probability of visiting ``buchi_set`` infinitely often in the chain
     fixed by ``choice``: absorption into a bottom component containing a
     Buchi state."""
+    buchi_set = check_targets(game, buchi_set)
     winning: set[str] = set()
     for comp in bottom_components(game, choice):
         if any(s in buchi_set for s in comp):
@@ -68,6 +69,7 @@ def md_enumeration_oracle(game: Game, obj: Objective) -> ValueVector:
     strategies on both sides.  Refuses instances whose strategy-pair product
     exceeds ``PAIR_BOUND``.
     """
+    check_targets(game, obj.target)
     max_states = [s for s in game.states if game.owner[s] is Owner.MAX]
     min_states = [s for s in game.states if game.owner[s] is Owner.MIN]
     pairs = 1
@@ -110,7 +112,7 @@ def mdp_buchi_exact(game: Game, buchi_set) -> ValueVector:
     is one minus the best probability of settling in a Buchi-free end
     component (the minimizer maximizes the dual objective).
     """
-    buchi_set = set(buchi_set)
+    buchi_set = check_targets(game, buchi_set)
     # A player whose states all have single successors makes no choices.
     max_active = any(
         game.owner[s] is Owner.MAX and len(game.succ[s]) > 1 for s in game.states

@@ -8,7 +8,7 @@ idempotent.
 
 from __future__ import annotations
 
-from .model import Game, InvariantError, Owner
+from .model import Game, InvariantError, Owner, check_targets
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -40,7 +40,7 @@ def classify_transitions(game: Game, values, targets, reach_plus: bool = False) 
     being Bellman-consistent at the edge's source, so they are not checked
     at target states (whose values are pinned) or for revisit values.
     """
-    targets = set(targets)
+    targets = check_targets(game, targets)
     out: dict[tuple[str, str], str] = {}
     for s in game.states:
         for t in game.succ[s]:

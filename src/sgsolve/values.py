@@ -93,7 +93,7 @@ def bellman_step(game: Game, targets, values) -> dict:
     """One Bellman application on rationals: targets to 1, max/min/average
     elsewhere.  Pointwise monotone in ``values``.
     """
-    targets = set(targets)
+    targets = check_targets(game, targets)
     one = Fraction(1)
     return {
         s: one if s in targets else bellman_combine(game, values, s)

@@ -19,9 +19,6 @@ dropped states and their random non-target predecessors leave that set.  A
 kept state's successors left the region only if they were dropped, so this
 is the set a rebuild from the smaller region would give, read from the
 dropped states' predecessor lists instead of every surviving successor row.
-``winning-set`` passes the game without the minimizer's
-value-increasing transitions (``transforms.rvi``), which can move indices
-but never the partition.
 
 Almost-sure Buchi peels on the game graph alone.  A state's value of
 "visit the live Buchi set again after at least one step" is one exactly when

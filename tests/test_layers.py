@@ -167,6 +167,15 @@ def test_exact_solve_loads_no_strategy_simulation_oracle_or_numpy(ruin_file, fig
         assert not numpy
 
 
+@pytest.mark.parametrize("objective", ["reach", "buchi", "safety"])
+def test_winning_set_loads_no_exact_solver_or_transform(fig2_file, objective):
+    # The peels run on the game graph alone, on the game the file gives.
+    loaded, numpy = _loaded_by("winning-set", fig2_file, "--objective", objective)
+    assert "winning" in loaded
+    assert not loaded & {"exact", "transforms", "values", "strategies", "simulate", "oracle"}
+    assert not numpy
+
+
 def test_package_holds_no_assert():
     # ``python -O`` strips asserts, so a guard on a result raises instead.
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))

@@ -13,6 +13,11 @@ from sgsolve import (
     SinkMode,
     StateInfo,
     TruncationError,
+    bellman_step,
+    chain_buchi_values,
+    classify_transitions,
+    md_enumeration_oracle,
+    mdp_buchi_exact,
     reach,
     sample_plays,
     swap_roles,
@@ -236,6 +241,25 @@ def test_target_check_names_the_stray_states():
         check_targets(g, ("y", "s", "x"))
 
 
+# Every referee that takes a target set, given one with a stray state.
+_STRAY = {"nope"}
+_STRAY_TARGET_SITES = {
+    "md_enumeration_oracle": lambda g: md_enumeration_oracle(g, reach(*_STRAY)),
+    "mdp_buchi_exact": lambda g: mdp_buchi_exact(g, _STRAY),
+    "chain_buchi_values": lambda g: chain_buchi_values(g, {"a": "t", "t": "t"}, _STRAY),
+    "bellman_step": lambda g: bellman_step(g, _STRAY, dict.fromkeys(g.states, HALF)),
+    "classify_transitions": lambda g: classify_transitions(g, dict.fromkeys(g.states, HALF),
+                                                           _STRAY),
+}
+
+
+@pytest.mark.parametrize("site", _STRAY_TARGET_SITES.values(), ids=_STRAY_TARGET_SITES)
+def test_every_referee_refuses_a_stray_target(site):
+    g = Game.of([("a", "max", ("t", "a")), ("t", "max", ("t",))])
+    with pytest.raises(ValueError, match=r"^target states not in game: \['nope'\]$"):
+        site(g)
+
+
 def test_truncate_takes_an_integer_depth_only():
     import numpy as np
 
@@ -267,6 +291,8 @@ _INTEGER_SITES = {
     "truncate": ("depth", lambda n: truncate(_LAZY, n).depth),
     "value_reach_within": ("steps", lambda n: value_reach_within(_CHAIN, {"t"}, n).values),
     "Objective": ("steps", lambda n: reach("t", steps=n).steps),
+    "build_ladder": ("k", lambda n: gallery.build_ladder(n).game.states),
+    "build_gamblers_ruin": ("cap", lambda n: gallery.build_gamblers_ruin("1/2", n).game.states),
     "sample_plays": ("seed", lambda n: sample_plays(_CHAIN, "a", reach("t"), _config("seed", n))),
     **{f"SimConfig.{name}": (name, lambda n, name=name: getattr(_config(name, n), name))
        for name in _CONFIG},

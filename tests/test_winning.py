@@ -263,15 +263,16 @@ def _rvi_matters_game():
 
 
 # The peel's indices on that game once the minimizer's value-increasing
-# edges are gone, as ``winning-set`` reports them.
+# edges are gone, as ``transform --rvi`` followed by ``winning-set`` reports
+# them.
 _RVI_INDICES = [1, 3, 0, 2, 2, 0, 0, 3, 3, 1, None, 2, 2, 0, 1, 0, 1, 2, 1, 1, 0, 2]
 
 
 def test_almost_sure_reach_indices_pinned_on_a_game_where_rvi_matters():
     # Without the minimizer's value-increasing edges removed first, the peel
-    # on this game ends after two rounds and s1 leaves in round 2.  The
-    # transformation is part of what the indices mean, so ``winning-set``
-    # applies it before the peel.
+    # on this game ends after two rounds and s1 leaves in round 2.  Removing
+    # them moves the indices but not the partition; ``winning-set`` peels the
+    # game it is given, so that is the caller's choice.
     g = _rvi_matters_game()
     plain = almost_sure_reach(g, {"s10"})
     assert plain.rounds == 2 and plain.index["s1"] == 2
@@ -282,14 +283,33 @@ def test_almost_sure_reach_indices_pinned_on_a_game_where_rvi_matters():
     assert [part.index[s] for s in g.states] == _RVI_INDICES
 
 
-def test_winning_set_command_pins_the_rvi_indices(tmp_path, capsys):
-    g = _rvi_matters_game()
+def _partition_lines(g, indices, rounds):
+    return [f"state {s} {'max' if i is None else 'min'} index {'bot' if i is None else i}"
+            for s, i in zip(g.states, indices)] + [f"rounds {rounds}"]
+
+
+@pytest.fixture
+def rvi_matters_file(tmp_path):
     path = tmp_path / "g157.game"
-    path.write_text(format_game(g, ["s10"]))
-    assert main(["winning-set", str(path)]) == 0
-    expected = [f"state {s} {'max' if i is None else 'min'} index {'bot' if i is None else i}"
-                for s, i in zip(g.states, _RVI_INDICES)]
-    assert capsys.readouterr().out.splitlines() == expected + ["rounds 3"]
+    path.write_text(format_game(_rvi_matters_game(), ["s10"]))
+    return path
+
+
+def test_winning_set_command_prints_the_peel_of_the_game_given(rvi_matters_file, capsys):
+    g = _rvi_matters_game()
+    assert main(["winning-set", str(rvi_matters_file)]) == 0
+    plain = almost_sure_reach(g, {"s10"})
+    assert capsys.readouterr().out.splitlines() == _partition_lines(
+        g, [plain.index[s] for s in g.states], 2)
+
+
+def test_transform_rvi_then_winning_set_prints_the_rvi_indices(rvi_matters_file, capsys):
+    pruned = rvi_matters_file.with_suffix(".rvi.game")
+    assert main(["transform", str(rvi_matters_file), "--rvi", "--emit", str(pruned)]) == 0
+    capsys.readouterr()
+    assert main(["winning-set", str(pruned)]) == 0
+    assert capsys.readouterr().out.splitlines() == _partition_lines(
+        _rvi_matters_game(), _RVI_INDICES, 3)
 
 
 def _removal_closure(game, alive, seeds):
@@ -342,6 +362,33 @@ def test_buchi_peel_seeds_are_the_states_with_exact_revisit_value_below_one():
                 if game.owner[s] is Owner.MIN:
                     t = peel.min_pick[s]
                     assert t not in alive or vals[t] < 1, (buchi_set, s, t)
+
+
+def _reach_partition_cases():
+    for seed in range(600):
+        yield random_game(seed, n=4 + seed % 22, max_branch=3,
+                          owned_branch=2 + seed % 2, max_targets=3)
+    for b in (gallery.build_fig2(9), gallery.build_fig2_with_u(9), gallery.build_ladder(5),
+              gallery.build_gamblers_ruin(Fraction(2, 5), 9)):
+        yield b.game, b.targets
+
+
+def test_winning_set_reach_partition_needs_no_exact_solve(monkeypatch):
+    import sgsolve.exact
+    from sgsolve.cli import _partition_for
+    from sgsolve.objectives import ObjectiveKind
+
+    cases = [(g, t, {s for s, v in solve_reach_exact(g, t).items() if v == 1})
+             for g, t in _reach_partition_cases()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact solve called")
+
+    monkeypatch.setattr(sgsolve.exact, "solve_reach_exact", refuse)
+    for g, t, value_one in cases:
+        part = _partition_for(ObjectiveKind.REACH, g, t)
+        assert part.max_wins == value_one, sorted(t)
+        assert part.min_wins == set(g.states) - value_one
 
 
 def test_buchi_partition_needs_no_exact_solve(monkeypatch):
