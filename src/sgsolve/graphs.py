@@ -2,9 +2,9 @@
 
 :func:`attractor` is the one backward-closure kernel of the package: graph
 reachability and distances to a target, positive attractors, the peeling
-closures of the winning module and the shrink step of the end-component
-decomposition are all instances of it, run over the predecessor index each
-game builds once.
+closures of the winning module with their acyclicity check and count-down,
+and the shrink step of the end-component decomposition are all instances
+of it, run over the predecessor index each game builds once.
 
 End components are computed for an "MDP view" of a game: owned states may
 use any of their edges, random states must keep their whole support inside
@@ -31,6 +31,7 @@ def attractor(
     alive: Container[str] | None = None,
     choice: dict[str, str] | None = None,
     layer: dict[str, int] | None = None,
+    missing: dict[str, int] | None = None,
 ) -> set[str]:
     """Least set containing ``base`` and closed backward inside ``alive``.
 
@@ -40,12 +41,24 @@ def attractor(
     state) bounds the set; base states outside it are dropped.  When
     ``layer`` is given it records, per state, the closure stage at which it
     entered (base states get 0).
+
+    ``missing`` holds, per state not in ``exists``, how many of its
+    successors are not yet in the set; a state without an entry starts from
+    its row's length.  The call counts it down in place, so a caller that
+    passes in counts of the successors inside a region, and keeps them,
+    can shrink that region call by call: with ``exists`` swapped, each call
+    is a removal cascade that reads no successor row.  The winning module's
+    reach peel counts a region down so once a round has dropped a state and
+    the region has no cycle off the target, as the greatest fixpoint that
+    removal leaves is then the least one its closure builds; a region with a
+    cycle is closed again every round.
     """
     if alive is None:
         alive = game.owner
     preds = game.predecessors
     inside = {s for s in base if s in alive}
-    missing: dict[str, int] = {}
+    if missing is None:
+        missing = {}
     frontier = list(inside)
     stage = 0
     if layer is not None:
@@ -61,7 +74,8 @@ def attractor(
                     if choice[p] != s:
                         continue
                 elif game.owner[p] not in exists:
-                    left = missing.get(p, len(game.succ[p])) - 1
+                    left = missing.get(p)
+                    left = (len(game.succ[p]) if left is None else left) - 1
                     missing[p] = left
                     if left:
                         continue

@@ -19,6 +19,16 @@ dropped states and their random non-target predecessors leave that set.  A
 kept state's successors left the region only if they were dropped, so this
 is the set a rebuild from the smaller region would give, read from the
 dropped states' predecessor lists instead of every surviving successor row.
+Once a round drops a state, the peel checks, once, whether the region less
+its targets has a cycle.  If it has none, as on the ladders and fig2
+windows, later rounds are counted down: each removes the random states that
+left the confined set, then every minimizer state with a removed successor
+and every other state with no successor left, keeping per state a count of
+its successors in the region.  Without a cycle a round's closure has one
+fixpoint, so the greatest one that removal leaves is the least one the
+closure builds, and a peel of d rounds costs one closure and a pass over
+the region's edges instead of d closures.  Regions with a cycle, such as
+ruin chains and random games, run the closure again every round.
 
 Almost-sure Buchi peels on the game graph alone.  A state's value of
 "visit the live Buchi set again after at least one step" is one exactly when
@@ -36,6 +46,7 @@ the round's reach-peel layers order the escapes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import attractor as _attractor
@@ -85,6 +96,22 @@ def _confined_attractor(game: Game, targets: set[str], confined: set[str]) -> se
     return _attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=confined)
 
 
+def _acyclic_counts(game: Game, targets: set[str], region: set[str]) -> dict[str, int] | None:
+    """Per state of ``region``, how many of its successors lie in it, or
+    ``None`` when the region less ``targets`` has a cycle.
+
+    Both are read off the predecessor index.  The check is a backward
+    closure from the targets in which every state needs all its successors
+    in the region: no state of a cycle off the targets ever enters, and
+    without such a cycle every state of a closure region enters, as each
+    has a successor in the region.
+    """
+    preds = game.predecessors
+    counts = Counter(p for s in region for p in preds[s] if p in region)
+    closed = _attractor(game, targets, (), alive=region, missing=dict(counts))
+    return counts if len(closed) == len(region) else None
+
+
 def _reach_peel(game: Game, targets: set[str], alive: set[str],
                 index: dict[str, int | None]) -> tuple[set[str], int]:
     """The almost-sure reach region of ``targets`` in the subgame on ``alive``
@@ -105,10 +132,21 @@ def _reach_peel(game: Game, targets: set[str], alive: set[str],
     dropped ones, so a random non-target state is confined afterwards
     exactly when it was before and has no dropped successor, and every
     other kept state is confined both times.
+
+    After the first round that drops a state, a region with no cycle off
+    the target is counted down instead, as the module docstring explains:
+    each round's removal cascade starts from the random states that left the
+    confined set and keeps the successor counts for the next round.
     """
     region = _attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=alive)
     index.update((s, 0) for s in alive if s not in region)
     preds = game.predecessors
+
+    def leaving(dropped):
+        # Random non-target states of the region with a dropped successor.
+        return {p for s in dropped for p in preds[s]
+                if p in region and p not in targets and game.owner[p] is Owner.RANDOM}
+
     confined = {
         s
         for s in region
@@ -123,14 +161,20 @@ def _reach_peel(game: Game, targets: set[str], alive: set[str],
         rounds += 1
         dropped = region - kept
         index.update(dict.fromkeys(dropped, rounds))
-        confined -= dropped
-        confined.difference_update(
-            p
-            for s in dropped
-            for p in preds[s]
-            if game.owner[p] is Owner.RANDOM and p not in targets
-        )
         region = kept
+        if rounds == 1 and (counts := _acyclic_counts(game, targets, region)) is not None:
+            break
+        confined -= dropped
+        confined -= leaving(dropped)
+    loose = region - targets
+    while True:
+        dropped = _attractor(game, leaving(dropped), (Owner.MIN,), alive=loose, missing=counts)
+        if not dropped:
+            return region, rounds
+        rounds += 1
+        index.update(dict.fromkeys(dropped, rounds))
+        region -= dropped
+        loose -= dropped
 
 
 def almost_sure_reach(game: Game, targets) -> WinningPartition:

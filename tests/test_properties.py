@@ -120,6 +120,24 @@ def test_peels_equal_the_referee_that_rebuilds_the_confined_set(case):
 
 
 @PROPERTY
+@given(st.integers(0, 2**32), st.integers(2, 40), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 3))
+def test_peels_count_down_acyclic_regions_as_the_referee_peels_them(seed, n, branch, owned,
+                                                                     goals):
+    # An acyclic region is counted down after its first dropping round
+    # instead of closed again in every round.
+    game, targets = acyclic_game(seed, n=n, max_branch=branch, owned_branch=owned,
+                                 max_targets=goals)
+    part = almost_sure_reach(game, targets)
+    # Steer the search towards games that peel for many rounds.
+    target(float(part.rounds))
+    assert (part.max_wins, part.rounds, part.index) == reference_almost_sure_reach(game, targets)
+    peel = buchi_peel(game, targets)
+    assert (peel.partition.max_wins, peel.partition.rounds, peel.partition.index,
+            list(peel.min_pick.items())) == reference_buchi_peel(game, targets)
+
+
+@PROPERTY
 @given(games(max_states=12, owned_width=3))
 def test_buchi_pair_certifies_the_almost_sure_buchi_partition(case):
     game, buchi_set = case

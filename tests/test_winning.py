@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from conftest import random_game, reference_almost_sure_reach, reference_buchi_peel
+from conftest import (acyclic_game, random_game, reference_almost_sure_reach,
+                      reference_buchi_peel)
 
 from sgsolve import (
     Game,
@@ -21,7 +22,7 @@ from sgsolve import (
     value_reach,
     value_safety,
 )
-from sgsolve import gallery
+from sgsolve import gallery, winning
 from sgsolve.cli import main
 from sgsolve.exact import bellman_combine, solve_reach_exact
 from sgsolve.model import SinkMode, truncate
@@ -77,23 +78,33 @@ def test_almost_sure_reach_ladder_rounds_and_region():
 
 
 def _referee_cases():
-    """Seeded random games, ladders and fig2 windows in both sink modes,
-    each with a reach target set and a Buchi set."""
+    """Seeded random and acyclic games, ladders and fig2 windows in both
+    sink modes, with and without u, each with a reach target set and a
+    Buchi set.  Acyclic regions, the ladders and fig2 are counted down
+    after their first dropping round, fig2 for up to 38 rounds."""
     for seed in range(600):
         game, targets = random_game(seed, n=4 + seed % 37, max_branch=1 + seed % 4,
                                     owned_branch=1 + seed % 3, max_targets=1 + seed % 4)
         yield game, targets, targets
-    for k in range(1, 9):
+    for seed in range(600):
+        game, targets = acyclic_game(seed, n=8 + seed % 40, max_branch=2 + seed % 3,
+                                     owned_branch=1 + seed % 2, max_targets=1 + seed % 2)
+        yield game, targets, targets
+    for k in range(1, 25):
         b = gallery.build_ladder(k)
         yield b.game, b.targets, b.buchi
-    for depth in range(1, 13):
+    for depth in range(1, 41):
         trunc = truncate(gallery.fig2_lazy(), depth)
         for mode in SinkMode:
             yield trunc.game, trunc.label_set("target", mode), trunc.label_set("buchi", mode)
+    for depth in (4, 5, 9, 24):
+        for mode in SinkMode:
+            b = gallery.build_fig2_with_u(depth, mode)
+            yield b.game, b.targets, b.buchi
 
 
 def test_peels_match_the_referee_that_rebuilds_the_confined_set():
-    cases = 0
+    cases = many_rounds = 0
     for game, targets, buchi_set in _referee_cases():
         part = almost_sure_reach(game, targets)
         assert (part.max_wins, part.rounds, part.index) == reference_almost_sure_reach(game, targets)
@@ -101,7 +112,40 @@ def test_peels_match_the_referee_that_rebuilds_the_confined_set():
         assert (peel.partition.max_wins, peel.partition.rounds, peel.partition.index,
                 list(peel.min_pick.items())) == reference_buchi_peel(game, buchi_set)
         cases += 1
-    assert cases == 600 + 8 + 24
+        many_rounds += part.rounds >= 2
+    assert cases == 600 + 600 + 24 + 80 + 8
+    # Many cases peel for two rounds or more; on an acyclic region every
+    # round after the first is counted down.
+    assert many_rounds >= 300
+
+
+def _counting_closures(monkeypatch):
+    """Counts the confined-attractor runs of the peels from here on."""
+    runs = []
+    closure = winning._confined_attractor
+    monkeypatch.setattr(winning, "_confined_attractor",
+                        lambda *args: runs.append(1) or closure(*args))
+    return runs
+
+
+def test_acyclic_regions_peel_with_one_closure_run(monkeypatch):
+    runs = _counting_closures(monkeypatch)
+    for built, rounds in ((gallery.build_fig2(128), 126), (gallery.build_ladder(64), 65)):
+        part = almost_sure_reach(built.game, built.targets)
+        assert part.rounds == rounds
+        assert len(runs) == 1
+        assert (part.max_wins, part.rounds, part.index) == reference_almost_sure_reach(
+            built.game, built.targets)
+        runs.clear()
+
+
+def test_cyclic_regions_peel_with_one_closure_run_per_round(monkeypatch):
+    game, targets = random_game(331, n=39, max_branch=4, owned_branch=2, max_targets=4)
+    runs = _counting_closures(monkeypatch)
+    part = almost_sure_reach(game, targets)
+    assert part.rounds == 4
+    assert len(runs) == part.rounds + 1
+    assert (part.max_wins, part.rounds, part.index) == reference_almost_sure_reach(game, targets)
 
 
 class _CountingRows(dict):
