@@ -6,8 +6,11 @@ an invalid game, a bad flag or rational; rational flags take ``p`` or
 ``ConvergenceError`` or a broken invariant), printed as ``error:`` lines on
 stderr and never as a traceback.  All solver output is deterministic;
 rationals print as p/q in lowest terms, at any size, and floats with 12
-significant digits.  Each command imports only the layers it runs, so
-``--help`` and a flag error load nothing of the package beyond this module.
+significant digits, rounded to nearest except in iterate ``solve``, where
+each value is rounded towards its sound side (down for reach and Buchi, up
+for safety and co-Buchi) and the error bound up.  Each command imports only
+the layers it runs, so ``--help`` and a flag error load nothing of the
+package beyond this module.
 
 Every command, ``validate`` included, rejects an invalid game through
 :func:`_load`, one ``error: line N: ...`` line per violation.  The checks on
@@ -25,6 +28,43 @@ import sys
 
 def _fmt(v) -> str:
     return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
+def _fmt_bound(v: float, up: bool) -> str:
+    """``v`` to 12 significant digits like :func:`_fmt`, but rounded up
+    (``up``) or down instead of to nearest, so that the printed number
+    bounds the float on that side.
+
+    The nearest float to the nearest 12-digit decimal lies on the decimal's
+    side of ``v``, as rounding is monotone, unless it is ``v`` itself.  Then
+    ints decide, as ``v`` is exactly ``num / den`` and the decimal
+    ``m * 10**(x - 11)``; 0 and 1 print exactly and need no check.  A
+    decimal on the wrong side gives way to its neighbour one unit in the
+    last digit away.
+    """
+    text = f"{v:.12g}"
+    near = float(text)
+    if near != v and (near > v) == up or v in (0.0, 1.0):
+        return text
+    if v < 0:
+        return "-" + _fmt_bound(-v, not up)
+    sci = f"{v:.11e}"
+    m, x = int(sci[0] + sci[2:13]), int(sci[14:])
+    if near == v:
+        num, den = v.as_integer_ratio()
+        printed, exact = m * den * 10 ** max(x - 11, 0), num * 10 ** max(11 - x, 0)
+        if printed == exact or (printed > exact) == up:
+            return text
+    m += 1 if up else -1
+    if m == 10**12:
+        m, x = 10**11, x + 1
+    elif m < 10**11:
+        m, x = 10**12 - 1, x - 1
+    if -4 <= x < 12:
+        # A 12-digit decimal in this range survives the nearest float.
+        return f"{float(f'{m}e{x - 11}'):.12g}"
+    digits = str(m).rstrip("0")
+    return f"{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e{x:+03d}"
 
 
 def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
@@ -139,7 +179,13 @@ def _cmd_solve(args) -> int:
         # A tolerance is given exactly in iterate mode, and selects it.
         tol = _rational("--tol", args.tol) if args.tol else None
         vec = SOLVERS[kind](game, obj.target, tol)
-    rows = [(s, vec.values[s]) for s in game.states]
+    if vec.is_exact:
+        rows = [(s, vec.values[s]) for s in game.states]
+    else:
+        # Each float prints on its sound side: reach and Buchi iterates
+        # approach the value from below, safety and co-Buchi from above.
+        up = kind in (ObjectiveKind.SAFETY, ObjectiveKind.COBUCHI)
+        rows = [(s, _fmt_bound(vec.values[s], up)) for s in game.states]
     # Rationals print at any size: the interpreter's limit on int-to-string
     # conversion is lifted while they are written and restored for the files
     # parsed after (Python 3.10 has no such limit).
@@ -148,8 +194,8 @@ def _cmd_solve(args) -> int:
         sys.set_int_max_str_digits(0)
     try:
         _emit(rows, ("state", "value"), args.format)
-        if vec.error_bound is not None:
-            _trailer("error-bound", float(vec.error_bound), args.format, "# ")
+        if not vec.is_exact:
+            _trailer("error-bound", _fmt_bound(float(vec.error_bound), True), args.format, "# ")
     finally:
         if saved:
             sys.set_int_max_str_digits(saved)

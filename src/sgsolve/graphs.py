@@ -44,14 +44,8 @@ def attractor(
 
     ``missing`` holds, per state not in ``exists``, how many of its
     successors are not yet in the set; a state without an entry starts from
-    its row's length.  The call counts it down in place, so a caller that
-    passes in counts of the successors inside a region, and keeps them,
-    can shrink that region call by call: with ``exists`` swapped, each call
-    is a removal cascade that reads no successor row.  The winning module's
-    reach peel counts a region down so once a round has dropped a state and
-    the region has no cycle off the target, as the greatest fixpoint that
-    removal leaves is then the least one its closure builds; a region with a
-    cycle is closed again every round.
+    its row's length.  The call counts it down in place, and a caller may
+    keep it across calls.
     """
     if alive is None:
         alive = game.owner

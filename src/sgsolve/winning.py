@@ -13,22 +13,23 @@ the minimizer cannot steer outside it.  States outside the positive
 attractor of the target, where the minimizer can keep the play off the
 target forever, are discarded up front with index 0.  Removal cascades one
 dependency layer per round, which is what the escalation gallery family
-exercises.  The confined states (the region less its random non-target
-states with a successor outside it) are found once; after a round, the
-dropped states and their random non-target predecessors leave that set.  A
-kept state's successors left the region only if they were dropped, so this
-is the set a rebuild from the smaller region would give, read from the
-dropped states' predecessor lists instead of every surviving successor row.
-Once a round drops a state, the peel checks, once, whether the region less
-its targets has a cycle.  If it has none, as on the ladders and fig2
-windows, later rounds are counted down: each removes the random states that
-left the confined set, then every minimizer state with a removed successor
-and every other state with no successor left, keeping per state a count of
-its successors in the region.  Without a cycle a round's closure has one
-fixpoint, so the greatest one that removal leaves is the least one the
-closure builds, and a peel of d rounds costs one closure and a pass over
-the region's edges instead of d closures.  Regions with a cycle, such as
-ruin chains and random games, run the closure again every round.
+exercises.  Before its first round the peel checks, once, whether the
+positive attractor less its targets has a cycle, and so chooses its path.
+Without one, as on the ladders and fig2 windows, every round is counted
+down: it removes the random states with a successor outside the region,
+then every minimizer state with a removed successor and every other state
+with no successor left, keeping per state a count of its successors in the
+region.  Without a cycle a round's closure has one fixpoint, so the
+greatest one that removal leaves is the least one the closure builds, and
+a peel of d rounds costs a pass over the region's edges instead of d
+closures.  With a cycle, as on ruin chains and random games, every round
+runs the closure inside the confined states: the region less its random
+non-target states with a successor outside it.  That set is built once,
+and after a round the dropped states and their random non-target
+predecessors leave it, which gives the set a rebuild from the smaller
+region would.  Either way the random states with a successor outside the
+region are read off the predecessor lists of the states outside it, and
+after a round off those of the dropped states, not off successor rows.
 
 Almost-sure Buchi peels on the game graph alone.  A state's value of
 "visit the live Buchi set again after at least one step" is one exactly when
@@ -36,7 +37,9 @@ one step surely lands in the almost-sure reach region of the live Buchi
 states: some successor in it for the maximizer, all successors for the
 minimizer and random states.  That region is the reach peel above run inside
 the surviving states.  The states failing the test seed each round's
-removal, which is closed backward under minimizer and random transitions;
+removal: every live state outside the region, and the Buchi states in it
+that fail, since every other state of the region steps surely into it.  The
+removal is closed backward under minimizer and random transitions;
 maximizer states stranded by it are losing too.  This is the attractor
 characterisation of almost-sure Buchi (de Alfaro, Henzinger and Kupferman,
 FOCS 1998; Chatterjee, Jurdzinski and Henzinger, CSL 2003).  No rational
@@ -124,48 +127,45 @@ def _reach_peel(game: Game, targets: set[str], alive: set[str],
     keep the play off the target forever, and ``k`` for the states dropped
     in round ``k``.
 
-    The confined set is built once, from the positive attractor, and kept
-    up to date: the states a round drops leave it, and so does each random
-    non-target predecessor of a dropped state, which now has a successor
-    outside the region.  This equals the set rebuilt from the smaller
-    region: the successors a kept state had in the region and lost are
-    dropped ones, so a random non-target state is confined afterwards
-    exactly when it was before and has no dropped successor, and every
-    other kept state is confined both times.
-
-    After the first round that drops a state, a region with no cycle off
-    the target is counted down instead, as the module docstring explains:
-    each round's removal cascade starts from the random states that left the
-    confined set and keeps the successor counts for the next round.
+    The path is chosen once, before the first round, by
+    :func:`_acyclic_counts` on the positive attractor: without a cycle off
+    the target every round, the first included, is a removal cascade on
+    the successor counts it returns; with one, every round runs
+    :func:`_confined_attractor`.  The confined set is built as the region
+    less the random non-target states ``leaving`` finds on the
+    predecessor lists of the states outside the region, and after each
+    round loses the dropped states and those that ``leaving`` finds on
+    theirs.  This equals the set rebuilt from the smaller region: the
+    successors a kept state had in the region and lost are dropped ones, so
+    a random non-target state is confined afterwards exactly when it was
+    before and has no dropped successor, and every other kept state is
+    confined both times.
     """
     region = _attractor(game, targets, (Owner.MAX, Owner.RANDOM), alive=alive)
     index.update((s, 0) for s in alive if s not in region)
     preds = game.predecessors
 
     def leaving(dropped):
-        # Random non-target states of the region with a dropped successor.
+        # Random non-target states of the region with a successor in ``dropped``.
         return {p for s in dropped for p in preds[s]
                 if p in region and p not in targets and game.owner[p] is Owner.RANDOM}
 
-    confined = {
-        s
-        for s in region
-        if s in targets or game.owner[s] is not Owner.RANDOM
-        or all(t in region for t in game.succ[s])
-    }
+    counts = _acyclic_counts(game, targets, region)
+    # The states outside the region are handled as dropped before round 1.
+    dropped = [s for s in game.states if s not in region]
     rounds = 0
-    while True:
-        kept = _confined_attractor(game, targets, confined)
-        if len(kept) == len(region):
-            return region, rounds
-        rounds += 1
-        dropped = region - kept
-        index.update(dict.fromkeys(dropped, rounds))
-        region = kept
-        if rounds == 1 and (counts := _acyclic_counts(game, targets, region)) is not None:
-            break
-        confined -= dropped
-        confined -= leaving(dropped)
+    if counts is None:
+        confined = region - leaving(dropped)
+        while True:
+            kept = _confined_attractor(game, targets, confined)
+            if len(kept) == len(region):
+                return region, rounds
+            rounds += 1
+            dropped = region - kept
+            index.update(dict.fromkeys(dropped, rounds))
+            region = kept
+            confined -= dropped
+            confined -= leaving(dropped)
     loose = region - targets
     while True:
         dropped = _attractor(game, leaving(dropped), (Owner.MIN,), alive=loose, missing=counts)
@@ -261,14 +261,14 @@ def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
         escape: dict[str, int | None] = dict.fromkeys(game.states, -1)
         region, top = _reach_peel(game, buchi_set, alive, escape)
         escape.update(dict.fromkeys(region, top + 1))
-        # One step surely lands in the region: some successor for the
-        # maximizer, every successor for the minimizer and random states.
-        seed = [
-            s
-            for s in game.states
-            if s in alive
+        # The states from which one step does not surely land in the region
+        # (some successor for the maximizer, every successor for the
+        # minimizer and random states): every live state outside it, and
+        # of the states in it only Buchi states can be among them.
+        seed = (alive - region).union(
+            s for s in buchi_set if s in region
             and not (any if game.owner[s] is Owner.MAX else all)(t in region for t in game.succ[s])
-        ]
+        )
         if not seed:
             break
         rounds += 1

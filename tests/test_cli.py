@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from conftest import random_game
 
 import sgsolve.cli
 import sgsolve.exact
+import sgsolve.objectives
 import sgsolve.strategies
 import sgsolve.transforms
 import sgsolve.values
@@ -49,6 +51,94 @@ def test_solve_iterate_reports_error_bound(fig2_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "# error-bound" in out
+
+
+def _printed_iterate(path, objective, tol, fmt, capsys):
+    """The value strings and the error-bound string that iterate ``solve``
+    prints in ``fmt``."""
+    argv = ["solve", path, "--objective", objective, "--mode", "iterate", "--tol", tol]
+    assert main(argv + ["--format", fmt]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if fmt == "json-lines":
+        rows = [json.loads(line) for line in lines]
+        return {r["state"]: r["value"] for r in rows[:-1]}, rows[-1]["error-bound"]
+    rows = [line.split() for line in lines[fmt == "table":]]
+    assert rows[-1][:2] == ["#", "error-bound"]
+    return dict(rows[:-1]), rows[-1][2]
+
+
+def _significant(text: str) -> str:
+    return text.split("e")[0].replace(".", "").lstrip("0")
+
+
+@pytest.mark.parametrize("objective", ["reach", "safety", "buchi", "cobuchi"])
+def test_iterate_prints_each_float_on_its_sound_side(tmp_path, capsys, objective):
+    # Reach and Buchi iterates approach the value from below and print
+    # rounded down, safety and co-Buchi ones from above and print rounded
+    # up, and the error bound prints rounded up; each printed number is
+    # within one unit in its 12th significant digit of the returned float.
+    games = [(b.game, b.targets) for b in (gallery.build_gamblers_ruin(Fraction(3, 5), cap)
+                                           for cap in (30, 100))]
+    games += [(b.game, b.buchi if objective in ("buchi", "cobuchi") else b.targets)
+              for b in (gallery.build_fig2(d) for d in (8, 40, 80))]
+    games += [random_game(seed, n=6 + seed % 30, max_branch=2 + seed % 3) for seed in range(24)]
+    solver = sgsolve.values.SOLVERS[sgsolve.objectives.ObjectiveKind(objective)]
+    up = objective in ("safety", "cobuchi")
+    formats = ("lines", "table", "json-lines")
+    for k, (game, target) in enumerate(games):
+        path = tmp_path / f"g{k}.game"
+        path.write_text(format_game(game, sorted(target)))
+        for tol in ("1/1000000000", "1/1000"):
+            vec = solver(game, target, Fraction(tol))
+            values, bound = _printed_iterate(str(path), objective, tol, formats[k % 3], capsys)
+            assert values.keys() == set(game.states)
+            for s, text in [*values.items(), ("# error-bound", bound)]:
+                v, up_here = ((vec.error_bound, True) if s == "# error-bound"
+                              else (vec.values[s], up))
+                printed = Fraction(text)
+                assert printed >= Fraction(v) if up_here else printed <= Fraction(v), (s, text, v)
+                assert len(_significant(text)) <= 12
+                if v:
+                    unit = Fraction(10) ** (int(f"{v:.11e}".split("e")[1]) - 11)
+                    assert abs(printed - Fraction(v)) < unit, (s, text, v)
+
+
+@pytest.mark.parametrize("v", [
+    2 / 3, 1 / 3, 0.1, 0.5, 0.0, 1.0, 1e-5, 1e-4, 0.999999999999999, 0.9999999999995,
+    1.0000000000000002, -2.220446049250313e-16, 9.99141769321e-10, 1e12, 99999999999.95,
+    123456789012345.0, 1e-300, 5e-324,
+])
+def test_directed_printing_is_the_nearest_12_digit_decimal_on_its_side(v):
+    # Powers of ten on either side, exact short decimals, a negative safety
+    # value (one minus a lower iterate that rounded above 1) and subnormals.
+    for up in (True, False):
+        text = sgsolve.cli._fmt_bound(v, up)
+        rounding = decimal.ROUND_CEILING if up else decimal.ROUND_FLOOR
+        want = decimal.Context(prec=12, rounding=rounding, Emin=-999999).plus(decimal.Decimal(v))
+        assert Fraction(text) == Fraction(want), (v, up, text)
+        if abs(v) > 1e-300:
+            assert text == f"{float(want):.12g}"
+
+
+def test_iterate_prints_ruin_w1_below_its_value_in_every_format(tmp_path, capsys):
+    # Rounded to nearest, the lower iterate at w1 prints as 0.666666666667,
+    # above the exact value ((2/3) - (2/3)^100) / (1 - (2/3)^100).
+    path = tmp_path / "ruin100.game"
+    assert main(["gallery", "ruin", "--cap", "100", "--emit", str(path)]) == 0
+    ratio = Fraction(2, 3)
+    exact = (ratio - ratio**100) / (1 - ratio**100)
+    vec = sgsolve.values.value_reach(gallery.build_gamblers_ruin(Fraction(3, 5), 100).game,
+                                     {"w0"}, Fraction(1, 10**9))
+    nearest = f"{vec.values['w1']:.12g}"
+    assert nearest == "0.666666666667" and Fraction(nearest) > exact
+    for fmt in ("lines", "table", "json-lines"):
+        values, bound = _printed_iterate(str(path), "reach", "1/1000000000", fmt, capsys)
+        assert values["w1"] == "0.666666666666"
+        assert Fraction(values["w1"]) <= exact
+        assert Fraction(bound) >= Fraction(vec.error_bound)
+        values, _ = _printed_iterate(str(path), "safety", "1/1000000000", fmt, capsys)
+        assert values["w1"] == "0.333333333334"
+        assert Fraction(values["w1"]) >= 1 - exact
 
 
 def test_solve_table_and_json_formats(fig2_file, capsys):

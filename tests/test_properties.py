@@ -124,8 +124,8 @@ def test_peels_equal_the_referee_that_rebuilds_the_confined_set(case):
        st.integers(1, 3))
 def test_peels_count_down_acyclic_regions_as_the_referee_peels_them(seed, n, branch, owned,
                                                                      goals):
-    # An acyclic region is counted down after its first dropping round
-    # instead of closed again in every round.
+    # An acyclic region is counted down from its first round instead of
+    # closed in every round.
     game, targets = acyclic_game(seed, n=n, max_branch=branch, owned_branch=owned,
                                  max_targets=goals)
     part = almost_sure_reach(game, targets)
