@@ -31,40 +31,32 @@ def _fmt(v) -> str:
 
 
 def _fmt_bound(v: float, up: bool) -> str:
-    """``v`` to 12 significant digits like :func:`_fmt`, but rounded up
-    (``up``) or down instead of to nearest, so that the printed number
-    bounds the float on that side.
+    """``v`` to 12 significant digits like :func:`_fmt`, but rounded towards
+    +inf (``ROUND_CEILING``, when ``up``) or -inf (``ROUND_FLOOR``) instead
+    of to nearest, so that the printed number bounds the float on that side.
 
-    The nearest float to the nearest 12-digit decimal lies on the decimal's
-    side of ``v``, as rounding is monotone, unless it is ``v`` itself.  Then
-    ints decide, as ``v`` is exactly ``num / den`` and the decimal
-    ``m * 10**(x - 11)``; 0 and 1 print exactly and need no check.  A
-    decimal on the wrong side gives way to its neighbour one unit in the
-    last digit away.
+    The ``.12g`` text serves as it is when its nearest float lies strictly on
+    that side, as rounding is monotone, and so do 0 and 1; ``decimal``
+    rounds the float's exact value otherwise.
     """
     text = f"{v:.12g}"
     near = float(text)
     if near != v and (near > v) == up or v in (0.0, 1.0):
         return text
-    if v < 0:
-        return "-" + _fmt_bound(-v, not up)
-    sci = f"{v:.11e}"
-    m, x = int(sci[0] + sci[2:13]), int(sci[14:])
-    if near == v:
-        num, den = v.as_integer_ratio()
-        printed, exact = m * den * 10 ** max(x - 11, 0), num * 10 ** max(11 - x, 0)
-        if printed == exact or (printed > exact) == up:
-            return text
-    m += 1 if up else -1
-    if m == 10**12:
-        m, x = 10**11, x + 1
-    elif m < 10**11:
-        m, x = 10**12 - 1, x - 1
+    d = _directed(up).create_decimal_from_float(v)
+    x = d.adjusted()
     if -4 <= x < 12:
         # A 12-digit decimal in this range survives the nearest float.
-        return f"{float(f'{m}e{x - 11}'):.12g}"
-    digits = str(m).rstrip("0")
-    return f"{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e{x:+03d}"
+        return f"{float(d):.12g}"
+    # Beyond it the float may be subnormal or infinite: print the digits.
+    return f"{format(d.normalize(), 'e').split('e')[0]}e{x:+03d}"
+
+
+@functools.cache
+def _directed(up: bool):
+    import decimal
+
+    return decimal.Context(prec=12, rounding=decimal.ROUND_CEILING if up else decimal.ROUND_FLOOR)
 
 
 def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
@@ -203,6 +195,7 @@ def _cmd_solve(args) -> int:
 
 
 def _partition_for(kind, game, target):
+    """The almost-sure partition for ``kind``, or ``None`` if it has none."""
     from .objectives import ObjectiveKind
     from .winning import almost_sure_buchi, almost_sure_reach, almost_sure_safety
 
@@ -212,13 +205,15 @@ def _partition_for(kind, game, target):
         return almost_sure_buchi(game, target)
     if kind is ObjectiveKind.SAFETY:
         return almost_sure_safety(game, target)
-    raise ValueError(f"no almost-sure partition for {kind.value}")
+    return None
 
 
 def _cmd_winning_set(args) -> int:
     parsed = _load(args.file)
     obj = _objective(args, parsed)
     part = _partition_for(obj.kind, parsed.game, obj.target)
+    if part is None:
+        raise ValueError(f"no almost-sure partition for {args.objective}")
     rows = []
     for s in parsed.game.states:
         side = "max" if s in part.max_wins else "min"
@@ -252,7 +247,7 @@ def _cmd_strategy(args) -> int:
             else _buchi_min_md(game, peel)
         )
     else:
-        raise ValueError(f"no strategy construction for {obj.kind.value}")
+        raise ValueError(f"no strategy construction for {args.objective}")
     text = format_strategy(strat)
     _write(text, args.emit)
     return 0

@@ -23,7 +23,8 @@ change, and deflation is no longer called once it cannot change anything.
 The reported error bound is the final gap.  It is sound in supremum norm
 in real arithmetic; the sweeps round to nearest, so the returned floats can
 miss it by a few ulps.  Sound floats need directed rounding, the lower half
-rounded down and the upper half up.
+rounded down and the upper half up.  The returned lower iterate is clamped
+to at most 1 (random rows can add up past it), so all floats lie in [0, 1].
 Bounded-reach values are exact Bellman steps from the target indicator, each
 recomputing only the predecessors of the states the step before changed, on
 reduced int pairs: no step builds a ``Fraction``, each output value one.
@@ -53,7 +54,7 @@ _MAX_SWEEPS = 2_000_000
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Per-state values in [0, 1].
+    """Per-state values in [0, 1]; iterate floats are clamped to at most 1.
 
     ``error_bound`` is ``None`` for exact rational vectors, which a solver
     returns when given no tolerance.  A tolerance selects iterate mode, whose
@@ -366,7 +367,9 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> ValueVector:
         # Past the sweep cap a row does not count.
         for j, gap in enumerate(gaps[:_MAX_SWEEPS - done]):
             if gap <= tol:
-                return ValueVector(dict(zip(game.states, lowers[j].tolist())), error_bound=gap)
+                # Random rows can add up past 1.0, and 1.0 is still a sound lower bound.
+                clamped = np.minimum(lowers[j], 1.0).tolist()
+                return ValueVector(dict(zip(game.states, clamped)), error_bound=gap)
         # A deflation period maps ``v`` to a function of ``v`` alone, so a
         # vector equal to the last period's is a fixpoint.  Snapshots are
         # taken only once the gap stops shrinking.

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from conftest import random_game
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sgsolve.cli
 import sgsolve.exact
@@ -17,7 +19,7 @@ import sgsolve.objectives
 import sgsolve.strategies
 import sgsolve.transforms
 import sgsolve.values
-from sgsolve import (InvariantError, almost_sure_buchi, almost_sure_safety, buchi_md_pair,
+from sgsolve import (Game, InvariantError, almost_sure_buchi, almost_sure_safety, buchi_md_pair,
                      format_game, format_strategy, gallery, parse_game)
 from sgsolve.cli import main
 
@@ -120,6 +122,48 @@ def test_directed_printing_is_the_nearest_12_digit_decimal_on_its_side(v):
             assert text == f"{float(want):.12g}"
 
 
+def _check_directed(v: float, up: bool, text: str) -> None:
+    """``text`` is ``v`` rounded up (``up``) or down to 12 significant
+    digits, checked in ``Fraction``s alone: it lies on that side of ``v``,
+    has at most 12 significant digits, and the next such decimal towards
+    ``v`` lies past ``v``.  It is the ``.12g`` text whenever that one is on
+    the same side."""
+    exact, printed = Fraction(v), Fraction(text)
+    assert printed >= exact if up else printed <= exact
+    nearest = f"{v:.12g}"
+    if Fraction(nearest) >= exact if up else Fraction(nearest) <= exact:
+        assert text == nearest
+    if printed == exact:
+        return
+    size = abs(printed)
+    assert size
+    # ``x`` with 10**x <= size < 10**(x + 1), from the digit counts.
+    x = len(str(size.numerator)) - len(str(size.denominator))
+    if Fraction(10) ** x > size:
+        x -= 1
+    power = Fraction(10) ** x
+    unit = power / 10**11
+    assert (printed / unit).denominator == 1, text
+    # Towards zero from a power of ten the next decimal has one more digit.
+    if size == power and (printed > 0) == up:
+        unit /= 10
+    beyond = printed - unit if up else printed + unit
+    assert beyond < exact if up else beyond > exact, text
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(2.0**-1030)
+@example(-(2.0**-1030))
+@example(-5e-324)
+@example(-2.225073858507201e-308)
+def test_directed_printing_meets_a_fraction_referee(v):
+    for up in (True, False):
+        _check_directed(v, up, sgsolve.cli._fmt_bound(v, up))
+
+
 def test_iterate_prints_ruin_w1_below_its_value_in_every_format(tmp_path, capsys):
     # Rounded to nearest, the lower iterate at w1 prints as 0.666666666667,
     # above the exact value ((2/3) - (2/3)^100) / (1 - (2/3)^100).
@@ -139,6 +183,21 @@ def test_iterate_prints_ruin_w1_below_its_value_in_every_format(tmp_path, capsys
         values, _ = _printed_iterate(str(path), "safety", "1/1000000000", fmt, capsys)
         assert values["w1"] == "0.333333333334"
         assert Fraction(values["w1"]) >= 1 - exact
+
+
+def test_iterate_prints_a_six_target_game_inside_the_unit_interval(tmp_path, capsys):
+    # The float weights 4, 41, 48, 2, 36 and 24 over 155 add up past 1.0 in
+    # successor order, so without a clamp the lower reach iterate at r is
+    # 1.0000000000000002 and the safety value a negative upper bound.
+    weights = [4, 41, 48, 2, 36, 24]
+    targets = [f"t{i}" for i in range(len(weights))]
+    game = Game.of([("r", "rand", targets, [Fraction(w, 155) for w in weights])]
+                   + [(t, "max", (t,)) for t in targets])
+    path = tmp_path / "six.game"
+    path.write_text(format_game(game, targets))
+    for objective, value in (("reach", "1"), ("safety", "0")):
+        values, _ = _printed_iterate(str(path), objective, "1/1000000000", "lines", capsys)
+        assert values["r"] == value
 
 
 def test_solve_table_and_json_formats(fig2_file, capsys):
@@ -250,6 +309,25 @@ def test_transform_rvi_rejects_objectives_it_does_not_preserve(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err == (
         f"error: --rvi preserves reach and reachplus values, not {objective}\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(("command", "objective"), [
+    *(("winning-set", o) for o in ("cobuchi", "reachplus", "reach<=3")),
+    *(("strategy", o) for o in ("safety", "cobuchi", "reach<=3")),
+    *(("decide", o) for o in ("safety", "buchi", "cobuchi", "reachplus", "reach<=3")),
+])
+def test_commands_refuse_objectives_they_do_not_handle(ladder_file, capsys, command, objective):
+    # A refusal that names the objective names it as typed.
+    extra, message = {
+        "winning-set": ([], f"no almost-sure partition for {objective}"),
+        "strategy": (["--player", "max"], f"no strategy construction for {objective}"),
+        "decide": (["--threshold", "1/2", "--from", "q1"],
+                   "the threshold decision handles reachability objectives"),
+    }[command]
+    assert main([command, ladder_file, "--objective", objective, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

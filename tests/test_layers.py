@@ -139,6 +139,16 @@ def test_help_loads_only_the_package_and_the_cli():
     assert _loaded_by("--help") == ({"sgsolve", "cli"}, False)
 
 
+def test_help_loads_neither_decimal_nor_fractions():
+    # Directed printing imports ``decimal`` only when it prints, so a start
+    # that prints nothing pays for neither module.
+    probe = ("import sys; from sgsolve import cli; cli.main(['--help']); "
+             "print('decimal' in sys.modules, 'fractions' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert done.stderr.split() == ["False", "False"]
+
+
 def test_validate_loads_only_model_and_textio(ruin_file):
     assert _loaded_by("validate", ruin_file)[0] <= {"sgsolve", "cli", "model", "textio"}
 

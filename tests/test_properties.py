@@ -10,14 +10,14 @@ from math import lcm
 import pytest
 from conftest import (acyclic_game, reference_almost_sure_reach, reference_buchi_peel,
                       reference_plays, reference_solve_reach_exact)
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Verdict,
                      almost_sure_buchi, almost_sure_reach, apply_md, bellman_step, buchi,
                      buchi_md_pair, cobuchi, decided, epsilon_horizon, gallery,
                      md_enumeration_oracle, mdp_buchi_exact, reach, reach_plus, rvi, safety,
-                     value_reach_within)
+                     value_buchi, value_cobuchi, value_reach, value_reach_within, value_safety)
 from sgsolve import exact
 from sgsolve.exact import bellman_combine, gauss_solve, solve_reach_exact
 from sgsolve.winning import buchi_peel
@@ -301,3 +301,17 @@ def test_random_average_equals_the_fraction_sum(case, data):
             assert type(got) is Fraction
             assert got == sum((w * values[t] for t, w in game.distribution(s)), Fraction(0))
             assert bellman_combine(game, dict.fromkeys(game.states, Fraction(0)), s) == 0
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 200), min_size=2, max_size=6))
+@example([4, 41, 48, 2, 36, 24])
+def test_iterate_values_lie_in_the_unit_interval(weights):
+    # One random state into absorbing targets: its float weights can add up
+    # past 1.0 in successor order, which the lower reach iterate must not.
+    targets = [f"t{i}" for i in range(len(weights))]
+    game = Game.of([("r", "rand", targets, [Fraction(w, sum(weights)) for w in weights])]
+                   + [(t, "max", (t,)) for t in targets])
+    for solver in (value_reach, value_safety, value_buchi, value_cobuchi):
+        vec = solver(game, set(targets), Fraction(1, 10**9))
+        assert all(0 <= v <= 1 for v in vec.values.values()), (solver.__name__, vec.values)
