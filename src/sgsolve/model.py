@@ -213,11 +213,37 @@ def validate(game: Game) -> list[Violation]:
     Violations are data, not exceptions: dead ends, random weights that do
     not sum to one (or are not positive), successor ids that are not states,
     and duplicate successor entries.
+
+    Each state first meets a guard that only a well-formed state passes: a
+    successor exists, none is listed twice, each is a state and, at a random
+    state, there is one weight per successor, each read once through
+    ``as_integer_ratio``, every numerator is positive and the weights sum to
+    one exactly (on integers, over the lcm of their denominators).  Only
+    a state that fails the guard has its edges and weights checked one by
+    one below, so the violations come in the same order as from checking
+    every state: state by state in declaration order and, within a state, in
+    the order of the checks below.
     """
     out: list[Violation] = []
-    owner = game.owner
+    owner, succ, prob, keys = game.owner, game.succ, game.prob, game.owner.keys()
     for s, kind in owner.items():
-        succs = game.succ.get(s, ())
+        succs = succ.get(s, ())
+        weights = prob.get(s, ())
+        # The guard; a state that passes it has no violation.
+        if succs and len(distinct := set(succs)) == len(succs) and keys >= distinct:
+            if kind is not Owner.RANDOM:
+                continue
+            num, den = 0, 1
+            for w in weights:
+                p, q = w.as_integer_ratio()
+                if p <= 0:
+                    break
+                # The sum so far is num / den, den the lcm of the denominators.
+                scale = lcm(den, q)
+                num, den = num * (scale // den) + p * (scale // q), scale
+            else:
+                if num == den and len(weights) == len(succs):
+                    continue
         if not succs:
             out.append(Violation("dead-end", s, "state has no successor"))
         seen = set()
@@ -228,15 +254,9 @@ def validate(game: Game) -> list[Violation]:
                 out.append(Violation("duplicate-edge", s, f"successor {t!r} listed twice"))
             seen.add(t)
         if kind is Owner.RANDOM:
-            weights = game.prob.get(s, ())
             if len(weights) != len(succs):
-                out.append(
-                    Violation(
-                        "weight-shape",
-                        s,
-                        f"{len(weights)} weights for {len(succs)} successors",
-                    )
-                )
+                detail = f"{len(weights)} weights for {len(succs)} successors"
+                out.append(Violation("weight-shape", s, detail))
                 continue
             for w in weights:
                 # A rational's sign is its numerator's.

@@ -26,7 +26,7 @@ from . import winning
 from .exact import solve_reach_exact
 from .graphs import attractor
 from .model import Game, InvariantError, Owner, SgsolveError, _as_fraction, check_state
-from .textio import _tokens
+from .textio import _check_ids, _tokens
 
 ONE = Fraction(1)
 
@@ -323,25 +323,26 @@ def threshold_decide(game: Game, targets, threshold, strict: bool, start: str) -
 
 
 def format_strategy(strategy: MDStrategy | TransducerStrategy) -> str:
-    """Serialize a strategy; round-trippable and diffable."""
+    """Serialize a strategy; round-trippable and diffable.  An id the reader
+    cannot read back raises ``ValueError`` and nothing is written."""
     if isinstance(strategy, MDStrategy):
+        _check_ids(x for pair in strategy.choice.items() for x in pair)
         lines = [f"strategy {strategy.owner.value} md"]
         lines += [f"choose {s} {t}" for s, t in strategy.choice.items()]
         return "\n".join(lines) + "\n"
+    rows = [(kw, mode, s, t, w) for kw, table in (("update", strategy.update),
+                                                 ("choose", strategy.choose))
+            for (mode, s), dist in table.items() for t, w in dist.items()]
+    _check_ids([strategy.initial, *strategy.modes, *(x for row in rows for x in row[1:4])])
     lines = [f"strategy {strategy.owner.value} transducer", f"initial {strategy.initial}"]
     lines += [f"mode {m}" for m in strategy.modes]
-    for (mode, s), dist in strategy.update.items():
-        for m2, w in dist.items():
-            lines.append(f"update {mode} {s} {m2} {w.numerator}/{w.denominator}")
-    for (mode, s), dist in strategy.choose.items():
-        for t, w in dist.items():
-            lines.append(f"choose {mode} {s} {t} {w.numerator}/{w.denominator}")
+    lines += [f"{kw} {mode} {s} {t} {w.numerator}/{w.denominator}" for kw, mode, s, t, w in rows]
     return "\n".join(lines) + "\n"
 
 
 def parse_strategy(text: str) -> MDStrategy | TransducerStrategy:
     """Read a strategy file; an error in a row, a repeated one included, names its line."""
-    lines = list(_tokens(text))
+    lines = _tokens(text)
     if not lines or lines[0][1][0] != "strategy" or len(lines[0][1]) != 3:
         raise ValueError("strategy file must start with: strategy max|min md|transducer")
     head, header = lines[0]

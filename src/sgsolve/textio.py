@@ -1,7 +1,7 @@
 """Text format for game files.
 
 One declaration per line, ``#`` starts a comment, ids are whitespace-free
-tokens::
+tokens without ``#``::
 
     state <id> max|min|rand
     edge <src> <dst>            # edges of owned states
@@ -12,6 +12,13 @@ Parsing is strict: unknown keywords, duplicate state declarations, edges
 touching undeclared states, malformed weights and misplaced weights are hard
 errors carrying the offending line number.  Duplicate edges and weight sums
 are left to :func:`sgsolve.model.validate`, which reports them as violations.
+
+Lines are those of ``str.splitlines``, so ``\\r\\n`` and the other breaks
+it honours (``\\x0b``, ``\\x0c``, ``\\x1c``, ``\\x85``, ``\\u2028`` and more) end a
+line and count towards line numbers.  A comment runs from the first ``#`` of
+a line to its end; text without a ``#`` is split into tokens with no cut.
+The writers refuse an id that the reader could not read back: an empty one,
+or one holding whitespace or ``#``.
 """
 
 from __future__ import annotations
@@ -42,12 +49,22 @@ class ParsedGame:
     state_lines: dict[str, int]
 
 
-def _tokens(text: str):
+def _tokens(text: str) -> list[tuple[int, list[str]]]:
     """Line number and tokens of each line not blank once its comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return [(lineno, toks) for lineno, toks in enumerate(map(str.split, lines), start=1) if toks]
+
+
+def _check_ids(ids) -> None:
+    """Raise ``ValueError`` naming the first of ``ids`` that the reader would
+    not read back as the same token: an empty one, or one holding whitespace
+    (every line break is whitespace) or ``#``."""
+    ids = [f"{i}" for i in ids]
+    if "#" in (joined := " ".join(ids)) or joined.split() != ids:
+        bad = next(i for i in ids if i.split() != [i] or "#" in i)
+        raise ValueError(f"cannot write id {bad!r}: an id is one token, without whitespace or '#'")
 
 
 def parse_game(text: str) -> ParsedGame:
@@ -114,24 +131,22 @@ def parse_game(text: str) -> ParsedGame:
         if sid not in owner:
             raise GameFormatError(lineno, f"target refers to undeclared state {sid!r}")
 
-    game = Game(
-        owner,
-        {s: tuple(ts) for s, ts in succ.items()},
-        {s: tuple(ws) for s, ws in prob.items()},
-    )
+    game = Game(owner, {s: tuple(ts) for s, ts in succ.items()},
+                {s: tuple(ws) for s, ws in prob.items()})
     return ParsedGame(game, frozenset(t for _, t in targets), state_lines)
 
 
 def format_game(game: Game, targets=()) -> str:
-    """Serialize a game (and optional target set) in the text format."""
+    """Serialize a game (and optional target set) in the text format; an id
+    the reader cannot read back raises ``ValueError`` and nothing is written."""
+    targets = list(targets)
+    _check_ids([*game.states, *(t for s in game.states for t in game.succ[s]), *targets])
     lines = [f"state {s} {game.owner[s].value}" for s in game.states]
     for s in game.states:
         if game.owner[s] is Owner.RANDOM:
-            for t, w in game.distribution(s):
-                lines.append(f"edge {s} {t} {w.numerator}/{w.denominator}")
+            lines += [f"edge {s} {t} {w.numerator}/{w.denominator}"
+                      for t, w in game.distribution(s)]
         else:
-            for t in game.succ[s]:
-                lines.append(f"edge {s} {t}")
-    for t in targets:
-        lines.append(f"target {t}")
+            lines += [f"edge {s} {t}" for t in game.succ[s]]
+    lines += [f"target {t}" for t in targets]
     return "\n".join(lines) + "\n"

@@ -1,19 +1,25 @@
 """Shared test helpers: seeded random and acyclic game generators,
 independent closed-form oracles, a one-play-at-a-time reference sampler, a
 peel that rebuilds its confined set every round (kept free of the solver
-machinery they referee) and strategy iteration from the float guess on every
-game, which referees the exact solver's backward induction."""
+machinery they referee), strategy iteration from the float guess on every
+game, which referees the exact solver's backward induction, and the game-file
+reader without its list tokenizer and guarded validation: a tokenizing
+generator, the two-pass parser over it and a validator that walks every edge
+and weight of every state."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from sgsolve import Estimate, Game, Owner, exact
 from sgsolve.graphs import attractor
+from sgsolve.model import Violation, _as_fraction
 from sgsolve.objectives import ObjectiveKind
 from sgsolve.simulate import _as_transducer
+from sgsolve.textio import _KINDS, GameFormatError, ParsedGame
 
 
 def random_game(seed: int, n: int = 8, max_branch: int = 3, owned_branch: int = 2,
@@ -268,3 +274,119 @@ def reference_buchi_peel(game, buchi_set):
         index.update(dict.fromkeys(stranded, rounds))
         alive -= stranded
     return alive, max(rounds, 1), index, min_pick
+
+
+def reference_tokens(text: str):
+    """Line number and tokens of each line not blank once its comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def reference_parse_game(text: str) -> ParsedGame:
+    """The game-file parser over :func:`reference_tokens`: syntax errors by
+    line, then undeclared edge ends in edge order, then undeclared targets."""
+    owner: dict[str, Owner] = {}
+    state_lines: dict[str, int] = {}
+    edges: list[tuple[int, str, str, Fraction | None]] = []
+    targets: list[tuple[int, str]] = []
+    weights: dict[str, Fraction] = {}
+
+    for lineno, toks in reference_tokens(text):
+        kw = toks[0]
+        if kw == "edge":
+            if len(toks) == 3:
+                edges.append((lineno, toks[1], toks[2], None))
+            elif len(toks) == 4:
+                weight = weights.get(toks[3])
+                if weight is None:
+                    try:
+                        weight = weights[toks[3]] = _as_fraction(toks[3])
+                    except ValueError:
+                        raise GameFormatError(lineno, f"malformed rational weight {toks[3]!r}") from None
+                edges.append((lineno, toks[1], toks[2], weight))
+            else:
+                raise GameFormatError(lineno, "expected: edge <src> <dst> [<p/q>]")
+        elif kw == "state":
+            if len(toks) != 3:
+                raise GameFormatError(lineno, "expected: state <id> max|min|rand")
+            sid, kind = toks[1], toks[2]
+            if sid in owner:
+                raise GameFormatError(lineno, f"duplicate declaration of state {sid!r}")
+            if kind not in _KINDS:
+                raise GameFormatError(lineno, f"unknown state kind {kind!r}")
+            owner[sid] = _KINDS[kind]
+            state_lines[sid] = lineno
+        elif kw == "target":
+            if len(toks) != 2:
+                raise GameFormatError(lineno, "expected: target <id>")
+            targets.append((lineno, toks[1]))
+        else:
+            raise GameFormatError(lineno, f"unknown keyword {kw!r}")
+
+    succ: dict[str, list[str]] = {s: [] for s in owner}
+    prob: dict[str, list[Fraction]] = {s: [] for s, o in owner.items() if o is Owner.RANDOM}
+    for lineno, src, dst, weight in edges:
+        out = succ.get(src)
+        if out is None:
+            raise GameFormatError(lineno, f"edge from undeclared state {src!r}")
+        if dst not in owner:
+            raise GameFormatError(lineno, f"edge to undeclared state {dst!r}")
+        ws = prob.get(src)
+        if ws is None:
+            if weight is not None:
+                raise GameFormatError(lineno, f"edge from owned state {src!r} must not carry a weight")
+        elif weight is None:
+            raise GameFormatError(lineno, f"edge from random state {src!r} needs a weight")
+        else:
+            ws.append(weight)
+        out.append(dst)
+
+    for lineno, sid in targets:
+        if sid not in owner:
+            raise GameFormatError(lineno, f"target refers to undeclared state {sid!r}")
+
+    game = Game(
+        owner,
+        {s: tuple(ts) for s, ts in succ.items()},
+        {s: tuple(ws) for s, ws in prob.items()},
+    )
+    return ParsedGame(game, frozenset(t for _, t in targets), state_lines)
+
+
+def reference_validate(game: Game) -> list[Violation]:
+    """Every game invariant checked edge by edge and weight by weight, on
+    every state."""
+    out: list[Violation] = []
+    owner = game.owner
+    for s, kind in owner.items():
+        succs = game.succ.get(s, ())
+        if not succs:
+            out.append(Violation("dead-end", s, "state has no successor"))
+        seen = set()
+        for t in succs:
+            if t not in owner:
+                out.append(Violation("dangling-id", s, f"successor {t!r} is not a state"))
+            if t in seen:
+                out.append(Violation("duplicate-edge", s, f"successor {t!r} listed twice"))
+            seen.add(t)
+        if kind is Owner.RANDOM:
+            weights = game.prob.get(s, ())
+            if len(weights) != len(succs):
+                out.append(
+                    Violation(
+                        "weight-shape",
+                        s,
+                        f"{len(weights)} weights for {len(succs)} successors",
+                    )
+                )
+                continue
+            for w in weights:
+                if w.numerator <= 0:
+                    out.append(Violation("nonpositive-weight", s, f"weight {w} is not positive"))
+            scale = lcm(*(w.denominator for w in weights))
+            if succs and sum(w.numerator * (scale // w.denominator) for w in weights) != scale:
+                total = sum(weights, Fraction(0))
+                out.append(Violation("weight-sum", s, f"weights sum to {total}, expected 1"))
+    return out

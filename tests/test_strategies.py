@@ -599,3 +599,39 @@ def test_strategy_file_errors_name_their_line(text, message):
     with pytest.raises(ValueError) as err:
         parse_strategy(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", ["a#b", "", "a b", "a\u2028b", "a\x85b"])
+def test_format_strategy_refuses_an_id_it_cannot_read_back(bad):
+    with pytest.raises(ValueError, match="cannot write id") as err:
+        format_strategy(MDStrategy(Owner.MAX, {"a": "b", bad: "a"}))
+    assert repr(bad) in str(err.value)
+    for strategy in (
+        TransducerStrategy(Owner.MIN, ("m0", bad), "m0", choose={("m0", "a"): {"b": Fraction(1)}}),
+        TransducerStrategy(Owner.MIN, ("m0",), "m0", update={("m0", "a"): {bad: Fraction(1)}}),
+        TransducerStrategy(Owner.MIN, ("m0",), "m0", choose={("m0", "a"): {bad: Fraction(1)}}),
+    ):
+        with pytest.raises(ValueError, match="cannot write id") as err:
+            format_strategy(strategy)
+        assert repr(bad) in str(err.value)
+
+
+def test_format_strategy_names_the_first_unwritable_id_in_writing_order():
+    with pytest.raises(ValueError, match="'x y'"):
+        format_strategy(MDStrategy(Owner.MAX, {"a": "x y", "b#": "a"}))
+    strategy = TransducerStrategy(Owner.MAX, ("m0",), "m0",
+                                  update={("m0", "u v"): {"m0": Fraction(1)}},
+                                  choose={("m0", "a#"): {"b": Fraction(1)}})
+    with pytest.raises(ValueError, match="'u v'"):
+        format_strategy(strategy)
+
+
+@pytest.mark.parametrize("name", ["a-b", "x/y", "0", "choose", "md", "été"])
+def test_strategy_round_trip_writable_ids(name):
+    md = MDStrategy(Owner.MIN, {name: "t", "t": name})
+    assert parse_strategy(format_strategy(md)) == md
+    choose = {(name, name): {"t": Fraction(1, 3), name: Fraction(2, 3)},
+              ("m", name): {"t": Fraction(1)}}
+    transducer = TransducerStrategy(Owner.MAX, (name, "m"), name,
+                                    update={(name, "a"): {"m": Fraction(1)}}, choose=choose)
+    assert parse_strategy(format_strategy(transducer)) == transducer

@@ -3,7 +3,7 @@
 import pytest
 from conftest import random_game
 
-from sgsolve import GameFormatError, format_game, parse_game
+from sgsolve import Game, GameFormatError, format_game, parse_game
 from sgsolve import gallery
 
 
@@ -93,3 +93,41 @@ def test_round_trip_random_games():
         assert parsed.game == game
         assert parsed.game.states == game.states
         assert parsed.targets == targets
+
+
+# Ids the reader cannot read back as one token: empty, holding whitespace
+# (every line break counts) or holding a comment sign.
+UNWRITABLE = ["a#b", "#", "", "a b", " a", "a\t", "a\r\nb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b",
+              "a\u2028b", "a\u3000b"]
+WRITABLE = ["a-b", "x/y", "0", "1/2", "state", "edge", "max", "été", "a,b", "a<=b"]
+
+
+@pytest.mark.parametrize("bad", UNWRITABLE)
+@pytest.mark.parametrize("where", ["state", "target"])
+def test_format_game_refuses_an_id_it_cannot_read_back(bad, where):
+    game = Game.of([("a", "max", ["t"]), (bad, "max", ["t"]), ("t", "max", ["t"])])
+    with pytest.raises(ValueError, match="cannot write id") as err:
+        format_game(game, [bad, "a"] if where == "target" else ["a"])
+    assert repr(bad) in str(err.value)
+
+
+def test_format_game_names_the_first_unwritable_id_in_writing_order():
+    game = Game.of([("a", "max", ["t", "x y"]), ("t", "max", ["t"]), ("u#", "max", ["t"])])
+    with pytest.raises(ValueError, match="'u#'"):
+        format_game(game, ["t"])
+    game = Game.of([("a", "max", ["t", "x y"]), ("t", "max", ["t"])])
+    with pytest.raises(ValueError, match="'x y'"):
+        format_game(game, ["a b"])
+
+
+def test_a_comment_sign_in_an_id_is_refused_not_written():
+    with pytest.raises(ValueError, match="'a#b'"):
+        format_game(Game.of([("a#b", "max", ["t"]), ("t", "max", ["t"])]), ["t"])
+
+
+@pytest.mark.parametrize("name", WRITABLE)
+def test_round_trip_writable_ids(name):
+    game = Game.of([(name, "rand", [name, "t"], ["1/3", "2/3"]), ("t", "max", ["t", name])])
+    parsed = parse_game(format_game(game, [name]))
+    assert parsed.game == game
+    assert parsed.targets == {name}
