@@ -17,8 +17,8 @@ import importlib as _importlib
 _EXPORTS = {
     "model": "Game InvariantError LazyGame Owner SgsolveError SinkMode StateInfo Truncation "
              "TruncationError Violation swap_roles truncate validate",
-    "objectives": "Objective ObjectiveKind PlayPrefix Verdict bounding_sinks buchi cobuchi "
-                  "decided parse_objective reach reach_plus safety",
+    "objectives": "Objective ObjectiveKind Verdict bounding_sinks buchi cobuchi decided "
+                  "parse_objective reach reach_plus safety",
     "values": "IntervalValues ValueVector bellman_step epsilon_horizon interval_values "
               "value_buchi value_cobuchi value_reach value_reach_within value_safety",
     "winning": "WinningPartition almost_sure_buchi almost_sure_reach almost_sure_safety "

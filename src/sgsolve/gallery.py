@@ -144,16 +144,14 @@ def build_ladder(k: int) -> GalleryGame:
 
 def build_gamblers_ruin(p, cap: int) -> GalleryGame:
     """The ruin chain on 0..cap: win a unit with probability p, lose one
-    otherwise; 0 (ruin, the target) and cap are absorbing."""
-    p = _as_fraction(p)
-    if not 0 < p < 1:
-        raise ValueError("p must be strictly between 0 and 1")
+    otherwise; 0 (ruin, the target) and cap are absorbing.  States below
+    cap are the rows of :func:`gamblers_ruin_lazy`."""
+    expand = gamblers_ruin_lazy(p).expand
     cap = _as_int("cap", cap)
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    rows: list[tuple] = [("w0", Owner.RANDOM, ("w0",), (Fraction(1),))]
-    for w in range(1, cap):
-        rows.append((f"w{w}", Owner.RANDOM, (f"w{w + 1}", f"w{w - 1}"), (p, 1 - p)))
+    below = [f"w{w}" for w in range(cap)]
+    rows = [(s, st.owner, st.successors, st.weights) for s, st in zip(below, map(expand, below))]
     rows.append((f"w{cap}", Owner.RANDOM, (f"w{cap}",), (Fraction(1),)))
     return GalleryGame(
         game=Game.of(rows),

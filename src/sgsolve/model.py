@@ -276,8 +276,9 @@ class StateInfo:
     """What a lazy game's ``expand`` returns for one state.
 
     ``labels`` carries per-state objective membership flags (for example
-    ``{"target"}`` or ``{"buchi"}``) so objectives can be bound to a
-    truncation without materializing the full game.
+    ``{"target"}`` or ``{"buchi"}``) so a truncation yields target sets
+    without materializing the full game.  ``weights`` holds one weight per
+    successor at a random state and is ``None`` at an owned one.
     """
 
     owner: Owner
@@ -301,7 +302,9 @@ class LazyGame:
 
 
 class TruncationError(SgsolveError, RuntimeError):
-    """Raised when an expansion diverges (empty or over-bound successor list)."""
+    """Raised when an expansion diverges (empty or over-bound successor list)
+    or is malformed (weights that do not fit its owner and successors, or a
+    window that :func:`validate` rejects)."""
 
 
 class InvariantError(SgsolveError, RuntimeError):
@@ -353,7 +356,8 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
     Every edge that leaves the expanded set is redirected to a single
     absorbing sink; parallel redirected edges are merged (weights summed for
     random states) to keep successor lists duplicate-free.  ``depth`` must
-    be an integer: a float or a ``bool`` raises ``TypeError``.
+    be an integer: a float or a ``bool`` raises ``TypeError``.  A malformed
+    expansion raises :class:`TruncationError` naming the state.
     """
     depth = _as_int("depth", depth)
     if depth < 0:
@@ -371,6 +375,12 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
                 f"expand({s!r}) returned {len(st.successors)} successors, "
                 f"bound is {base.branching_bound}"
             )
+        if st.owner is Owner.RANDOM:
+            if st.weights is None or len(st.weights) != len(st.successors):
+                raise TruncationError(f"expand({s!r}) returned {len(st.weights or ())} weights "
+                                      f"for {len(st.successors)} successors")
+        elif st.weights is not None:
+            raise TruncationError(f"expand({s!r}) returned weights for an owned state")
         info[s] = st
         if dist[s] == depth:
             continue
@@ -387,6 +397,9 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
         ),
         info,
     )
+    violations = validate(game)
+    if violations:
+        raise TruncationError(f"malformed expansion: {violations[0]}")
     labels: dict[str, set[str]] = {}
     for s, st in info.items():
         for lab in st.labels:

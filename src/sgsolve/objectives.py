@@ -3,10 +3,11 @@
 An objective is a kind plus a target set.  Objectives are events over
 infinite plays, so a finite prefix is satisfied forever (every extension
 satisfies the objective), violated forever (none does) or undecided: the
-first decided code along it in the bound objective's :class:`VerdictTable`.
-``decided`` and the simulator read that one table, built once from one
-attractor run whose layers are the graph distances to the target.  At step
-``k`` a state is:
+first decided code along it in the objective's :class:`VerdictTable` on the
+game.  ``decided`` and the simulator read that one table, built from the
+objective and the game by :meth:`Objective.verdicts` in one attractor run
+whose layers are the graph distances to the target.  At step ``k`` a state
+is:
 
 * for reach, reachplus and reach<=N: won if a target, lost if the target is
   out of reach (safety: the other way round);
@@ -18,9 +19,9 @@ attractor run whose layers are the graph distances to the target.  At step
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from .graphs import attractor
 from .model import Game, Owner, SinkMode, _as_int, check_state, check_targets
@@ -61,7 +62,8 @@ class VerdictTable:
 
 @dataclass(frozen=True)
 class Objective:
-    """An objective kind with its target set, optionally bound to a game.
+    """An objective kind with its target set: a plain value, used with any
+    game.
 
     ``steps`` is the horizon of a bounded-reach objective; position 0 is the
     initial state, so a play starting in the target satisfies a 0-step bound.
@@ -72,7 +74,6 @@ class Objective:
     kind: ObjectiveKind
     target: frozenset[str]
     steps: int | None = None
-    game: Game | None = None
 
     def __post_init__(self):
         if (self.kind is ObjectiveKind.REACH_WITHIN) != (self.steps is not None):
@@ -82,16 +83,10 @@ class Objective:
             if self.steps < 0:
                 raise ValueError("steps must be non-negative")
 
-    def bind(self, game: Game) -> "Objective":
+    def verdicts(self, game: Game) -> VerdictTable:
+        """The verdict table of this objective on ``game``.  A target that is
+        not a state of ``game`` raises ``ValueError``."""
         check_targets(game, self.target)
-        return replace(self, game=game)
-
-    @cached_property
-    def verdicts(self) -> VerdictTable:
-        """The verdict table of a bound objective, built on first use and kept."""
-        game = self.game
-        if game is None:
-            raise ValueError("objective is not bound to a game")
         kind, target, states = self.kind, self.target, game.states
         if kind in (ObjectiveKind.BUCHI, ObjectiveKind.COBUCHI):
             wins = kind is ObjectiveKind.BUCHI
@@ -134,29 +129,18 @@ def reach_plus(*target: str) -> Objective:
     return Objective(ObjectiveKind.REACH_PLUS, frozenset(target))
 
 
-@dataclass(frozen=True)
-class PlayPrefix:
-    """A finite non-empty state sequence consistent with a game's edges."""
-
-    states: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValueError("a play prefix is non-empty")
-
-    def check_consistent(self, game: Game) -> None:
-        for s in self.states:
-            check_state(game, s)
-        for s, t in zip(self.states, self.states[1:]):
-            if t not in game.succ[s]:
-                raise ValueError(f"{s!r} -> {t!r} is not an edge")
-
-
-def decided(obj: Objective, prefix: PlayPrefix) -> Verdict:
-    """Verdict for a prefix: the first decided code of ``obj.verdicts`` along it."""
-    table = obj.verdicts
-    prefix.check_consistent(obj.game)
-    for step, s in enumerate(prefix.states):
+def decided(obj: Objective, game: Game, prefix: Sequence[str]) -> Verdict:
+    """Verdict for a prefix, a non-empty state sequence along the edges of
+    ``game``: the first decided code of ``obj.verdicts(game)`` along it."""
+    if not prefix:
+        raise ValueError("a play prefix is non-empty")
+    table = obj.verdicts(game)
+    for s in prefix:
+        check_state(game, s)
+    for s, t in zip(prefix, prefix[1:]):
+        if t not in game.succ[s]:
+            raise ValueError(f"{s!r} -> {t!r} is not an edge")
+    for step, s in enumerate(prefix):
         code = table.code(s, step)
         if code:
             return (Verdict.UNDECIDED, Verdict.VIOLATED_FOREVER, Verdict.SATISFIED_FOREVER)[code]

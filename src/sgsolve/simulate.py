@@ -34,18 +34,21 @@ past the last block, the play computes the next block only, over the older
 of the two.  A step takes at most three draws, so they fit in the block
 before and that one: a play computes exactly the blocks its draws fall in.
 
-A play is decided at the first step whose verdict code, in the objective's
-verdict table, is decided: the rule is stated once, in the ``objectives``
-module docstring, and ``objectives.decided`` reads the same table.  A play
-still undecided at the horizon counts as lost for reach and won for safety;
-a Buchi or co-Buchi play is scored by whether the target was visited within
-the trailing window.  The share of plays decided within the horizon is
-reported, so callers can tell how much of the estimate rests on the cutoff.
+A play is decided at the first step whose verdict code, in the verdict
+table built once per run from the objective and the game, is decided: the
+rule is stated once, in the ``objectives`` module docstring, and
+``objectives.decided`` reads the same table.  A play still undecided at the
+horizon counts as lost for reach and won for safety; a Buchi or co-Buchi
+play is scored by whether the target was visited within the trailing
+window.  The share of plays decided within the horizon is reported, so
+callers can tell how much of the estimate rests on the cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import Game, Owner, _as_int, check_state
 from .objectives import Objective, ObjectiveKind
@@ -107,7 +110,7 @@ def _as_transducer(strategy, owner: Owner) -> TransducerStrategy | None:
     return strategy
 
 
-def _mulhilo(np, m: int, x):
+def _mulhilo(m: int, x):
     """High and low words of the 128-bit product ``m * x``, on 32-bit halves.
 
     Every partial sum stays below 2**64.  The updates are in place because
@@ -129,7 +132,7 @@ def _mulhilo(np, m: int, x):
     return hi, x * np.uint64(m)
 
 
-def _philox(np, counter, seed: int, play):
+def _philox(counter, seed: int, play):
     """Philox4x64-10 at counters ``(counter, 0, 0, 0)`` under keys
     ``(seed, play)``, elementwise over uint64 arrays: the four output words of
     each, mapped to doubles in [0, 1) along a new last axis.
@@ -138,20 +141,20 @@ def _philox(np, counter, seed: int, play):
     product is of the zero word and leaves the seed key alone in word 0, so
     round 1's first product is one Python int product.
     """
-    c2, c3 = _mulhilo(np, _MULTIPLIERS[0], counter)
+    c2, c3 = _mulhilo(_MULTIPLIERS[0], counter)
     c2 ^= play
     k0, k1 = (seed + _BUMPS[0]) & _MASK64, play + np.uint64(_BUMPS[1])
     product = _MULTIPLIERS[0] * seed
     c3 ^= np.uint64(product >> 64)
     c3 ^= k1
-    c0, c1 = _mulhilo(np, _MULTIPLIERS[1], c2)
+    c0, c1 = _mulhilo(_MULTIPLIERS[1], c2)
     c0 ^= np.uint64(k0)
     c2, c3 = c3, np.uint64(product & _MASK64)
     for _ in range(2, 10):
         k0 = (k0 + _BUMPS[0]) & _MASK64
         k1 = k1 + np.uint64(_BUMPS[1])
-        hi0, lo0 = _mulhilo(np, _MULTIPLIERS[0], c0)
-        hi1, lo1 = _mulhilo(np, _MULTIPLIERS[1], c2)
+        hi0, lo0 = _mulhilo(_MULTIPLIERS[0], c0)
+        hi1, lo1 = _mulhilo(_MULTIPLIERS[1], c2)
         hi1 ^= c1
         hi1 ^= np.uint64(k0)
         hi0 ^= c3
@@ -173,7 +176,7 @@ class _Rows:
     above every sum picks the last entry and a one-entry row ignores its draw.
     """
 
-    def __init__(self, np, rows):
+    def __init__(self, rows):
         self.width = max((len(row) for row in rows if row), default=1)
         cum = np.full((len(rows), self.width - 1), np.inf)
         out = np.zeros((len(rows), self.width), dtype=np.int64)
@@ -189,7 +192,7 @@ class _Rows:
         self.out = out.ravel()
         self.draws = np.array([len(row or ()) > 1 for row in rows])
 
-    def pick(self, np, r, u):
+    def pick(self, r, u):
         """The entry of row ``r[j]`` that draw ``u[j]`` picks, for every ``j``:
         the first whose cumulative weight is above ``u[j]``."""
         at = r * self.width
@@ -214,20 +217,17 @@ def sample_plays(
     a stray one included, raises ``ValueError`` up front.  MD strategies are
     accepted and lifted to one-mode transducers.
     """
-    import numpy as np
-
     pair = (_as_transducer(sigma, Owner.MAX), _as_transducer(pi, Owner.MIN))
     for t in filter(None, pair):
         t.check_rows(game)
-    obj = objective if objective.game is game else objective.bind(game)
+    table = objective.verdicts(game)
     check_state(game, start)
-    kind = obj.kind
+    kind = objective.kind
     states = game.states
     n = len(states)
     sid = {s: i for i, s in enumerate(states)}
 
-    target = np.array([s in obj.target for s in states])
-    table = obj.verdicts
+    target = np.array([s in objective.target for s in states])
     first_code, codes = (np.array([t[s] for s in states]) for t in (table.first, table.later))
     lost_from = None
     if table.lost_from is not None:
@@ -267,13 +267,13 @@ def sample_plays(
             moves.append(row)
     fails = np.zeros(len(moves), dtype=bool)
     fails[list(lacking)] = True
-    moves = _Rows(np, moves)
+    moves = _Rows(moves)
     # Players whose mode can change, with their mode-update rows at
     # ``mode * n + state``; a missing row keeps the mode.
     dynamic = []
     for p, (t, ids) in enumerate(zip(pair, mode_ids)):
         if t and t.update:
-            dynamic.append((p, _Rows(np, [
+            dynamic.append((p, _Rows([
                 rows(t.update.get((m, s)), ids) or [(j, 1)] for m, j in ids.items() for s in states])))
         else:
             first += stride[p] * initial[p]
@@ -341,7 +341,7 @@ def sample_plays(
             for part in range(0, len(stale), _SLICE):
                 some = stale[part:part + _SLICE]
                 k = (drawn[some] + 3) >> 2
-                words = _philox(np, (k + 1).astype(np.uint64), cfg.seed,
+                words = _philox((k + 1).astype(np.uint64), cfg.seed,
                                 (lo + slot[some]).astype(np.uint64))
                 quads[2 * slot[some] + (k & 1)] = words
             draws = []
@@ -349,8 +349,8 @@ def sample_plays(
             for take in takes:
                 draws.append(flat[base + (drawn & 7)])
                 drawn = drawn + take
-            st = moves.pick(np, row, draws[0])
-            modes = [upd.pick(np, r, u) for (_, upd), r, u in zip(dynamic, urows, draws[1:])]
+            st = moves.pick(row, draws[0])
+            modes = [upd.pick(r, u) for (_, upd), r, u in zip(dynamic, urows, draws[1:])]
 
         if failed is not None:
             raise ValueError(failed[1])

@@ -16,7 +16,7 @@ from math import lcm
 
 from sgsolve import Estimate, Game, Owner, exact
 from sgsolve.graphs import attractor
-from sgsolve.model import Violation, _as_fraction
+from sgsolve.model import Violation, _as_fraction, check_targets
 from sgsolve.objectives import ObjectiveKind
 from sgsolve.simulate import _as_transducer
 from sgsolve.textio import _KINDS, GameFormatError, ParsedGame
@@ -112,8 +112,8 @@ def reference_plays(game, start, objective, cfg, sigma=None, pi=None):
 
     sigma = _as_transducer(sigma, Owner.MAX)
     pi = _as_transducer(pi, Owner.MIN)
-    obj = objective if objective.game is game else objective.bind(game)
-    kind = obj.kind
+    check_targets(game, objective.target)
+    obj, kind = objective, objective.kind
 
     preds = {s: [] for s in game.states}
     for s in game.states:

@@ -103,9 +103,9 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_decided_leaves_numpy_unloaded():
     # The verdict table that ``decided`` and the sampler share is plain Python.
-    probe = ("import sys; from sgsolve import Game, PlayPrefix, decided, reach; "
+    probe = ("import sys; from sgsolve import Game, decided, reach; "
              "g = Game.of([('a', 'max', ('t', 'a')), ('t', 'max', ('t',))]); "
-             "print(decided(reach('t').bind(g), PlayPrefix(('a', 't'))).value, "
+             "print(decided(reach('t'), g, ('a', 't')).value, "
              "'numpy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)

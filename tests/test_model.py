@@ -168,6 +168,48 @@ def test_truncate_divergence_error():
         truncate(LazyGame("a", empty), 1)
 
 
+def _lazy_with(a: StateInfo) -> LazyGame:
+    """A lazy game whose state ``a`` expands to ``a`` and every other state
+    to a maximizer self-loop labelled target."""
+    def expand(s):
+        if s == "a":
+            return a
+        return StateInfo(Owner.MAX, (s,), labels=frozenset({"target"}))
+
+    return LazyGame("a", expand)
+
+
+def test_truncate_refuses_a_random_state_without_weights():
+    lazy = _lazy_with(StateInfo(Owner.RANDOM, ("t", "a")))
+    with pytest.raises(TruncationError, match=r"^expand\('a'\) returned 0 weights for 2 successors$"):
+        truncate(lazy, 3)
+    lazy = _lazy_with(StateInfo(Owner.RANDOM, ("t", "a"), (Fraction(1),)))
+    with pytest.raises(TruncationError, match=r"^expand\('a'\) returned 1 weights for 2 successors$"):
+        truncate(lazy, 3)
+
+
+def test_truncate_refuses_weights_at_an_owned_state():
+    lazy = _lazy_with(StateInfo(Owner.MIN, ("t", "a"), (HALF, HALF)))
+    with pytest.raises(TruncationError, match=r"^expand\('a'\) returned weights for an owned state$"):
+        truncate(lazy, 3)
+
+
+def test_truncate_refuses_a_window_that_validate_rejects():
+    from sgsolve import ObjectiveKind, interval_values
+
+    third = Fraction(1, 3)
+    lazy = _lazy_with(StateInfo(Owner.RANDOM, ("t", "a"), (third, third)))
+    message = r"^malformed expansion: weight-sum at a: weights sum to 2/3, expected 1$"
+    with pytest.raises(TruncationError, match=message):
+        truncate(lazy, 3)
+    # No certified bracket comes out of such a window.
+    with pytest.raises(TruncationError, match=message):
+        interval_values(lazy, ObjectiveKind.REACH, 3)
+    lazy = _lazy_with(StateInfo(Owner.MAX, ("t", "t")))
+    with pytest.raises(TruncationError, match=r"^malformed expansion: duplicate-edge at a: "):
+        truncate(lazy, 3)
+
+
 def test_expand_is_deterministic_on_gallery_generators():
     lazy = gallery.fig2_lazy()
     for sid in ("i", "s3", "sp2", "r0", "rp4", "t"):

@@ -16,7 +16,7 @@ SUBMODULES = ["exact", "graphs", "model", "objectives", "oracle", "simulate", "s
 
 PUBLIC = sorted(SUBMODULES + [
     "Estimate", "Game", "GameFormatError", "IntervalValues", "InvariantError", "LazyGame",
-    "MDStrategy", "Objective", "ObjectiveKind", "Owner", "ParsedGame", "PlayPrefix",
+    "MDStrategy", "Objective", "ObjectiveKind", "Owner", "ParsedGame",
     "SgsolveError", "SimConfig", "SinkMode", "StateInfo", "ThresholdVerdict",
     "TransducerStrategy", "Truncation", "TruncationError", "ValueDecreaseError", "ValueVector",
     "Verdict", "Violation", "WinningPartition", "almost_sure_buchi", "almost_sure_reach",
@@ -33,7 +33,7 @@ PUBLIC = sorted(SUBMODULES + [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 78
+    assert len(PUBLIC) == 77
     assert sorted(sgsolve.__all__) == PUBLIC
 
 
@@ -60,7 +60,7 @@ def test_star_import_works_from_a_fresh_interpreter():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(sgsolve.__file__).parents[1])),
                           check=True)
-    assert done.stdout.split() == ["[]", "78", "sgsolve.values"]
+    assert done.stdout.split() == ["[]", "77", "sgsolve.values"]
 
 
 def test_dir_lists_every_name():

@@ -9,7 +9,6 @@ from sgsolve import (
     Game,
     Objective,
     ObjectiveKind,
-    PlayPrefix,
     SinkMode,
     Verdict,
     bounding_sinks,
@@ -30,71 +29,86 @@ def fig2():
 
 
 def test_reach_satisfied_after_target_visit(fig2):
-    obj = reach("t").bind(fig2.game)
-    hit = PlayPrefix(("i", "s0", "s1", "r1", "t"))
-    assert decided(obj, hit) == Verdict.SATISFIED_FOREVER
-    still_open = PlayPrefix(("i", "s0", "s1", "r1"))
-    assert decided(obj, still_open) == Verdict.UNDECIDED
+    obj = reach("t")
+    hit = ("i", "s0", "s1", "r1", "t")
+    assert decided(obj, fig2.game, hit) == Verdict.SATISFIED_FOREVER
+    assert decided(obj, fig2.game, list(hit)) == Verdict.SATISFIED_FOREVER
+    still_open = ("i", "s0", "s1", "r1")
+    assert decided(obj, fig2.game, still_open) == Verdict.UNDECIDED
 
 
 def test_reach_violated_when_target_unreachable(fig2):
-    obj = reach("t").bind(fig2.game)
-    assert decided(obj, PlayPrefix(("i", "s0", "r0"))) == Verdict.VIOLATED_FOREVER
-    assert decided(obj, PlayPrefix(("i", "s0"))) == Verdict.UNDECIDED
+    obj = reach("t")
+    assert decided(obj, fig2.game, ("i", "s0", "r0")) == Verdict.VIOLATED_FOREVER
+    assert decided(obj, fig2.game, ("i", "s0")) == Verdict.UNDECIDED
 
 
 def test_reach_within_violated_after_horizon():
     g = gallery.build_ladder(2).game
-    obj = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), 2).bind(g)
-    prefix = PlayPrefix(("home", "q2", "q1", "c"))  # four states, none the goal
-    assert decided(obj, prefix) == Verdict.VIOLATED_FOREVER
+    obj = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), 2)
+    prefix = ("home", "q2", "q1", "c")  # four states, none the goal
+    assert decided(obj, g, prefix) == Verdict.VIOLATED_FOREVER
 
 
 def test_reach_within_zero_steps_is_initial_membership():
     g = gallery.build_ladder(1).game
-    obj = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), 0).bind(g)
-    assert decided(obj, PlayPrefix(("goal",))) == Verdict.SATISFIED_FOREVER
-    assert decided(obj, PlayPrefix(("home",))) == Verdict.VIOLATED_FOREVER
+    obj = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), 0)
+    assert decided(obj, g, ("goal",)) == Verdict.SATISFIED_FOREVER
+    assert decided(obj, g, ("home",)) == Verdict.VIOLATED_FOREVER
 
 
 def test_buchi_decided_only_at_absorbing_states(fig2):
-    obj = buchi(*fig2.buchi).bind(fig2.game)
-    wandering = PlayPrefix(("i", "sp0", "sp1"))
-    assert decided(obj, wandering) == Verdict.UNDECIDED
-    dead = PlayPrefix(("i", "sp0", "sp1", "rp1", "rp0"))
-    assert decided(obj, dead) == Verdict.VIOLATED_FOREVER
-    won = PlayPrefix(("i", "s0", "s1", "r1", "t"))
-    assert decided(obj, won) == Verdict.SATISFIED_FOREVER
+    obj = buchi(*fig2.buchi)
+    wandering = ("i", "sp0", "sp1")
+    assert decided(obj, fig2.game, wandering) == Verdict.UNDECIDED
+    dead = ("i", "sp0", "sp1", "rp1", "rp0")
+    assert decided(obj, fig2.game, dead) == Verdict.VIOLATED_FOREVER
+    won = ("i", "s0", "s1", "r1", "t")
+    assert decided(obj, fig2.game, won) == Verdict.SATISFIED_FOREVER
 
 
 def test_cobuchi_flips_absorbing_verdicts(fig2):
-    obj = cobuchi(*fig2.buchi).bind(fig2.game)
-    assert decided(obj, PlayPrefix(("i", "sp0", "sp1", "rp1", "rp0"))) == Verdict.SATISFIED_FOREVER
-    assert decided(obj, PlayPrefix(("i", "s0", "s1", "r1", "t"))) == Verdict.VIOLATED_FOREVER
+    obj = cobuchi(*fig2.buchi)
+    assert decided(obj, fig2.game, ("i", "sp0", "sp1", "rp1", "rp0")) == Verdict.SATISFIED_FOREVER
+    assert decided(obj, fig2.game, ("i", "s0", "s1", "r1", "t")) == Verdict.VIOLATED_FOREVER
 
 
 def test_reach_plus_needs_a_step(fig2):
-    obj = reach_plus("t").bind(fig2.game)
-    assert decided(obj, PlayPrefix(("t",))) == Verdict.UNDECIDED
-    assert decided(obj, PlayPrefix(("t", "t"))) == Verdict.SATISFIED_FOREVER
+    obj = reach_plus("t")
+    assert decided(obj, fig2.game, ("t",)) == Verdict.UNDECIDED
+    assert decided(obj, fig2.game, ("t", "t")) == Verdict.SATISFIED_FOREVER
     # A target none of whose successors can reach the target is lost at once.
     g = Game.of([("t", "max", ("d",)), ("d", "max", ("d",))])
-    assert decided(reach_plus("t").bind(g), PlayPrefix(("t",))) == Verdict.VIOLATED_FOREVER
+    assert decided(reach_plus("t"), g, ("t",)) == Verdict.VIOLATED_FOREVER
 
 
-def test_unbound_objective_and_bad_prefix(fig2):
-    with pytest.raises(ValueError):
-        decided(reach("t"), PlayPrefix(("t",)))
-    obj = reach("t").bind(fig2.game)
-    with pytest.raises(ValueError):
-        decided(obj, PlayPrefix(("i", "t")))  # not an edge
-    with pytest.raises(ValueError):
-        reach("nope").bind(fig2.game)
+def test_decided_refuses_bad_prefixes_and_targets(fig2):
+    obj = reach("t")
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="a play prefix is non-empty"):
+            decided(obj, fig2.game, empty)
+    with pytest.raises(ValueError, match=re.escape("'i' -> 't' is not an edge")):
+        decided(obj, fig2.game, ("i", "t"))
+    with pytest.raises(ValueError, match=re.escape("target states not in game: ['nope']")):
+        decided(reach("nope"), fig2.game, ("i",))
     for make in (reach, safety, reach_plus, buchi, cobuchi):
         with pytest.raises(ValueError, match="unknown state 'zzz'"):
-            decided(make("t").bind(fig2.game), PlayPrefix(("zzz",)))
+            decided(make("t"), fig2.game, ("zzz",))
     with pytest.raises(ValueError, match="unknown state 'zzz'"):
-        decided(obj, PlayPrefix(("i", "s0", "zzz")))
+        decided(obj, fig2.game, ("i", "s0", "zzz"))
+
+
+def test_objectives_are_plain_values(fig2):
+    # An objective carries no game: it hashes, equals the same objective
+    # built again, and is used as it is with any game that has its targets.
+    obj = reach("t")
+    assert obj == reach("t") and hash(obj) == hash(reach("t"))
+    assert len({obj, reach("t"), safety("t"), reach("t", steps=3)}) == 3
+    small = Game.of([("a", "max", ("t", "a")), ("t", "max", ("t",))])
+    assert decided(obj, fig2.game, ("i", "s0", "r0")) == Verdict.VIOLATED_FOREVER
+    assert decided(obj, small, ("a", "t")) == Verdict.SATISFIED_FOREVER
+    assert obj.verdicts(small) == obj.verdicts(small)
+    assert obj == reach("t") and hash(obj) == hash(reach("t"))
 
 
 def test_verdicts_are_monotone_along_prefixes():
@@ -106,19 +120,19 @@ def test_verdicts_are_monotone_along_prefixes():
         start = rng.choice(game.states)
         prefix = [start]
         objectives = [
-            reach(*targets).bind(game),
-            safety(*targets).bind(game),
-            buchi(*targets).bind(game),
-            cobuchi(*targets).bind(game),
-            reach_plus(*targets).bind(game),
-            Objective(ObjectiveKind.REACH_WITHIN, targets, 3).bind(game),
+            reach(*targets),
+            safety(*targets),
+            buchi(*targets),
+            cobuchi(*targets),
+            reach_plus(*targets),
+            Objective(ObjectiveKind.REACH_WITHIN, targets, 3),
         ]
         for _ in range(8):
-            verdicts = [decided(o, PlayPrefix(tuple(prefix))) for o in objectives]
+            verdicts = [decided(o, game, prefix) for o in objectives]
             nxt = rng.choice(game.succ[prefix[-1]])
             prefix.append(nxt)
             for o, before in zip(objectives, verdicts):
-                after = decided(o, PlayPrefix(tuple(prefix)))
+                after = decided(o, game, prefix)
                 if before is not Verdict.UNDECIDED:
                     assert after == before
 
@@ -154,6 +168,6 @@ def test_reach_within_takes_integer_steps_only():
     with pytest.raises(TypeError):
         reach("goal", steps=2.5)
     g = gallery.build_ladder(2).game
-    prefix = PlayPrefix(("home", "q2", "q1", "c"))
-    bounded = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), np.int64(2)).bind(g)
-    assert decided(bounded, prefix) == Verdict.VIOLATED_FOREVER
+    prefix = ("home", "q2", "q1", "c")
+    bounded = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), np.int64(2))
+    assert decided(bounded, g, prefix) == Verdict.VIOLATED_FOREVER

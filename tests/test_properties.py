@@ -13,7 +13,7 @@ from conftest import (acyclic_game, reference_almost_sure_reach, reference_buchi
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
-from sgsolve import (Game, Owner, PlayPrefix, SimConfig, TransducerStrategy, Verdict,
+from sgsolve import (Game, Owner, SimConfig, TransducerStrategy, Verdict,
                      almost_sure_buchi, almost_sure_reach, apply_md, bellman_step, buchi,
                      buchi_md_pair, cobuchi, decided, epsilon_horizon, gallery,
                      md_enumeration_oracle, mdp_buchi_exact, reach, reach_plus, rvi, safety,
@@ -202,19 +202,20 @@ _OF_VERDICT = {None: Verdict.UNDECIDED, False: Verdict.VIOLATED_FOREVER,
        st.integers(0, 5), st.integers(0, 2**63 - 1), st.data())
 def test_prefix_verdicts_are_the_table_and_the_reference_samplers(case, make, steps, seed, data):
     game, targets = case
-    obj = (reach(*targets, steps=steps) if make == "reach<=" else make(*targets)).bind(game)
+    obj = reach(*targets, steps=steps) if make == "reach<=" else make(*targets)
     start = data.draw(st.sampled_from(game.states))
     cfg = SimConfig(samples=6, horizon=data.draw(st.integers(1, 10)), seed=seed)
     walks = reference_plays(game, start, obj, cfg, _uniform_walker(game, Owner.MAX),
                             _uniform_walker(game, Owner.MIN))
+    table = obj.verdicts(game)
     decided_plays = 0
     for visited, verdict, _ in walks:
         decided_plays += verdict is not None
         first = 0
         for k, state in enumerate(visited, 1):
-            got = decided(obj, PlayPrefix(tuple(visited[:k])))
+            got = decided(obj, game, visited[:k])
             # The first decided code of the shared table along the prefix...
-            first = first or obj.verdicts.code(state, k - 1)
+            first = first or table.code(state, k - 1)
             assert got == _OF_CODE[first]
             # ...and the reference sampler's own rule, which decides a play
             # at its last visited state or leaves it open at the horizon.

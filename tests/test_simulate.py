@@ -10,7 +10,6 @@ from conftest import random_game, reference_plays, reference_sample_plays, ruin_
 from sgsolve import (
     Game,
     Owner,
-    PlayPrefix,
     SimConfig,
     TransducerStrategy,
     Verdict,
@@ -145,7 +144,7 @@ def test_kernel_is_numpy_philox(seed):
     blocks = 41
     counter = np.arange(1, blocks + 1, dtype=np.uint64)[None, :].repeat(len(plays), axis=0)
     key = np.array(plays, dtype=np.uint64)[:, None]
-    draws = _philox(np, counter, seed, key).reshape(len(plays), 4 * blocks)
+    draws = _philox(counter, seed, key).reshape(len(plays), 4 * blocks)
     for row, i in zip(draws, plays):
         stream = np.random.Generator(np.random.Philox(key=[seed, i]))
         assert row.tolist() == stream.random(4 * blocks).tolist()
@@ -263,11 +262,13 @@ def test_estimates_do_not_depend_on_the_play_block(monkeypatch):
 
 def _count_blocks(monkeypatch):
     """Philox blocks computed per play index, counted around the kernel."""
+    import numpy as np
+
     computed = Counter()
 
-    def counted(np, counter, seed, play):
+    def counted(counter, seed, play):
         computed.update(np.broadcast_to(play, counter.shape).ravel().tolist())
-        return _philox(np, counter, seed, play)
+        return _philox(counter, seed, play)
 
     monkeypatch.setattr(simulate, "_philox", counted)
     return computed
@@ -324,7 +325,7 @@ def test_peak_memory_follows_the_lockstep_width_not_the_sample_count(monkeypatch
     monkeypatch.setattr(simulate, "_PLAYS", 1024)
     monkeypatch.setattr(simulate, "_SLICE", 256)
     built = gallery.build_gamblers_ruin(Fraction(3, 5), 30)
-    obj = reach(*built.targets).bind(built.game)
+    obj = reach(*built.targets)
     sample_plays(built.game, "w1", obj, SimConfig(64, 50, 1))
     peaks = []
     for samples in (1024, 8192):
@@ -401,6 +402,15 @@ def test_a_stray_row_is_rejected_before_any_play():
         sample_plays(_FORK, "c", reach("t"), cfg, sigma=sigma)
     assert sample_plays(_FORK, "c", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {})).mean == 1.0
 
+
+def test_a_target_outside_the_game_is_rejected():
+    cfg = SimConfig(samples=10, horizon=5, seed=0)
+    with pytest.raises(ValueError, match=r"^target states not in game: \['nope', 'zz'\]$"):
+        sample_plays(_FORK, "c", buchi("t", "zz", "nope"), cfg)
+    with pytest.raises(ValueError, match=r"^target states not in game: \['nope'\]$"):
+        sample_plays(_FORK, "c", reach("nope", steps=3), cfg)
+
+
 # a steps into the absorbing non-target d; t is an absorbing target.
 _ABSORBING = Game.of([("a", "rand", ("d",), (1,)), ("d", "rand", ("d",), (1,)),
                       ("t", "rand", ("t",), (1,))])
@@ -426,9 +436,9 @@ _CYCLE = Game.of([("a", "rand", ("t", "b"), (HALF, HALF)), ("b", "rand", ("c",),
 
 @pytest.mark.parametrize("make, mean", [(reach, 0.509), (safety, 0.491)])
 def test_a_play_that_cannot_reach_the_target_is_decided(make, mean):
-    obj = make("t").bind(_CYCLE)
+    obj = make("t")
     lost = Verdict.VIOLATED_FOREVER if make is reach else Verdict.SATISFIED_FOREVER
-    assert decided(obj, PlayPrefix(("a", "b"))) == lost
+    assert decided(obj, _CYCLE, ("a", "b")) == lost
     est = _same(_CYCLE, "a", obj, SimConfig(1000, 20, 0))
     # The mean is the one scoring at the horizon gives; only the decided
     # share moves, up from 0.509.
@@ -441,8 +451,8 @@ def test_bounded_reach_play_out_of_range_is_lost_before_step_n():
     g = Game.of([("a", "rand", ("t", "b"), (HALF, HALF)), ("b", "rand", ("c",), (1,)),
                  ("c", "rand", ("d",), (1,)), ("d", "rand", ("e",), (1,)),
                  ("e", "rand", ("t",), (1,)), ("t", "rand", ("t",), (1,))])
-    obj = reach("t", steps=4).bind(g)
-    assert decided(obj, PlayPrefix(("a", "b"))) == Verdict.VIOLATED_FOREVER
-    assert decided(reach("t", steps=5).bind(g), PlayPrefix(("a", "b"))) == Verdict.UNDECIDED
+    obj = reach("t", steps=4)
+    assert decided(obj, g, ("a", "b")) == Verdict.VIOLATED_FOREVER
+    assert decided(reach("t", steps=5), g, ("a", "b")) == Verdict.UNDECIDED
     est = _same(g, "a", obj, SimConfig(1000, 2, 0))
     assert est.mean == 0.509 and est.decided_fraction == 1.0
