@@ -381,6 +381,12 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
                                       f"for {len(st.successors)} successors")
         elif st.weights is not None:
             raise TruncationError(f"expand({s!r}) returned weights for an owned state")
+        # Checked on the raw row: ``sink_subgame`` merges repeated successors
+        # that leave the window, which would hide them from ``validate``.
+        if len(set(st.successors)) < len(st.successors):
+            t = next(t for i, t in enumerate(st.successors) if t in st.successors[:i])
+            violation = Violation("duplicate-edge", s, f"successor {t!r} listed twice")
+            raise TruncationError(f"malformed expansion: {violation}")
         info[s] = st
         if dist[s] == depth:
             continue

@@ -249,10 +249,8 @@ def _buchi_max_md(game: Game, peel: winning.BuchiPeel, buchi_set: set[str]) -> M
 
 def _buchi_min_md(game: Game, peel: winning.BuchiPeel) -> MDStrategy:
     """The minimizer's half of :func:`buchi_md_pair`."""
-    choice = dict(peel.min_pick)
-    choice.update({s: game.succ[s][0] for s in game.states
-                   if game.owner[s] is Owner.MIN and s not in peel.min_pick})
-    return MDStrategy(Owner.MIN, choice)
+    return MDStrategy(Owner.MIN, {s: peel.min_pick.get(s, game.succ[s][0])
+                                  for s in game.states if game.owner[s] is Owner.MIN})
 
 
 def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
@@ -261,11 +259,11 @@ def buchi_md_pair(game: Game, buchi_set) -> tuple[MDStrategy, MDStrategy]:
     The maximizer side comes from the peel's region alone: in it, the first
     successor inside of least progress rank towards its Buchi states, so it
     never leaves; off it, the first successor.  The minimizer side replays
-    the choices recorded during peeling: a step into the previous closure
-    level at closure states, and at removal seeds an escape down the round's
+    the choices recorded during peeling: a step into the previous layer of
+    the removal attractor, and at its layer 0 an escape down the round's
     reach-peel layers (:func:`winning.buchi_peel` proves it losing for the
-    maximizer); elsewhere, the first successor.  Graph closures only, no
-    exact solve.
+    maximizer); elsewhere, the first successor.  Rows in declaration order.
+    Graph closures only, no exact solve.
     """
     buchi_set = set(buchi_set)
     peel = winning.buchi_peel(game, buchi_set)

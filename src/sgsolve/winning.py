@@ -36,15 +36,15 @@ Almost-sure Buchi peels on the game graph alone.  A state's value of
 one step surely lands in the almost-sure reach region of the live Buchi
 states: some successor in it for the maximizer, all successors for the
 minimizer and random states.  That region is the reach peel above run inside
-the surviving states.  The states failing the test seed each round's
-removal: every live state outside the region, and the Buchi states in it
-that fail, since every other state of the region steps surely into it.  The
-removal is closed backward under minimizer and random transitions;
-maximizer states stranded by it are losing too.  This is the attractor
-characterisation of almost-sure Buchi (de Alfaro, Henzinger and Kupferman,
-FOCS 1998; Chatterjee, Jurdzinski and Henzinger, CSL 2003).  No rational
-arithmetic is involved, not even for the minimizer's escape at seed states:
-the round's reach-peel layers order the escapes.
+the surviving states.  Each round removes one attractor: the states outside
+the region, closed backward with minimizer and random states entering on one
+successor and maximizer states on all of them.  The Buchi states of the
+region that fail the test enter at layer 1, since every other state of the
+region steps surely into it.  This is the attractor characterisation of
+almost-sure Buchi (de Alfaro, Henzinger and Kupferman, FOCS 1998; Chatterjee,
+Jurdzinski and Henzinger, CSL 2003).  No rational arithmetic is involved, not
+even for the minimizer's escape at the removal's layer 0: the round's
+reach-peel layers order the escapes.
 """
 
 from __future__ import annotations
@@ -215,8 +215,9 @@ def almost_sure_safety(game: Game, targets) -> WinningPartition:
 class BuchiPeel:
     """Internals of the Buchi peeling, consumed by strategy synthesis.
 
-    ``min_pick`` holds, in removal order, the choice recorded at each
-    minimizer state of a removal closure; see :func:`buchi_peel`.
+    ``min_pick`` holds the choice recorded at each minimizer state of a
+    removal attractor, round by round and within a round in declaration
+    order; see :func:`buchi_peel`.
     """
 
     partition: WinningPartition
@@ -227,29 +228,29 @@ def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
     """Iterated removal of states that cannot force revisits forever.
 
     Round by round: compute R, the almost-sure reach region of the live
-    Buchi states inside the surviving states.  The states from which one
-    step does not surely land in R (no successor inside for the maximizer,
-    some successor outside for the others) are exactly those whose revisit
-    value is below one, and they seed the removal.  It is closed backward
-    under minimizer and random transitions level by level; maximizer states
-    stranded by it lose too, with the same round index.  A minimizer state
-    of the closure steps into the previous level, and a minimizer seed to
-    its first successor of least escape key: -1 if removed in an earlier
-    round, the round's reach-peel index if live outside R, and above every
-    index in R.
+    Buchi states inside the surviving states, and remove the live states of
+    the attractor of every state outside R, minimizer and random states
+    entering on one successor in it and maximizer states on all of them.
+    The states outside R, those removed in earlier rounds included, form its
+    layer 0.  The peel stops at the first round that removes nothing.  A
+    removed minimizer state at layer L > 0 steps to its first successor at
+    layer L - 1, and one at layer 0 to its first successor of least escape
+    key: -1 if removed in an earlier round, the round's reach-peel index if
+    live outside R, and above every index in R.
 
     Why the escapes win: fix these choices as pi and suppose the maximizer
     wins a removed state almost surely.  Let W be its almost-sure region in
     the MDP that pi leaves (pi, random moves and a winning maximizer stay in
     W) and k the first round that removed a state of W, so W is alive at
-    round k.  Every live state outside R is a seed, as a state stepping
-    surely into R survives every reach-peel round.  By induction W misses
-    each reach-peel layer L_j: as W misses the lower ones, a random state of
-    W in L_j was confined and, like a maximizer state of L_j, has no
-    successor higher, and a minimizer seed in L_j has escape key at most j.
-    So plays from W in L_j stay there, off the Buchi set.  Thus W lies in
-    R, where pi leaves R at minimizer seeds and every other seed has a
-    successor outside R: W holds no seed, and level by level nothing else
+    round k.  By induction W misses each reach-peel layer L_j: as W misses
+    the lower ones, a random state of W in L_j was confined and, like a
+    maximizer state of L_j, has no successor higher, and a minimizer state
+    in L_j has escape key at most j.  So plays from W in L_j stay there, off
+    the Buchi set.  Thus W lies in R and, by the choice of k, holds no state
+    of layer 0.  By induction on L it holds none of layer L either: pi steps
+    a minimizer state there to layer L - 1, a random state there has a
+    successor in a lower layer, and a maximizer state there has all its
+    successors in lower layers or in earlier rounds.  So W holds nothing
     that round k removed, contradicting the choice of k.
     """
     buchi_set = check_targets(game, buchi_set)
@@ -261,35 +262,21 @@ def buchi_peel(game: Game, buchi_set) -> BuchiPeel:
         escape: dict[str, int | None] = dict.fromkeys(game.states, -1)
         region, top = _reach_peel(game, buchi_set, alive, escape)
         escape.update(dict.fromkeys(region, top + 1))
-        # The states from which one step does not surely land in the region
-        # (some successor for the maximizer, every successor for the
-        # minimizer and random states): every live state outside it, and
-        # of the states in it only Buchi states can be among them.
-        seed = (alive - region).union(
-            s for s in buchi_set if s in region
-            and not (any if game.owner[s] is Owner.MAX else all)(t in region for t in game.succ[s])
-        )
-        if not seed:
+        layer: dict[str, int] = {}
+        # Every state outside the region is at layer 0, the removed ones too.
+        removed = alive & _attractor(game, set(game.states) - region, (Owner.MIN, Owner.RANDOM),
+                                     layer=layer)
+        if not removed:
             break
         rounds += 1
-        layer: dict[str, int] = {}
-        closure = set(seed).union(s for s in alive if game.owner[s] is not Owner.MAX)
-        removed = _attractor(game, seed, (Owner.MIN, Owner.RANDOM), alive=closure, layer=layer)
-        # Level by level, each level in state order.
-        for s in sorted((s for s in game.states if s in removed), key=layer.__getitem__):
-            index[s] = rounds
-            if game.owner[s] is Owner.MIN:
-                stage = layer[s]
-                min_pick[s] = (min(game.succ[s], key=escape.__getitem__) if stage == 0 else
-                               next(t for t in game.succ[s] if layer.get(t) == stage - 1))
+        for s in game.states:
+            if s in removed:
+                index[s] = rounds
+                if game.owner[s] is Owner.MIN:
+                    stage = layer[s]
+                    min_pick[s] = (min(game.succ[s], key=escape.__getitem__) if stage == 0 else
+                                   next(t for t in game.succ[s] if layer.get(t) == stage - 1))
         alive -= removed
-        # Maximizer states stranded by the removal lose with this round's index.
-        lost = set(game.states) - alive
-        stranded = _attractor(
-            game, lost, (), alive=lost.union(s for s in alive if game.owner[s] is Owner.MAX)
-        ) - lost
-        index.update(dict.fromkeys(stranded, rounds))
-        alive -= stranded
 
     return BuchiPeel(_partition(game, alive, rounds, index), min_pick)
 

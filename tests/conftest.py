@@ -237,8 +237,9 @@ def reference_almost_sure_reach(game, targets):
 
 def reference_buchi_peel(game, buchi_set):
     """Winning region, rounds (at least one), index and the minimizer's
-    picks as a list in removal order, of the Buchi peel run over
-    :func:`reference_reach_peel`."""
+    picks as a list, round by round in declaration order, of the Buchi peel
+    run over :func:`reference_reach_peel`: each round removes the attractor
+    of the states outside the reach region."""
     buchi_set = set(buchi_set)
     alive = set(game.states)
     index = dict.fromkeys(game.states)
@@ -248,31 +249,22 @@ def reference_buchi_peel(game, buchi_set):
         escape = dict.fromkeys(game.states, -1)
         region, top = reference_reach_peel(game, buchi_set, alive, escape)
         escape.update(dict.fromkeys(region, top + 1))
-        seed = [
-            s
-            for s in game.states
-            if s in alive
-            and not (any if game.owner[s] is Owner.MAX else all)(t in region for t in game.succ[s])
-        ]
-        if not seed:
+        lost = set(game.states) - alive
+        layer = {}
+        removed = attractor(game, (alive - region) | lost, (Owner.MIN, Owner.RANDOM),
+                            layer=layer) - lost
+        if not removed:
             break
         rounds += 1
-        layer = {}
-        closure = set(seed).union(s for s in alive if game.owner[s] is not Owner.MAX)
-        removed = attractor(game, seed, (Owner.MIN, Owner.RANDOM), alive=closure, layer=layer)
-        for s in sorted((s for s in game.states if s in removed), key=layer.__getitem__):
+        for s in game.states:
+            if s not in removed:
+                continue
             index[s] = rounds
             if game.owner[s] is Owner.MIN:
                 stage = layer[s]
                 min_pick.append((s, min(game.succ[s], key=escape.__getitem__) if stage == 0 else
                                  next(t for t in game.succ[s] if layer.get(t) == stage - 1)))
         alive -= removed
-        lost = set(game.states) - alive
-        stranded = attractor(
-            game, lost, (), alive=lost.union(s for s in alive if game.owner[s] is Owner.MAX)
-        ) - lost
-        index.update(dict.fromkeys(stranded, rounds))
-        alive -= stranded
     return alive, max(rounds, 1), index, min_pick
 
 

@@ -5,6 +5,7 @@ named failures of strategy iteration."""
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import acyclic_game, random_game, reference_solve_reach_exact, ruin_probability
@@ -333,6 +334,57 @@ def _referee_cases():
     for game, targets in cases:
         yield game, targets
         yield swap_roles(game), targets
+
+
+def _diagonal_pivots(rows):
+    """The diagonal pivots of the fraction-free elimination of ``rows`` in
+    declaration order, with no row swap, up to the first that is not
+    positive."""
+    a = [dict(row) for row in rows]
+    pivots = []
+    for col, prow in enumerate(a):
+        p = prow.get(col, 0)
+        pivots.append(p)
+        if p <= 0:
+            break
+        for row in a[col + 1:]:
+            f = row.pop(col, None)
+            if not f:
+                continue
+            g = gcd(p, f)
+            for j in row:
+                row[j] *= p // g
+            for j, x in prow.items():
+                if j != col:
+                    row[j] = row.get(j, 0) - f // g * x
+            g = gcd(*row.values()) or 1
+            for j in row:
+                row[j] //= g
+    return pivots
+
+
+def test_chain_blocks_eliminate_on_a_positive_diagonal(monkeypatch):
+    # Each block is I - Q over transient states, a nonsingular M-matrix, so
+    # elimination in declaration order keeps every diagonal pivot positive
+    # and the pivot search in ``gauss_solve`` never swaps rows.
+    blocks = []
+
+    def checked(rows, rhs):
+        pivots = _diagonal_pivots(rows)
+        assert len(pivots) == len(rows) and all(p > 0 for p in pivots), pivots
+        blocks.append(len(rows))
+        return gauss_solve(rows, rhs)
+
+    monkeypatch.setattr(exact, "gauss_solve", checked)
+    cases = [random_game(seed, n=3 + seed % 24, owned_branch=2 + seed % 3, max_targets=3)
+             for seed in range(600)]
+    cases += [(b.game, b.targets) for b in (gallery.build_gamblers_ruin(Fraction(2, 5), cap)
+                                           for cap in (9, 50, 100))]
+    for game, targets in cases:
+        solve_reach_exact(game, targets)
+        solve_reach_exact(swap_roles(game), targets)
+    # The ruin chain at cap 100 is one block of 99 unknowns.
+    assert len(blocks) > 5000 and max(blocks) == 99
 
 
 def test_backward_induction_equals_strategy_iteration_from_the_float_guess():

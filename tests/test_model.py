@@ -210,6 +210,19 @@ def test_truncate_refuses_a_window_that_validate_rejects():
         truncate(lazy, 3)
 
 
+@pytest.mark.parametrize("row", [
+    StateInfo(Owner.MAX, ("x", "x")),
+    StateInfo(Owner.RANDOM, ("x", "t", "x"), (Fraction(1, 3),) * 3),
+], ids=["owned", "random"])
+def test_truncate_refuses_a_repeated_successor_at_every_depth(row):
+    # At depth 0 both copies leave the window and would merge into one sink
+    # edge; deeper, both stay.  The refusal is the same either way.
+    message = r"^malformed expansion: duplicate-edge at a: successor 'x' listed twice$"
+    for depth in (0, 1, 2):
+        with pytest.raises(TruncationError, match=message):
+            truncate(_lazy_with(row), depth)
+
+
 def test_expand_is_deterministic_on_gallery_generators():
     lazy = gallery.fig2_lazy()
     for sid in ("i", "s3", "sp2", "r0", "rp4", "t"):

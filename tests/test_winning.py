@@ -12,9 +12,11 @@ from sgsolve import (
     almost_sure_buchi,
     almost_sure_reach,
     almost_sure_safety,
+    apply_md,
     buchi,
     format_game,
     md_enumeration_oracle,
+    mdp_buchi_exact,
     positive_reach_set,
     rvi,
     swap_roles,
@@ -26,6 +28,7 @@ from sgsolve import gallery, winning
 from sgsolve.cli import main
 from sgsolve.exact import bellman_combine, solve_reach_exact
 from sgsolve.model import SinkMode, truncate
+from sgsolve.strategies import _buchi_max_md, _buchi_min_md
 from sgsolve.winning import _patched_subgame, buchi_peel
 
 HALF = Fraction(1, 2)
@@ -119,6 +122,39 @@ def test_peels_match_the_referee_that_rebuilds_the_confined_set():
     assert many_rounds >= 300
 
 
+def test_buchi_md_halves_re_solve_on_every_referee_case():
+    # Each half, fixed, leaves a one-player game that the end-component
+    # solver settles exactly: below one on the minimizer's region under its
+    # half, one on the maximizer's region under its half.
+    for game, _, buchi_set in _referee_cases():
+        peel = buchi_peel(game, buchi_set)
+        part = peel.partition
+        under_pi = mdp_buchi_exact(apply_md(game, _buchi_min_md(game, peel)), buchi_set)
+        assert all(under_pi[s] < 1 for s in part.min_wins)
+        sigma = _buchi_max_md(game, peel, buchi_set)
+        under_sigma = mdp_buchi_exact(apply_md(game, sigma), buchi_set)
+        assert all(under_sigma[s] == 1 for s in part.max_wins)
+
+
+def test_buchi_round_removes_what_the_removal_strands_in_the_same_round():
+    # z is a minimizer trap off the Buchi set, so b escapes to it; then m has
+    # no other successor and n no longer reaches b surely.  One attractor
+    # removes all four in round 1.
+    g = Game.of([
+        ("z", "min", ("z",)),
+        ("b", "min", ("b", "z")),
+        ("m", "max", ("b",)),
+        ("n", "rand", ("m", "g"), (HALF, HALF)),
+        ("g", "max", ("g",)),
+    ])
+    peel = buchi_peel(g, {"b", "g"})
+    assert peel.partition == almost_sure_buchi(g, {"b", "g"})
+    assert peel.partition.max_wins == {"g"}
+    assert peel.partition.rounds == 1
+    assert peel.partition.index == {"z": 1, "b": 1, "m": 1, "n": 1, "g": None}
+    assert peel.min_pick == {"z": "z", "b": "z"}
+
+
 def _counting_closures(monkeypatch):
     """Counts the confined-attractor runs of the peels from here on."""
     runs = []
@@ -187,15 +223,16 @@ def test_peels_read_each_successor_row_a_bounded_number_of_times():
 
 
 def test_peels_read_rows_only_of_minimizer_and_buchi_states():
-    # The confined set comes off predecessor lists, and a Buchi round tests
-    # only the Buchi states of its reach region.  The rows still read are
-    # those of the positive attractor's minimizer states, the Buchi tests,
-    # and in the Buchi peel the rows of removed minimizer states, whose
-    # escape it picks, and of stranded maximizer states.  Scanning every
-    # random row for the confined set and every live row for the Buchi seeds
-    # read 65 and 200 rows on the ladder and 379 and 895 on fig2.
-    assert _peel_row_reads(gallery.build_ladder(64)) == (0, 3)
-    assert _peel_row_reads(gallery.build_fig2(128)) == (126, 258)
+    # The confined set comes off predecessor lists, and a Buchi round's
+    # removal is one attractor from the states outside its reach region.
+    # The rows still read are those of the positive attractor's minimizer
+    # states and, in the Buchi peel, those of the maximizer states the
+    # removal attractor counts down and of the removed minimizer states,
+    # whose escape it picks.  Scanning every random row for the confined set
+    # and every live row for the Buchi seeds read 65 and 200 rows on the
+    # ladder and 379 and 895 on fig2.
+    assert _peel_row_reads(gallery.build_ladder(64)) == (0, 2)
+    assert _peel_row_reads(gallery.build_fig2(128)) == (126, 128)
 
 
 def test_almost_sure_reach_all_targets_one_round():
@@ -378,25 +415,18 @@ def test_transform_rvi_then_winning_set_prints_the_rvi_indices(rvi_matters_file,
 
 
 def _removal_closure(game, alive, seeds):
-    """Seeds closed backward under minimizer and random steps, then the
-    maximizer states left without a surviving successor."""
-    removed = set(seeds)
-    level = set(seeds)
-    while level:
-        level = {
-            s for s in alive - removed
-            if game.owner[s] is not Owner.MAX and any(t in level for t in game.succ[s])
-        }
-        removed |= level
+    """Seeds closed backward inside ``alive`` in one closure: minimizer and
+    random states enter with one successor removed, maximizer states with
+    all of them, where the states outside ``alive`` count as removed."""
+    gone = set(seeds) | (set(game.states) - alive)
     while True:
-        left = alive - removed
-        stranded = {
-            s for s in left
-            if game.owner[s] is Owner.MAX and not any(t in left for t in game.succ[s])
+        level = {
+            s for s in alive - gone
+            if (all if game.owner[s] is Owner.MAX else any)(t in gone for t in game.succ[s])
         }
-        if not stranded:
-            return removed
-        removed |= stranded
+        if not level:
+            return gone & alive
+        gone |= level
 
 
 def _buchi_cases():
