@@ -13,21 +13,21 @@ with both sequences in one flat vector (lower half, then upper half).  The
 iteration runs one deflation period at a time: eight sweeps into the rows
 of a buffer, each reading the row before, then a deflation of the last row
 and one stop test over all eight rows' gaps, which returns the first row
-within ``tol`` (the sweeps after it are thrown away).  Each owner's
-successors are stored as one column per successor position, and a sweep
-folds the gathered columns: ``np.maximum`` and ``np.minimum`` for owned
-states, weighted adds in successor order for random states, so every float
-is the one a plain loop over each successor list gives.  The end-component
-decomposition is recomputed only when the minimizer's lower-optimal edges
-change, and deflation is no longer called once it cannot change anything.
-The reported error bound is the final gap.  It is sound in supremum norm
-in real arithmetic; the sweeps round to nearest, so the returned floats can
-miss it by a few ulps.  Sound floats need directed rounding, the lower half
-rounded down and the upper half up.  The returned lower iterate is clamped
-to at most 1 (random rows can add up past it), so all floats lie in [0, 1].
-Bounded-reach values are exact Bellman steps from the target indicator, each
-recomputing only the predecessors of the states the step before changed, on
-reduced int pairs: no step builds a ``Fraction``, each output value one.
+within ``tol`` (the sweeps after it are thrown away).  A sweep is one
+gather, a fixed list of in-place steps (``np.maximum`` and ``np.minimum``
+for owned states, weights and adds in successor order for random states,
+so every float is the one a plain loop over each successor list gives) and
+one scatter.  The end-component decomposition is recomputed only when the
+minimizer's lower-optimal edges change, and deflation is no longer called
+once it cannot change anything.  The reported error bound is the final
+gap.  It is sound in supremum norm in real arithmetic; the sweeps round to
+nearest, so the returned floats can miss it by a few ulps.  Sound floats
+need directed rounding, the lower half rounded down and the upper half up.
+The returned lower iterate is clamped to at most 1 (random rows can add up
+past it), so all floats lie in [0, 1].  Bounded-reach values are exact
+Bellman steps from the target indicator, each recomputing only the
+predecessors of the states the step before changed, on reduced int pairs:
+no step builds a ``Fraction``, each output value one.
 
 Values of countable games are certified by exact interval pairs computed on
 a pessimistic and an optimistic truncation of the same depth.
@@ -44,8 +44,8 @@ from fractions import Fraction
 from . import winning
 from .exact import ConvergenceError, bellman_combine, bellman_pair, can_reach, solve_reach_exact
 from .graphs import maximal_end_components
-from .model import (Game, LazyGame, Owner, SinkMode, _as_fraction, _as_int, check_state,
-                    check_targets, swap_roles, truncate)
+from .model import (Game, InvariantError, LazyGame, Owner, SinkMode, _as_fraction, _as_int,
+                    check_state, check_targets, swap_roles, truncate)
 from .objectives import ObjectiveKind, bounding_sinks
 
 _DEFLATE_EVERY = 8
@@ -247,16 +247,20 @@ class _FloatCore:
     States are numbered in declaration order, and both bounds live in one
     flat vector of length ``2n``: the lower bound at ``[0, n)`` and the upper
     bound at ``[n, 2n)``.  The live states (not a target, able to reach one)
-    are split by owner.  Each owner group keeps one successor column per
-    successor position, an entry per state and bound, padded to the group's
-    widest row: maximizer and minimizer rows repeat their first successor,
-    random rows add it with weight ``0.0``.  A sweep gathers each column and
-    folds the columns into the group's new entries: with ``np.maximum`` or
-    ``np.minimum``, which never round, so the padding and the fold give
-    exactly a row's max or min; with weighted adds in successor order for
-    random rows.  The upper entries are the lower ones shifted by ``n``, so
-    one fold per owner sweeps both bounds.  Directed rounding fits the same
-    layout: the lower half would round down and the upper half up.
+    are split by owner, each group's rows padded to its widest: maximizer
+    and minimizer rows repeat their first successor, random rows add it
+    with weight ``0.0``.  One index ``gather`` fills the buffer ``g`` with
+    every group's position 0 (random last), then the later positions
+    (random first, so the random block is contiguous), both bounds; the
+    upper entries are the lower ones shifted by ``n``.  ``steps`` are
+    ``(ufunc, a, b, out)`` on fixed views: one multiply of the random block
+    by its weights, then each group's later positions folded into its
+    position 0 in order, by ``np.maximum`` or ``np.minimum`` (which never
+    round, so padding and fold give exactly a row's max or min) or
+    ``np.add``.  The positions 0, ``new``, are scattered through ``at``.
+    Both indices are checked once, here.  Directed rounding fits the same
+    layout: after the scatter, the lower half of ``out`` would round down
+    and the upper half up.
     """
 
     def __init__(self, game: Game, targets: set[str], reachable: set[str]):
@@ -277,26 +281,52 @@ class _FloatCore:
         def successors(group: list[str]):
             return columns([[index[t] for t in game.succ[s]] for s in group], lambda row: row[:1])
 
-        def both(group: list[str]):
-            """Row positions and successor columns of ``group``, both bounds."""
-            at = np.array([index[s] for s in group], dtype=np.intp)
-            cols = successors(group)
-            return np.concatenate((at, at + n)), np.concatenate((cols, cols + n), axis=1)
-
         live = {o: [s for s in game.states
                     if game.owner[s] is o and s in reachable and s not in targets]
                 for o in Owner}
-        self.folds = [(fold, *both(live[o]))
-                      for fold, o in ((np.maximum, Owner.MAX), (np.minimum, Owner.MIN))
-                      if live[o]]
-        rand = live[Owner.RANDOM]
-        self.rand_at, rand_cols = both(rand)
-        # ``numerator / denominator`` is the double ``float(w)`` gives, without
-        # the detour through ``numbers.Rational.__float__``.
-        weights = columns([[w.numerator / w.denominator for w in game.prob[s]] for s in rand],
-                          lambda row: [0.0], float)
-        weights = np.concatenate((weights, weights), axis=1)
-        self.rand_terms = list(zip(weights, rand_cols)) if rand else []
+        # Each nonempty group's entries (lower, then upper) and successor
+        # columns over both bounds, one array row per successor position.
+        groups = {}
+        for owner, group in live.items():
+            if group:
+                at, cols = [index[s] for s in group], successors(group)
+                groups[owner] = at + [i + n for i in at], np.concatenate((cols, cols + n), axis=1)
+        heads = [o for o in (Owner.MAX, Owner.MIN, Owner.RANDOM) if o in groups]
+        tails = [o for o in (Owner.RANDOM, Owner.MAX, Owner.MIN) if o in groups]
+        self.at = np.array([i for o in heads for i in groups[o][0]], dtype=np.intp)
+        # The leading empty array lets a game have no live state.
+        self.gather = np.concatenate([np.zeros(0, dtype=np.intp)]
+                                     + [groups[o][1][0] for o in heads]
+                                     + [groups[o][1][1:].ravel() for o in tails])
+        if self.gather.size and (self.gather.min() < 0 or self.gather.max() >= 2 * n):
+            raise InvariantError("a sweep gathers from outside the value vector")
+        live_entries = sorted(index[s] for s in reachable - targets)
+        if sorted(self.at.tolist()) != live_entries + [i + n for i in live_entries]:
+            raise InvariantError("a sweep's scatter repeats an entry or misses a live one")
+        self.g = np.empty(len(self.gather))
+        self.new = self.g[:len(self.at)]
+        head, start = {}, 0
+        for o in heads:
+            head[o] = self.g[start:start + len(groups[o][0])]
+            start += len(groups[o][0])
+        fold = {Owner.MAX: np.maximum, Owner.MIN: np.minimum, Owner.RANDOM: np.add}
+        self.steps = []
+        for o in tails:
+            m, later = len(head[o]), groups[o][1][1:]
+            if o is Owner.RANDOM:
+                # Its head ends where its later positions start.  A row
+                # reduction (``np.sum``, a matrix product) may reorder or
+                # fuse the adds and change the last bits.
+                block = self.g[start - m:start + later.size]
+                # ``numerator / denominator`` is the double ``float(w)``
+                # gives, without the detour through ``Rational.__float__``.
+                w = columns([[p.numerator / p.denominator for p in game.prob[s]] for s in live[o]],
+                            lambda row: [0.0], float)
+                w = np.concatenate((w, w), axis=1).ravel()
+                self.steps.append((np.multiply, block, w, block))
+            for _ in later:
+                self.steps.append((fold[o], head[o], self.g[start:start + m], head[o]))
+                start += m
         # Every reachable minimizer state, targets included: its lower-optimal
         # edges are the ones the end-component decomposition depends on.
         self.guarded = [s for s in game.states if game.owner[s] is Owner.MIN and s in reachable]
@@ -307,23 +337,12 @@ class _FloatCore:
         separate vector (a Jacobi sweep).  Only the live entries of ``out``
         are written: targets and states that cannot reach one keep theirs,
         which never change, so ``out`` must already hold them."""
-        for fold, at, (first, *rest) in self.folds:
-            acc = v[first]
-            for cols in rest:
-                fold(acc, v[cols], out=acc)
-            out[at] = acc
-        if self.rand_terms:
-            # Added column by column in successor order, the order of a
-            # Python ``sum`` over the successor list, so every float is the
-            # one that loop gives (its leading ``0.0 +`` changes no term,
-            # all being non-negative).  A row reduction (``np.sum``,
-            # ``reduceat``, a matrix product) may reorder the adds or fuse
-            # them, and then the last bits differ.
-            (w, cols), *rest = self.rand_terms
-            acc = w * v[cols]
-            for w, cols in rest:
-                acc += w * v[cols]
-            out[self.rand_at] = acc
+        # The gather's indices were checked when the core was built, and
+        # ``mode="raise"`` would gather into a temporary and copy it to ``g``.
+        v.take(self.gather, out=self.g, mode="wrap")
+        for ufunc, a, b, into in self.steps:
+            ufunc(a, b, out=into)
+        out[self.at] = self.new
 
 
 def _iterate_reach(game: Game, targets: set[str], tol: float) -> ValueVector:

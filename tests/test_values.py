@@ -257,12 +257,59 @@ def _identity_inputs():
         ("t", "max", ("t",)),
         ("z", "max", ("z",)),
     ]), {"t"}, 1e-9
+    # The sweep's padding: a random group narrower than both owned groups,
+    # so the random block ends before the owned ones' later positions.
+    yield Game.of([
+        ("a", "max", ("b", "c", "z")),
+        ("b", "min", ("a", "c", "e")),
+        ("c", "rand", ("t", "z"), (Fraction(1, 3), Fraction(2, 3))),
+        ("d", "rand", ("c",), (1,)),
+        ("e", "max", ("d", "b")),
+        ("t", "max", ("t",)),
+        ("z", "max", ("z",)),
+    ]), {"t"}, 1e-9
+    # Every minimizer row and every random row has width 1: those groups
+    # have no fold step at all.
+    yield Game.of([
+        ("a", "min", ("r",)),
+        ("b", "min", ("m",)),
+        ("m", "max", ("a", "b", "z")),
+        ("r", "rand", ("n",), (1,)),
+        ("n", "max", ("t", "a")),
+        ("t", "max", ("t",)),
+        ("z", "max", ("z",)),
+    ]), {"t"}, 1e-9
+    # One live group, the maximizer's, of unequal widths.
+    yield Game.of([
+        ("a", "max", ("b", "z")),
+        ("b", "max", ("a", "c", "z")),
+        ("c", "max", ("b", "t")),
+        ("t", "max", ("t",)),
+        ("z", "rand", ("z",), (1,)),
+    ]), {"t"}, 1e-9
+    # One live group, the minimizer's.
+    yield Game.of([
+        ("a", "min", ("b", "t")),
+        ("b", "min", ("a", "c", "t")),
+        ("c", "min", ("t",)),
+        ("t", "max", ("t",)),
+    ]), {"t"}, 1e-9
+
+
+def _live_widths(game, targets):
+    """The widest live row of each owner with a live state."""
+    widths = {}
+    for s in can_reach(game, targets) - set(targets):
+        widths[game.owner[s]] = max(widths.get(game.owner[s], 0), len(game.succ[s]))
+    return widths
 
 
 def test_iterate_mode_is_bit_identical_to_the_dict_reference():
     wide = 0
     uneven = {Owner.MAX: 0, Owner.MIN: 0}
     owner_sets = set()
+    narrow_random = 0
+    width_one = set()
     stops = set()
     for game, targets, tol in _identity_inputs():
         live = can_reach(game, targets) - set(targets)
@@ -270,6 +317,11 @@ def test_iterate_mode_is_bit_identical_to_the_dict_reference():
         for owner in uneven:
             uneven[owner] += len({len(game.succ[s]) for s in live if game.owner[s] is owner}) > 1
         owner_sets.add(frozenset(game.owner[s] for s in live))
+        widths = _live_widths(game, targets)
+        owned = [w for o, w in widths.items() if o is not Owner.RANDOM]
+        rand = widths.get(Owner.RANDOM)
+        narrow_random += rand is not None and owned != [] and rand < min(owned)
+        width_one |= {o for o, w in widths.items() if w == 1}
         lower, gap, stop = _reference_iterate(game, set(targets), tol)
         reach = value_reach(game, targets, tol=tol)
         assert reach.values == lower and reach.error_bound == gap
@@ -286,10 +338,36 @@ def test_iterate_mode_is_bit_identical_to_the_dict_reference():
     # Owned rows of unequal widths in one group: the sweep folds columns
     # padded with each row's first successor.
     assert min(uneven.values()) >= 20
-    # Every owner group is skipped somewhere: no live state at all, only
-    # random ones, and none random.
-    assert {frozenset(), frozenset({Owner.RANDOM})} <= owner_sets
+    # Every owner group is skipped somewhere: no live state at all, one
+    # live group of each owner alone, and none random.
+    assert {frozenset(), *(frozenset({owner}) for owner in Owner)} <= owner_sets
     assert any(Owner.RANDOM not in owners and owners for owners in owner_sets)
+    # The fused layout's padding: a random block narrower than the owned
+    # groups' later positions, and groups of each owner with no fold step.
+    assert narrow_random >= 20
+    assert width_one == set(Owner)
+
+
+def test_a_sweep_writes_only_the_live_entries():
+    import numpy as np
+
+    sentinel = -1.0
+    cases = [random_game(seed, n=5 + seed % 12, owned_branch=3, max_targets=3)
+             for seed in range(60)]
+    for built in (gallery.build_gamblers_ruin(Fraction(3, 5), 30), gallery.build_fig2(12)):
+        cases.append((built.game, built.targets))
+    rng = np.random.default_rng(7)
+    for game, targets in cases:
+        reachable = can_reach(game, targets)
+        core = values._FloatCore(game, set(targets), reachable)
+        n = len(game.states)
+        live = np.array([s in reachable and s not in targets for s in game.states] * 2)
+        out = np.full(2 * n, sentinel)
+        # Sweeps of values in [0, 1] give values in [0, 1] (random rows up
+        # to a few ulps past 1), never the sentinel.
+        core.sweep(rng.random(2 * n), out)
+        assert (out[live] >= 0.0).all()
+        assert (out[~live] == sentinel).all()
 
 
 def test_iterate_sweeps_both_bounds_in_one_call(monkeypatch):
