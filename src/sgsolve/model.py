@@ -41,11 +41,15 @@ _RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def _as_fraction(w) -> Fraction:
-    """The one reader of exact rationals: a ``Fraction``, an ``int``, or text
+    """The one reader of exact rationals (``Game.of`` weights, ``truncate``'s
+    expansion weights and the library's rational arguments): a ``Fraction``,
+    returned as it is, so that reading one costs nothing; an ``int``; or text
     ``p`` or ``p/q`` in ASCII digits with ``q >= 1``.  Malformed text raises
     ``ValueError``; anything else (a float or a ``bool``, say) raises
     ``TypeError``."""
-    if isinstance(w, (Fraction, int)) and not isinstance(w, bool):
+    if isinstance(w, Fraction):
+        return w
+    if isinstance(w, int) and not isinstance(w, bool):
         return Fraction(w)
     if isinstance(w, str):
         match = _RATIONAL.fullmatch(w)
@@ -212,62 +216,57 @@ def validate(game: Game) -> list[Violation]:
 
     Violations are data, not exceptions: dead ends, random weights that do
     not sum to one (or are not positive), successor ids that are not states,
-    and duplicate successor entries.
+    and duplicate successor entries.  They come state by state in
+    declaration order and, within a state, in the order of the checks in
+    :func:`_violations`.
+    """
+    return _violations(game, game.owner.keys())
 
-    Each state first meets a guard that only a well-formed state passes: a
-    successor exists, none is listed twice, each is a state and, at a random
-    state, there is one weight per successor, each read once through
-    ``as_integer_ratio``, every numerator is positive and the weights sum to
-    one exactly (on integers, over the lcm of their denominators).  Only
-    a state that fails the guard has its edges and weights checked one by
-    one below, so the violations come in the same order as from checking
-    every state: state by state in declaration order and, within a state, in
-    the order of the checks below.
+
+def _violations(game: Game, known) -> list[Violation]:
+    """:func:`validate`'s one pass, with ``known`` (a set or keys view) the
+    ids a successor may name.
+
+    Each state is checked once.  Two set operations accept a successor list
+    that is non-empty, repeats no id and names only known ids; only a list
+    that fails them is walked edge by edge.  At a random state one loop
+    reads each weight once through ``as_integer_ratio``, reports a
+    nonpositive one and sums them on integers over the lcm of their
+    denominators; the ``Fraction`` total is built only for the message.
     """
     out: list[Violation] = []
-    owner, succ, prob, keys = game.owner, game.succ, game.prob, game.owner.keys()
-    for s, kind in owner.items():
+    succ, prob = game.succ, game.prob
+    for s, kind in game.owner.items():
         succs = succ.get(s, ())
-        weights = prob.get(s, ())
-        # The guard; a state that passes it has no violation.
-        if succs and len(distinct := set(succs)) == len(succs) and keys >= distinct:
-            if kind is not Owner.RANDOM:
-                continue
-            num, den = 0, 1
-            for w in weights:
-                p, q = w.as_integer_ratio()
-                if p <= 0:
-                    break
-                # The sum so far is num / den, den the lcm of the denominators.
-                scale = lcm(den, q)
-                num, den = num * (scale // den) + p * (scale // q), scale
-            else:
-                if num == den and len(weights) == len(succs):
-                    continue
         if not succs:
             out.append(Violation("dead-end", s, "state has no successor"))
-        seen = set()
-        for t in succs:
-            if t not in owner:
-                out.append(Violation("dangling-id", s, f"successor {t!r} is not a state"))
-            if t in seen:
-                out.append(Violation("duplicate-edge", s, f"successor {t!r} listed twice"))
-            seen.add(t)
-        if kind is Owner.RANDOM:
-            if len(weights) != len(succs):
-                detail = f"{len(weights)} weights for {len(succs)} successors"
-                out.append(Violation("weight-shape", s, detail))
-                continue
-            for w in weights:
-                # A rational's sign is its numerator's.
-                if w.numerator <= 0:
-                    out.append(Violation("nonpositive-weight", s, f"weight {w} is not positive"))
-            # The sum on integers over the lcm of the denominators; the
-            # Fraction total is built only for the message.
-            scale = lcm(*(w.denominator for w in weights))
-            if succs and sum(w.numerator * (scale // w.denominator) for w in weights) != scale:
-                total = sum(weights, Fraction(0))
-                out.append(Violation("weight-sum", s, f"weights sum to {total}, expected 1"))
+        elif len(distinct := set(succs)) < len(succs) or not known >= distinct:
+            seen = set()
+            for t in succs:
+                if t not in known:
+                    out.append(Violation("dangling-id", s, f"successor {t!r} is not a state"))
+                if t in seen:
+                    out.append(Violation("duplicate-edge", s, f"successor {t!r} listed twice"))
+                seen.add(t)
+        if kind is not Owner.RANDOM:
+            continue
+        weights = prob.get(s, ())
+        if len(weights) != len(succs):
+            detail = f"{len(weights)} weights for {len(succs)} successors"
+            out.append(Violation("weight-shape", s, detail))
+            continue
+        # The sum so far is num / den, den the lcm of the denominators.
+        num, den = 0, 1
+        for w in weights:
+            p, q = w.as_integer_ratio()
+            # A rational's sign is its numerator's.
+            if p <= 0:
+                out.append(Violation("nonpositive-weight", s, f"weight {w} is not positive"))
+            scale = lcm(den, q)
+            num, den = num * (scale // den) + p * (scale // q), scale
+        if succs and num != den:
+            detail = f"weights sum to {Fraction(num, den)}, expected 1"
+            out.append(Violation("weight-sum", s, detail))
     return out
 
 
@@ -304,7 +303,8 @@ class LazyGame:
 class TruncationError(SgsolveError, RuntimeError):
     """Raised when an expansion diverges (empty or over-bound successor list)
     or is malformed (weights that do not fit its owner and successors, or a
-    window that :func:`validate` rejects)."""
+    row that :func:`validate` would reject: a successor listed twice or a
+    weight that is not positive or does not sum to one, at any depth)."""
 
 
 class InvariantError(SgsolveError, RuntimeError):
@@ -356,18 +356,31 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
     Every edge that leaves the expanded set is redirected to a single
     absorbing sink; parallel redirected edges are merged (weights summed for
     random states) to keep successor lists duplicate-free.  ``depth`` must
-    be an integer: a float or a ``bool`` raises ``TypeError``.  A malformed
-    expansion raises :class:`TruncationError` naming the state.
+    be an integer: a float or a ``bool`` raises ``TypeError``.  Expansion
+    weights are read like ``Game.of``'s (:func:`_as_fraction`): a float
+    raises ``TypeError`` and ``p/q`` text is read.
+
+    A malformed expansion raises :class:`TruncationError` naming the state.
+    Divergence and weights that do not fit the owner are refused during the
+    walk; :func:`validate`'s checks run once, after it, on the rows as
+    ``expand`` returned them, with the ids just outside the window counted as
+    states, so a row is refused the same way at every depth.  The redirected
+    window is not checked again: merging edges into the sink keeps every
+    weight positive and every sum at one, and adds no repeat, dead end or
+    dangling id.
     """
     depth = _as_int("depth", depth)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     info: dict[str, StateInfo] = {}
+    prob: dict[str, tuple[Fraction, ...]] = {}
+    # Every id met, the frontier's (at depth + 1) too, so that a successor
+    # outside the window counts as known.
     dist = {base.initial: 0}
     queue = deque([base.initial])
     while queue:
         s = queue.popleft()
-        st = base.expand(s)
+        st = info[s] = base.expand(s)
         if not st.successors:
             raise TruncationError(f"expand({s!r}) returned no successors")
         if base.branching_bound is not None and len(st.successors) > base.branching_bound:
@@ -379,33 +392,23 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
             if st.weights is None or len(st.weights) != len(st.successors):
                 raise TruncationError(f"expand({s!r}) returned {len(st.weights or ())} weights "
                                       f"for {len(st.successors)} successors")
+            prob[s] = tuple(map(_as_fraction, st.weights))
         elif st.weights is not None:
             raise TruncationError(f"expand({s!r}) returned weights for an owned state")
-        # Checked on the raw row: ``sink_subgame`` merges repeated successors
-        # that leave the window, which would hide them from ``validate``.
-        if len(set(st.successors)) < len(st.successors):
-            t = next(t for i, t in enumerate(st.successors) if t in st.successors[:i])
-            violation = Violation("duplicate-edge", s, f"successor {t!r} listed twice")
-            raise TruncationError(f"malformed expansion: {violation}")
-        info[s] = st
-        if dist[s] == depth:
-            continue
         for t in st.successors:
             if t not in dist:
                 dist[t] = dist[s] + 1
-                queue.append(t)
+                if dist[t] <= depth:
+                    queue.append(t)
 
-    game = sink_subgame(
-        Game(
-            {s: st.owner for s, st in info.items()},
-            {s: st.successors for s, st in info.items()},
-            {s: st.weights for s, st in info.items() if st.owner is Owner.RANDOM},
-        ),
-        info,
-    )
-    violations = validate(game)
+    window = Game({s: st.owner for s, st in info.items()},
+                  {s: st.successors for s, st in info.items()}, prob)
+    # Before ``sink_subgame``, whose merged edges would hide a repeat or a bad
+    # weight on the edges that leave the window.
+    violations = _violations(window, dist.keys())
     if violations:
         raise TruncationError(f"malformed expansion: {violations[0]}")
+    game = sink_subgame(window, info)
     labels: dict[str, set[str]] = {}
     for s, st in info.items():
         for lab in st.labels:
@@ -414,6 +417,6 @@ def truncate(base: LazyGame, depth: int) -> Truncation:
         depth=depth,
         game=game,
         sink=next(reversed(game.owner)),
-        frontier=frozenset(t for st in info.values() for t in st.successors if t not in info),
+        frontier=frozenset(dist.keys() - info.keys()),
         labels={lab: frozenset(members) for lab, members in labels.items()},
     )

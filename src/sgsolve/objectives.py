@@ -130,8 +130,12 @@ def reach_plus(*target: str) -> Objective:
 
 
 def decided(obj: Objective, game: Game, prefix: Sequence[str]) -> Verdict:
-    """Verdict for a prefix, a non-empty state sequence along the edges of
-    ``game``: the first decided code of ``obj.verdicts(game)`` along it."""
+    """Verdict for a prefix, a non-empty tuple or list of states along the
+    edges of ``game``: the first decided code of ``obj.verdicts(game)`` along
+    it.  A string is not read as a sequence of one-letter states: it raises
+    ``TypeError``."""
+    if isinstance(prefix, str):
+        raise TypeError(f"a play prefix is a tuple or list of states, not the string {prefix!r}")
     if not prefix:
         raise ValueError("a play prefix is non-empty")
     table = obj.verdicts(game)

@@ -4,10 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import random_game
 
 from sgsolve import (
     Game,
     LazyGame,
+    ObjectiveKind,
     Owner,
     SimConfig,
     SinkMode,
@@ -16,6 +18,7 @@ from sgsolve import (
     bellman_step,
     chain_buchi_values,
     classify_transitions,
+    interval_values,
     md_enumeration_oracle,
     mdp_buchi_exact,
     reach,
@@ -95,7 +98,7 @@ def test_gallery_truncation_validates():
 
 
 def test_swap_roles_involution():
-    g, _ = __import__("conftest").random_game(5)
+    g, _ = random_game(5)
     assert swap_roles(swap_roles(g)).owner == g.owner
 
 
@@ -195,8 +198,6 @@ def test_truncate_refuses_weights_at_an_owned_state():
 
 
 def test_truncate_refuses_a_window_that_validate_rejects():
-    from sgsolve import ObjectiveKind, interval_values
-
     third = Fraction(1, 3)
     lazy = _lazy_with(StateInfo(Owner.RANDOM, ("t", "a"), (third, third)))
     message = r"^malformed expansion: weight-sum at a: weights sum to 2/3, expected 1$"
@@ -210,17 +211,72 @@ def test_truncate_refuses_a_window_that_validate_rejects():
         truncate(lazy, 3)
 
 
-@pytest.mark.parametrize("row", [
-    StateInfo(Owner.MAX, ("x", "x")),
-    StateInfo(Owner.RANDOM, ("x", "t", "x"), (Fraction(1, 3),) * 3),
-], ids=["owned", "random"])
-def test_truncate_refuses_a_repeated_successor_at_every_depth(row):
-    # At depth 0 both copies leave the window and would merge into one sink
-    # edge; deeper, both stay.  The refusal is the same either way.
-    message = r"^malformed expansion: duplicate-edge at a: successor 'x' listed twice$"
+F = Fraction
+_REPEATED = r"^malformed expansion: duplicate-edge at a: successor 'x' listed twice$"
+_NONPOSITIVE = r"^malformed expansion: nonpositive-weight at a: weight {} is not positive$"
+
+
+@pytest.mark.parametrize("row, message", [
+    (StateInfo(Owner.MAX, ("x", "x")), _REPEATED),
+    (StateInfo(Owner.RANDOM, ("x", "t", "x"), (F(1, 3),) * 3), _REPEATED),
+    (StateInfo(Owner.RANDOM, ("t", "x", "y"), (F(1, 2), F(-1, 4), F(3, 4))),
+     _NONPOSITIVE.format("-1/4")),
+    (StateInfo(Owner.RANDOM, ("t", "x", "y"), (F(1, 2), F(0), F(1, 2))), _NONPOSITIVE.format("0")),
+], ids=["owned", "random", "negative-weight", "zero-weight"])
+def test_truncate_refuses_a_malformed_row_at_every_depth(row, message):
+    # At depth 0 the bad edges leave the window and would merge into one
+    # sink edge of a valid weight; deeper, they stay.  The refusal is the
+    # same either way.
     for depth in (0, 1, 2):
         with pytest.raises(TruncationError, match=message):
             truncate(_lazy_with(row), depth)
+    with pytest.raises(TruncationError, match=message):
+        interval_values(_lazy_with(row), ObjectiveKind.REACH, 0)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.1, 0.9), (HALF, 0.5)])
+def test_truncate_takes_no_float_weights(weights):
+    lazy = _lazy_with(StateInfo(Owner.RANDOM, ("t", "x"), weights))
+    bad = next(w for w in weights if isinstance(w, float))
+    for depth in (0, 1, 2):
+        with pytest.raises(TypeError, match=f"^not an exact rational weight: {bad}$"):
+            truncate(lazy, depth)
+
+
+def test_truncate_reads_weights_like_game_of():
+    # Text ``p/q`` and ints are read as ``Game.of`` reads them.
+    exact = _lazy_with(StateInfo(Owner.RANDOM, ("t", "x"), (HALF, HALF)))
+    for weights in (("1/2", "1/2"), ("1/2", HALF), ("2/4", "1/2")):
+        text = _lazy_with(StateInfo(Owner.RANDOM, ("t", "x"), weights))
+        for depth in (0, 1, 2):
+            assert truncate(text, depth) == truncate(exact, depth)
+    whole = _lazy_with(StateInfo(Owner.RANDOM, ("t",), (1,)))
+    assert truncate(whole, 1).game.prob["a"] == (Fraction(1),)
+    with pytest.raises(ValueError, match="^malformed rational '0.5'"):
+        truncate(_lazy_with(StateInfo(Owner.RANDOM, ("t", "x"), ("0.5", "1/2"))), 1)
+
+
+def _lazy_of(game: Game) -> LazyGame:
+    """``game`` as a lazy game from its first state."""
+    def expand(s):
+        return StateInfo(game.owner[s], game.succ[s], game.prob.get(s))
+
+    return LazyGame(game.states[0], expand)
+
+
+def test_every_window_passes_validate():
+    # Rows are checked before their leaving edges merge into the sink, and
+    # the window is not checked again: merging must keep valid rows valid.
+    lazies = [gallery.fig2_lazy(), gallery.gamblers_ruin_lazy(F(3, 5)),
+              gallery.gamblers_ruin_lazy(F(2, 5))]
+    for lazy in lazies:
+        for depth in range(41):
+            assert validate(truncate(lazy, depth).game) == []
+    for seed in range(600):
+        n = 4 + seed % 9
+        game, _ = random_game(seed, n=n, max_branch=4)
+        for depth in range(n + 1):
+            assert validate(truncate(_lazy_of(game), depth).game) == []
 
 
 def test_expand_is_deterministic_on_gallery_generators():

@@ -43,6 +43,18 @@ def test_reach_violated_when_target_unreachable(fig2):
     assert decided(obj, fig2.game, ("i", "s0")) == Verdict.UNDECIDED
 
 
+def test_decided_refuses_a_string_prefix(fig2):
+    # Read as a sequence, "it" would be the states i and t, and "ab" on a
+    # game with a state named ab the unknown state a.
+    message = r"^a play prefix is a tuple or list of states, not the string "
+    with pytest.raises(TypeError, match=message + "'it'$"):
+        decided(reach("t"), fig2.game, "it")
+    g = Game.of([("ab", "max", ("ab",))])
+    with pytest.raises(TypeError, match=message + "'ab'$"):
+        decided(reach("ab"), g, "ab")
+    assert decided(reach("ab"), g, ("ab",)) == Verdict.SATISFIED_FOREVER
+
+
 def test_reach_within_violated_after_horizon():
     g = gallery.build_ladder(2).game
     obj = Objective(ObjectiveKind.REACH_WITHIN, frozenset({"goal"}), 2)
