@@ -12,6 +12,10 @@ for safety and co-Buchi) and the error bound up.  Each command imports only
 the layers it runs, so ``--help`` and a flag error load nothing of the
 package beyond this module.
 
+Which objectives each command mode serves is one table, ``_TABLE``; a pair
+without a cell there exits 1 from :func:`_cell`, as ``error: <command> does
+not handle --objective <objective>``.
+
 Every command, ``validate`` included, rejects an invalid game through
 :func:`_load`, one ``error: line N: ...`` line per violation.  The checks on
 the other inputs live in the library and run once there: state arguments
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import sys
 
 
@@ -137,10 +142,83 @@ def _rational(flag: str, text: str):
 def _objective(args, parsed):
     from .objectives import parse_objective
 
-    target = args.target if args.target else ",".join(sorted(parsed.targets))
+    # The file's targets stay a set: an id in it may hold a comma.
+    target = args.target or parsed.targets
     if not target:
         raise ValueError("no target set: pass --target or declare targets in the file")
     return parse_objective(args.objective, target)
+
+
+def _lib(module: str):
+    """The package module ``module``, imported when a cell first runs."""
+    return importlib.import_module(f"{__package__}.{module}")
+
+
+def _on_target(module: str, name: str):
+    """A cell that runs ``module.name`` on the game, the objective's target
+    set and the mode's own arguments."""
+    return lambda game, obj, *more: getattr(_lib(module), name)(game, obj.target, *more)
+
+
+def _values(name: str) -> dict:
+    """The exact and iterate cells of a value solver that takes a tolerance."""
+    cell = _on_target("values", name)
+    return {"exact": cell, "iterate": cell}
+
+
+def _rvi(game, obj):
+    return _lib("transforms").rvi(game, _lib("exact").solve_reach_exact(game, obj.target))
+
+
+def _reach_plus(game, obj):
+    exact = _lib("exact")
+    values = exact.reach_plus_values(game, exact.solve_reach_exact(game, obj.target))
+    return _lib("values").ValueVector(values)
+
+
+def _buchi_max(game, obj):
+    peel = _lib("winning").buchi_peel(game, obj.target)
+    return _lib("strategies")._buchi_max_md(game, peel, set(obj.target))
+
+
+def _buchi_min(game, obj):
+    return _lib("strategies")._buchi_min_md(game, _lib("winning").buchi_peel(game, obj.target))
+
+
+# Each command mode, as a refusal names it.
+_MODES = {"exact": "solve", "iterate": "solve --mode iterate", "winning-set": "winning-set",
+          "max": "strategy --player max", "min": "strategy --player min", "decide": "decide",
+          "rvi": "transform --rvi"}
+_REACH_MD = {"max": _on_target("strategies", "optimal_max_md"),
+             "min": _on_target("strategies", "optimal_min_md"), "rvi": _rvi}
+# The objective table, keyed by objective kind: a row maps each command mode
+# that serves the kind to its cell, a function of the game, the objective
+# and the mode's own arguments; a mode without a cell refuses the kind.
+# Cells import the layers they run when they run, so the table loads no
+# module.  ``up`` is the side that iterate values round to: up for safety
+# and co-Buchi, whose iterates approach the value from above.
+_TABLE = {
+    "reach": {**_values("value_reach"), **_REACH_MD,
+              "winning-set": _on_target("winning", "almost_sure_reach"),
+              "decide": _on_target("strategies", "threshold_decide")},
+    "safety": {**_values("value_safety"), "up": True,
+               "winning-set": _on_target("winning", "almost_sure_safety")},
+    "buchi": {**_values("value_buchi"), "winning-set": _on_target("winning", "almost_sure_buchi"),
+              "max": _buchi_max, "min": _buchi_min},
+    "cobuchi": {**_values("value_cobuchi"), "up": True},
+    "reachplus": {"exact": _reach_plus, **_REACH_MD},
+    "reach-within": {"exact": lambda game, obj: _lib("values").value_reach_within(
+        game, obj.target, obj.steps)},
+}
+
+
+def _cell(args, obj, mode: str):
+    """The table's cell for ``obj`` in command mode ``mode``: every refused
+    pair is refused here, naming the command and the objective as typed."""
+    cell = _TABLE[obj.kind.value].get(mode)
+    if cell is None:
+        raise ValueError(f"{_MODES[mode]} does not handle --objective {args.objective}")
+    return cell
 
 
 def _cmd_validate(args) -> int:
@@ -150,35 +228,22 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .exact import reach_plus_values, solve_reach_exact
-    from .objectives import ObjectiveKind
-    from .values import SOLVERS, ValueVector, value_reach_within
-
     if args.tol and args.mode != "iterate":
         raise ValueError("--tol applies to --mode iterate only")
     parsed = _load(args.file)
     obj = _objective(args, parsed)
     game = parsed.game
-    kind = obj.kind
-    if args.mode == "iterate" and kind not in SOLVERS:
-        name = "reach<=N" if kind is ObjectiveKind.REACH_WITHIN else "reachplus"
-        raise ValueError(f"{name} values are exact only")
+    cell = _cell(args, obj, args.mode)
     if args.mode == "iterate" and not args.tol:
         raise ValueError("iterate mode needs a positive tolerance")
-    if kind is ObjectiveKind.REACH_WITHIN:
-        vec = value_reach_within(game, obj.target, obj.steps)
-    elif kind is ObjectiveKind.REACH_PLUS:
-        vec = ValueVector(reach_plus_values(game, solve_reach_exact(game, obj.target)))
-    else:
-        # A tolerance is given exactly in iterate mode, and selects it.
-        tol = _rational("--tol", args.tol) if args.tol else None
-        vec = SOLVERS[kind](game, obj.target, tol)
+    # A tolerance is given exactly in iterate mode, and selects it.
+    vec = cell(game, obj, _rational("--tol", args.tol)) if args.tol else cell(game, obj)
     if vec.is_exact:
         rows = [(s, vec.values[s]) for s in game.states]
     else:
         # Each float prints on its sound side: reach and Buchi iterates
         # approach the value from below, safety and co-Buchi from above.
-        up = kind in (ObjectiveKind.SAFETY, ObjectiveKind.COBUCHI)
+        up = _TABLE[obj.kind.value].get("up", False)
         rows = [(s, _fmt_bound(vec.values[s], up)) for s in game.states]
     # Rationals print at any size: the interpreter's limit on int-to-string
     # conversion is lifted while they are written and restored for the files
@@ -196,26 +261,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _partition_for(kind, game, target):
-    """The almost-sure partition for ``kind``, or ``None`` if it has none."""
-    from .objectives import ObjectiveKind
-    from .winning import almost_sure_buchi, almost_sure_reach, almost_sure_safety
-
-    if kind is ObjectiveKind.REACH:
-        return almost_sure_reach(game, target)
-    if kind is ObjectiveKind.BUCHI:
-        return almost_sure_buchi(game, target)
-    if kind is ObjectiveKind.SAFETY:
-        return almost_sure_safety(game, target)
-    return None
-
-
 def _cmd_winning_set(args) -> int:
     parsed = _load(args.file)
     obj = _objective(args, parsed)
-    part = _partition_for(obj.kind, parsed.game, obj.target)
-    if part is None:
-        raise ValueError(f"no almost-sure partition for {args.objective}")
+    part = _cell(args, obj, "winning-set")(parsed.game, obj)
     rows = []
     for s in parsed.game.states:
         side = "max" if s in part.max_wins else "min"
@@ -227,49 +276,24 @@ def _cmd_winning_set(args) -> int:
 
 
 def _cmd_strategy(args) -> int:
-    from .objectives import ObjectiveKind
-    from .strategies import (_buchi_max_md, _buchi_min_md, format_strategy, optimal_max_md,
-                             optimal_min_md)
-    from .winning import buchi_peel
+    from .strategies import format_strategy
 
     parsed = _load(args.file)
     obj = _objective(args, parsed)
-    game = parsed.game
-    if obj.kind in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
-        strat = (
-            optimal_max_md(game, obj.target)
-            if args.player == "max"
-            else optimal_min_md(game, obj.target)
-        )
-    elif obj.kind is ObjectiveKind.BUCHI:
-        peel = buchi_peel(game, obj.target)
-        strat = (
-            _buchi_max_md(game, peel, set(obj.target))
-            if args.player == "max"
-            else _buchi_min_md(game, peel)
-        )
-    else:
-        raise ValueError(f"no strategy construction for {args.objective}")
-    text = format_strategy(strat)
-    _write(text, args.emit)
+    strat = _cell(args, obj, args.player)(parsed.game, obj)
+    _write(format_strategy(strat), args.emit)
     return 0
 
 
 def _cmd_transform(args) -> int:
-    from .exact import solve_reach_exact
-    from .objectives import ObjectiveKind
     from .textio import format_game
-    from .transforms import rvi
 
     parsed = _load(args.file)
     if not args.rvi:
         raise ValueError("transform currently only supports --rvi")
     obj = _objective(args, parsed)
-    if obj.kind not in (ObjectiveKind.REACH, ObjectiveKind.REACH_PLUS):
-        raise ValueError(f"--rvi preserves reach and reachplus values, not {args.objective}")
-    out = rvi(parsed.game, solve_reach_exact(parsed.game, obj.target))
-    text = format_game(out, sorted(obj.target))
-    _write(text, args.emit)
+    out = _cell(args, obj, "rvi")(parsed.game, obj)
+    _write(format_game(out, sorted(obj.target)), args.emit)
     return 0
 
 
@@ -320,15 +344,13 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    from .objectives import ObjectiveKind
-    from .strategies import format_strategy, threshold_decide
+    from .strategies import format_strategy
 
     parsed = _load(args.file)
     obj = _objective(args, parsed)
-    if obj.kind is not ObjectiveKind.REACH:
-        raise ValueError("the threshold decision handles reachability objectives")
-    verdict = threshold_decide(parsed.game, obj.target, _rational("--threshold", args.threshold),
-                               args.strict, args.from_state)
+    cell = _cell(args, obj, "decide")
+    verdict = cell(parsed.game, obj, _rational("--threshold", args.threshold), args.strict,
+                   args.from_state)
     print(f"winner {verdict.winner}")
     print(f"reason {verdict.reason}")
     sys.stdout.write(format_strategy(verdict.strategy))
@@ -350,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--objective", default="reach",
                        help="reach|safety|buchi|cobuchi|reachplus|reach<=N")
         p.add_argument("--target", default="",
-                       help="comma-separated target ids (default: file targets)")
+                       help="comma-separated target ids (default: the file's targets, "
+                            "which may hold commas)")
         if formats:
             p.add_argument("--format", choices=("lines", "table", "json-lines"),
                            default="lines")

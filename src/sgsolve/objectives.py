@@ -166,9 +166,11 @@ def bounding_sinks(kind: ObjectiveKind) -> tuple[SinkMode, SinkMode]:
     raise ValueError(f"no sink bounding rule for {kind}")
 
 
-def parse_objective(kind: str, target_csv: str) -> Objective:
-    """CLI objective syntax: reach|safety|buchi|cobuchi|reachplus|reach<=N."""
-    target = frozenset(t for t in target_csv.split(",") if t)
+def parse_objective(kind: str, target) -> Objective:
+    """CLI objective syntax: reach|safety|buchi|cobuchi|reachplus|reach<=N.
+    ``target`` is comma-separated ids, or a collection of ids taken as they
+    are, so that an id may hold a comma."""
+    target = frozenset(target.split(",") if isinstance(target, str) else target) - {""}
     if not target:
         raise ValueError("empty target set")
     if kind.startswith("reach<="):

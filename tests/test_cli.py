@@ -299,36 +299,111 @@ def test_transform_rvi_emits_parseable_game(tmp_path, capsys):
     assert parsed.game.succ["m"] == ("cheap",)
 
 
+# The objectives as typed, one per kind, and for each command mode of the
+# objective table its test id and its arguments after the game file.
+_OBJECTIVES = ("reach", "safety", "buchi", "cobuchi", "reachplus", "reach<=3")
+_MODE_ARGV = {
+    "exact": ("solve", []),
+    "iterate": ("solve-iterate", ["--mode", "iterate"]),
+    "winning-set": ("winning-set", []),
+    "max": ("strategy", ["--player", "max"]),
+    "min": ("strategy-min", ["--player", "min"]),
+    "decide": ("decide", ["--threshold", "1/2", "--from", "r3"]),
+    "rvi": ("transform", ["--rvi"]),
+}
+
+
+def _served(mode: str, objective: str) -> bool:
+    kind = sgsolve.objectives.parse_objective(objective, "t").kind
+    return mode in sgsolve.cli._TABLE[kind.value]
+
+
+@pytest.mark.parametrize(("mode", "objective"), [
+    (mode, objective) for mode in _MODE_ARGV for objective in _OBJECTIVES
+], ids=[f"{_MODE_ARGV[mode][0]}-{objective}" for mode in _MODE_ARGV for objective in _OBJECTIVES])
+def test_commands_refuse_objectives_they_do_not_handle(fig2_file, capsys, mode, objective):
+    # Every (command mode, objective) pair: a pair with a cell in the table
+    # is served; any other exits 1 with the one refusal, which names the
+    # command and the objective as typed, and prints nothing on stdout.  The
+    # refusal comes before the tolerance check, so iterate mode gets a --tol
+    # only where it is served.
+    command = sgsolve.cli._MODES[mode].split()[0]
+    argv = [command, fig2_file, "--objective", objective, *_MODE_ARGV[mode][1]]
+    if not _served(mode, objective):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {sgsolve.cli._MODES[mode]} does not handle --objective {objective}\n")
+        assert captured.out == ""
+    else:
+        assert main(argv + ["--tol", "1/1000"] * (mode == "iterate")) == 0
+        assert capsys.readouterr().out
+
+
+def test_the_objective_table_refuses_20_of_42_pairs():
+    assert sorted(_MODE_ARGV) == sorted(sgsolve.cli._MODES)
+    refused = [(m, o) for m in _MODE_ARGV for o in _OBJECTIVES if not _served(m, o)]
+    assert len(refused) == 20
+
+
+def test_readme_matrix_is_the_objective_table():
+    # The README's command x objective matrix, row by row: "yes" where the
+    # table has a cell, "exits 1" where it has none.
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("| Objective |")))
+    end = lines.index("", start)
+    header, _, *rows = [[c.strip().strip("`") for c in line.strip("|").split("|")]
+                        for line in lines[start:end]]
+    modes = {label: mode for mode, label in sgsolve.cli._MODES.items()}
+    assert sorted(header[1:]) == sorted(modes)
+    assert len(rows) == len(_OBJECTIVES)
+    for objective, *cells in rows:
+        typed = objective.replace("<=N", "<=3")
+        assert typed in _OBJECTIVES
+        for label, cell in zip(header[1:], cells):
+            assert cell == ("yes" if _served(modes[label], typed) else "exits 1"), (objective, label)
+
+
 @pytest.mark.parametrize("objective", ["safety", "buchi", "cobuchi", "reach<=3"])
 def test_transform_rvi_rejects_objectives_it_does_not_preserve(tmp_path, capsys, objective):
     # On fig2 the minimizer's value-increasing edges are its safe moves: the
     # reach-wise rvi game has safety value 1 at i, not 3/4.
     path = tmp_path / "fig2.game"
     assert main(["gallery", "fig2", "--depth", "4", "--emit", str(path)]) == 0
+    game = parse_game(path.read_text()).game
+    reduced = sgsolve.transforms.rvi(game, sgsolve.exact.solve_reach_exact(game, {"t"}))
+    assert sgsolve.values.value_safety(game, {"t"}).values["i"] == Fraction(3, 4)
+    assert sgsolve.values.value_safety(reduced, {"t"}).values["i"] == 1
     assert main(["transform", str(path), "--rvi", "--objective", objective]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (
-        f"error: --rvi preserves reach and reachplus values, not {objective}\n")
+    assert captured.err == f"error: transform --rvi does not handle --objective {objective}\n"
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(("command", "objective"), [
-    *(("winning-set", o) for o in ("cobuchi", "reachplus", "reach<=3")),
-    *(("strategy", o) for o in ("safety", "cobuchi", "reach<=3")),
-    *(("decide", o) for o in ("safety", "buchi", "cobuchi", "reachplus", "reach<=3")),
-])
-def test_commands_refuse_objectives_they_do_not_handle(ladder_file, capsys, command, objective):
-    # A refusal that names the objective names it as typed.
-    extra, message = {
-        "winning-set": ([], f"no almost-sure partition for {objective}"),
-        "strategy": (["--player", "max"], f"no strategy construction for {objective}"),
-        "decide": (["--threshold", "1/2", "--from", "q1"],
-                   "the threshold decision handles reachability objectives"),
-    }[command]
-    assert main([command, ladder_file, "--objective", objective, *extra]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
-    assert captured.out == ""
+def test_a_file_target_id_may_hold_a_comma(tmp_path, capsys):
+    # The file's targets are read as ids, not joined into --target's
+    # comma-separated form and split again.
+    path = tmp_path / "comma.game"
+    path.write_text("state s max\nstate a,b max\nstate z max\n"
+                    "edge s a,b\nedge s z\nedge a,b a,b\nedge z z\ntarget a,b\n")
+    runs = {
+        "solve": (["solve"], "s 1\na,b 1\nz 0\n"),
+        "winning-set": (["winning-set"], "state s max index bot\nstate a,b max index bot\n"
+                                         "state z min index 0\nrounds 1\n"),
+        "strategy": (["strategy", "--player", "max"],
+                     "strategy max md\nchoose s a,b\nchoose a,b a,b\nchoose z z\n"),
+        "decide": (["decide", "--threshold", "1", "--from", "s"],
+                   "winner max\nreason case-2\nstrategy max md\n"
+                   "choose s a,b\nchoose a,b a,b\nchoose z z\n"),
+    }
+    for command, (argv, out) in runs.items():
+        assert main([argv[0], str(path), *argv[1:]]) == 0, command
+        assert capsys.readouterr().out == out, command
+    assert main(["transform", str(path), "--rvi"]) == 0
+    assert parse_game(capsys.readouterr().out).targets == {"a,b"}
+    # --target stays comma-separated.
+    assert main(["solve", str(path), "--target", "a,b"]) == 1
+    assert capsys.readouterr().err == "error: target states not in game: ['a', 'b']\n"
 
 
 @pytest.mark.parametrize("objective", ["reach", "reachplus"])
@@ -529,18 +604,18 @@ def test_tol_in_exact_mode_is_an_input_error(ladder_file, capsys):
 
 @pytest.mark.parametrize("tol", [[], ["--tol", "1/10"]])
 def test_bounded_reach_in_iterate_mode_is_an_input_error(ladder_file, capsys, tol):
+    # The table's refusal comes before the tolerance check, with or without --tol.
     argv = ["solve", ladder_file, "--target", "goal", "--objective", "reach<=3", "--mode", "iterate"]
     assert main(argv + tol) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: reach<=N values are exact only\n"
+    assert captured.err == "error: solve --mode iterate does not handle --objective reach<=3\n"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", [
     (["--mode", "iterate"], "iterate mode needs a positive tolerance"),
     (["--mode", "iterate", "--tol", "0"], "iterate mode needs a positive tolerance"),
-    (["--objective", "reachplus", "--mode", "iterate"], "reachplus values are exact only"),
-], ids=["no-tol", "zero-tol", "reachplus"])
+], ids=["no-tol", "zero-tol"])
 def test_iterate_mode_needs_a_tolerance_and_a_value_objective(ladder_file, capsys, argv,
                                                               message):
     assert main(["solve", ladder_file, "--target", "goal"] + argv) == 1

@@ -150,7 +150,9 @@ def test_verdicts_are_monotone_along_prefixes():
 
 
 def test_parse_objective_syntax():
-    assert parse_objective("reach", "a,b").kind == ObjectiveKind.REACH
+    assert parse_objective("reach", "a,b").target == {"a", "b"}
+    # A collection of ids is taken as it is: an id may hold a comma.
+    assert parse_objective("reach", {"a,b"}).target == {"a,b"}
     assert parse_objective("reach<=5", "a").steps == 5
     assert parse_objective("reachplus", "a").kind == ObjectiveKind.REACH_PLUS
     with pytest.raises(ValueError):

@@ -470,8 +470,8 @@ def _reach_partition_cases():
 
 def test_winning_set_reach_partition_needs_no_exact_solve(monkeypatch):
     import sgsolve.exact
-    from sgsolve.cli import _partition_for
-    from sgsolve.objectives import ObjectiveKind
+    from sgsolve.cli import _TABLE
+    from sgsolve.objectives import reach
 
     cases = [(g, t, {s for s, v in solve_reach_exact(g, t).items() if v == 1})
              for g, t in _reach_partition_cases()]
@@ -481,7 +481,7 @@ def test_winning_set_reach_partition_needs_no_exact_solve(monkeypatch):
 
     monkeypatch.setattr(sgsolve.exact, "solve_reach_exact", refuse)
     for g, t, value_one in cases:
-        part = _partition_for(ObjectiveKind.REACH, g, t)
+        part = _TABLE["reach"]["winning-set"](g, reach(*t))
         assert part.max_wins == value_one, sorted(t)
         assert part.min_wins == set(g.states) - value_one
 
