@@ -370,7 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, formats=False):
         p.add_argument("file", help="game file")
         p.add_argument("--objective", default="reach",
-                       help="reach|safety|buchi|cobuchi|reachplus|reach<=N")
+                       help="reach|safety|buchi|cobuchi|reachplus|reach<=N; reach<=N takes "
+                            "exact steps until nothing changes, so on a game with a random "
+                            "cycle all N steps run and the numbers widen with each step")
         p.add_argument("--target", default="",
                        help="comma-separated target ids (default: the file's targets, "
                             "which may hold commas)")

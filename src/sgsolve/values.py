@@ -8,8 +8,10 @@ from the target indicator, the upper sequence descends from one on the
 states that can reach the target at all (everything else is exactly zero),
 and end components without target states are periodically deflated to
 their best maximizer exit so the upper sequence cannot stall above the
-value.  The sweeps run on numpy arrays over an indexed copy of the game,
-with both sequences in one flat vector (lower half, then upper half).  The
+value.  The sweeps run on numpy arrays cut by vectorized indexing from one
+flat index of the game (every successor list's state numbers in
+declaration order, row starts, owner codes and float weights), with both
+sequences in one flat vector (lower half, then upper half).  The
 iteration runs one deflation period at a time: eight sweeps into the rows
 of a buffer, each reading the row before, then a deflation of the last row
 and one stop test over all eight rows' gaps, which returns the first row
@@ -40,6 +42,7 @@ import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 
 from . import winning
 from .exact import ConvergenceError, bellman_combine, bellman_pair, can_reach, solve_reach_exact
@@ -49,6 +52,8 @@ from .model import (Game, InvariantError, LazyGame, Owner, SinkMode, _as_fractio
 from .objectives import ObjectiveKind, bounding_sinks
 
 _DEFLATE_EVERY = 8
+# Owner codes in the flat view of a game: a state's owner's position here.
+_OWNERS = tuple(Owner)
 _MAX_SWEEPS = 2_000_000
 
 
@@ -246,62 +251,95 @@ class _FloatCore:
 
     States are numbered in declaration order, and both bounds live in one
     flat vector of length ``2n``: the lower bound at ``[0, n)`` and the upper
-    bound at ``[n, 2n)``.  The live states (not a target, able to reach one)
-    are split by owner, each group's rows padded to its widest: maximizer
-    and minimizer rows repeat their first successor, random rows add it
-    with weight ``0.0``.  One index ``gather`` fills the buffer ``g`` with
-    every group's position 0 (random last), then the later positions
-    (random first, so the random block is contiguous), both bounds; the
-    upper entries are the lower ones shifted by ``n``.  ``steps`` are
+    bound at ``[n, 2n)``.  The core is cut from one flat index of the game,
+    made in one pass over its states: every successor list's state numbers
+    one after the other (``ids``), each state's row in it (``starts``, the
+    ``np.cumsum`` of the row lengths ``lens``, less each row's own length),
+    owner codes (positions in ``_OWNERS``) and the live random rows' edge
+    weights as floats (``0.0`` on every other edge).  The live states (not a
+    target, able to reach one) are split by owner, and ``cut`` takes each
+    group's edges out of the index as one array row per successor position,
+    each state's row padded to the group's widest by its first edge:
+    maximizer and minimizer rows repeat their first successor, random rows
+    add it with weight ``0.0``.  The successor columns are ``ids`` at those
+    edges, the random weights ``weights`` there, zeroed on the padding, and
+    the minimizer ``guards`` are cut the same way from the reachable
+    minimizer states.  One index ``gather`` fills the buffer ``g`` with every
+    group's position 0 (random last), then the later positions (random
+    first, so the random block is contiguous), both bounds; the upper
+    entries are the lower ones shifted by ``n``.  ``steps`` are
     ``(ufunc, a, b, out)`` on fixed views: one multiply of the random block
     by its weights, then each group's later positions folded into its
     position 0 in order, by ``np.maximum`` or ``np.minimum`` (which never
     round, so padding and fold give exactly a row's max or min) or
     ``np.add``.  The positions 0, ``new``, are scattered through ``at``.
-    Both indices are checked once, here.  Directed rounding fits the same
-    layout: after the scatter, the lower half of ``out`` would round down
-    and the upper half up.
+    Both indices are checked once, here.  ``initial`` is the first vector:
+    one on the targets' lower and the reachable states' upper entries.
+    Directed rounding fits the same layout: after the scatter, the lower
+    half of ``out`` would round down and the upper half up.
     """
 
     def __init__(self, game: Game, targets: set[str], reachable: set[str]):
         import numpy as np
 
         self.game, self.targets, self.reachable = game, targets, reachable
-        self.index = index = {s: i for i, s in enumerate(game.states)}
-        n = len(game.states)
+        states = game.states
+        n = len(states)
+        self.index = index = dict(zip(states, range(n)))
+        rows = list(map(game.succ.__getitem__, states))
+        lens = np.array(list(map(len, rows)), dtype=np.intp)
+        starts = np.cumsum(lens) - lens
+        ids = np.array(list(map(index.__getitem__, chain.from_iterable(rows))), dtype=np.intp)
+        owners = np.array(list(map(_OWNERS.index, game.owner.values())), dtype=np.intp)
+        is_target, is_reach = np.zeros((2, n), dtype=bool)
+        is_target[list(map(index.__getitem__, targets))] = True
+        is_reach[list(map(index.__getitem__, reachable))] = True
+        live = is_reach & ~is_target
+        self.initial = np.concatenate((is_target, is_reach), dtype=float)
+        random = live & (owners == _OWNERS.index(Owner.RANDOM))
+        weights = np.zeros(len(ids))
+        # ``numerator / denominator`` is the double ``float(w)`` gives,
+        # without the detour through ``Rational.__float__``.
+        weights[np.repeat(random, lens)] = [p.numerator / p.denominator
+                                            for s in compress(states, random.tolist())
+                                            for p in game.prob[s]]
 
-        def columns(rows: list[list], pad, dtype=np.intp):
-            """``rows`` padded to the widest by ``pad(row)``, one array row
-            per position, from one list and one ``np.array`` call (the
-            reshape keeps an empty group two-dimensional)."""
-            width = max(map(len, rows), default=1)
-            padded = [row + pad(row) * (width - len(row)) for row in rows]
-            return np.array(padded, dtype=dtype).reshape(len(rows), width).T
+        def cut(group):
+            """The edges of the rows of ``group`` padded to the widest by
+            their first, one array row per successor position, and which
+            of them are real."""
+            position = np.arange(lens[group].max(initial=1))[:, None]
+            real = position < lens[group]
+            return starts[group] + position * real, real
 
-        def successors(group: list[str]):
-            return columns([[index[t] for t in game.succ[s]] for s in group], lambda row: row[:1])
-
-        live = {o: [s for s in game.states
-                    if game.owner[s] is o and s in reachable and s not in targets]
-                for o in Owner}
         # Each nonempty group's entries (lower, then upper) and successor
         # columns over both bounds, one array row per successor position.
         groups = {}
-        for owner, group in live.items():
-            if group:
-                at, cols = [index[s] for s in group], successors(group)
-                groups[owner] = at + [i + n for i in at], np.concatenate((cols, cols + n), axis=1)
+        for code, owner in enumerate(_OWNERS):
+            at = np.flatnonzero(live & (owners == code))
+            if at.size:
+                edges, real = cut(at)
+                cols = ids[edges]
+                groups[owner] = (np.concatenate((at, at + n)),
+                                 np.concatenate((cols, cols + n), axis=1))
+                if owner is Owner.RANDOM:
+                    # Zero on the padding; over both bounds.
+                    w = weights[edges] * real
+                    w = np.concatenate((w, w), axis=1).ravel()
         heads = [o for o in (Owner.MAX, Owner.MIN, Owner.RANDOM) if o in groups]
         tails = [o for o in (Owner.RANDOM, Owner.MAX, Owner.MIN) if o in groups]
-        self.at = np.array([i for o in heads for i in groups[o][0]], dtype=np.intp)
-        # The leading empty array lets a game have no live state.
+        # The leading empty arrays let a game have no live state.
+        self.at = np.concatenate([np.zeros(0, dtype=np.intp)] + [groups[o][0] for o in heads])
         self.gather = np.concatenate([np.zeros(0, dtype=np.intp)]
                                      + [groups[o][1][0] for o in heads]
                                      + [groups[o][1][1:].ravel() for o in tails])
         if self.gather.size and (self.gather.min() < 0 or self.gather.max() >= 2 * n):
             raise InvariantError("a sweep gathers from outside the value vector")
-        live_entries = sorted(index[s] for s in reachable - targets)
-        if sorted(self.at.tolist()) != live_entries + [i + n for i in live_entries]:
+        # As many entries as live ones, and each live one hit: none repeats.
+        scattered = np.zeros(2 * n, dtype=bool)
+        scattered[self.at] = True
+        if len(self.at) != 2 * np.count_nonzero(live) or \
+                not np.array_equal(scattered, np.concatenate((live, live))):
             raise InvariantError("a sweep's scatter repeats an entry or misses a live one")
         self.g = np.empty(len(self.gather))
         self.new = self.g[:len(self.at)]
@@ -318,19 +356,15 @@ class _FloatCore:
                 # reduction (``np.sum``, a matrix product) may reorder or
                 # fuse the adds and change the last bits.
                 block = self.g[start - m:start + later.size]
-                # ``numerator / denominator`` is the double ``float(w)``
-                # gives, without the detour through ``Rational.__float__``.
-                w = columns([[p.numerator / p.denominator for p in game.prob[s]] for s in live[o]],
-                            lambda row: [0.0], float)
-                w = np.concatenate((w, w), axis=1).ravel()
                 self.steps.append((np.multiply, block, w, block))
             for _ in later:
                 self.steps.append((fold[o], head[o], self.g[start:start + m], head[o]))
                 start += m
         # Every reachable minimizer state, targets included: its lower-optimal
         # edges are the ones the end-component decomposition depends on.
-        self.guarded = [s for s in game.states if game.owner[s] is Owner.MIN and s in reachable]
-        self.guards = successors(self.guarded)
+        guarded = np.flatnonzero(is_reach & (owners == _OWNERS.index(Owner.MIN)))
+        self.guarded = list(map(states.__getitem__, guarded.tolist()))
+        self.guards = ids[cut(guarded)[0]]
 
     def sweep(self, v, out) -> None:
         """One Bellman sweep of both bounds from ``v`` into ``out``, a
@@ -363,11 +397,10 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> ValueVector:
     reachable = can_reach(game, targets)
     core = _FloatCore(game, targets, reachable)
     n = len(game.states)
-    rows = np.zeros((_DEFLATE_EVERY, 2 * n))
+    rows = np.empty((_DEFLATE_EVERY, 2 * n))
     # Every row starts as the initial vector: the sweeps never write the
     # entries of targets and dead states.
-    rows[:, [core.index[s] for s in targets]] = 1.0
-    rows[:, [n + core.index[s] for s in reachable]] = 1.0
+    rows[:] = core.initial
     lowers, uppers = rows[:, :n], rows[:, n:]
     last_row = rows[-1]
     lower, upper = lowers[-1], uppers[-1]

@@ -2,7 +2,9 @@
 independent closed-form oracles, a one-play-at-a-time reference sampler, a
 peel that rebuilds its confined set every round (kept free of the solver
 machinery they referee), strategy iteration from the float guess on every
-game, which referees the exact solver's backward induction, and the game-file
+game, which referees the exact solver's backward induction, the iterate
+core's layout worked out state by state, which referees its build from the
+flat view, and the game-file
 reader without its list tokenizer and guarded validation: a tokenizing
 generator, the two-pass parser over it and a validator that walks every edge
 and weight of every state."""
@@ -16,7 +18,7 @@ from math import lcm
 
 from sgsolve import Estimate, Game, Owner, exact
 from sgsolve.graphs import attractor
-from sgsolve.model import Violation, _as_fraction, check_targets
+from sgsolve.model import InvariantError, Violation, _as_fraction, check_targets
 from sgsolve.objectives import ObjectiveKind
 from sgsolve.simulate import _as_transducer
 from sgsolve.textio import _KINDS, GameFormatError, ParsedGame
@@ -85,6 +87,95 @@ def reference_solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
     game, acyclic or not: the path the solver keeps for games with a cycle."""
     targets = set(targets)
     return exact._strategy_iteration(game, targets, exact._float_guess(game, targets))
+
+
+def reference_float_core(self, game: Game, targets: set[str], reachable: set[str]) -> None:
+    """``values._FloatCore.__init__`` worked out state by state: the layout
+    from per-state lists and dict lookups, padded by list arithmetic, and the
+    first vector ``initial`` from the target and reachable states' numbers.
+    Patch it in as ``_FloatCore.__init__``, or call it on
+    ``_FloatCore.__new__(_FloatCore)``."""
+    import numpy as np
+
+    self.game, self.targets, self.reachable = game, targets, reachable
+    self.index = index = {s: i for i, s in enumerate(game.states)}
+    n = len(game.states)
+
+    def columns(rows: list[list], pad, dtype=np.intp):
+        """``rows`` padded to the widest by ``pad(row)``, one array row
+        per position (the reshape keeps an empty group two-dimensional)."""
+        width = max(map(len, rows), default=1)
+        padded = [row + pad(row) * (width - len(row)) for row in rows]
+        return np.array(padded, dtype=dtype).reshape(len(rows), width).T
+
+    def successors(group: list[str]):
+        return columns([[index[t] for t in game.succ[s]] for s in group], lambda row: row[:1])
+
+    live = {o: [s for s in game.states
+                if game.owner[s] is o and s in reachable and s not in targets]
+            for o in Owner}
+    groups = {}
+    for owner, group in live.items():
+        if group:
+            at, cols = [index[s] for s in group], successors(group)
+            groups[owner] = at + [i + n for i in at], np.concatenate((cols, cols + n), axis=1)
+    heads = [o for o in (Owner.MAX, Owner.MIN, Owner.RANDOM) if o in groups]
+    tails = [o for o in (Owner.RANDOM, Owner.MAX, Owner.MIN) if o in groups]
+    self.at = np.array([i for o in heads for i in groups[o][0]], dtype=np.intp)
+    self.gather = np.concatenate([np.zeros(0, dtype=np.intp)]
+                                 + [groups[o][1][0] for o in heads]
+                                 + [groups[o][1][1:].ravel() for o in tails])
+    if self.gather.size and (self.gather.min() < 0 or self.gather.max() >= 2 * n):
+        raise InvariantError("a sweep gathers from outside the value vector")
+    live_entries = sorted(index[s] for s in reachable - targets)
+    if sorted(self.at.tolist()) != live_entries + [i + n for i in live_entries]:
+        raise InvariantError("a sweep's scatter repeats an entry or misses a live one")
+    self.g = np.empty(len(self.gather))
+    self.new = self.g[:len(self.at)]
+    head, start = {}, 0
+    for o in heads:
+        head[o] = self.g[start:start + len(groups[o][0])]
+        start += len(groups[o][0])
+    fold = {Owner.MAX: np.maximum, Owner.MIN: np.minimum, Owner.RANDOM: np.add}
+    self.steps = []
+    for o in tails:
+        m, later = len(head[o]), groups[o][1][1:]
+        if o is Owner.RANDOM:
+            block = self.g[start - m:start + later.size]
+            w = columns([[float(p) for p in game.prob[s]] for s in live[o]],
+                        lambda row: [0.0], float)
+            w = np.concatenate((w, w), axis=1).ravel()
+            self.steps.append((np.multiply, block, w, block))
+        for _ in later:
+            self.steps.append((fold[o], head[o], self.g[start:start + m], head[o]))
+            start += m
+    self.guarded = [s for s in game.states if game.owner[s] is Owner.MIN and s in reachable]
+    self.guards = successors(self.guarded)
+    self.initial = np.zeros(2 * n)
+    self.initial[[index[s] for s in targets]] = 1.0
+    self.initial[[n + index[s] for s in reachable]] = 1.0
+
+
+def float_core_layout(core) -> dict:
+    """Everything a ``values._FloatCore`` sweeps and deflates with, as plain
+    data: the numbering, the initial vector, the scatter and gather indices,
+    the minimizer guards and each step's ufunc and operands.  An operand
+    that is a view of the gather buffer ``g`` is its offset and length in
+    ``g``; any other array is its dtype, shape and entries (the random
+    weights)."""
+    g = core.g
+
+    def place(a):
+        if a.base is g:
+            return "g", (a.ctypes.data - g.ctypes.data) // g.itemsize, a.size
+        return a.dtype.str, a.shape, a.tolist()
+
+    return {
+        "index": core.index, "initial": place(core.initial), "at": place(core.at),
+        "gather": place(core.gather), "g": (g.dtype.str, g.size), "new": place(core.new),
+        "guarded": core.guarded, "guards": place(core.guards),
+        "steps": [(ufunc, place(a), place(b), place(out)) for ufunc, a, b, out in core.steps],
+    }
 
 
 def ruin_probability(p: Fraction, cap: int, wealth: int) -> Fraction:

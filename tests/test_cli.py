@@ -579,6 +579,17 @@ def test_format_is_an_option_of_the_commands_that_write_rows(ladder_file, capsys
     assert [row["stat"] for row in rows] == ["mean", "half-width-95", "decided-fraction"]
 
 
+def test_objective_help_tells_the_cost_of_bounded_reach():
+    # ``reach<=N`` on a game with a random cycle runs all N exact steps.
+    parser = sgsolve.cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            if "--objective" in action.option_strings:
+                assert "random cycle all N steps run" in action.help
+                assert "numbers widen with each step" in action.help
+
+
 def test_solve_prints_rationals_past_the_int_string_limit(tmp_path, capsys):
     path = tmp_path / "slow.game"
     path.write_text("state a rand\nstate t max\nedge a t 1/7919\nedge a a 7918/7919\n"

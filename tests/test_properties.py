@@ -4,12 +4,15 @@ Hypothesis runs derandomized with a bounded number of examples, so the suite
 stays deterministic and quick; a failure prints its smallest game.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
-from conftest import (acyclic_game, reference_almost_sure_reach, reference_buchi_peel,
-                      reference_plays, reference_solve_reach_exact)
+from conftest import (acyclic_game, float_core_layout, reference_almost_sure_reach,
+                      reference_buchi_peel, reference_float_core, reference_plays,
+                      reference_solve_reach_exact)
 from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
@@ -17,9 +20,12 @@ from sgsolve import (Game, Owner, SimConfig, TransducerStrategy, Verdict,
                      almost_sure_buchi, almost_sure_reach, apply_md, bellman_step, buchi,
                      buchi_md_pair, cobuchi, decided, epsilon_horizon, gallery,
                      md_enumeration_oracle, mdp_buchi_exact, reach, reach_plus, rvi, safety,
-                     value_buchi, value_cobuchi, value_reach, value_reach_within, value_safety)
+                     swap_roles, value_buchi, value_cobuchi, value_reach, value_reach_within,
+                     value_safety)
 from sgsolve import exact
-from sgsolve.exact import bellman_combine, gauss_solve, solve_reach_exact
+from sgsolve.exact import (ConvergenceError, bellman_combine, can_reach, gauss_solve,
+                           solve_reach_exact)
+from sgsolve.values import _FloatCore
 from sgsolve.winning import buchi_peel
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -316,3 +322,61 @@ def test_iterate_values_lie_in_the_unit_interval(weights):
     for solver in (value_reach, value_safety, value_buchi, value_cobuchi):
         vec = solver(game, set(targets), Fraction(1, 10**9))
         assert all(0 <= v <= 1 for v in vec.values.values()), (solver.__name__, vec.values)
+
+
+@st.composite
+def core_games(draw) -> tuple[Game, frozenset[str]]:
+    """A game of 1 to 10 states shaped for the iterate core's build, drawn
+    from a seed: one to three owners, so a group can be empty, each with its
+    own widest row, so a group can be of width 1 and random rows of unequal
+    widths; trapped states, which move only among themselves and are never
+    targets, interleaved in declaration order; zero to two targets,
+    absorbing or not; and so, now and then, no live state at all.  (Drawn
+    field by field, the search's small first examples are mostly of one
+    owner and have no live state.)"""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ids = [f"s{i}" for i in range(rng.randint(1, 10))]
+    trapped = [s for s in ids if rng.random() < 0.25]
+    owners = rng.sample(("max", "min", "rand"), rng.randint(1, 3))
+    widest = {owner: rng.randint(1, 4) for owner in owners}
+    free = [s for s in ids if s not in trapped]
+    targets = rng.sample(free, min(rng.choice((0, 1, 1, 2, 2)), len(free)))
+    absorbing = rng.random() < 0.5
+    rows = []
+    for s in ids:
+        owner = rng.choice(owners)
+        pool = trapped if s in trapped else ids
+        succs = [s] if absorbing and s in targets else \
+            rng.sample(pool, rng.randint(1, min(widest[owner], len(pool))))
+        if owner == "rand":
+            raw = [rng.randint(1, 4) for _ in succs]
+            rows.append((s, owner, succs, [Fraction(x, sum(raw)) for x in raw]))
+        else:
+            rows.append((s, owner, succs))
+    return Game.of(rows), frozenset(targets)
+
+
+def _iterate_all(game: Game, targets) -> list:
+    """Every iterate objective's vector at tol 1e-9, or its refusal."""
+    out = []
+    for solver in (value_reach, value_safety, value_buchi, value_cobuchi):
+        try:
+            out.append(solver(game, targets, 1e-9))
+        except ConvergenceError as err:
+            out.append(str(err))
+    return out
+
+
+@PROPERTY
+@given(core_games())
+def test_the_float_core_is_the_reference_layout_and_gives_its_values(case):
+    game, targets = case
+    for played in (game, swap_roles(game)):
+        reachable = can_reach(played, set(targets))
+        reference = _FloatCore.__new__(_FloatCore)
+        reference_float_core(reference, played, set(targets), reachable)
+        core = _FloatCore(played, set(targets), reachable)
+        assert float_core_layout(core) == float_core_layout(reference)
+    solved = _iterate_all(game, targets)
+    with mock.patch.object(_FloatCore, "__init__", reference_float_core):
+        assert _iterate_all(game, targets) == solved

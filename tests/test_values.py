@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import random_game, ruin_probability
+from conftest import float_core_layout, random_game, reference_float_core, ruin_probability
 
 from sgsolve import (
     Game,
@@ -368,6 +368,48 @@ def test_a_sweep_writes_only_the_live_entries():
         core.sweep(rng.random(2 * n), out)
         assert (out[live] >= 0.0).all()
         assert (out[~live] == sentinel).all()
+
+
+def _layout_cases():
+    """Games and target sets for the layout referee: the gallery, with both
+    labels, and seeded random games of every owner width up to four."""
+    for depth in (8, 12, 20, 40, 60, 80):
+        built = gallery.build_fig2(depth)
+        yield built.game, built.targets
+        yield built.game, built.buchi
+    for depth in (8, 16):
+        built = gallery.build_fig2_with_u(depth)
+        yield built.game, built.targets
+        yield built.game, built.buchi
+    for p in (Fraction(2, 5), Fraction(3, 5)):
+        for cap in (5, 20, 50, 100):
+            yield gallery.build_gamblers_ruin(p, cap).game, {"w0"}
+    for k in (3, 8, 16, 64):
+        yield gallery.build_ladder(k).game, {"goal"}
+    for seed in range(600):
+        yield random_game(seed, n=3 + seed % 30, max_branch=1 + seed % 5,
+                          owned_branch=1 + seed // 5 % 4, max_targets=1 + seed % 3)
+
+
+def test_the_float_core_is_the_state_by_state_layout():
+    # The core is cut from the flat view with index arrays; the reference
+    # works each state's row out on its own.  Every gather, weight and step
+    # must be the same, so every sweep is too.
+    padded = {owner: 0 for owner in Owner}
+    for game, targets in _layout_cases():
+        for played in (game, swap_roles(game)):
+            reachable = can_reach(played, set(targets))
+            core = values._FloatCore(played, set(targets), reachable)
+            reference = values._FloatCore.__new__(values._FloatCore)
+            reference_float_core(reference, played, set(targets), reachable)
+            assert float_core_layout(core) == float_core_layout(reference)
+            for owner in Owner:
+                widths = {len(played.succ[s]) for s in reachable - set(targets)
+                          if played.owner[s] is owner}
+                padded[owner] += len(widths) > 1 and max(widths) > 2
+    # Rows of each owner padded past a second successor, so padding by any
+    # successor but the first, or a random row's with a nonzero weight, shows.
+    assert min(padded.values()) >= 50
 
 
 def test_iterate_sweeps_both_bounds_in_one_call(monkeypatch):
