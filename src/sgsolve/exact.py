@@ -156,6 +156,20 @@ def can_reach(game: Game, targets: set[str], choice: dict[str, str] | None = Non
     return attractor(game, targets, tuple(Owner), choice=choice)
 
 
+def settle_order(game: Game, targets: set[str], reachable: set[str]) -> dict[str, int] | None:
+    """Every state in the order it settles, with its stage (0 for the
+    targets and the states outside ``reachable``, which cannot reach one),
+    when each other state settles once all its successors have; ``None``
+    when some state never does, that is when a cycle is left outside the
+    stage-0 states.  Without one, the Bellman fixpoint is unique and no end
+    component lies off the targets."""
+    order: dict[str, int] = {}
+    base = targets | (game.owner.keys() - reachable)
+    if len(attractor(game, base, (), layer=order)) < len(game.states):
+        return None
+    return order
+
+
 def chain_reach_values(game: Game, choice: dict[str, str], targets: set[str],
                        previous: Chain | None = None) -> dict[str, Fraction]:
     """Exact reach probabilities when both players' moves are fixed.
@@ -353,14 +367,12 @@ def solve_reach_exact(game: Game, targets) -> dict[str, Fraction]:
     declaration order, so the output does not depend on the path taken.
     """
     targets = check_targets(game, targets)
-    base = targets | (game.owner.keys() - can_reach(game, targets))
-    # Entry order: base states first, then each state after all its successors.
-    order: dict[str, int] = {}
-    if len(attractor(game, base, (), layer=order)) < len(game.states):
+    order = settle_order(game, targets, can_reach(game, targets))
+    if order is None:
         return _strategy_iteration(game, targets, _float_guess(game, targets))
     pairs: dict[str, tuple[int, int]] = {}
-    for s in order:
-        pairs[s] = (int(s in targets), 1) if s in base else bellman_pair(game, pairs, s)
+    for s, stage in order.items():
+        pairs[s] = bellman_pair(game, pairs, s) if stage else (int(s in targets), 1)
     return {s: Fraction(*pairs[s]) for s in game.states}
 
 

@@ -24,9 +24,30 @@ another.  Philox refills are computed in slices of at most a few thousand
 plays, a width that the cache bounds: the kernel slows down once its
 temporaries outgrow it, and a narrower slice pays the kernel's fixed cost
 per call (a few hundred numpy operations) more often.  Since each play
-owns its stream, the result depends on neither width nor the order of the
-plays: it is bit-identical across runs and could be merged from parallel
-workers in sample-index order.
+owns its stream, the result depends on neither width, nor the order of the
+plays, nor the process that plays them: it is bit-identical across runs.
+
+A lockstep set splits across processes once it proves long-lived: after
+the first step at which it holds two shares of ``_SPLIT`` (4,096) live
+plays and one of them has read all four draws of its first block.  It
+forks ``k - 1`` children, ``k`` the smaller of the CPUs the process may
+run on and the live plays over ``_SPLIT``, and process ``r`` plays on the
+live plays at positions ``r`` modulo ``k``.  A child sends its share's
+wins, undecided plays and first failing play through a pipe and leaves by
+``os._exit``, inside ``try``/``finally``: it never returns into the
+caller's code or flushes a buffer it inherited.  The parent adds the counts
+and keeps the lowest-numbered failing play, whose message a run in one
+process raises too.  The merge is exact: the counts are integers, and a
+play's draws depend on its key alone.  The parent reaps every child,
+killing them first if its own share raised; a child that ends without its
+counts raises :class:`WorkerError`.  No set splits where ``os.fork`` or
+``os.sched_getaffinity`` is missing (Windows, macOS), on one CPU, or when
+``os.fork`` raises ``OSError`` (the set goes on in the process); nor does
+a set whose plays are mostly decided within four draws, as on the Figure 2
+game.  A child calls no BLAS routine, whose threads a fork does not copy.
+Python 3.12 and later warn (``DeprecationWarning``) on every fork of a
+process with threads, numpy's BLAS threads included; the tested versions,
+3.10 and 3.11, do not.
 
 A play keeps the last two Philox blocks it computed, in a window of eight
 draws where draw ``k`` sits in column ``k % 8``.  When a step needs a draw
@@ -46,11 +67,13 @@ callers can tell how much of the estimate rests on the cutoff.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Game, Owner, _as_int, check_state
+from .model import Game, Owner, SgsolveError, _as_int, check_state
 from .objectives import Objective, ObjectiveKind
 from .strategies import MDStrategy, TransducerStrategy, md_to_transducer
 
@@ -62,11 +85,22 @@ _PLAYS = 1 << 15
 # Stale plays whose Philox blocks are computed in one kernel call, at most:
 # the kernel's temporaries then stay near 1 MB, in cache.
 _SLICE = 8192
+# Live plays per process, at least, when a lockstep set is split across
+# processes: a set splits once it holds two such shares.
+_SPLIT = 4096
 
 # Philox4x64-10 round multipliers and Weyl key increments.
 _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK64 = 2**64 - 1
+# The same as numpy scalars, made once: per multiplier its low and high
+# 32-bit halves and itself; the half mask and width; the second key's bump;
+# and the shift that keeps a word's top 53 bits.
+_FACTORS = tuple((np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m))
+                 for m in _MULTIPLIERS)
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+_BUMP1 = np.uint64(_BUMPS[1])
+_TOP53 = np.uint64(11)
 
 
 @dataclass(frozen=True)
@@ -110,26 +144,26 @@ def _as_transducer(strategy, owner: Owner) -> TransducerStrategy | None:
     return strategy
 
 
-def _mulhilo(m: int, x):
-    """High and low words of the 128-bit product ``m * x``, on 32-bit halves.
+def _mulhilo(m, x):
+    """High and low words of the 128-bit product ``m * x``, on 32-bit halves;
+    ``m`` is a multiplier's entry in ``_FACTORS``.
 
     Every partial sum stays below 2**64.  The updates are in place because
     fewer temporaries make the kernel about a fifth faster.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
-    x_lo, x_hi = x & low, x >> half
+    m_lo, m_hi, m_all = m
+    x_lo, x_hi = x & _LOW, x >> _HALF
     mid = x_lo * m_lo
-    mid >>= half
+    mid >>= _HALF
     mid += x_lo * m_hi
     cross = x_hi * m_lo
-    cross += mid & low
-    cross >>= half
-    mid >>= half
+    cross += mid & _LOW
+    cross >>= _HALF
+    mid >>= _HALF
     hi = x_hi * m_hi
     hi += mid
     hi += cross
-    return hi, x * np.uint64(m)
+    return hi, x * m_all
 
 
 def _philox(counter, seed: int, play):
@@ -141,20 +175,20 @@ def _philox(counter, seed: int, play):
     product is of the zero word and leaves the seed key alone in word 0, so
     round 1's first product is one Python int product.
     """
-    c2, c3 = _mulhilo(_MULTIPLIERS[0], counter)
+    c2, c3 = _mulhilo(_FACTORS[0], counter)
     c2 ^= play
-    k0, k1 = (seed + _BUMPS[0]) & _MASK64, play + np.uint64(_BUMPS[1])
+    k0, k1 = (seed + _BUMPS[0]) & _MASK64, play + _BUMP1
     product = _MULTIPLIERS[0] * seed
     c3 ^= np.uint64(product >> 64)
     c3 ^= k1
-    c0, c1 = _mulhilo(_MULTIPLIERS[1], c2)
+    c0, c1 = _mulhilo(_FACTORS[1], c2)
     c0 ^= np.uint64(k0)
     c2, c3 = c3, np.uint64(product & _MASK64)
     for _ in range(2, 10):
         k0 = (k0 + _BUMPS[0]) & _MASK64
-        k1 = k1 + np.uint64(_BUMPS[1])
-        hi0, lo0 = _mulhilo(_MULTIPLIERS[0], c0)
-        hi1, lo1 = _mulhilo(_MULTIPLIERS[1], c2)
+        k1 += _BUMP1
+        hi0, lo0 = _mulhilo(_FACTORS[0], c0)
+        hi1, lo1 = _mulhilo(_FACTORS[1], c2)
         hi1 ^= c1
         hi1 ^= np.uint64(k0)
         hi0 ^= c3
@@ -162,9 +196,80 @@ def _philox(counter, seed: int, play):
         c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     out = np.empty(counter.shape + (4,))
     for j, c in enumerate((c0, c1, c2, c3)):
-        c >>= np.uint64(11)
+        c >>= _TOP53
         np.multiply(c, 2.0**-53, out=out[..., j])
     return out
+
+
+class WorkerError(SgsolveError, RuntimeError):
+    """A forked share of a play set ended without its counts."""
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shares(k: int, work) -> list:
+    """``[work(0, k), ..., work(k - 1, k)]``, each ``work(r, k)`` but the
+    first in a forked child process; ``[work(0, 1)]`` if a fork fails.
+
+    A child sends its result through a pipe and leaves by ``os._exit``: it
+    never returns into the caller's code or flushes a buffer it inherited.
+    The parent reaps every child.  If its own share raises, or a child ends
+    without its result, it first kills the children it has not reaped.
+    """
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for r in range(1, k):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                _stop(children)
+                k = 1
+                break
+            if not pid:
+                status = 1
+                try:
+                    os.close(read)
+                    for other in children.values():
+                        os.close(other)
+                    with open(write, "wb") as out:
+                        pickle.dump(work(r, k), out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = read
+        results = [work(0, k)]
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            if status or not message:
+                raise WorkerError("a forked share of the plays ended without its counts "
+                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
+            results.append(pickle.loads(message))
+        return results
+    finally:
+        _stop(children)
+
+
+def _stop(children) -> None:
+    """Kill and reap the children in ``children`` and close their pipes."""
+    import signal
+
+    while children:
+        pid, read = children.popitem()
+        os.close(read)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 class _Rows:
@@ -215,7 +320,10 @@ def sample_plays(
     play that reaches a state where it needs a missing row raises
     ``ValueError``.  A row that fails :meth:`TransducerStrategy.check_rows`,
     a stray one included, raises ``ValueError`` up front.  MD strategies are
-    accepted and lifted to one-mode transducers.
+    accepted and lifted to one-mode transducers.  A long run may split its
+    plays across forked processes (module docstring), all reaped before it
+    returns or raises; one that ends without its counts raises
+    :class:`WorkerError`.
     """
     pair = (_as_transducer(sigma, Owner.MAX), _as_transducer(pi, Owner.MIN))
     for t in filter(None, pair):
@@ -278,21 +386,34 @@ def sample_plays(
         else:
             first += stride[p] * initial[p]
 
-    wins = undecided = 0
     window_start = cfg.horizon - cfg.buchi_window + 1
-    for lo in range(0, cfg.samples, _PLAYS):
-        count = min(_PLAYS, cfg.samples - lo)
-        slot = np.arange(count)
-        st = np.full(count, sid[start], dtype=np.int64)
-        modes = [np.full(count, initial[p], dtype=np.int64) for p, _ in dynamic]
-        # ``drawn`` counts the draws a play has read, and the blocks they fall
-        # in are the ones it has computed; ``quads`` views the window by block.
-        drawn = np.zeros(count, dtype=np.int64)
-        window = np.zeros((count, 8))
+    cpus = _cpus()
+
+    def advance(lo, window, step, plays, split):
+        """Plays ``lo + slot`` from ``step`` on: the wins and the plays left
+        undecided that they add, and the lowest-numbered play that needed a
+        missing row with its message, or ``None``.  ``plays`` holds the
+        arrays ``slot``, ``st``, ``drawn`` and ``seen`` and the modes;
+        ``window`` holds the draws of every slot of the set.  With ``split``
+        the plays are split across processes if the set proves long-lived.
+        """
+        slot, st, drawn, seen, *modes = plays
         flat, quads = window.ravel(), window.reshape(-1, 4)
-        seen = np.zeros(count, dtype=bool)
+        wins = undecided = 0
         failed = None
-        for step in range(cfg.horizon + 1):
+        ripe = False
+        for step in range(step, cfg.horizon + 1):
+            if ripe:
+                plays = [slot, st, drawn, seen, *modes]
+
+                def share(r, k):
+                    return advance(lo, window, step, [a[r::k] for a in plays], False)
+
+                won, open_, errors = zip(*_in_shares(min(cpus, len(st) // _SPLIT), share))
+                wins += sum(won)
+                undecided += sum(open_)
+                failed = min(filter(None, (failed, *errors)), default=None)
+                break
             code = (codes if step else first_code)[st]
             if lost_from is not None:
                 code[step >= lost_from[st]] = 1
@@ -322,7 +443,7 @@ def sample_plays(
                     # if the plays ran one after another.
                     j = lost[0]
                     if failed is None or slot[j] < failed[0]:
-                        failed = (slot[j], lacking[row[j]])
+                        failed = (int(slot[j]), lacking[row[j]])
                     done[lost] = True
             if done.any():
                 keep = np.flatnonzero(~done)
@@ -331,6 +452,11 @@ def sample_plays(
                 modes = [mode.take(keep) for mode in modes]
                 if not len(st):
                     break
+            # The set splits after this step's draws once it holds two
+            # shares of live plays and one of them has read all four draws
+            # of its first block.
+            split = split and len(st) >= 2 * _SPLIT
+            ripe = split and (drawn > 3).any()
 
             # This step's draws, in stream order: the move, then each mode update.
             urows = [mode * n + st for mode in modes]
@@ -351,9 +477,21 @@ def sample_plays(
                 drawn = drawn + take
             st = moves.pick(row, draws[0])
             modes = [upd.pick(r, u) for (_, upd), r, u in zip(dynamic, urows, draws[1:])]
+        return wins, undecided, failed
 
+    wins = undecided = 0
+    for lo in range(0, cfg.samples, _PLAYS):
+        count = min(_PLAYS, cfg.samples - lo)
+        # ``drawn`` counts the draws a play has read, and the blocks they fall
+        # in are the ones it has computed.
+        plays = [np.arange(count), np.full(count, sid[start], dtype=np.int64),
+                 np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)]
+        plays += [np.full(count, initial[p], dtype=np.int64) for p, _ in dynamic]
+        won, open_, failed = advance(lo, np.zeros((count, 8)), 0, plays, cpus > 1)
         if failed is not None:
             raise ValueError(failed[1])
+        wins += won
+        undecided += open_
 
     mean = wins / cfg.samples
     half_width = 1.96 * (mean * (1.0 - mean) / cfg.samples) ** 0.5

@@ -21,15 +21,16 @@ for owned states, weights and adds in successor order for random states,
 so every float is the one a plain loop over each successor list gives) and
 one scatter.  The end-component decomposition is recomputed only when the
 minimizer's lower-optimal edges change, and deflation is no longer called
-once it cannot change anything.  The reported error bound is the final
-gap.  It is sound in supremum norm in real arithmetic; the sweeps round to
-nearest, so the returned floats can miss it by a few ulps.  Sound floats
-need directed rounding, the lower half rounded down and the upper half up.
-The returned lower iterate is clamped to at most 1 (random rows can add up
-past it), so all floats lie in [0, 1].  Bounded-reach values are exact
-Bellman steps from the target indicator, each recomputing only the
-predecessors of the states the step before changed, on reduced int pairs:
-no step builds a ``Fraction``, each output value one.
+once it cannot change anything, nor at all on an acyclic live region.
+The reported error bound is the final gap.  It is sound in supremum norm
+in real arithmetic; the sweeps round to nearest, so the returned floats
+can miss it by a few ulps.  Sound floats need directed rounding, the lower
+half rounded down and the upper half up.  The returned lower iterate is
+clamped to at most 1 (random rows can add up past it), so all floats lie
+in [0, 1].  Bounded-reach values are exact Bellman steps from the target
+indicator, each recomputing only the predecessors of the states the step
+before changed, on reduced int pairs: no step builds a ``Fraction``, each
+output value one.
 
 Values of countable games are certified by exact interval pairs computed on
 a pessimistic and an optimistic truncation of the same depth.
@@ -45,7 +46,8 @@ from fractions import Fraction
 from itertools import chain, compress
 
 from . import winning
-from .exact import ConvergenceError, bellman_combine, bellman_pair, can_reach, solve_reach_exact
+from .exact import (ConvergenceError, bellman_combine, bellman_pair, can_reach, settle_order,
+                    solve_reach_exact)
 from .graphs import maximal_end_components
 from .model import (Game, InvariantError, LazyGame, Owner, SinkMode, _as_fraction, _as_int,
                     check_state, check_targets, swap_roles, truncate)
@@ -388,9 +390,13 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> ValueVector:
     previous period's result).  The last row is deflated, and then all
     rows' gaps are taken at once: the first row within ``tol`` is returned,
     the vector and bound that a stop test after every sweep returns.  The
-    sweeps after it in its period are thrown away.  Once the minimizer's
-    edges cannot change the end components (no reachable minimizer state)
-    and no component is capped, deflation is not called again.
+    sweeps after it in its period are thrown away.  Deflation is never
+    called when the live states settle backward from the targets and the
+    states that cannot reach one (``settle_order``), the same check that
+    lets ``solve_reach_exact`` skip strategy iteration: no end component
+    then lies off the targets.  Otherwise, once the minimizer's edges cannot
+    change the end components (no reachable minimizer state) and no
+    component is capped, deflation is not called again.
     """
     import numpy as np
 
@@ -406,7 +412,7 @@ def _iterate_reach(game: Game, targets: set[str], tol: float) -> ValueVector:
     lower, upper = lowers[-1], uppers[-1]
     sweeps = [(rows[j - 1], rows[j]) for j in range(_DEFLATE_EVERY)]
     found = last = None
-    deflating = True
+    deflating = settle_order(game, targets, reachable) is None
     last_gap = float("inf")
     for done in range(0, _MAX_SWEEPS, _DEFLATE_EVERY):
         for v, out in sweeps:

@@ -1,6 +1,8 @@
 """Monte-Carlo sampling: reproducibility, consistency, window scoring."""
 
+import os
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -23,13 +25,38 @@ from sgsolve import (
     safety,
     sample_plays,
 )
-from sgsolve import gallery, simulate, value_reach_within
+from sgsolve import cli, gallery, simulate, value_reach_within
 from sgsolve.exact import reach_plus_values, solve_reach_exact
 from sgsolve.simulate import _PLAYS, _SLICE, _philox
 from sgsolve.strategies import MDStrategy
+from sgsolve.textio import format_game
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_a_run():
+    """Every process a run forks has been reaped when it returns or raises."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _force_split(monkeypatch, cpus):
+    """Split every lockstep set of two or more live plays across up to
+    ``cpus`` processes; returns the process counts of the splits made."""
+    splits = []
+    in_shares = simulate._in_shares
+
+    def counted(k, work):
+        splits.append(k)
+        return in_shares(k, work)
+
+    monkeypatch.setattr(simulate, "_SPLIT", 1)
+    monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "_in_shares", counted)
+    return splits
 
 
 def test_deterministic_game_gives_zero_one_mean():
@@ -196,7 +223,9 @@ def _same(game, start, obj, cfg, sigma=None, pi=None):
     return expected
 
 
-def test_lockstep_sampler_matches_the_reference_on_random_games(monkeypatch):
+def _random_cases(monkeypatch):
+    """300 random games, strategy pairs and runs, each checked by ``_same``;
+    returns how many gave an estimate rather than an error."""
     estimates = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -214,7 +243,18 @@ def test_lockstep_sampler_matches_the_reference_on_random_games(monkeypatch):
                         buchi_window=rng.randint(1, horizon))
         obj = _objective(rng, _KINDS[seed % len(_KINDS)], targets)
         estimates += _same(game, rng.choice(game.states), obj, cfg, sigma, pi) is not None
-    assert estimates >= 250
+    return estimates
+
+
+def test_lockstep_sampler_matches_the_reference_on_random_games(monkeypatch):
+    assert _random_cases(monkeypatch) >= 250
+
+
+@pytest.mark.parametrize("cpus", (2, 3))
+def test_split_sets_match_the_reference_on_random_games(monkeypatch, cpus):
+    splits = _force_split(monkeypatch, cpus)
+    assert _random_cases(monkeypatch) >= 250
+    assert len(splits) >= 40 and set(splits) == set(range(2, cpus + 1))
 
 
 _GALLERY = {
@@ -225,8 +265,7 @@ _GALLERY = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GALLERY))
-def test_lockstep_sampler_matches_the_reference_on_the_gallery(name):
+def _gallery_cases(name):
     build, start = _GALLERY[name]
     built = build()
     game = built.game
@@ -242,6 +281,19 @@ def test_lockstep_sampler_matches_the_reference_on_the_gallery(name):
                 cfg = SimConfig(cfg.samples, cfg.horizon, cfg.seed, rng.randint(1, 10))
             assert _same(game, start, obj, cfg, make(rng, game, Owner.MAX),
                          make(rng, game, Owner.MIN)) is not None
+
+
+@pytest.mark.parametrize("name", sorted(_GALLERY))
+def test_lockstep_sampler_matches_the_reference_on_the_gallery(name):
+    _gallery_cases(name)
+
+
+@pytest.mark.parametrize("cpus", (2, 3))
+@pytest.mark.parametrize("name", sorted(_GALLERY))
+def test_split_sets_match_the_reference_on_the_gallery(monkeypatch, name, cpus):
+    splits = _force_split(monkeypatch, cpus)
+    _gallery_cases(name)
+    assert splits
 
 
 def test_estimates_do_not_depend_on_the_play_block(monkeypatch):
@@ -364,6 +416,134 @@ def test_a_missing_row_fails_only_where_a_play_needs_it():
     assert sample_plays(g, "a", reach("t"), cfg, sigma=partial).mean == 1.0
     with pytest.raises(ValueError, match="no successor row for mode m0 at m"):
         sample_plays(g, "a", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {"k": "t"}))
+
+
+# Four coin flips lead from s through layers 1 to 4 and a three-way draw to
+# the absorbing target t or to one of the maximizer's states m and k, so a
+# play reads its fifth draw before it can be decided.
+_LAYERS = Game.of(
+    [("s", "rand", ("x1", "y1"), (HALF, HALF))]
+    + [(f"{a}{i}", "rand", (f"x{i + 1}", f"y{i + 1}"), (HALF, HALF))
+       for i in (1, 2, 3) for a in "xy"]
+    + [(f"{a}4", "rand", ("m", "k", "t"), (Fraction(1, 3),) * 3) for a in "xy"]
+    + [("m", "max", ("t",)), ("k", "max", ("t",)), ("t", "rand", ("t",), (1,))])
+
+
+def test_a_missing_row_in_either_share_gives_the_sequential_message(monkeypatch):
+    # Nothing is decided before step 5, so the two shares of the split after
+    # step 4 hold the even and the odd plays.  Both lack rows at m and k; a
+    # run's error names the lowest-numbered play at either, as in one process.
+    cases = {}
+    for seed in range(100):
+        cfg = SimConfig(samples=12, horizon=8, seed=seed)
+        rows = MDStrategy(Owner.MAX, {"m": "t", "k": "t"})
+        at = [(i, visited[5]) for i, (visited, _, _) in
+              enumerate(reference_plays(_LAYERS, "s", reach("t"), cfg, sigma=rows))
+              if visited[5] != "t"]
+        firsts = [next((x for x in at if x[0] % 2 == r), None) for r in (0, 1)]
+        if None not in firsts and firsts[0][1] != firsts[1][1]:
+            cases.setdefault(min(firsts)[0] % 2, (cfg, min(firsts)[1]))
+    assert sorted(cases) == [0, 1]
+    splits = _force_split(monkeypatch, 2)
+    for cfg, state in cases.values():
+        with pytest.raises(ValueError, match=f"^no successor row for mode m0 at {state}$"):
+            sample_plays(_LAYERS, "s", reach("t"), cfg, sigma=MDStrategy(Owner.MAX, {}))
+    assert splits == [2, 2]
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 8)
+    cfg = SimConfig(samples=100, horizon=40, seed=6)
+    expected = reference_sample_plays(built.game, "w1", reach(*built.targets), cfg)
+    monkeypatch.setattr(simulate, "_SPLIT", 1)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert sample_plays(built.game, "w1", reach(*built.targets), cfg) == expected
+    # Nor where the platform has no fork at all.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert sample_plays(built.game, "w1", reach(*built.targets), cfg) == expected
+
+
+@pytest.mark.parametrize("forks", (0, 1))
+def test_a_set_whose_fork_fails_continues_in_process(monkeypatch, forks):
+    # The fork after the first ``forks`` raises: the children forked before
+    # it are stopped, and the set is played out in one process.
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) > forks:
+            raise OSError("no more processes")
+        return real()
+
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 8)
+    cfg = SimConfig(samples=100, horizon=40, seed=6)
+    expected = reference_sample_plays(built.game, "w1", reach(*built.targets), cfg)
+    splits = _force_split(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    assert sample_plays(built.game, "w1", reach(*built.targets), cfg) == expected
+    assert splits == [3] and len(calls) == forks + 1
+
+
+def test_a_share_that_ends_without_its_counts_raises_a_named_error(monkeypatch, tmp_path,
+                                                                   capsys):
+    parent, philox = os.getpid(), simulate._philox
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return philox(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("waited 60 s for a share")
+
+    monkeypatch.setattr(simulate, "_philox", dying)
+    _force_split(monkeypatch, 2)
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 8)
+    path = tmp_path / "ruin.game"
+    path.write_text(format_game(built.game, built.targets), encoding="utf-8")
+    argv = ["simulate", str(path), "--from", "w1", "--samples", "100", "--horizon", "40"]
+    # A parent that waited for the lost share's counts would hang: fail instead.
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(simulate.WorkerError,
+                           match=r"ended without its counts \(exit code 3\)"):
+            sample_plays(built.game, "w1", reach(*built.targets), SimConfig(100, 40, 6))
+        assert cli.main(argv) == 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a forked share of the plays ended without its counts "
+                   "(exit code 3)\n")
+
+
+def test_a_long_run_splits_at_the_default_size_with_the_same_estimate(monkeypatch):
+    built = gallery.build_gamblers_ruin(Fraction(3, 5), 30)
+    obj, cfg = reach(*built.targets), SimConfig(samples=20000, horizon=200, seed=50)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
+    whole = sample_plays(built.game, "w1", obj, cfg)
+    splits = []
+    in_shares = simulate._in_shares
+
+    def counted(k, work):
+        splits.append(k)
+        return in_shares(k, work)
+
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_in_shares", counted)
+    assert sample_plays(built.game, "w1", obj, cfg) == whole
+    assert splits == [2]
+    # A Figure 2 query reads at most four draws a play and never splits.
+    fig2 = gallery.build_fig2(10)
+    sample_plays(fig2.game, "r3", reach(*fig2.targets), cfg)
+    assert splits == [2]
 
 
 # a is the maximizer's; b loops, c leads to the absorbing target t.

@@ -451,6 +451,28 @@ def test_iterate_stops_deflating_once_deflation_cannot_change_anything(monkeypat
     assert calls == 2
 
 
+def test_iterate_never_deflates_an_acyclic_fig2_window(monkeypatch):
+    # A Figure 2 window settles backward from its targets and the states that
+    # cannot reach one, so no end component lies off the targets.  Skipping
+    # deflation leaves every float and bound as deflating would.
+    calls = 0
+    deflate = values._deflate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return deflate(*args)
+
+    monkeypatch.setattr(values, "_deflate", counted)
+    runs = [(built.game, built.targets, solve) for depth in (3, 10, 40, 60, 80)
+            for built in [gallery.build_fig2(depth)] for solve in (value_reach, value_safety)]
+    skipped = [solve(game, targets, tol=1e-9) for game, targets, solve in runs]
+    assert calls == 0
+    monkeypatch.setattr(values, "settle_order", lambda *args: None)
+    assert [solve(game, targets, tol=1e-9) for game, targets, solve in runs] == skipped
+    assert calls >= len(runs)
+
+
 def test_iterate_finds_end_components_once_when_minimizer_edges_stay(monkeypatch):
     calls = []
 
